@@ -10,7 +10,7 @@ and the lemma-by-lemma checks behind it.
 
 from .algebra import (Algebra, Element, Subspace, associator, commutator, direct_sum,
                       find_unit, is_alternative, is_associative, load_algebra,
-                      multiply, save_algebra)
+                      save_algebra)
 from .commuting import (Decomposition, LinearMap, check_decomposition, decompose,
                         decompose_oracle, exhaustive_commuting_check, is_anti_commuting,
                         is_commuting, load_map, map_from_dict, map_to_dict,
@@ -30,7 +30,7 @@ __all__ = [
     "Algebra", "Element", "Subspace", "Matrix", "LinearMap", "Decomposition",
     "PeirceData", "LemmaReport", "InvolutiveAlgebra",
     "RationalField", "PrimeField", "field_from_dict",
-    "multiply", "commutator", "associator", "is_alternative", "is_associative",
+    "commutator", "associator", "is_alternative", "is_associative",
     "find_unit", "direct_sum", "save_algebra", "load_algebra",
     "matrix_algebra", "zorn", "scalar_algebra", "cayley_dickson",
     "cayley_dickson_algebra", "ground_involutive",

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 
 from .fields import field_from_dict
-from .linalg import Matrix
+from .linalg import Matrix, echelon_of_blocks
 
 _UNSET = object()
 
@@ -21,7 +21,9 @@ _UNSET = object()
 class Algebra:
     """A structure-constant algebra over an exact field.
 
-    Immutable after construction apart from internal memo caches.  If unit
+    Immutable after construction apart from internal memo caches: the
+    unit, basis products, the associator tensor (see associator_tensor),
+    the center with its reduced membership rows, and the nucleus.  If unit
     coordinates are supplied they are verified against every basis vector
     before being accepted.
     """
@@ -75,8 +77,7 @@ class Algebra:
         self._basis_coords = [tuple(field.one if t == i else field.zero for t in range(dim))
                               for i in range(dim)]
         self._basis_products = None
-        self._left_mats = [None] * dim
-        self._right_mats = [None] * dim
+        self._associators = None
         self._center = None
         self._center_rows = None
         self._center_wmats = None
@@ -94,13 +95,6 @@ class Algebra:
 
     def element(self, coords) -> "Element":
         return Element(self, coords)
-
-    def element_from_ints(self, ints) -> "Element":
-        f = self.field
-        return Element(self, [f.from_int(n) for n in ints])
-
-    def zero_element(self) -> "Element":
-        return Element(self, [self.field.zero] * self.dim)
 
     def basis_element(self, i: int) -> "Element":
         if self._basis_elements is None:
@@ -202,15 +196,37 @@ class Algebra:
                     m[k][i] = f.add(m[k][i], f.mul(aj, c))
         return Matrix(f, m, cols=self.dim)
 
-    def basis_left_matrix(self, i: int) -> Matrix:
-        if self._left_mats[i] is None:
-            self._left_mats[i] = self.left_mult_matrix(self._basis_coords[i])
-        return self._left_mats[i]
+    def associator_tensor(self) -> dict:
+        """Cached sparse associators of basis triples, {(s, t, u): {k: c}}.
 
-    def basis_right_matrix(self, i: int) -> Matrix:
-        if self._right_mats[i] is None:
-            self._right_mats[i] = self.right_mult_matrix(self._basis_coords[i])
-        return self._right_mats[i]
+        Entry (s, t, u) holds the nonzero coordinates of (b_s b_t) b_u -
+        b_s (b_t b_u); zero associators are absent and keys are sorted.
+        Built from the structure constants alone, so its cost follows the
+        number of nonzero products.
+        """
+        if self._associators is None:
+            f = self.field
+            rows, cols = self._rows, self._cols
+            acc = {}
+            for s, row in enumerate(rows):
+                for t, st in row.items():
+                    for k, c in st:                 # (b_s b_t) b_u = sum_k c b_k b_u
+                        for u, ku in rows[k].items():
+                            vec = acc.setdefault((s, t, u), {})
+                            for l, d in ku:
+                                vec[l] = f.add(vec.get(l, f.zero), f.mul(c, d))
+            for t, row in enumerate(rows):
+                for u, tu in row.items():
+                    for k, c in tu:                 # b_s (b_t b_u) = sum_k c b_s b_k
+                        for s, sk in cols[k].items():
+                            vec = acc.setdefault((s, t, u), {})
+                            for l, d in sk:
+                                vec[l] = f.sub(vec.get(l, f.zero), f.mul(c, d))
+            for vec in acc.values():
+                for l in [l for l, c in vec.items() if not c]:
+                    del vec[l]
+            self._associators = {key: acc[key] for key in sorted(acc) if acc[key]}
+        return self._associators
 
     # ------------------------------------------------------------------
     # serialization
@@ -350,31 +366,19 @@ class Subspace:
         for el in self.basis:
             if el.algebra is not algebra:
                 raise ValueError("basis element from a different algebra")
-        self._echelon = _echelon
-        if _echelon is None and self.basis:
-            rows, pivots = self._compute_echelon()
-            if len(pivots) != len(self.basis):
+        if _echelon is None:
+            _echelon = echelon_of_blocks(algebra.field, algebra.dim,
+                                         [[el.coords for el in self.basis]])
+            if len(_echelon[1]) != len(self.basis):
                 raise ValueError("subspace basis is linearly dependent")
-            self._echelon = (rows, pivots)
-        elif _echelon is None:
-            self._echelon = ([], [])
-
-    def _compute_echelon(self):
-        m = Matrix(self.algebra.field, [list(el.coords) for el in self.basis],
-                   cols=self.algebra.dim)
-        reduced, pivots = m.rref()
-        return reduced.data[: len(pivots)], pivots
+        self._echelon = _echelon
 
     @classmethod
     def from_spanning(cls, algebra: Algebra, elements) -> "Subspace":
         """The span of arbitrary elements, with a canonical echelon basis."""
-        coords = [list(el.coords) for el in elements]
-        if not coords:
-            return cls(algebra, [], _echelon=([], []))
-        reduced, pivots = Matrix(algebra.field, coords, cols=algebra.dim).rref()
-        rows = reduced.data[: len(pivots)]
-        basis = [Element(algebra, r) for r in rows]
-        return cls(algebra, basis, _echelon=([list(r) for r in rows], pivots))
+        rows, pivots = echelon_of_blocks(algebra.field, algebra.dim,
+                                         [[el.coords for el in elements]])
+        return cls(algebra, [Element(algebra, r) for r in rows], _echelon=(rows, pivots))
 
     @property
     def dim(self) -> int:
@@ -398,9 +402,6 @@ class Subspace:
             raise ValueError("element from a different algebra")
         return not any(self.reduce_coords(el.coords))
 
-    def echelon_rows(self) -> list[list]:
-        return [list(r) for r in self._echelon[0]]
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Subspace):
             return NotImplemented
@@ -418,11 +419,6 @@ class Subspace:
 # products, brackets and structural checks
 
 
-def multiply(a: Element, b: Element) -> Element:
-    """The algebra product; a convenience alias for a * b."""
-    return a * b
-
-
 def commutator(a: Element, b: Element) -> Element:
     return a * b - b * a
 
@@ -432,46 +428,62 @@ def associator(a: Element, b: Element, c: Element) -> Element:
 
 
 def is_alternative(algebra: Algebra):
-    """Whether the product satisfies both alternative laws.
+    """Whether the product satisfies both alternative laws (x,x,y) = (y,x,x) = 0.
 
-    Both laws are quadratic in one variable, so checking basis pairs plus
-    the mixed linearizations is exhaustive when the characteristic is not
-    2 (guaranteed by the field types).  Returns (True, None) or
-    (False, (x, y, z)) where the triple has a nonzero associator of the
-    shape (x, x, y) or (y, x, x).
+    With A the associator tensor, (x,x,y) = sum_i x_i^2 A(i,i,y) +
+    sum_{i<j} x_i x_j (A(i,j,y) + A(j,i,y)), and likewise for (y,x,x).  The
+    scan reads these coefficients off A at x = b_i, then at x = b_i + b_j
+    (four basis triples summed), against each y = b_k.  Read as "A is skew
+    in its first two slots and in its last two", the test would need the
+    characteristic to differ from 2 (skewness gives only 2 A(i,i,y) = 0);
+    the field types guarantee that, and reading the square terms directly
+    keeps each witness in the law's own shape.  Returns (True, None) or
+    (False, (x, y, z)), the first triple in scan order with a nonzero
+    associator of shape (x, x, y) or (y, x, x).
     """
+    A = algebra.associator_tensor()
+    if not A:
+        return True, None
     n = algebra.dim
-    basis = [algebra.basis_element(i) for i in range(n)]
+    b = algebra.basis_element
     for i in range(n):
-        bi = basis[i]
         for j in range(n):
-            bj = basis[j]
-            if not associator(bi, bi, bj).is_zero():
-                return False, (bi, bi, bj)
-            if not associator(bj, bi, bi).is_zero():
-                return False, (bj, bi, bi)
+            if (i, i, j) in A:
+                return False, (b(i), b(i), b(j))
+            if (j, i, i) in A:
+                return False, (b(j), b(i), b(i))
+    f = algebra.field
+
+    def nonzero_sum(keys):
+        total = {}
+        for key in keys:
+            for k, c in A.get(key, {}).items():
+                total[k] = f.add(total.get(k, f.zero), c)
+        return any(total.values())
+
     for i in range(n):
         for j in range(i + 1, n):
-            x = basis[i] + basis[j]
+            x = b(i) + b(j)
             for k in range(n):
-                bk = basis[k]
-                if not associator(x, x, bk).is_zero():
-                    return False, (x, x, bk)
-                if not associator(bk, x, x).is_zero():
-                    return False, (bk, x, x)
+                if nonzero_sum(((i, i, k), (i, j, k), (j, i, k), (j, j, k))):
+                    return False, (x, x, b(k))
+                if nonzero_sum(((k, i, i), (k, i, j), (k, j, i), (k, j, j))):
+                    return False, (b(k), x, x)
     return True, None
 
 
 def is_associative(algebra: Algebra):
-    """Exhaustive associativity check over basis triples (sufficient by trilinearity)."""
-    n = algebra.dim
-    basis = [algebra.basis_element(i) for i in range(n)]
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if not associator(basis[i], basis[j], basis[k]).is_zero():
-                    return False, (basis[i], basis[j], basis[k])
-    return True, None
+    """Associativity read off the associator tensor (basis triples suffice by trilinearity).
+
+    Returns (True, None) or (False, (x, y, z)) with the first basis triple
+    in (i, j, k) order whose associator is nonzero.
+    """
+    A = algebra.associator_tensor()
+    if not A:
+        return True, None
+    b = algebra.basis_element
+    i, j, k = next(iter(A))
+    return False, (b(i), b(j), b(k))
 
 
 def find_unit(algebra: Algebra) -> Element | None:
@@ -518,10 +530,3 @@ def load_algebra(path) -> Algebra:
             raise ValueError(f"not valid JSON: {path} ({exc})") from exc
     return Algebra.from_dict(d)
 
-
-def coords_to_strings(field, coords) -> list[str]:
-    return [field.fmt(c) for c in coords]
-
-
-def coords_from_strings(field, strings) -> list:
-    return [field.parse(s) for s in strings]

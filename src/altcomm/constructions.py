@@ -107,9 +107,6 @@ class InvolutiveAlgebra:
     algebra: Algebra
     conjugation: Matrix
 
-    def conj_coords(self, coords) -> list:
-        return self.conjugation.matvec(list(coords))
-
 
 def ground_involutive(field) -> InvolutiveAlgebra:
     """The base of the doubling tower: the field with trivial conjugation."""

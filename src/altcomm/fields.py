@@ -18,16 +18,32 @@ import operator
 from fractions import Fraction
 
 
+# Miller-Rabin on the first twelve primes is exact below their smallest common
+# strong pseudoprime (Sorenson and Webster, Math. Comp. 2017); larger p are refused.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+MODULUS_LIMIT = 318665857834031151167461
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic primality for n < MODULUS_LIMIT."""
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -95,6 +111,8 @@ class PrimeField:
     kind = "prime"
 
     def __init__(self, p: int) -> None:
+        if isinstance(p, int) and p >= MODULUS_LIMIT:
+            raise ValueError(f"modulus {p} is too large: it must be below {MODULUS_LIMIT}")
         if not isinstance(p, int) or not _is_prime(p):
             raise ValueError(f"modulus {p!r} is not prime")
         if p in (2, 3):

@@ -1,13 +1,15 @@
 """Dense exact matrices and deterministic Gaussian elimination.
 
-Row reduction always takes the leftmost column with a nonzero entry and,
-within it, the topmost unfinished row, with no magnitude heuristics (they
-would be meaningless for exact scalars anyway).  Echelon forms, ranks,
-kernels and particular solutions are therefore reproducible byte for byte
-across runs and platforms.
+Every elimination goes through ``echelon_of_blocks``, which computes the
+reduced row echelon form: it is unique for a row space, whatever order the
+rows arrive in, and exact scalars need no magnitude heuristics.  Echelon
+forms, ranks, kernels and particular solutions are therefore reproducible
+byte for byte across runs and platforms.
 """
 
 from __future__ import annotations
+
+from itertools import chain
 
 
 class Matrix:
@@ -126,7 +128,7 @@ class Matrix:
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._check_shape(other)
         f = self.field
-        return Matrix(f, [[f.sub(a, b) for a, b in zip(r1, r2)]
+        return Matrix(f, [[f.sub(a, b) if b else a for a, b in zip(r1, r2)]
                           for r1, r2 in zip(self.data, other.data)], cols=self.cols)
 
     def _check_shape(self, other: "Matrix") -> None:
@@ -152,45 +154,11 @@ class Matrix:
     # elimination
 
     def rref(self) -> tuple["Matrix", list[int]]:
-        """Reduced row echelon form and the list of pivot columns.
-
-        Pivoting is leftmost-first: for each column in order, the first
-        nonzero entry at or below the current row becomes the pivot.
-        """
-        f = self.field
-        m = [row[:] for row in self.data]
-        n_rows, n_cols = self.rows, self.cols
-        pivots: list[int] = []
-        r = 0
-        for c in range(n_cols):
-            pivot_row = None
-            for i in range(r, n_rows):
-                if m[i][c]:
-                    pivot_row = i
-                    break
-            if pivot_row is None:
-                continue
-            m[r], m[pivot_row] = m[pivot_row], m[r]
-            pv = m[r][c]
-            if pv != f.one:
-                inv = f.inv(pv)
-                m[r] = [f.mul(inv, x) for x in m[r]]
-            mr = m[r]
-            for i in range(n_rows):
-                if i == r:
-                    continue
-                factor = m[i][c]
-                if not factor:
-                    continue
-                mi = m[i]
-                for j in range(c, n_cols):
-                    if mr[j]:
-                        mi[j] = f.sub(mi[j], f.mul(factor, mr[j]))
-            pivots.append(c)
-            r += 1
-            if r == n_rows:
-                break
-        return Matrix(f, m, cols=n_cols), pivots
+        """Reduced row echelon form, zero rows last, and the list of pivot columns."""
+        rows, pivots = echelon_of_blocks(self.field, self.cols, [self.data])
+        zero = self.field.zero
+        rows.extend([zero] * self.cols for _ in range(self.rows - len(rows)))
+        return Matrix(self.field, rows, cols=self.cols), pivots
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -201,8 +169,7 @@ class Matrix:
         Free columns are taken in ascending order; each basis vector has a
         one in its free position, so the result is deterministic.
         """
-        reduced, pivots = self.rref()
-        return kernel_from_rref(self.field, reduced, pivots)
+        return common_kernel(self.field, self.cols, [self.data])
 
     def solve(self, rhs: list) -> list | None:
         """One exact solution of self @ x = rhs, or None if inconsistent.
@@ -222,6 +189,53 @@ class Matrix:
         for r, c in enumerate(pivots):
             x[c] = reduced.data[r][self.cols]
         return x
+
+
+def echelon_of_blocks(field, n: int, blocks) -> tuple[list[list], list[int]]:
+    """Nonzero rows and pivot columns of the reduced row echelon form of stacked blocks.
+
+    Each block is an iterable of length-n rows.  Rows are folded in one at
+    a time, so the stack is never formed and the working echelon holds at
+    most n sparse rows; the remaining blocks are not read once the rank
+    reaches n.  The reduced echelon form of a row space is unique, so the
+    result equals the nonzero rows of ``Matrix.stack(...).rref()``.
+    """
+    f = field
+    echelon = {}    # pivot column -> {column: entry}, pivot entry one
+    for row in chain.from_iterable(blocks):
+        if not any(row):
+            continue
+        v = list(row)
+        for pc, terms in echelon.items():
+            a = v[pc]
+            if a:
+                for j, x in terms.items():
+                    v[j] = f.sub(v[j], f.mul(a, x))
+        lead = next((j for j, x in enumerate(v) if x), None)
+        if lead is None:
+            continue
+        inv = f.inv(v[lead])
+        new = {j: f.mul(inv, x) for j, x in enumerate(v) if x}
+        for terms in echelon.values():
+            a = terms.get(lead)
+            if a:
+                for j, x in new.items():
+                    y = f.sub(terms.get(j, f.zero), f.mul(a, x))
+                    if y:
+                        terms[j] = y
+                    else:
+                        del terms[j]
+        echelon[lead] = new
+        if len(echelon) == n:
+            break
+    pivots = sorted(echelon)
+    return [[echelon[pc].get(j, f.zero) for j in range(n)] for pc in pivots], pivots
+
+
+def common_kernel(field, n: int, blocks) -> list[list]:
+    """Common kernel of stacked blocks of length-n rows, as ``Matrix.kernel_basis`` gives it."""
+    rows, pivots = echelon_of_blocks(field, n, blocks)
+    return kernel_from_rref(field, Matrix(field, rows, cols=n), pivots)
 
 
 def kernel_from_rref(field, reduced: Matrix, pivots: list[int]) -> list[list]:

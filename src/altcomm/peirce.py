@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from .algebra import Algebra, Element, Subspace, commutator, find_unit
 from .errors import BudgetExceededError, PreconditionError
-from .linalg import Matrix, kernel_from_rref
+from .linalg import Matrix, common_kernel, echelon_of_blocks, kernel_from_rref
 
 DEFAULT_BUDGET = 10 ** 6
 
@@ -67,24 +67,14 @@ class PeirceData:
     def diagonal_center(self, i: int) -> Subspace:
         """The center of the (i, i) component as a subalgebra."""
         if i not in self._diag_center:
-            comp = self.components[(i, i)]
-            cols = [list(el.coords) for el in comp.basis]
-            if not cols:
-                self._diag_center[i] = Subspace(self.algebra, [])
-            else:
-                B = Matrix.from_columns(self.algebra.field, cols)
-                blocks = []
-                for t in comp.basis:
-                    Rt = self.algebra.right_mult_matrix(t.coords)
-                    Lt = self.algebra.left_mult_matrix(t.coords)
-                    blocks.append((Rt - Lt) @ B)
-                system = Matrix.stack(self.algebra.field, blocks, cols=comp.dim)
-                kernel = system.kernel_basis()
-                elems = []
-                for gamma in kernel:
-                    coords = B.matvec(gamma)
-                    elems.append(Element(self.algebra, coords))
-                self._diag_center[i] = Subspace.from_spanning(self.algebra, elems)
+            algebra, comp = self.algebra, self.components[(i, i)]
+            B = Matrix.from_columns(algebra.field, [el.coords for el in comp.basis],
+                                    rows=algebra.dim)
+            blocks = (((algebra.right_mult_matrix(t.coords)
+                        - algebra.left_mult_matrix(t.coords)) @ B).data for t in comp.basis)
+            kernel = common_kernel(algebra.field, comp.dim, blocks)
+            self._diag_center[i] = Subspace.from_spanning(
+                algebra, [Element(algebra, B.matvec(gamma)) for gamma in kernel])
         return self._diag_center[i]
 
     def lift_columns(self, i: int) -> Matrix:
@@ -139,11 +129,8 @@ def peirce_decompose(algebra: Algebra, e1: Element) -> PeirceData:
 
     components = {}
     for key, P in projectors.items():
-        reduced, pivots = P.transpose().rref()
-        rows = reduced.data[: len(pivots)]
-        basis = [Element(algebra, r) for r in rows]
-        components[key] = Subspace(algebra, basis,
-                                   _echelon=([list(r) for r in rows], pivots))
+        images = [Element(algebra, col) for col in P.transpose().data]
+        components[key] = Subspace.from_spanning(algebra, images)
     if sum(components[k].dim for k in components) != n:
         raise PreconditionError("Peirce component dimensions do not sum to the dimension")
     return PeirceData(algebra, e1, e2, projectors, components)
@@ -229,19 +216,12 @@ def center(algebra: Algebra) -> Subspace:
     if algebra._center is None:
         f = algebra.field
         n = algebra.dim
-        blocks = []
-        for t in range(n):
-            block = [[f.zero] * n for _ in range(n)]
-            for u in range(n):
-                ut = algebra.basis_product(u, t)
-                tu = algebra.basis_product(t, u)
-                for k in range(n):
-                    block[k][u] = f.sub(ut[k], tu[k])
-            blocks.append(block)
-        system = Matrix.stack(f, blocks, cols=n)
-        reduced, pivots = system.rref()
-        kernel = kernel_from_rref(f, reduced, pivots)
-        algebra._center_rows = Matrix(f, reduced.data[: len(pivots)], cols=n)
+        # Block t, entry (k, u): coordinate k of b_u b_t - b_t b_u.
+        blocks = ((algebra.right_mult_matrix(bt) - algebra.left_mult_matrix(bt)).data
+                  for bt in map(algebra.basis_coords, range(n)))
+        rows, pivots = echelon_of_blocks(f, n, blocks)
+        algebra._center_rows = Matrix(f, rows, cols=n)
+        kernel = kernel_from_rref(f, algebra._center_rows, pivots)
         algebra._center = Subspace(algebra, [Element(algebra, v) for v in kernel])
     return algebra._center
 
@@ -257,35 +237,24 @@ def is_central(algebra: Algebra, x: Element) -> bool:
 
 
 def nucleus(algebra: Algebra) -> Subspace:
-    """Elements associating with everything, computed from basis associator conditions."""
+    """Elements r with (r, x, y) = (x, r, y) = (x, y, r) = 0 for all x, y; cached.
+
+    By trilinearity this is the common kernel of r -> A(s, t, r),
+    A(s, r, t) and A(r, s, t) over all basis pairs (s, t), with A the
+    cached associator tensor.  Only rows that hold a nonzero associator
+    coordinate are formed, so an associative algebra costs one empty scan.
+    """
     if algebra._nucleus is None:
         f = algebra.field
         n = algebra.dim
-        bp = algebra.basis_product
-        bc = algebra.basis_coords
-        mul = algebra.mul_coords
-
-        def assoc(s, t, u):
-            left = mul(bp(s, t), bc(u))
-            right = mul(bc(s), bp(t, u))
-            return [f.sub(a, b) for a, b in zip(left, right)]
-
-        blocks = []
-        for s in range(n):
-            for t in range(n):
-                b1 = [[f.zero] * n for _ in range(n)]
-                b2 = [[f.zero] * n for _ in range(n)]
-                b3 = [[f.zero] * n for _ in range(n)]
-                for u in range(n):
-                    for k, val in enumerate(assoc(s, t, u)):
-                        b1[k][u] = val           # (b_s, b_t, r)
-                    for k, val in enumerate(assoc(s, u, t)):
-                        b2[k][u] = val           # (b_s, r, b_t)
-                    for k, val in enumerate(assoc(u, s, t)):
-                        b3[k][u] = val           # (r, b_s, b_t)
-                blocks.extend((b1, b2, b3))
-        system = Matrix.stack(f, blocks, cols=n)
-        kernel = system.kernel_basis()
+        # Row (s, t, k) of each family: coordinate k as r runs over the basis.
+        families = ({}, {}, {})
+        for (a, b, c), vec in algebra.associator_tensor().items():
+            for k, val in vec.items():
+                families[0].setdefault((a, b, k), [f.zero] * n)[c] = val   # (b_s, b_t, r)
+                families[1].setdefault((a, c, k), [f.zero] * n)[b] = val   # (b_s, r, b_t)
+                families[2].setdefault((b, c, k), [f.zero] * n)[a] = val   # (r, b_s, b_t)
+        kernel = common_kernel(f, n, (rows.values() for rows in families))
         algebra._nucleus = Subspace(algebra, [Element(algebra, v) for v in kernel])
     return algebra._nucleus
 
@@ -313,17 +282,10 @@ def center_via_peirce(pd: PeirceData) -> Subspace:
     elif not off:
         result = Subspace.from_spanning(algebra, diag)
     else:
-        blocks = []
-        for u in off:
-            block = [[f.zero] * len(diag) for _ in range(algebra.dim)]
-            for t, bt in enumerate(diag):
-                com = commutator(bt, u)
-                for k, val in enumerate(com.coords):
-                    block[k][t] = val
-            blocks.append(block)
-        system = Matrix.stack(f, blocks, cols=len(diag))
+        blocks = (Matrix.from_columns(f, [commutator(bt, u).coords for bt in diag]).data
+                  for u in off)
         elems = []
-        for gamma in system.kernel_basis():
+        for gamma in common_kernel(f, len(diag), blocks):
             coords = [f.zero] * algebra.dim
             for t, g in enumerate(gamma):
                 if g:
@@ -357,16 +319,11 @@ def hypothesis_check(algebra: Algebra, e1: Element):
     n = algebra.dim
     results = []
     for e in (e1, unit - e1):
-        e_coords = e.coords
-        blocks = []
-        for k in range(n):
-            block = [[f.zero] * n for _ in range(n)]
-            for u in range(n):
-                prod = algebra.mul_coords(algebra.basis_product(u, k), e_coords)
-                for r, val in enumerate(prod):
-                    block[r][u] = val
-            blocks.append(block)
-        kernel = Matrix.stack(f, blocks, cols=n).kernel_basis()
+        # Block k, column u: (b_u b_k) e.  Blocks are built only until the rank is full.
+        blocks = (Matrix.from_columns(
+            f, [algebra.mul_coords(algebra.basis_product(u, k), e.coords) for u in range(n)]).data
+            for k in range(n))
+        kernel = common_kernel(f, n, blocks)
         if kernel:
             results.append((False, Element(algebra, kernel[0])))
         else:
@@ -456,11 +413,9 @@ def prime_check_exhaustive(algebra: Algebra, budget: int = DEFAULT_BUDGET):
         bad = np.nonzero(ranks2 < n)[0]
         if bad.size:
             a = algebra.element([int(v) % p for v in cand[bad[0]]])
-            blocks = []
-            for k in range(n):
-                prod = algebra.mul_coords(a.coords, algebra.basis_coords(k))
-                blocks.append(algebra.left_mult_matrix(prod))
-            kernel = Matrix.stack(field, blocks, cols=n).kernel_basis()
+            blocks = (algebra.left_mult_matrix(
+                algebra.mul_coords(a.coords, algebra.basis_coords(k))).data for k in range(n))
+            kernel = common_kernel(field, n, blocks)
             b = Element(algebra, kernel[0])
             for k in range(n):
                 prod = algebra.mul_coords(a.coords, algebra.basis_coords(k))

@@ -2,6 +2,7 @@
 
 import json
 import os
+import time
 
 import pytest
 from click.testing import CliRunner
@@ -321,3 +322,15 @@ def test_gen_json_format(runner, workdir):
 def test_missing_file_is_usage_error(runner, workdir):
     assert invoke(runner, ["verify", "missing.json"]).exit_code == 2
     assert invoke(runner, ["peirce", "missing.json", "-e", "1,0"]).exit_code == 2
+
+
+def test_verify_with_a_huge_modulus_is_prompt(runner, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for p, code in ((2 ** 61 - 1, 0), (2 ** 89 - 1, 2)):
+        with open("big.json", "w") as fh:
+            json.dump({"name": "big", "field": {"kind": "prime", "p": p}, "dim": 1,
+                       "basis": ["1"], "structure": [[0, 0, 0, "1"]]}, fh)
+        start = time.perf_counter()
+        r = invoke(runner, ["verify", "big.json"])
+        assert r.exit_code == code, r.output
+        assert time.perf_counter() - start < 2

@@ -1,8 +1,10 @@
+import time
 from fractions import Fraction
 
 import pytest
 
 from altcomm import PrimeField, RationalField, field_from_dict
+from altcomm.fields import MODULUS_LIMIT, _is_prime
 
 
 def test_rational_basics():
@@ -82,3 +84,29 @@ def test_field_equality_and_labels():
     assert PrimeField(5) != PrimeField(7)
     assert RationalField().label == "Q"
     assert PrimeField(5).label == "F5"
+
+
+def test_prime_field_accepts_a_61_bit_mersenne_prime_quickly():
+    start = time.perf_counter()
+    f = PrimeField(2 ** 61 - 1)
+    assert time.perf_counter() - start < 0.5
+    assert f.mul(f.inv(12345), 12345) == 1
+
+
+def test_primality_matches_trial_division_and_rejects_pseudoprimes():
+    def trial(n):
+        return n > 1 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+    assert [n for n in range(3000) if _is_prime(n)] == [n for n in range(3000) if trial(n)]
+    for composite in (561, 3215031751):   # Carmichael; strong pseudoprime to 2, 3, 5, 7
+        assert not _is_prime(composite)
+        with pytest.raises(ValueError, match="not prime"):
+            PrimeField(composite)
+
+
+def test_prime_field_rejects_moduli_beyond_the_exact_range():
+    # MODULUS_LIMIT itself is a strong pseudoprime to all twelve bases.
+    assert _is_prime(MODULUS_LIMIT)
+    for p in (MODULUS_LIMIT, 2 ** 89 - 1):
+        with pytest.raises(ValueError, match="too large"):
+            PrimeField(p)
