@@ -1,13 +1,27 @@
 """Vectorized exhaustive scans over finite-field algebras.
 
 numpy int64 arithmetic here is exact, not floating point: coordinates stay
-below p, products below p**2, and accumulated sums below dim * p**2, all
-far inside the int64 range for any budget-feasible p.
+below p and each product of two residues below p**2.  The primeness scan
+sums dim such products, staying below dim * p**2.  The commutation scan's
+einsum multiplies three residues and sums dim**2 terms, reaching
+dim**2 * p**3; check_commutator_bound refuses (p, dim) where that is not
+below 2**63, the int64 range.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+
+INT64_LIMIT = 2 ** 63
+
+
+def check_commutator_bound(p: int, n: int) -> None:
+    """Raise ValueError unless n**2 * p**3 < 2**63, so the commutation scan cannot overflow."""
+    if n * n * p ** 3 >= INT64_LIMIT:
+        raise ValueError(
+            f"dim^2 p^3 = {n * n * p ** 3} reaches 2^63: the commutation scan's "
+            "int64 sums could overflow")
 
 
 def structure_tensor(algebra) -> np.ndarray:

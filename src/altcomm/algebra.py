@@ -22,10 +22,10 @@ class Algebra:
     """A structure-constant algebra over an exact field.
 
     Immutable after construction apart from internal memo caches: the
-    unit, basis products, the associator tensor (see associator_tensor),
-    the center with its reduced membership rows, and the nucleus.  If unit
-    coordinates are supplied they are verified against every basis vector
-    before being accepted.
+    unit, basis products, the associator and commutator tensors (see
+    associator_tensor and commutator_tensor), the center with its reduced
+    membership rows, and the nucleus.  If unit coordinates are supplied
+    they are verified against every basis vector before being accepted.
     """
 
     def __init__(self, name, field, dim, basis_labels, structure,
@@ -78,6 +78,7 @@ class Algebra:
                               for i in range(dim)]
         self._basis_products = None
         self._associators = None
+        self._commutators = None
         self._center = None
         self._center_rows = None
         self._center_wmats = None
@@ -222,11 +223,40 @@ class Algebra:
                             vec = acc.setdefault((s, t, u), {})
                             for l, d in sk:
                                 vec[l] = f.sub(vec.get(l, f.zero), f.mul(c, d))
-            for vec in acc.values():
-                for l in [l for l, c in vec.items() if not c]:
-                    del vec[l]
-            self._associators = {key: acc[key] for key in sorted(acc) if acc[key]}
+            self._associators = _drop_zeros(acc)
         return self._associators
+
+    def commutator_tensor(self) -> dict:
+        """Cached sparse commutators of basis pairs, {(s, t): {k: c}}.
+
+        Entry (s, t) holds the nonzero coordinates of b_s b_t - b_t b_s;
+        zero commutators are absent and keys are sorted.  Built once from
+        the structure constants, like associator_tensor.
+        """
+        if self._commutators is None:
+            f = self.field
+            acc = {}
+            for s, row in enumerate(self._rows):
+                for t, terms in row.items():
+                    st, ts = acc.setdefault((s, t), {}), acc.setdefault((t, s), {})
+                    for k, c in terms:
+                        st[k] = f.add(st.get(k, f.zero), c)
+                        ts[k] = f.sub(ts.get(k, f.zero), c)
+            self._commutators = _drop_zeros(acc)
+        return self._commutators
+
+    def bracket_sum(self, terms) -> dict:
+        """Coordinates {k: c} of sum v [b_s, b_t] over the terms (v, (s, t)), from the tensor.
+
+        Coordinates that no term reaches are absent; the others may be zero.
+        """
+        f = self.field
+        K = self.commutator_tensor()
+        acc = {}
+        for v, key in terms:
+            for k, c in K.get(key, {}).items():
+                acc[k] = f.add(acc.get(k, f.zero), f.mul(v, c))
+        return acc
 
     # ------------------------------------------------------------------
     # serialization
@@ -284,6 +314,12 @@ class Algebra:
 
     def __repr__(self) -> str:
         return f"Algebra({self.name}, dim={self.dim}, field={self.field.label})"
+
+
+def _drop_zeros(acc: dict) -> dict:
+    """A sparse tensor {key: {k: c}} without zero entries or empty keys, keys sorted."""
+    vecs = {key: {k: c for k, c in acc[key].items() if c} for key in sorted(acc)}
+    return {key: vec for key, vec in vecs.items() if vec}
 
 
 class Element:
@@ -397,6 +433,17 @@ class Subspace:
                         v[j] = f.sub(v[j], f.mul(factor, row[j]))
         return v
 
+    def combine(self, alpha) -> Element:
+        """The combination sum_c alpha_c basis_c, for one scalar per basis vector."""
+        f = self.algebra.field
+        coords = [f.zero] * self.algebra.dim
+        for a, el in zip(alpha, self.basis):
+            if a:
+                for k, c in enumerate(el.coords):
+                    if c:
+                        coords[k] = f.add(coords[k], f.mul(a, c))
+        return Element(self.algebra, coords)
+
     def contains(self, el: Element) -> bool:
         if el.algebra is not self.algebra:
             raise ValueError("element from a different algebra")
@@ -420,7 +467,16 @@ class Subspace:
 
 
 def commutator(a: Element, b: Element) -> Element:
-    return a * b - b * a
+    """[a, b] = ab - ba, summed as a_s b_t [b_s, b_t] over the commutator tensor."""
+    if not isinstance(a, Element):
+        raise TypeError(f"expected an Element, got {type(a).__name__}")
+    a._require_same(b)
+    algebra = a.algebra
+    f, K = algebra.field, algebra.commutator_tensor()
+    ys = [(t, y) for t, y in enumerate(b.coords) if y]
+    acc = algebra.bracket_sum((f.mul(x, y), (s, t)) for s, x in enumerate(a.coords) if x
+                              for t, y in ys if (s, t) in K)
+    return Element(algebra, [acc.get(k, f.zero) for k in range(algebra.dim)])
 
 
 def associator(a: Element, b: Element, c: Element) -> Element:

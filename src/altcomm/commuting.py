@@ -94,31 +94,42 @@ class Decomposition:
 def is_commuting(algebra: Algebra, phi: LinearMap):
     """Whether [phi(x), x] = 0 identically, via the polarized basis conditions.
 
-    Returns (True, None) or (False, (b_i, b_j)) naming a basis pair where
-    [phi(b_i), b_j] + [phi(b_j), b_i] != 0.  Over fields of characteristic
-    not 2 the pair conditions are equivalent to the identity.
+    Returns (True, None) or (False, (b_i, b_j)) naming the first basis pair
+    (i <= j, row-major) where [phi(b_i), b_j] + [phi(b_j), b_i] != 0.  Over
+    fields of characteristic not 2 the pair conditions are equivalent to
+    the identity.
     """
     n = algebra.dim
-    images = [phi(algebra.basis_element(i)) for i in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            s = commutator(images[i], algebra.basis_element(j)) \
-                + commutator(images[j], algebra.basis_element(i))
-            if not s.is_zero():
-                return False, (algebra.basis_element(i), algebra.basis_element(j))
-    return True, None
+    pairs = ((i, j) for i in range(n) for j in range(i, n))
+    return _first_failing_pair(algebra, phi, pairs, lambda s, i: (s, i))
 
 
 def is_anti_commuting(algebra: Algebra, phi: LinearMap):
-    """Whether [phi(x), y] = -[x, phi(y)] for all x, y, checked on basis pairs."""
+    """Whether [phi(x), y] = -[x, phi(y)] for all x, y, checked on basis pairs.
+
+    The failing pair, if any, is the first (b_i, b_j) in row-major order
+    with [phi(b_i), b_j] + [b_i, phi(b_j)] != 0.
+    """
     n = algebra.dim
-    images = [phi(algebra.basis_element(i)) for i in range(n)]
-    for i in range(n):
-        for j in range(n):
-            s = commutator(images[i], algebra.basis_element(j)) \
-                + commutator(algebra.basis_element(i), images[j])
-            if not s.is_zero():
-                return False, (algebra.basis_element(i), algebra.basis_element(j))
+    pairs = ((i, j) for i in range(n) for j in range(n))
+    return _first_failing_pair(algebra, phi, pairs, lambda s, i: (i, s))
+
+
+def _first_failing_pair(algebra: Algebra, phi: LinearMap, pairs, second_key):
+    """The first basis pair (i, j) in pairs whose bracket sum is nonzero.
+
+    The sum is [phi(b_i), b_j] plus the bracket of phi(b_j) with b_i that
+    second_key picks: (s, i) gives [phi(b_j), b_i] and (i, s) gives
+    [b_i, phi(b_j)].  Both are read off the commutator tensor over the
+    nonzero coordinates s of each image, found once; no Element is formed.
+    Returns (True, None) or (False, (b_i, b_j)).
+    """
+    images = [[(s, v) for s, v in enumerate(phi(algebra.basis_element(i)).coords) if v]
+              for i in range(algebra.dim)]
+    for i, j in pairs:
+        terms = [(v, (s, j)) for s, v in images[i]] + [(v, second_key(s, i)) for s, v in images[j]]
+        if any(algebra.bracket_sum(terms).values()):
+            return False, (algebra.basis_element(i), algebra.basis_element(j))
     return True, None
 
 
@@ -218,13 +229,7 @@ def decompose_oracle(algebra: Algebra, phi: LinearMap) -> Decomposition | None:
     alpha = Matrix(f, rows, cols=c).solve(rhs)
     if alpha is None:
         return None
-    coords = [f.zero] * algebra.dim
-    for a, zc in zip(alpha, zb):
-        if a:
-            for k, v in enumerate(zc.coords):
-                if v:
-                    coords[k] = f.add(coords[k], f.mul(a, v))
-    z = Element(algebra, coords)
+    z = center(algebra).combine(alpha)
     xi = phi - LinearMap.left_multiplication(algebra, z)
     if not check_decomposition(algebra, phi, z, xi):
         return None
@@ -244,21 +249,13 @@ def random_map_parts(algebra: Algebra, seed: int):
     rng = random.Random(seed)
     f = algebra.field
     n = algebra.dim
-    zb = center(algebra).basis
-    zero = [f.zero] * n
+    Z = center(algebra)
 
     def combo():
-        coords = list(zero)
-        for zc in zb:
-            a = f.from_int(rng.randint(-3, 3))
-            if a:
-                for k, v in enumerate(zc.coords):
-                    if v:
-                        coords[k] = f.add(coords[k], f.mul(a, v))
-        return coords
+        return Z.combine([f.from_int(rng.randint(-3, 3)) for _ in Z.basis])
 
-    z = Element(algebra, combo())
-    xi_cols = [combo() for _ in range(n)]
+    z = combo()
+    xi_cols = [combo().coords for _ in range(n)]
     xi = LinearMap(algebra, Matrix.from_columns(f, xi_cols, rows=n))
     phi = LinearMap.left_multiplication(algebra, z) + xi
     return phi, z, xi
@@ -275,7 +272,9 @@ def exhaustive_commuting_check(algebra: Algebra, phi: LinearMap,
 
     Complements is_commuting, which trusts the polarization argument; this
     one enumerates every x.  Returns (True, None) or (False, x) with the
-    first violating element in enumeration order.
+    first violating element in enumeration order.  Raises
+    BudgetExceededError when p^dim exceeds the budget, and ValueError when
+    dim^2 p^3 reaches 2^63, where the scan's int64 sums could overflow.
     """
     if phi.algebra is not algebra:
         raise ValueError("map on a different algebra")
@@ -291,6 +290,7 @@ def exhaustive_commuting_check(algebra: Algebra, phi: LinearMap,
     if p ** n > budget:
         raise BudgetExceededError(
             f"p^dim = {p ** n} exceeds the enumeration budget {budget}")
+    _modscan.check_commutator_bound(p, n)
     C = _modscan.structure_tensor(algebra)
     F = np.array([[int(v) for v in row] for row in phi.matrix.data], dtype=np.int64)
 

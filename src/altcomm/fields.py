@@ -23,6 +23,9 @@ from fractions import Fraction
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 MODULUS_LIMIT = 318665857834031151167461
 
+# Rational scalar text may spell at most this many digits, exponent included.
+SCALAR_DIGIT_LIMIT = 1000
+
 
 def _is_prime(n: int) -> bool:
     """Deterministic primality for n < MODULUS_LIMIT."""
@@ -82,7 +85,22 @@ class RationalField:
 
     @staticmethod
     def parse(text: str) -> Fraction:
-        return Fraction(text.strip())
+        """A rational from text such as "-3", "2/7", "1.5" or "1e-3".
+
+        Refuses text whose value written out in plain digits would need
+        more than SCALAR_DIGIT_LIMIT digits (digits written plus the size
+        of any exponent), so "1e200000" raises ValueError instead of
+        building a 664,386-bit integer.
+        """
+        text = text.strip()
+        mantissa, _, exponent = text.lower().partition("e")
+        try:
+            size = sum(ch.isdigit() for ch in mantissa) + abs(int(exponent or 0))
+        except ValueError:
+            size = 0        # malformed: Fraction reports it below
+        if size > SCALAR_DIGIT_LIMIT:
+            raise ValueError(f"scalar {text[:40]!r} has more than {SCALAR_DIGIT_LIMIT} digits")
+        return Fraction(text)
 
     @staticmethod
     def fmt(a: Fraction) -> str:

@@ -121,17 +121,6 @@ def _off_diagonal_zero(pd: PeirceData, y: Element):
     return None, None
 
 
-def _center_combination(pd: PeirceData, alpha) -> Element:
-    f = pd.algebra.field
-    coords = [f.zero] * pd.algebra.dim
-    for a, zc in zip(alpha, center(pd.algebra).basis):
-        if a:
-            for k, v in enumerate(zc.coords):
-                if v:
-                    coords[k] = f.add(coords[k], f.mul(a, v))
-    return Element(pd.algebra, coords)
-
-
 # ----------------------------------------------------------------------
 # the nine checks
 

@@ -88,11 +88,13 @@ class Matrix:
         if len(v) != self.cols:
             raise ValueError("dimension mismatch in matvec")
         f = self.field
+        nonzero = [(j, x) for j, x in enumerate(v) if x]
         out = []
         for row in self.data:
             acc = f.zero
-            for a, x in zip(row, v):
-                if a and x:
+            for j, x in nonzero:
+                a = row[j]
+                if a:
                     acc = f.add(acc, f.mul(a, x))
             out.append(acc)
         return out

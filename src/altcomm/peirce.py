@@ -68,13 +68,13 @@ class PeirceData:
         """The center of the (i, i) component as a subalgebra."""
         if i not in self._diag_center:
             algebra, comp = self.algebra, self.components[(i, i)]
-            B = Matrix.from_columns(algebra.field, [el.coords for el in comp.basis],
-                                    rows=algebra.dim)
-            blocks = (((algebra.right_mult_matrix(t.coords)
-                        - algebra.left_mult_matrix(t.coords)) @ B).data for t in comp.basis)
+            # Block t, column u: [x_u, t] for the component basis x_u.
+            blocks = (Matrix.from_columns(algebra.field, [commutator(x, t).coords
+                                                          for x in comp.basis]).data
+                      for t in comp.basis)
             kernel = common_kernel(algebra.field, comp.dim, blocks)
             self._diag_center[i] = Subspace.from_spanning(
-                algebra, [Element(algebra, B.matvec(gamma)) for gamma in kernel])
+                algebra, [comp.combine(gamma) for gamma in kernel])
         return self._diag_center[i]
 
     def lift_columns(self, i: int) -> Matrix:
@@ -216,10 +216,12 @@ def center(algebra: Algebra) -> Subspace:
     if algebra._center is None:
         f = algebra.field
         n = algebra.dim
-        # Block t, entry (k, u): coordinate k of b_u b_t - b_t b_u.
-        blocks = ((algebra.right_mult_matrix(bt) - algebra.left_mult_matrix(bt)).data
-                  for bt in map(algebra.basis_coords, range(n)))
-        rows, pivots = echelon_of_blocks(f, n, blocks)
+        # Block t, row k, entry u: coordinate k of [b_u, b_t], read off the commutator tensor.
+        block_rows = {}
+        for (u, t), vec in algebra.commutator_tensor().items():
+            for k, c in vec.items():
+                block_rows.setdefault((t, k), [f.zero] * n)[u] = c
+        rows, pivots = echelon_of_blocks(f, n, [[block_rows[key] for key in sorted(block_rows)]])
         algebra._center_rows = Matrix(f, rows, cols=n)
         kernel = kernel_from_rref(f, algebra._center_rows, pivots)
         algebra._center = Subspace(algebra, [Element(algebra, v) for v in kernel])
@@ -284,15 +286,9 @@ def center_via_peirce(pd: PeirceData) -> Subspace:
     else:
         blocks = (Matrix.from_columns(f, [commutator(bt, u).coords for bt in diag]).data
                   for u in off)
-        elems = []
-        for gamma in common_kernel(f, len(diag), blocks):
-            coords = [f.zero] * algebra.dim
-            for t, g in enumerate(gamma):
-                if g:
-                    for k, c in enumerate(diag[t].coords):
-                        if c:
-                            coords[k] = f.add(coords[k], f.mul(g, c))
-            elems.append(Element(algebra, coords))
+        r11, r22 = pd.components[(1, 1)], pd.components[(2, 2)]
+        elems = [r11.combine(gamma[:r11.dim]) + r22.combine(gamma[r11.dim:])
+                 for gamma in common_kernel(f, len(diag), blocks)]
         result = Subspace.from_spanning(algebra, elems)
     pd._center_via_peirce = result
     return result
@@ -355,14 +351,7 @@ def lift_central(pd: PeirceData, x: Element, i: int) -> Element | None:
     alpha = pd.lift_columns(i).solve(list(x.coords))
     if alpha is None:
         return None
-    f = pd.algebra.field
-    coords = [f.zero] * pd.algebra.dim
-    for a, z in zip(alpha, zb):
-        if a:
-            for k, c in enumerate(z.coords):
-                if c:
-                    coords[k] = f.add(coords[k], f.mul(a, c))
-    return Element(pd.algebra, coords)
+    return center(pd.algebra).combine(alpha)
 
 
 # ----------------------------------------------------------------------

@@ -334,3 +334,16 @@ def test_verify_with_a_huge_modulus_is_prompt(runner, tmp_path, monkeypatch):
         r = invoke(runner, ["verify", "big.json"])
         assert r.exit_code == code, r.output
         assert time.perf_counter() - start < 2
+
+
+def test_verify_with_unbounded_scalar_text_is_prompt(runner, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for scalar, code in (("1e3", 0), ("1e200000", 2), ("1e99999999999", 2)):
+        with open("huge.json", "w") as fh:
+            json.dump({"name": "huge", "field": {"kind": "rational"}, "dim": 1,
+                       "basis": ["1"], "structure": [[0, 0, 0, scalar]]}, fh)
+        start = time.perf_counter()
+        r = invoke(runner, ["verify", "huge.json"])
+        assert r.exit_code == code, r.output
+        assert time.perf_counter() - start < 2
+    assert "digits" in r.output

@@ -1,0 +1,240 @@
+"""The commutator tensor against per-element references.
+
+``commutator``, ``is_commuting``, ``is_anti_commuting``, ``center`` and
+``PeirceData.diagonal_center`` read the cached commutator tensor, and
+``Subspace.combine`` forms every combination over a subspace basis.  The
+references below are the direct forms: ``a * b - b * a`` on Elements, the
+pair scans built from it, the center stacked from multiplication matrices,
+and hand-written combination loops.  Values, verdicts, witness pairs and
+subspaces must agree exactly, since scan order and reduced echelon forms
+are both canonical.
+"""
+
+import random
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from altcomm import (LinearMap, Matrix, Subspace, center, center_via_peirce, commutator,
+                     is_anti_commuting, is_commuting, random_commuting_map)
+from altcomm.algebra import Element
+from altcomm.linalg import echelon_of_blocks, kernel_from_rref
+from altcomm.peirce import center_rows
+
+from test_associator import BUILTINS, F5, Q, SMALL, small_algebras
+
+
+# ----------------------------------------------------------------------
+# references
+
+
+def reference_commutator(a, b):
+    return a * b - b * a
+
+
+def reference_is_commuting(algebra, phi):
+    n = algebra.dim
+    b = algebra.basis_element
+    images = [phi(b(i)) for i in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            s = reference_commutator(images[i], b(j)) + reference_commutator(images[j], b(i))
+            if not s.is_zero():
+                return False, (b(i), b(j))
+    return True, None
+
+
+def reference_is_anti_commuting(algebra, phi):
+    n = algebra.dim
+    b = algebra.basis_element
+    images = [phi(b(i)) for i in range(n)]
+    for i in range(n):
+        for j in range(n):
+            s = reference_commutator(images[i], b(j)) + reference_commutator(b(i), images[j])
+            if not s.is_zero():
+                return False, (b(i), b(j))
+    return True, None
+
+
+def reference_center(algebra):
+    """Rows, pivots and basis of the center, stacked from 2n multiplication matrices."""
+    f = algebra.field
+    n = algebra.dim
+    blocks = [(algebra.right_mult_matrix(algebra.basis_coords(t))
+               - algebra.left_mult_matrix(algebra.basis_coords(t))).data for t in range(n)]
+    rows, pivots = echelon_of_blocks(f, n, blocks)
+    kernel = kernel_from_rref(f, Matrix(f, rows, cols=n), pivots)
+    return rows, pivots, [Element(algebra, v) for v in kernel]
+
+
+def reference_combine(algebra, alpha, basis):
+    f = algebra.field
+    coords = [f.zero] * algebra.dim
+    for a, el in zip(alpha, basis):
+        for k, c in enumerate(el.coords):
+            coords[k] = f.add(coords[k], f.mul(a, c))
+    return Element(algebra, coords)
+
+
+# ----------------------------------------------------------------------
+# maps and elements to compare on
+
+
+def scalar(rng, field):
+    v = rng.choice([0, 0, 0, 1, 2, -1, -3])
+    return field.from_int(v) / rng.choice([1, 2]) if field is Q else field.from_int(v)
+
+
+def random_map(algebra, rng):
+    f = algebra.field
+    n = algebra.dim
+    data = [[scalar(rng, f) for _ in range(n)] for _ in range(n)]
+    return LinearMap(algebra, Matrix(f, data, cols=n))
+
+
+def perturbed(algebra, phi, rng):
+    """phi plus a unit in one seeded matrix entry: usually no longer commuting."""
+    f = algebra.field
+    n = algebra.dim
+    data = [[f.zero] * n for _ in range(n)]
+    data[rng.randrange(n)][rng.randrange(n)] = f.one
+    return phi + LinearMap(algebra, Matrix(f, data, cols=n))
+
+
+def maps_for(algebra, seed):
+    rng = random.Random(seed)
+    standard = random_commuting_map(algebra, seed)
+    return [standard, perturbed(algebra, standard, rng), random_map(algebra, rng)]
+
+
+def assert_agrees(algebra, seed, pairs=6):
+    rng = random.Random(seed)
+    n = algebra.dim
+    b = algebra.basis_element
+    elems = [b(rng.randrange(n)) for _ in range(pairs)]
+    elems += [Element(algebra, [scalar(rng, algebra.field) for _ in range(n)])
+              for _ in range(pairs)]
+    for x, y in zip(elems, reversed(elems)):
+        assert commutator(x, y) == reference_commutator(x, y), algebra.name
+    for phi in maps_for(algebra, seed):
+        assert is_commuting(algebra, phi) == reference_is_commuting(algebra, phi), algebra.name
+        assert is_anti_commuting(algebra, phi) == reference_is_anti_commuting(algebra, phi), \
+            algebra.name
+    rows, pivots, basis = reference_center(algebra)
+    got = center(algebra)
+    assert center_rows(algebra) == Matrix(algebra.field, rows, cols=n), algebra.name
+    assert got.basis == tuple(basis), algebra.name
+
+
+# ----------------------------------------------------------------------
+# builtins up to dimension 16
+
+
+@pytest.mark.parametrize("name", list(BUILTINS))
+def test_builtins_agree_with_the_reference(name):
+    assert_agrees(BUILTINS[name](), seed=len(name))
+
+
+def test_tensor_entries_are_the_basis_commutators():
+    algebra = BUILTINS["CD4(Q)"]()
+    tensor = algebra.commutator_tensor()
+    assert tensor is algebra.commutator_tensor(), "built once and cached"
+    assert list(tensor) == sorted(tensor)
+    b = algebra.basis_element
+    n = algebra.dim
+    for s in range(n):
+        for t in range(n):
+            coords = reference_commutator(b(s), b(t)).coords
+            assert tensor.get((s, t), {}) == {k: c for k, c in enumerate(coords) if c}
+
+
+def test_witness_pairs_are_the_first_failing_pairs(m2q):
+    algebra, _ = m2q
+    f = algebra.field
+    for i in range(algebra.dim):
+        for j in range(algebra.dim):
+            data = [[f.zero] * algebra.dim for _ in range(algebra.dim)]
+            data[i][j] = f.one
+            phi = LinearMap(algebra, Matrix(f, data, cols=algebra.dim))
+            assert is_commuting(algebra, phi) == reference_is_commuting(algebra, phi)
+            assert is_anti_commuting(algebra, phi) == reference_is_anti_commuting(algebra, phi)
+
+
+def test_commutator_keeps_its_argument_checks(m2q, m3q):
+    a, b = m2q[0].basis_element(1), m3q[0].basis_element(1)
+    with pytest.raises(ValueError):
+        commutator(a, b)
+    with pytest.raises(TypeError):
+        commutator(a, 3)
+    with pytest.raises(TypeError):
+        commutator(3, a)
+
+
+# ----------------------------------------------------------------------
+# random structure constants
+
+
+@SMALL
+@given(small_algebras(), st.integers(0, 2 ** 16))
+def test_random_algebras_agree_with_the_reference(algebra, seed):
+    assert_agrees(algebra, seed)
+
+
+# ----------------------------------------------------------------------
+# matvec, combinations and the Peirce-side centers
+
+
+def test_matvec_matches_the_dense_sum():
+    rng = random.Random(11)
+    for _ in range(100):
+        field = rng.choice([Q, F5])
+        rows, cols = rng.randint(0, 5), rng.randint(1, 5)
+        m = Matrix(field, [[scalar(rng, field) for _ in range(cols)] for _ in range(rows)],
+                   cols=cols)
+        v = [scalar(rng, field) for _ in range(cols)]
+        want = []
+        for row in m.data:
+            acc = field.zero
+            for a, x in zip(row, v):
+                acc = field.add(acc, field.mul(a, x))
+            want.append(acc)
+        assert m.matvec(v) == want
+
+
+def test_combine_matches_the_loop(zornq):
+    algebra, _ = zornq
+    rng = random.Random(3)
+    space = Subspace.from_spanning(algebra, [Element(algebra, [scalar(rng, Q) for _ in
+                                                               range(algebra.dim)])
+                                             for _ in range(4)])
+    for _ in range(20):
+        alpha = [scalar(rng, Q) for _ in space.basis]
+        assert space.combine(alpha) == reference_combine(algebra, alpha, space.basis)
+    assert Subspace(algebra, []).combine([]) == Element(algebra, [Q.zero] * algebra.dim)
+
+
+@pytest.mark.parametrize("fixture", ["m2q_pd", "m3q_pd", "zornq_pd", "m2f5_pd", "zornf5_pd"])
+def test_peirce_centers_match_the_reference(fixture, request):
+    pd = request.getfixturevalue(fixture)
+    algebra = pd.algebra
+    f = algebra.field
+    for i in (1, 2):
+        comp = pd.components[(i, i)]
+        B = Matrix.from_columns(f, [el.coords for el in comp.basis], rows=algebra.dim)
+        blocks = [((algebra.right_mult_matrix(t.coords) - algebra.left_mult_matrix(t.coords))
+                   @ B).data for t in comp.basis]
+        rows, pivots = echelon_of_blocks(f, comp.dim, blocks)
+        kernel = kernel_from_rref(f, Matrix(f, rows, cols=comp.dim), pivots)
+        want = Subspace.from_spanning(algebra, [Element(algebra, B.matvec(g)) for g in kernel])
+        got = pd.diagonal_center(i)
+        assert got == want and got.basis == want.basis
+    diag = list(pd.components[(1, 1)].basis) + list(pd.components[(2, 2)].basis)
+    off = list(pd.components[(1, 2)].basis) + list(pd.components[(2, 1)].basis)
+    blocks = [Matrix.from_columns(f, [reference_commutator(t, u).coords for t in diag]).data
+              for u in off]
+    rows, pivots = echelon_of_blocks(f, len(diag), blocks)
+    kernel = kernel_from_rref(f, Matrix(f, rows, cols=len(diag)), pivots)
+    want = Subspace.from_spanning(algebra, [reference_combine(algebra, g, diag) for g in kernel])
+    got = center_via_peirce(pd)
+    assert got == want and got.basis == want.basis

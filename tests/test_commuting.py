@@ -287,3 +287,27 @@ def test_map_from_dict_validation(m2q):
         map_from_dict(algebra, {"dim": 4, "matrix": [["1"] * 4] * 3})
     with pytest.raises(ValueError):
         map_from_dict(algebra, {"dim": 4})
+
+
+def test_exhaustive_check_refuses_int64_overflow_at_the_boundary(monkeypatch):
+    from altcomm import _modscan, scalar_algebra
+
+    limit = 2 ** 63
+    _modscan.check_commutator_bound(2 ** 21 - 1, 1)          # n^2 p^3 just below 2^63
+    _modscan.check_commutator_bound(2 ** 20, 2)              # 2^62
+    for p, n in ((2 ** 21, 1), (2 ** 20, 3)):                # exactly 2^63; 9 * 2^60
+        assert n * n * p ** 3 >= limit
+        with pytest.raises(ValueError, match="2\\^63"):
+            _modscan.check_commutator_bound(p, n)
+
+    def no_enumeration(p, n, chunk=65536):
+        return iter(())
+    monkeypatch.setattr(_modscan, "element_chunks", no_enumeration)
+    below, above = 2097143, 2097169                          # the primes around 2^21
+    algebra = scalar_algebra(PrimeField(below))
+    phi = LinearMap.identity(algebra)
+    assert exhaustive_commuting_check(algebra, phi, budget=below) == (True, None)
+    algebra = scalar_algebra(PrimeField(above))
+    with pytest.raises(ValueError, match="overflow"):
+        exhaustive_commuting_check(algebra, LinearMap.identity(algebra), budget=above)
+    _modscan.check_commutator_bound(5, 8)                    # Zorn(F5), the scan workload

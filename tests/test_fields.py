@@ -110,3 +110,22 @@ def test_prime_field_rejects_moduli_beyond_the_exact_range():
     for p in (MODULUS_LIMIT, 2 ** 89 - 1):
         with pytest.raises(ValueError, match="too large"):
             PrimeField(p)
+
+
+def test_rational_parse_refuses_unbounded_scalar_text():
+    from altcomm.fields import SCALAR_DIGIT_LIMIT
+
+    f = RationalField()
+    assert f.parse("1e3") == 1000 and f.parse("-2.5E-1") == Fraction(-1, 4)
+    assert f.parse("1" * SCALAR_DIGIT_LIMIT) == int("1" * SCALAR_DIGIT_LIMIT)
+    assert f.parse(f"1e{SCALAR_DIGIT_LIMIT - 1}") == 10 ** (SCALAR_DIGIT_LIMIT - 1)
+    start = time.perf_counter()
+    for text in ("1e200000", "1e-200000", "1" * (SCALAR_DIGIT_LIMIT + 1),
+                 f"1e{SCALAR_DIGIT_LIMIT}", "3/" + "7" * SCALAR_DIGIT_LIMIT,
+                 "1e99999999999999999999"):
+        with pytest.raises(ValueError, match="digits"):
+            f.parse(text)
+    assert time.perf_counter() - start < 0.5
+    for text in ("", "abc", "1e", "1/0.5"):
+        with pytest.raises(ValueError):
+            f.parse(text)
