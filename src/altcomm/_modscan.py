@@ -2,10 +2,12 @@
 
 numpy int64 arithmetic here is exact, not floating point: coordinates stay
 below p and each product of two residues below p**2.  The primeness scan
-sums dim such products, staying below dim * p**2.  The commutation scan's
-einsum multiplies three residues and sums dim**2 terms, reaching
-dim**2 * p**3; check_commutator_bound refuses (p, dim) where that is not
-below 2**63, the int64 range.
+sums dim such products, staying below dim * p**2, and keeps a table of p
+inverses; check_prime_scan_bound refuses dim * p**2 >= 2**63, the int64
+range, and p >= TABLE_LIMIT = 2**20, which the default budget never admits.
+The commutation scan's einsum multiplies three residues and sums dim**2
+terms, reaching dim**2 * p**3; check_commutator_bound refuses (p, dim)
+where that is not below 2**63.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import numpy as np
 
 
 INT64_LIMIT = 2 ** 63
+TABLE_LIMIT = 2 ** 20
 
 
 def check_commutator_bound(p: int, n: int) -> None:
@@ -22,6 +25,14 @@ def check_commutator_bound(p: int, n: int) -> None:
         raise ValueError(
             f"dim^2 p^3 = {n * n * p ** 3} reaches 2^63: the commutation scan's "
             "int64 sums could overflow")
+
+
+def check_prime_scan_bound(p: int, n: int) -> None:
+    """Raise ValueError unless n * p**2 < 2**63 and p < TABLE_LIMIT, before any table is built."""
+    if n * p * p >= INT64_LIMIT:
+        raise ValueError(f"dim p^2 = {n * p * p} reaches 2^63: the primeness scan could overflow")
+    if p >= TABLE_LIMIT:
+        raise ValueError(f"p = {p} reaches 2^20: the primeness scan's inverse table is too large")
 
 
 def structure_tensor(algebra) -> np.ndarray:

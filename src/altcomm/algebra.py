@@ -22,10 +22,10 @@ class Algebra:
     """A structure-constant algebra over an exact field.
 
     Immutable after construction apart from internal memo caches: the
-    unit, basis products, the associator and commutator tensors (see
-    associator_tensor and commutator_tensor), the center with its reduced
-    membership rows, and the nucleus.  If unit coordinates are supplied
-    they are verified against every basis vector before being accepted.
+    unit, basis elements and products, the associator and commutator
+    tensors (see associator_tensor and commutator_tensor), and the center
+    with its reduced membership rows and the nucleus, which peirce fills.
+    Supplied unit coordinates are verified against every basis vector.
     """
 
     def __init__(self, name, field, dim, basis_labels, structure,
@@ -81,7 +81,6 @@ class Algebra:
         self._commutators = None
         self._center = None
         self._center_rows = None
-        self._center_wmats = None
         self._nucleus = None
 
         if unit is not None:

@@ -17,7 +17,7 @@ import re
 import click
 
 from .algebra import Algebra, direct_sum, find_unit, is_alternative, load_algebra, save_algebra
-from .commuting import (LinearMap, decompose, decompose_oracle, exhaustive_commuting_check,
+from .commuting import (LinearMap, decompose, exhaustive_commuting_check,
                         is_anti_commuting, is_commuting, load_map, random_commuting_map)
 from .constructions import cayley_dickson_algebra, matrix_algebra, zorn
 from .errors import (BudgetExceededError, DecompositionError, HypothesisError,
@@ -35,11 +35,13 @@ def common_options(fn):
                       help="Report format.")(fn)
     fn = click.option("--deterministic", is_flag=True,
                       help="Omit the generated_at envelope field from JSON output.")(fn)
-    fn = click.option("--seed", type=int, default=0, show_default=True,
-                      help="Seed for --map random.")(fn)
-    fn = click.option("--budget", type=int, default=1_000_000, show_default=True,
-                      help="Cap on exhaustive enumeration size.")(fn)
     return fn
+
+
+seed_option = click.option("--seed", type=int, default=0, show_default=True,
+                           help="Seed for --map random.")
+budget_option = click.option("--budget", type=int, default=1_000_000, show_default=True,
+                             help="Cap on exhaustive enumeration size.")
 
 
 def emit(command: str, payload: dict, lines: list[str], fmt: str,
@@ -190,7 +192,7 @@ def gen():
 @click.option("--out", type=click.Path(), default=None,
               help="Output path (defaults to a name derived from the algebra).")
 @common_options
-def gen_matrix(n, field_token, out, fmt, deterministic, seed, budget):
+def gen_matrix(n, field_token, out, fmt, deterministic):
     field = parse_field(field_token)
     try:
         algebra, e11 = matrix_algebra(field, n)
@@ -204,7 +206,7 @@ def gen_matrix(n, field_token, out, fmt, deterministic, seed, budget):
               help="Scalar field: q or p<prime>.")
 @click.option("--out", type=click.Path(), default=None)
 @common_options
-def gen_zorn(field_token, out, fmt, deterministic, seed, budget):
+def gen_zorn(field_token, out, fmt, deterministic):
     algebra, e11 = zorn(parse_field(field_token))
     write_generated(algebra, e11, out, fmt, deterministic)
 
@@ -216,7 +218,7 @@ def gen_zorn(field_token, out, fmt, deterministic, seed, budget):
 @click.option("--field", "field_token", default="q", show_default=True)
 @click.option("--out", type=click.Path(), default=None)
 @common_options
-def gen_cd(steps, gammas, field_token, out, fmt, deterministic, seed, budget):
+def gen_cd(steps, gammas, field_token, out, fmt, deterministic):
     field = parse_field(field_token)
     if steps < 1:
         raise click.UsageError("--steps must be at least 1")
@@ -243,7 +245,7 @@ def gen_cd(steps, gammas, field_token, out, fmt, deterministic, seed, budget):
               help="Algebra file for the second summand.")
 @click.option("--out", type=click.Path(), default=None)
 @common_options
-def gen_direct_sum(left, right, out, fmt, deterministic, seed, budget):
+def gen_direct_sum(left, right, out, fmt, deterministic):
     a = load_algebra_arg(left)
     b = load_algebra_arg(right)
     try:
@@ -265,7 +267,7 @@ def gen_direct_sum(left, right, out, fmt, deterministic, seed, budget):
 @click.argument("algebra_path", type=click.Path(exists=True))
 @common_options
 @click.pass_context
-def verify(ctx, algebra_path, fmt, deterministic, seed, budget):
+def verify(ctx, algebra_path, fmt, deterministic):
     """Check alternativity and the existence of a unit."""
     algebra = load_algebra_arg(algebra_path)
     alt, triple = is_alternative(algebra)
@@ -290,7 +292,7 @@ def verify(ctx, algebra_path, fmt, deterministic, seed, budget):
 @main.command()
 @click.argument("algebra_path", type=click.Path(exists=True))
 @common_options
-def center(algebra_path, fmt, deterministic, seed, budget):
+def center(algebra_path, fmt, deterministic):
     """Print a basis of the center."""
     algebra = load_algebra_arg(algebra_path)
     z = center_of(algebra)
@@ -304,7 +306,7 @@ def center(algebra_path, fmt, deterministic, seed, budget):
 @main.command("nucleus")
 @click.argument("algebra_path", type=click.Path(exists=True))
 @common_options
-def nucleus_cmd(algebra_path, fmt, deterministic, seed, budget):
+def nucleus_cmd(algebra_path, fmt, deterministic):
     """Print a basis of the nucleus."""
     algebra = load_algebra_arg(algebra_path)
     nuc = nucleus(algebra)
@@ -321,7 +323,7 @@ def nucleus_cmd(algebra_path, fmt, deterministic, seed, budget):
               help="Idempotent: coords file, basis label, or inline scalars.")
 @common_options
 @click.pass_context
-def peirce(ctx, algebra_path, idem_token, fmt, deterministic, seed, budget):
+def peirce(ctx, algebra_path, idem_token, fmt, deterministic):
     """Split along an idempotent and verify the component multiplication rules."""
     algebra = load_algebra_arg(algebra_path)
     e1 = parse_element(algebra, idem_token)
@@ -349,7 +351,7 @@ def peirce(ctx, algebra_path, idem_token, fmt, deterministic, seed, budget):
 @click.option("-e", "--idempotent", "idem_token", required=True)
 @common_options
 @click.pass_context
-def hypothesis(ctx, algebra_path, idem_token, fmt, deterministic, seed, budget):
+def hypothesis(ctx, algebra_path, idem_token, fmt, deterministic):
     """Check the regularity condition at e1 and its complement."""
     algebra = load_algebra_arg(algebra_path)
     e1 = parse_element(algebra, idem_token)
@@ -371,9 +373,10 @@ def hypothesis(ctx, algebra_path, idem_token, fmt, deterministic, seed, budget):
 
 @main.command()
 @click.argument("algebra_path", type=click.Path(exists=True))
+@budget_option
 @common_options
 @click.pass_context
-def prime(ctx, algebra_path, fmt, deterministic, seed, budget):
+def prime(ctx, algebra_path, budget, fmt, deterministic):
     """Exhaustively search a finite-field algebra for an annihilating pair."""
     algebra = load_algebra_arg(algebra_path)
     try:
@@ -400,9 +403,10 @@ def prime(ctx, algebra_path, fmt, deterministic, seed, budget):
 @click.argument("algebra_path", type=click.Path(exists=True))
 @click.option("--map", "map_token", required=True,
               help="Map file, or 'random' for a seeded commuting map.")
+@seed_option
 @common_options
 @click.pass_context
-def check_map(ctx, algebra_path, map_token, fmt, deterministic, seed, budget):
+def check_map(ctx, algebra_path, map_token, seed, fmt, deterministic):
     """Test whether a linear map commutes (and anti-commutes) with its argument."""
     algebra = load_algebra_arg(algebra_path)
     phi = load_map_arg(algebra, map_token, seed)
@@ -425,10 +429,10 @@ def check_map(ctx, algebra_path, map_token, fmt, deterministic, seed, budget):
 @click.argument("algebra_path", type=click.Path(exists=True))
 @click.option("-e", "--idempotent", "idem_token", required=True)
 @click.option("--map", "map_token", required=True)
+@seed_option
 @common_options
 @click.pass_context
-def decompose_cmd(ctx, algebra_path, idem_token, map_token, fmt, deterministic,
-                  seed, budget):
+def decompose_cmd(ctx, algebra_path, idem_token, map_token, seed, fmt, deterministic):
     """Split a commuting map as phi(x) = z x + xi(x) with z central, xi center-valued."""
     algebra = load_algebra_arg(algebra_path)
     e1 = parse_element(algebra, idem_token)
@@ -471,10 +475,10 @@ def decompose_cmd(ctx, algebra_path, idem_token, map_token, fmt, deterministic,
 @click.argument("algebra_path", type=click.Path(exists=True))
 @click.option("-e", "--idempotent", "idem_token", required=True)
 @click.option("--map", "map_token", required=True)
+@seed_option
 @common_options
 @click.pass_context
-def lemmas_cmd(ctx, algebra_path, idem_token, map_token, fmt, deterministic,
-               seed, budget):
+def lemmas_cmd(ctx, algebra_path, idem_token, map_token, seed, fmt, deterministic):
     """Run the nine supporting checks and print a table."""
     algebra = load_algebra_arg(algebra_path)
     e1 = parse_element(algebra, idem_token)
@@ -497,9 +501,11 @@ def lemmas_cmd(ctx, algebra_path, idem_token, map_token, fmt, deterministic,
 @main.command("oracle")
 @click.argument("algebra_path", type=click.Path(exists=True))
 @click.option("--map", "map_token", required=True)
+@seed_option
+@budget_option
 @common_options
 @click.pass_context
-def oracle(ctx, algebra_path, map_token, fmt, deterministic, seed, budget):
+def oracle(ctx, algebra_path, map_token, seed, budget, fmt, deterministic):
     """Check [phi(x), x] = 0 on every element of a finite-field algebra."""
     algebra = load_algebra_arg(algebra_path)
     phi = load_map_arg(algebra, map_token, seed)

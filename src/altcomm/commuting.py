@@ -136,16 +136,23 @@ def _first_failing_pair(algebra: Algebra, phi: LinearMap, pairs, second_key):
 def check_decomposition(algebra: Algebra, phi: LinearMap, z: Element,
                         xi: LinearMap) -> bool:
     """Independent verification that phi(x) = z x + xi(x) with the right ranges."""
-    if not is_central(algebra, z):
-        return False
+    return _decomposition_failure(algebra, phi, z, xi) is None
+
+
+def _decomposition_failure(algebra: Algebra, phi: LinearMap, z: Element, xi: LinearMap):
+    """The first failed check of phi = L_z + xi as (message, witness), or None.
+
+    In order: the first non-central residual xi(b_k), a non-central z, then phi != L_z + xi.
+    """
     for k in range(algebra.dim):
-        b = algebra.basis_element(k)
-        xk = xi(b)
+        xk = xi(algebra.basis_element(k))
         if not is_central(algebra, xk):
-            return False
-        if phi(b) != z * b + xk:
-            return False
-    return True
+            return "the residual map is not center-valued", xk
+    if not is_central(algebra, z):
+        return "the combined multiplier is not central", z
+    if phi.matrix - xi.matrix != algebra.left_mult_matrix(z.coords):
+        return "the map is not L_z + xi", None
+    return None
 
 
 def decompose(pd: PeirceData, phi: LinearMap) -> Decomposition:
@@ -179,13 +186,9 @@ def decompose(pd: PeirceData, phi: LinearMap) -> Decomposition:
     z = pd.project(1, 1, phi(pd.e1)) + pd.project(2, 2, phi(pd.e2)) \
         - (z1 * pd.e1 + z2 * pd.e2)
     xi = phi - LinearMap.left_multiplication(algebra, z)
-    for k in range(algebra.dim):
-        xk = xi(algebra.basis_element(k))
-        if not is_central(algebra, xk):
-            raise DecompositionError(
-                "the residual map is not center-valued", witness=xk)
-    if not is_central(algebra, z):
-        raise DecompositionError("the combined multiplier is not central", witness=z)
+    failure = _decomposition_failure(algebra, phi, z, xi)
+    if failure is not None:
+        raise DecompositionError(failure[0], witness=failure[1])
     return Decomposition(z=z, xi=xi, verified=True, z1=z1, z2=z2)
 
 
@@ -212,21 +215,12 @@ def decompose_oracle(algebra: Algebra, phi: LinearMap) -> Decomposition | None:
     M = center_rows(algebra)
     if not zb:
         return None
-    if algebra._center_wmats is None:
-        algebra._center_wmats = [M @ algebra.left_mult_matrix(z.coords) for z in zb]
-    wmats = algebra._center_wmats
-
-    c = len(zb)
-    rows = []
-    rhs = []
+    rows, rhs = [], []
     for k in range(algebra.dim):
-        bk = list(algebra.basis_coords(k))
-        target = M.matvec(phi.matrix.column(k))
-        cols = [w.matvec(bk) for w in wmats]
-        for r in range(M.rows):
-            rows.append([cols[t][r] for t in range(c)])
-            rhs.append(target[r])
-    alpha = Matrix(f, rows, cols=c).solve(rhs)
+        cols = [M.matvec(algebra.mul_coords(z.coords, algebra.basis_coords(k))) for z in zb]
+        rows.extend(zip(*cols))                              # row r: M (z_c b_k), entry r
+        rhs.extend(M.matvec(phi.matrix.column(k)))
+    alpha = Matrix(f, rows, cols=len(zb)).solve(rhs)
     if alpha is None:
         return None
     z = center(algebra).combine(alpha)

@@ -12,6 +12,8 @@ on failure.
 
 from __future__ import annotations
 
+from itertools import product
+
 from .algebra import Algebra, Element, Subspace, commutator, find_unit
 from .errors import BudgetExceededError, PreconditionError
 from .linalg import Matrix, common_kernel, echelon_of_blocks, kernel_from_rref
@@ -67,14 +69,10 @@ class PeirceData:
     def diagonal_center(self, i: int) -> Subspace:
         """The center of the (i, i) component as a subalgebra."""
         if i not in self._diag_center:
-            algebra, comp = self.algebra, self.components[(i, i)]
-            # Block t, column u: [x_u, t] for the component basis x_u.
-            blocks = (Matrix.from_columns(algebra.field, [commutator(x, t).coords
-                                                          for x in comp.basis]).data
-                      for t in comp.basis)
-            kernel = common_kernel(algebra.field, comp.dim, blocks)
+            comp = self.components[(i, i)]
+            kernel = _commutant(self.algebra, comp.basis, comp.basis)[2]
             self._diag_center[i] = Subspace.from_spanning(
-                algebra, [comp.combine(gamma) for gamma in kernel])
+                self.algebra, [comp.combine(gamma) for gamma in kernel])
         return self._diag_center[i]
 
     def lift_columns(self, i: int) -> Matrix:
@@ -146,47 +144,29 @@ def check_peirce_relations(pd: PeirceData) -> list[dict]:
     xy + yx = 0 on basis pairs.
     """
     comp = pd.components
-    report = []
+    zero = Subspace(pd.algebra, [])
+
+    def products(name, a, b, target):
+        """The entry for name, failing at the first basis product x y of a, b outside target."""
+        for x in comp[a].basis:
+            for y in comp[b].basis:
+                xy = x * y
+                if not target.contains(xy):
+                    return {"check": name, "pass": False, "witness": {
+                        "x": x.to_strings(), "y": y.to_strings(), "product": xy.to_strings()}}
+        return {"check": name, "pass": True}
+
+    report = [products(f"(i) r{i}{j}.r{j}{l} in r{i}{l}", (i, j), (j, l), comp[(i, l)])
+              for i, j, l in product((1, 2), repeat=3)]
+    report += [products(f"(ii) r{i}{j}.r{i}{j} in r{j}{i}", (i, j), (i, j), comp[(j, i)])
+               for i, j in product((1, 2), repeat=2)]
+    report += [products(f"(iii) r{i}{j}.r{k}{l} = 0", (i, j), (k, l), zero)
+               for i, j, k, l in product((1, 2), repeat=4) if j != k and (i, j) != (k, l)]
 
     def fail(entry, **kw):
         entry["pass"] = False
         if "witness" not in entry:
             entry["witness"] = kw
-
-    for i in (1, 2):
-        for j in (1, 2):
-            for l in (1, 2):
-                entry = {"check": f"(i) r{i}{j}.r{j}{l} in r{i}{l}", "pass": True}
-                for x in comp[(i, j)].basis:
-                    for y in comp[(j, l)].basis:
-                        if not comp[(i, l)].contains(x * y):
-                            fail(entry, x=x.to_strings(), y=y.to_strings(),
-                                 product=(x * y).to_strings())
-                report.append(entry)
-
-    for i in (1, 2):
-        for j in (1, 2):
-            entry = {"check": f"(ii) r{i}{j}.r{i}{j} in r{j}{i}", "pass": True}
-            for x in comp[(i, j)].basis:
-                for y in comp[(i, j)].basis:
-                    if not comp[(j, i)].contains(x * y):
-                        fail(entry, x=x.to_strings(), y=y.to_strings(),
-                             product=(x * y).to_strings())
-            report.append(entry)
-
-    for i in (1, 2):
-        for j in (1, 2):
-            for k in (1, 2):
-                for l in (1, 2):
-                    if j == k or (i, j) == (k, l):
-                        continue
-                    entry = {"check": f"(iii) r{i}{j}.r{k}{l} = 0", "pass": True}
-                    for x in comp[(i, j)].basis:
-                        for y in comp[(k, l)].basis:
-                            if not (x * y).is_zero():
-                                fail(entry, x=x.to_strings(), y=y.to_strings(),
-                                     product=(x * y).to_strings())
-                    report.append(entry)
 
     for (i, j) in ((1, 2), (2, 1)):
         entry = {"check": f"(iv) squares vanish in r{i}{j}", "pass": True}
@@ -214,18 +194,35 @@ def center(algebra: Algebra) -> Subspace:
     Also caches the reduced row system used for fast membership tests.
     """
     if algebra._center is None:
-        f = algebra.field
-        n = algebra.dim
-        # Block t, row k, entry u: coordinate k of [b_u, b_t], read off the commutator tensor.
-        block_rows = {}
-        for (u, t), vec in algebra.commutator_tensor().items():
-            for k, c in vec.items():
-                block_rows.setdefault((t, k), [f.zero] * n)[u] = c
-        rows, pivots = echelon_of_blocks(f, n, [[block_rows[key] for key in sorted(block_rows)]])
-        algebra._center_rows = Matrix(f, rows, cols=n)
-        kernel = kernel_from_rref(f, algebra._center_rows, pivots)
+        basis = [algebra.basis_element(k) for k in range(algebra.dim)]
+        rows, _, kernel = _commutant(algebra, basis, basis)
+        algebra._center_rows = Matrix(algebra.field, rows, cols=algebra.dim)
         algebra._center = Subspace(algebra, [Element(algebra, v) for v in kernel])
     return algebra._center
+
+
+def _commutant(algebra: Algebra, span, against):
+    """Reduced rows, pivots and kernel of gamma -> [sum_s gamma_s span_s, t] for t in against.
+
+    Row (t, k), entry s is coordinate k of [span_s, t], summed from the
+    commutator tensor over the nonzero coordinates of span_s and t.  Only
+    nonzero rows are formed and no Element is built; the kernel vectors are
+    coefficients over span.
+    """
+    f, K, m = algebra.field, algebra.commutator_tensor(), len(span)
+    spans = [[(u, x) for u, x in enumerate(el.coords) if x] for el in span]
+    blocks = []
+    for t in against:
+        ts = [(v, y) for v, y in enumerate(t.coords) if y]
+        rows = {}
+        for s, xs in enumerate(spans):
+            terms = [(f.mul(x, y), (u, v)) for u, x in xs for v, y in ts if (u, v) in K]
+            for k, c in algebra.bracket_sum(terms).items():
+                if c:
+                    rows.setdefault(k, [f.zero] * m)[s] = c
+        blocks.append(rows.values())
+    rows, pivots = echelon_of_blocks(f, m, blocks)
+    return rows, pivots, kernel_from_rref(f, Matrix(f, rows, cols=m), pivots)
 
 
 def center_rows(algebra: Algebra) -> Matrix:
@@ -273,25 +270,13 @@ def center_via_peirce(pd: PeirceData) -> Subspace:
         raise PreconditionError(
             "the Peirce characterization of the center needs the regularity "
             "condition for both idempotents")
-    algebra = pd.algebra
-    if pd._center_via_peirce is not None:
-        return pd._center_via_peirce
-    f = algebra.field
-    diag = list(pd.components[(1, 1)].basis) + list(pd.components[(2, 2)].basis)
-    off = list(pd.components[(1, 2)].basis) + list(pd.components[(2, 1)].basis)
-    if not diag:
-        result = Subspace(algebra, [])
-    elif not off:
-        result = Subspace.from_spanning(algebra, diag)
-    else:
-        blocks = (Matrix.from_columns(f, [commutator(bt, u).coords for bt in diag]).data
-                  for u in off)
-        r11, r22 = pd.components[(1, 1)], pd.components[(2, 2)]
-        elems = [r11.combine(gamma[:r11.dim]) + r22.combine(gamma[r11.dim:])
-                 for gamma in common_kernel(f, len(diag), blocks)]
-        result = Subspace.from_spanning(algebra, elems)
-    pd._center_via_peirce = result
-    return result
+    if pd._center_via_peirce is None:
+        comp = pd.components
+        diag = Subspace(pd.algebra, comp[(1, 1)].basis + comp[(2, 2)].basis)
+        kernel = _commutant(pd.algebra, diag.basis, comp[(1, 2)].basis + comp[(2, 1)].basis)[2]
+        pd._center_via_peirce = Subspace.from_spanning(
+            pd.algebra, [diag.combine(gamma) for gamma in kernel])
+    return pd._center_via_peirce
 
 
 # ----------------------------------------------------------------------
@@ -365,7 +350,9 @@ def prime_check_exhaustive(algebra: Algebra, budget: int = DEFAULT_BUDGET):
     representatives of a (the condition is homogeneous in a); for each,
     the inner condition is linear in b, so it is a kernel computation,
     not an enumeration.  Returns (True, None) when no pair exists, or
-    (False, (a, b)) with the first pair in enumeration order.
+    (False, (a, b)) with the first pair in enumeration order.  Raises
+    BudgetExceededError when p^dim exceeds the budget, and ValueError when
+    dim p^2 reaches 2^63 or p reaches the inverse-table cap 2^20.
 
     For unital algebras, a candidate a with invertible left multiplication
     cannot work (taking x = 1 forces a b = 0), which lets a cheap batched
@@ -382,6 +369,7 @@ def prime_check_exhaustive(algebra: Algebra, budget: int = DEFAULT_BUDGET):
     if p ** n > budget:
         raise BudgetExceededError(
             f"p^dim = {p ** n} exceeds the enumeration budget {budget}")
+    _modscan.check_prime_scan_bound(p, n)
     C = _modscan.structure_tensor(algebra)
     inv_table = _modscan.inverse_table(p)
     unital = find_unit(algebra) is not None

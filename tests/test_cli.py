@@ -256,6 +256,29 @@ def test_oracle_command(runner, workdir):
     assert r.exit_code == 2  # rational fields cannot be enumerated
 
 
+def test_seed_and_budget_only_where_they_are_read(runner, workdir):
+    r = invoke(runner, ["verify", "m2q.json", "--seed", "3"])
+    assert r.exit_code == 2
+    assert "--seed" in r.output
+    r = invoke(runner, ["center", "m2q.json", "--budget", "10"])
+    assert r.exit_code == 2
+    r = invoke(runner, ["prime", "m2f5.json", "--budget", "1000"])
+    assert r.exit_code == 0, r.output
+    r = invoke(runner, ["oracle", "m2f5.json", "--map", "random", "--seed", "3",
+                        "--budget", "1000"])
+    assert r.exit_code == 0, r.output
+
+
+def test_prime_refuses_a_modulus_past_the_inverse_table_cap(runner, workdir):
+    from altcomm import PrimeField
+    save_algebra(scalar_algebra(PrimeField(1048583)), "big.json")
+    start = time.perf_counter()
+    r = invoke(runner, ["prime", "big.json", "--budget", "2000000"])
+    assert r.exit_code == 2
+    assert "inverse table" in r.output
+    assert time.perf_counter() - start < 2
+
+
 def test_map_element_parsing_forms(runner, workdir):
     # element given inline, as a basis label, and as a file must agree
     inline = invoke(runner, ["peirce", "m2q.json", "-e", "1,0,0,0"])

@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from altcomm import (LinearMap, Matrix, NotCommutingError, PrimeField, RationalField,
-                     check_decomposition, decompose, decompose_oracle,
+from altcomm import (DecompositionError, LinearMap, Matrix, NotCommutingError, PrimeField,
+                     RationalField, check_decomposition, decompose, decompose_oracle,
                      exhaustive_commuting_check, find_unit, is_anti_commuting,
                      is_central, is_commuting, load_map, map_from_dict, map_to_dict,
                      random_commuting_map, random_map_parts, save_map)
@@ -159,6 +159,28 @@ def test_decompose_rejects_non_commuting(m2q_pd):
     x, y = exc.value.witness
     assert x.to_strings() == ["1", "0", "0", "0"]
     assert y.to_strings() == ["0", "1", "0", "0"]
+
+
+def test_decompose_reports_the_first_residual_that_is_not_central(m3q_pd, monkeypatch):
+    """A wrong lift surfaces as the first basis vector whose residual xi(b_k) is not central."""
+    import altcomm.peirce
+
+    pd = m3q_pd
+    algebra = pd.algebra
+    phi = random_commuting_map(algebra, 1)
+    monkeypatch.setattr(altcomm.peirce, "lift_central", lambda pd, x, i: x)
+    with pytest.raises(DecompositionError, match="the residual map is not center-valued") as exc:
+        decompose(pd, phi)
+
+    z1, z2 = pd.project(2, 2, phi(pd.e1)), pd.project(1, 1, phi(pd.e2))
+    z = pd.project(1, 1, phi(pd.e1)) + pd.project(2, 2, phi(pd.e2)) - (z1 * pd.e1 + z2 * pd.e2)
+    assert not is_central(algebra, z)       # the residual is reported before z
+    xi = phi - LinearMap.left_multiplication(algebra, z)
+    residuals = [xi(algebra.basis_element(k)) for k in range(algebra.dim)]
+    failing = [r for r in residuals if not is_central(algebra, r)]
+    assert len(set(failing)) > 1
+    assert exc.value.witness == failing[0]
+    assert exc.value.witness.to_strings() == ["0", "0", "0", "0", "1", "0", "0", "0", "1"]
 
 
 def test_oracle_rejects_non_commuting(m2q):

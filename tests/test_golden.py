@@ -1,0 +1,111 @@
+"""Frozen ``--deterministic`` JSON for the structural and map commands.
+
+Each case runs one CLI command in-process and compares its stdout byte for
+byte, and its exit code, with the files under ``tests/golden/``.  The
+algebras are written by the ``gen`` commands into a temporary directory:
+M2(Q), Zorn(F5), the sedenions CD4(Q) and M2(Q) + M2(Q), each with its
+canonical idempotent.
+
+A change that alters output on purpose regenerates the files with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+run from the repository root, and says why in the change log.
+"""
+
+import json
+import os
+
+import pytest
+from click.testing import CliRunner
+
+from altcomm.cli import main
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+COMMON = ["--format", "json", "--deterministic"]
+
+GEN = [
+    ["gen", "matrix", "--n", "2"],
+    ["gen", "zorn", "--field", "p5"],
+    ["gen", "cayley-dickson", "--steps", "4", "--out", "cd4q.json"],
+    ["gen", "direct-sum", "--left", "m2q.json", "--right", "m2q.json", "--out", "mm.json"],
+]
+ALGEBRAS = ["m2q", "zornf5", "cd4q", "mm"]
+MAP_ALGEBRAS = ["m2q", "zornf5", "mm"]
+
+
+def _cases():
+    cases = {}
+    for name in ALGEBRAS:
+        idem = ["-e", f"{name}.idem.json"]
+        cases[f"center_{name}"] = ["center", f"{name}.json"]
+        cases[f"nucleus_{name}"] = ["nucleus", f"{name}.json"]
+        cases[f"peirce_{name}"] = ["peirce", f"{name}.json", *idem]
+        cases[f"hypothesis_{name}"] = ["hypothesis", f"{name}.json", *idem]
+    for name in MAP_ALGEBRAS:
+        for command in ("decompose", "lemmas"):
+            cases[f"{command}_{name}"] = [command, f"{name}.json", "-e", f"{name}.idem.json",
+                                          "--map", "random", "--seed", "4"]
+    return cases
+
+
+CASES = _cases()
+
+
+def _generate(runner):
+    for args in GEN:
+        r = runner.invoke(main, args + COMMON)
+        assert r.exit_code == 0, r.output
+
+
+def _run(runner, args):
+    r = runner.invoke(main, args + COMMON)
+    return r.exit_code, r.output
+
+
+@pytest.fixture(scope="module")
+def algebra_dir(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("golden")
+    cwd = os.getcwd()
+    os.chdir(directory)
+    try:
+        _generate(CliRunner())
+    finally:
+        os.chdir(cwd)
+    return directory
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_output_matches_golden(case, algebra_dir, monkeypatch):
+    monkeypatch.chdir(algebra_dir)
+    code, output = _run(CliRunner(), CASES[case])
+    with open(os.path.join(GOLDEN, "exit_codes.json")) as fh:
+        assert code == json.load(fh)[case]
+    with open(os.path.join(GOLDEN, f"{case}.json")) as fh:
+        assert output == fh.read()
+
+
+def _regenerate():
+    import tempfile
+
+    runner = CliRunner()
+    os.makedirs(GOLDEN, exist_ok=True)
+    codes = {}
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as directory:
+        os.chdir(directory)
+        try:
+            _generate(runner)
+            for case, args in sorted(CASES.items()):
+                codes[case], output = _run(runner, args)
+                with open(os.path.join(GOLDEN, f"{case}.json"), "w") as fh:
+                    fh.write(output)
+        finally:
+            os.chdir(cwd)
+    with open(os.path.join(GOLDEN, "exit_codes.json"), "w") as fh:
+        json.dump(codes, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+if __name__ == "__main__":
+    _regenerate()

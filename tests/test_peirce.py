@@ -134,6 +134,30 @@ def test_sedenion_relations_fail_with_witnesses():
             assert "witness" in r and r["witness"]
 
 
+def test_sedenion_relation_witnesses_are_frozen():
+    """Each failing entry reports its first failing basis product, row-major."""
+    algebra, idem = cayley_dickson_algebra(Q, [Q.one] * 4)
+    report = check_peirce_relations(peirce_decompose(algebra, idem))
+
+    def vec(nonzero):
+        out = ["0"] * 16
+        for k, c in nonzero.items():
+            out[k] = c
+        return out
+
+    witnesses = {r["check"]: r["witness"] for r in report if not r["pass"]}
+    assert witnesses == {
+        "(i) r12.r21 in r11": {"x": vec({2: "1", 3: "-1"}), "y": vec({12: "1", 13: "-1"}),
+                               "product": vec({14: "2", 15: "-2"})},
+        "(i) r21.r12 in r22": {"x": vec({2: "1", 3: "1"}), "y": vec({12: "1", 13: "1"}),
+                               "product": vec({14: "2", 15: "2"})},
+        "(ii) r12.r12 in r21": {"x": vec({10: "1", 11: "1"}), "y": vec({12: "1", 13: "1"}),
+                                "product": vec({6: "-2", 7: "-2"})},
+        "(ii) r21.r21 in r12": {"x": vec({10: "1", 11: "-1"}), "y": vec({12: "1", 13: "-1"}),
+                                "product": vec({6: "-2", 7: "2"})},
+    }
+
+
 # ----------------------------------------------------------------------
 # center and nucleus
 
@@ -343,3 +367,26 @@ def test_prime_budget_and_field_guards(zornf5, m2q):
     rational, _ = m2q
     with pytest.raises(ValueError):
         prime_check_exhaustive(rational)
+
+
+def test_prime_scan_refuses_int64_overflow_and_huge_tables(monkeypatch):
+    from altcomm import _modscan
+
+    _modscan.check_prime_scan_bound(2 ** 19, 2 ** 25 - 1)     # dim p^2 just below 2^63
+    with pytest.raises(ValueError, match="2\\^63"):
+        _modscan.check_prime_scan_bound(2 ** 19, 2 ** 25)      # exactly 2^63
+    _modscan.check_prime_scan_bound(2 ** 20 - 1, 1)
+    with pytest.raises(ValueError, match="2\\^20"):
+        _modscan.check_prime_scan_bound(2 ** 20, 1)
+
+    tables = []
+    monkeypatch.setattr(_modscan, "inverse_table", lambda p: tables.append(p))
+    monkeypatch.setattr(_modscan, "projective_chunks", lambda p, n, chunk=16384: iter(()))
+    below, above = 1048573, 1048583                          # the primes around 2^20
+    algebra = scalar_algebra(PrimeField(below))
+    assert prime_check_exhaustive(algebra, budget=below) == (True, None)
+    assert tables == [below]
+    algebra = scalar_algebra(PrimeField(above))
+    with pytest.raises(ValueError, match="inverse table"):
+        prime_check_exhaustive(algebra, budget=above)
+    assert tables == [below]
