@@ -24,7 +24,7 @@ class Algebra:
     Immutable after construction apart from internal memo caches: the
     unit, basis elements and products, the associator and commutator
     tensors (see associator_tensor and commutator_tensor), and the center
-    with its reduced membership rows and the nucleus, which peirce fills.
+    and the nucleus, which peirce fills.
     Supplied unit coordinates are verified against every basis vector.
     """
 
@@ -80,7 +80,6 @@ class Algebra:
         self._associators = None
         self._commutators = None
         self._center = None
-        self._center_rows = None
         self._nucleus = None
 
         if unit is not None:

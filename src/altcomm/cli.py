@@ -24,8 +24,8 @@ from .errors import (BudgetExceededError, DecompositionError, HypothesisError,
                      NotCommutingError, PreconditionError)
 from .fields import PrimeField, RationalField
 from .lemmas import run_all
-from .peirce import (check_peirce_relations, hypothesis_check, nucleus, peirce_decompose,
-                     prime_check_exhaustive, verify_idempotent)
+from .peirce import (DEFAULT_BUDGET, check_peirce_relations, hypothesis_check, nucleus,
+                     peirce_decompose, prime_check_exhaustive, verify_idempotent)
 from .peirce import center as center_of
 
 
@@ -40,7 +40,7 @@ def common_options(fn):
 
 seed_option = click.option("--seed", type=int, default=0, show_default=True,
                            help="Seed for --map random.")
-budget_option = click.option("--budget", type=int, default=1_000_000, show_default=True,
+budget_option = click.option("--budget", type=int, default=DEFAULT_BUDGET, show_default=True,
                              help="Cap on exhaustive enumeration size.")
 
 

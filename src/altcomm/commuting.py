@@ -14,9 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import Algebra, Element, commutator
-from .errors import DecompositionError, HypothesisError, NotCommutingError
+from .errors import BudgetExceededError, DecompositionError, HypothesisError, NotCommutingError
 from .linalg import Matrix
-from .peirce import PeirceData, center, center_rows, is_central
+from .peirce import DEFAULT_BUDGET, PeirceData, center, is_central
 
 
 class LinearMap:
@@ -136,13 +136,14 @@ def _first_failing_pair(algebra: Algebra, phi: LinearMap, pairs, second_key):
 def check_decomposition(algebra: Algebra, phi: LinearMap, z: Element,
                         xi: LinearMap) -> bool:
     """Independent verification that phi(x) = z x + xi(x) with the right ranges."""
-    return _decomposition_failure(algebra, phi, z, xi) is None
+    return (_range_failure(algebra, z, xi) is None
+            and phi.matrix - xi.matrix == algebra.left_mult_matrix(z.coords))
 
 
-def _decomposition_failure(algebra: Algebra, phi: LinearMap, z: Element, xi: LinearMap):
-    """The first failed check of phi = L_z + xi as (message, witness), or None.
+def _range_failure(algebra: Algebra, z: Element, xi: LinearMap):
+    """The first failed range check of z and xi as (message, witness), or None.
 
-    In order: the first non-central residual xi(b_k), a non-central z, then phi != L_z + xi.
+    In order: the first non-central residual xi(b_k), then a non-central z.
     """
     for k in range(algebra.dim):
         xk = xi(algebra.basis_element(k))
@@ -150,8 +151,6 @@ def _decomposition_failure(algebra: Algebra, phi: LinearMap, z: Element, xi: Lin
             return "the residual map is not center-valued", xk
     if not is_central(algebra, z):
         return "the combined multiplier is not central", z
-    if phi.matrix - xi.matrix != algebra.left_mult_matrix(z.coords):
-        return "the map is not L_z + xi", None
     return None
 
 
@@ -185,8 +184,8 @@ def decompose(pd: PeirceData, phi: LinearMap) -> Decomposition:
 
     z = pd.project(1, 1, phi(pd.e1)) + pd.project(2, 2, phi(pd.e2)) \
         - (z1 * pd.e1 + z2 * pd.e2)
-    xi = phi - LinearMap.left_multiplication(algebra, z)
-    failure = _decomposition_failure(algebra, phi, z, xi)
+    xi = phi - LinearMap.left_multiplication(algebra, z)     # phi = L_z + xi by construction
+    failure = _range_failure(algebra, z, xi)
     if failure is not None:
         raise DecompositionError(failure[0], witness=failure[1])
     return Decomposition(z=z, xi=xi, verified=True, z1=z1, z2=z2)
@@ -204,26 +203,26 @@ def decompose_oracle(algebra: Algebra, phi: LinearMap) -> Decomposition | None:
     """Find phi = L_z + xi by linear feasibility, independent of the construction.
 
     Writes z = sum alpha_c z_c over the central basis and asks that
-    phi(b_k) - z b_k be central for every k, which is one linear system in
-    the alpha_c.  Returns a verified Decomposition or None when the system
-    is infeasible (z1, z2 are left unset: this route never builds lifts).
+    phi(b_k) - z b_k be central for every k: its remainder modulo the center
+    vanishes, which is one linear system in the alpha_c.  Returns a verified
+    Decomposition or None when the system is infeasible (z1, z2 are left
+    unset: this route never builds lifts).
     """
     if phi.algebra is not algebra:
         raise ValueError("map on a different algebra")
-    f = algebra.field
-    zb = center(algebra).basis
-    M = center_rows(algebra)
-    if not zb:
+    Z = center(algebra)
+    if not Z.basis:
         return None
     rows, rhs = [], []
     for k in range(algebra.dim):
-        cols = [M.matvec(algebra.mul_coords(z.coords, algebra.basis_coords(k))) for z in zb]
-        rows.extend(zip(*cols))                              # row r: M (z_c b_k), entry r
-        rhs.extend(M.matvec(phi.matrix.column(k)))
-    alpha = Matrix(f, rows, cols=len(zb)).solve(rhs)
+        cols = [Z.reduce_coords(algebra.mul_coords(z.coords, algebra.basis_coords(k)))
+                for z in Z.basis]
+        rows.extend(zip(*cols))                   # row r: remainder of z_c b_k, entry r
+        rhs.extend(Z.reduce_coords(phi.matrix.column(k)))
+    alpha = Matrix(algebra.field, rows, cols=len(Z.basis)).solve(rhs)
     if alpha is None:
         return None
-    z = center(algebra).combine(alpha)
+    z = Z.combine(alpha)
     xi = phi - LinearMap.left_multiplication(algebra, z)
     if not check_decomposition(algebra, phi, z, xi):
         return None
@@ -261,7 +260,7 @@ def random_commuting_map(algebra: Algebra, seed: int) -> LinearMap:
 
 
 def exhaustive_commuting_check(algebra: Algebra, phi: LinearMap,
-                               budget: int = 10 ** 6):
+                               budget: int = DEFAULT_BUDGET):
     """Check [phi(x), x] = 0 on every element of a finite-field algebra.
 
     Complements is_commuting, which trusts the polarization argument; this
@@ -278,7 +277,6 @@ def exhaustive_commuting_check(algebra: Algebra, phi: LinearMap,
     import numpy as np
 
     from . import _modscan
-    from .errors import BudgetExceededError
 
     p, n = field.p, algebra.dim
     if p ** n > budget:

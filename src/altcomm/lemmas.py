@@ -2,9 +2,9 @@
 
 Every lemma function evaluates its equations exactly on the relevant
 basis vectors of the Peirce components and reports pass/fail with a
-witness on failure.  Existence statements ("there is a central z with
-...") become linear feasibility problems over the central basis, so an
-infeasible system is a failure, not an exception.
+witness on failure.  Existence statements ("there are central z, z' with
+...") become membership in a span built from the center, so a vector
+outside that span is a failure, not an exception.
 
 All nine checks assume a commuting map and the regularity condition;
 run_lemma and run_all verify both and report not-applicable when either
@@ -15,11 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import Element, commutator, find_unit
+from .algebra import Element, Subspace, commutator, find_unit
 from .commuting import LinearMap, is_commuting
 from .errors import PreconditionError
-from .linalg import Matrix
-from .peirce import PeirceData, center, center_rows, center_via_peirce, is_central, lift_central
+from .peirce import PeirceData, center, center_via_peirce, is_central, lift_central
 
 LEMMA_IDS = ("L1", "L2", "L3", "L4", "L5", "L6", "L7", "L8", "L9")
 
@@ -64,25 +63,23 @@ def _gate(pd: PeirceData, phi: LinearMap):
 def run_lemma(lemma_id: str, pd: PeirceData, phi: LinearMap) -> LemmaReport:
     if lemma_id not in LEMMA_IDS:
         raise ValueError(f"unknown lemma id {lemma_id!r}")
-    blocked = _gate(pd, phi)
-    if blocked is not None:
-        reason, witness = blocked
-        return LemmaReport(lemma_id, "not-applicable", witness,
-                           f"not applicable: {reason}")
-    ok, witness, notes = _EVALS[lemma_id](pd, phi)
-    return LemmaReport(lemma_id, "pass" if ok else "fail", witness, notes)
+    return _run(pd, phi, (lemma_id,))[0]
 
 
 def run_all(pd: PeirceData, phi: LinearMap) -> list[LemmaReport]:
     """All nine reports in order; every lemma is evaluated even after failures."""
+    return _run(pd, phi, LEMMA_IDS)
+
+
+def _run(pd: PeirceData, phi: LinearMap, lemma_ids) -> list[LemmaReport]:
+    """Reports for lemma_ids in order, behind one gate check shared by all of them."""
     blocked = _gate(pd, phi)
     if blocked is not None:
         reason, witness = blocked
-        return [LemmaReport(lid, "not-applicable", witness,
-                            f"not applicable: {reason}")
-                for lid in LEMMA_IDS]
+        return [LemmaReport(lid, "not-applicable", witness, f"not applicable: {reason}")
+                for lid in lemma_ids]
     reports = []
-    for lid in LEMMA_IDS:
+    for lid in lemma_ids:
         ok, witness, notes = _EVALS[lid](pd, phi)
         reports.append(LemmaReport(lid, "pass" if ok else "fail", witness, notes))
     return reports
@@ -253,20 +250,15 @@ def _eval_l6(pd: PeirceData, phi: LinearMap):
 
 
 def _eval_l7(pd: PeirceData, phi: LinearMap):
-    """Central z, z' exist making P11(phi(e1)) + P22(phi(e2)) - (z e1 + z' e2) central."""
-    algebra = pd.algebra
-    f = algebra.field
-    M = center_rows(algebra)
-    zb = center(algebra).basis
+    """Central z, z' exist making P11(phi(e1)) + P22(phi(e2)) - (z e1 + z' e2) central.
+
+    That is, P11(phi(e1)) + P22(phi(e2)) lies in the span of Z, Z e1 and Z e2.
+    """
+    zb = center(pd.algebra).basis
     v = pd.project(1, 1, phi(pd.e1)) + pd.project(2, 2, phi(pd.e2))
-    rhs = M.matvec(list(v.coords))
-    cols = []
-    for e in (pd.e1, pd.e2):
-        for zc in zb:
-            cols.append(M.matvec(list((zc * e).coords)))
-    system = Matrix.from_columns(f, cols, rows=M.rows)
-    solution = system.solve(rhs)
-    if solution is None:
+    span = Subspace.from_spanning(
+        pd.algebra, [*zb, *(zc * e for e in (pd.e1, pd.e2) for zc in zb)])
+    if not span.contains(v):
         witness = {"equation": "P11(phi(e1)) + P22(phi(e2)) - (z e1 + z' e2) in Z"
                                " for central z, z'",
                    "target": v.to_strings(), "problem": "the linear system is infeasible"}
@@ -294,9 +286,13 @@ def _eval_l8(pd: PeirceData, phi: LinearMap):
 
 
 def _eval_l9(pd: PeirceData, phi: LinearMap):
-    """Diagonal parts of phi on r_ij are central; on r_ii phi is affine in x."""
+    """Diagonal parts of phi on r_ij are central; on r_ii phi is affine in x.
+
+    The affine form P_ii(phi(x)) = z e_i + (P_ii(phi(e_i)) - z' e_i) x, for
+    central z, z', holds iff P_ii(phi(x)) - P_ii(phi(e_i)) x lies in the
+    span of Z e_i and (Z e_i) x.
+    """
     algebra = pd.algebra
-    f = algebra.field
     instances = []
     for (i, j) in ((1, 2), (2, 1)):
         basis = pd.components[(i, j)].basis
@@ -304,6 +300,8 @@ def _eval_l9(pd: PeirceData, phi: LinearMap):
         for x in basis:
             fx = phi(x)
             diag = pd.project(1, 1, fx) + pd.project(2, 2, fx)
+            if is_central(algebra, diag):
+                continue
             for r in range(algebra.dim):
                 br = algebra.basis_element(r)
                 c = commutator(diag, br)
@@ -317,16 +315,13 @@ def _eval_l9(pd: PeirceData, phi: LinearMap):
     zb = center(algebra).basis
     for i in (1, 2):
         e_i = pd.idempotent(i)
+        ze = [zc * e_i for zc in zb]
         pe = pd.project(i, i, phi(e_i))
         basis = pd.components[(i, i)].basis
         instances.append(_n(len(basis), "vector") + f" of r{i}{i}")
         for x in basis:
-            px = pd.project(i, i, phi(x))
-            rhs_el = px - pe * x
-            cols = [list((zc * e_i).coords) for zc in zb]
-            cols += [[f.neg(c) for c in ((zc * e_i) * x).coords] for zc in zb]
-            system = Matrix.from_columns(f, cols, rows=algebra.dim)
-            if system.solve(list(rhs_el.coords)) is None:
+            span = Subspace.from_spanning(algebra, ze + [w * x for w in ze])
+            if not span.contains(pd.project(i, i, phi(x)) - pe * x):
                 witness = {"equation": f"P{i}{i}(phi(x)) = z e{i} + "
                                        f"(P{i}{i}(phi(e{i})) - z' e{i}) x "
                                        "for central z, z'",

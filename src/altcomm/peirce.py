@@ -16,7 +16,7 @@ from itertools import product
 
 from .algebra import Algebra, Element, Subspace, commutator, find_unit
 from .errors import BudgetExceededError, PreconditionError
-from .linalg import Matrix, common_kernel, echelon_of_blocks, kernel_from_rref
+from .linalg import Matrix, common_kernel
 
 DEFAULT_BUDGET = 10 ** 6
 
@@ -70,7 +70,7 @@ class PeirceData:
         """The center of the (i, i) component as a subalgebra."""
         if i not in self._diag_center:
             comp = self.components[(i, i)]
-            kernel = _commutant(self.algebra, comp.basis, comp.basis)[2]
+            kernel = _commutant(self.algebra, comp.basis, comp.basis)
             self._diag_center[i] = Subspace.from_spanning(
                 self.algebra, [comp.combine(gamma) for gamma in kernel])
         return self._diag_center[i]
@@ -191,18 +191,19 @@ def check_peirce_relations(pd: PeirceData) -> list[dict]:
 def center(algebra: Algebra) -> Subspace:
     """Elements commuting with the whole algebra; cached on the algebra.
 
-    Also caches the reduced row system used for fast membership tests.
+    Every centrality question reads this one subspace: is_central asks its
+    contains, and spans built from its basis answer the existence questions
+    of the lemma suite.
     """
     if algebra._center is None:
         basis = [algebra.basis_element(k) for k in range(algebra.dim)]
-        rows, _, kernel = _commutant(algebra, basis, basis)
-        algebra._center_rows = Matrix(algebra.field, rows, cols=algebra.dim)
-        algebra._center = Subspace(algebra, [Element(algebra, v) for v in kernel])
+        algebra._center = Subspace(
+            algebra, [Element(algebra, v) for v in _commutant(algebra, basis, basis)])
     return algebra._center
 
 
 def _commutant(algebra: Algebra, span, against):
-    """Reduced rows, pivots and kernel of gamma -> [sum_s gamma_s span_s, t] for t in against.
+    """Kernel of gamma -> [sum_s gamma_s span_s, t] for t in against, as coefficients over span.
 
     Row (t, k), entry s is coordinate k of [span_s, t], summed from the
     commutator tensor over the nonzero coordinates of span_s and t.  Only
@@ -221,18 +222,11 @@ def _commutant(algebra: Algebra, span, against):
                 if c:
                     rows.setdefault(k, [f.zero] * m)[s] = c
         blocks.append(rows.values())
-    rows, pivots = echelon_of_blocks(f, m, blocks)
-    return rows, pivots, kernel_from_rref(f, Matrix(f, rows, cols=m), pivots)
-
-
-def center_rows(algebra: Algebra) -> Matrix:
-    """Reduced membership system for the center: x is central iff rows @ x = 0."""
-    center(algebra)
-    return algebra._center_rows
+    return common_kernel(f, m, blocks)
 
 
 def is_central(algebra: Algebra, x: Element) -> bool:
-    return not any(center_rows(algebra).matvec(list(x.coords)))
+    return center(algebra).contains(x)
 
 
 def nucleus(algebra: Algebra) -> Subspace:
@@ -273,7 +267,7 @@ def center_via_peirce(pd: PeirceData) -> Subspace:
     if pd._center_via_peirce is None:
         comp = pd.components
         diag = Subspace(pd.algebra, comp[(1, 1)].basis + comp[(2, 2)].basis)
-        kernel = _commutant(pd.algebra, diag.basis, comp[(1, 2)].basis + comp[(2, 1)].basis)[2]
+        kernel = _commutant(pd.algebra, diag.basis, comp[(1, 2)].basis + comp[(2, 1)].basis)
         pd._center_via_peirce = Subspace.from_spanning(
             pd.algebra, [diag.combine(gamma) for gamma in kernel])
     return pd._center_via_peirce
@@ -325,18 +319,15 @@ def lift_central(pd: PeirceData, x: Element, i: int) -> Element | None:
     if not comp.contains(x):
         raise PreconditionError("element to lift is not in the diagonal component",
                                 witness=x)
-    for t in comp.basis:
-        c = commutator(x, t)
-        if not c.is_zero():
-            raise PreconditionError(
-                "element to lift is not central in its component", witness=(x, t))
-    zb = center(pd.algebra).basis
-    if not zb:
+    if not pd.diagonal_center(i).contains(x):
+        t = next(t for t in comp.basis if not commutator(x, t).is_zero())
+        raise PreconditionError(
+            "element to lift is not central in its component", witness=(x, t))
+    Z = center(pd.algebra)
+    if not Z.basis:
         return None
     alpha = pd.lift_columns(i).solve(list(x.coords))
-    if alpha is None:
-        return None
-    return center(pd.algebra).combine(alpha)
+    return None if alpha is None else Z.combine(alpha)
 
 
 # ----------------------------------------------------------------------

@@ -17,10 +17,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from altcomm import (LinearMap, Matrix, Subspace, center, center_via_peirce, commutator,
-                     is_anti_commuting, is_commuting, random_commuting_map)
+                     is_anti_commuting, is_central, is_commuting, random_commuting_map)
 from altcomm.algebra import Element
 from altcomm.linalg import echelon_of_blocks, kernel_from_rref
-from altcomm.peirce import center_rows
 
 from test_associator import BUILTINS, F5, Q, SMALL, small_algebras
 
@@ -123,7 +122,6 @@ def assert_agrees(algebra, seed, pairs=6):
             algebra.name
     rows, pivots, basis = reference_center(algebra)
     got = center(algebra)
-    assert center_rows(algebra) == Matrix(algebra.field, rows, cols=n), algebra.name
     assert got.basis == tuple(basis), algebra.name
 
 
@@ -179,6 +177,42 @@ def test_commutator_keeps_its_argument_checks(m2q, m3q):
 @given(small_algebras(), st.integers(0, 2 ** 16))
 def test_random_algebras_agree_with_the_reference(algebra, seed):
     assert_agrees(algebra, seed)
+
+
+# ----------------------------------------------------------------------
+# centrality as membership in the center
+
+
+def reference_is_central(x):
+    algebra = x.algebra
+    return all(reference_commutator(x, algebra.basis_element(t)).is_zero()
+               for t in range(algebra.dim))
+
+
+def assert_is_central_agrees(algebra, seed):
+    """is_central against the commutator scan, on basis, central, random and mixed elements."""
+    rng = random.Random(seed)
+    f = algebra.field
+    n = algebra.dim
+    Z = center(algebra)
+    elems = [algebra.basis_element(k) for k in range(n)]
+    for _ in range(6):
+        z = Z.combine([scalar(rng, f) for _ in Z.basis])
+        x = Element(algebra, [scalar(rng, f) for _ in range(n)])
+        elems += [z, x, z + x, z + algebra.basis_element(rng.randrange(n))]
+    for x in elems:
+        assert is_central(algebra, x) == reference_is_central(x), (algebra.name, x)
+
+
+@pytest.mark.parametrize("name", list(BUILTINS))
+def test_is_central_is_the_commutator_scan_on_builtins(name):
+    assert_is_central_agrees(BUILTINS[name](), seed=len(name))
+
+
+@SMALL
+@given(small_algebras(), st.integers(0, 2 ** 16))
+def test_is_central_is_the_commutator_scan_on_random_algebras(algebra, seed):
+    assert_is_central_agrees(algebra, seed)
 
 
 # ----------------------------------------------------------------------

@@ -3,8 +3,9 @@
 Each case runs one CLI command in-process and compares its stdout byte for
 byte, and its exit code, with the files under ``tests/golden/``.  The
 algebras are written by the ``gen`` commands into a temporary directory:
-M2(Q), Zorn(F5), the sedenions CD4(Q) and M2(Q) + M2(Q), each with its
-canonical idempotent.
+M2(Q), M2(F5), Zorn(F5), the sedenions CD4(Q) and M2(Q) + M2(Q), each with
+its canonical idempotent.  Next to them goes ``transpose.json``, the
+transpose map of M2(Q), which does not commute with its argument.
 
 A change that alters output on purpose regenerates the files with
 
@@ -26,12 +27,15 @@ COMMON = ["--format", "json", "--deterministic"]
 
 GEN = [
     ["gen", "matrix", "--n", "2"],
+    ["gen", "matrix", "--n", "2", "--field", "p5"],
     ["gen", "zorn", "--field", "p5"],
     ["gen", "cayley-dickson", "--steps", "4", "--out", "cd4q.json"],
     ["gen", "direct-sum", "--left", "m2q.json", "--right", "m2q.json", "--out", "mm.json"],
 ]
 ALGEBRAS = ["m2q", "zornf5", "cd4q", "mm"]
 MAP_ALGEBRAS = ["m2q", "zornf5", "mm"]
+TRANSPOSE = {"dim": 4, "matrix": [["1", "0", "0", "0"], ["0", "0", "1", "0"],
+                                  ["0", "1", "0", "0"], ["0", "0", "0", "1"]]}
 
 
 def _cases():
@@ -46,6 +50,17 @@ def _cases():
         for command in ("decompose", "lemmas"):
             cases[f"{command}_{name}"] = [command, f"{name}.json", "-e", f"{name}.idem.json",
                                           "--map", "random", "--seed", "4"]
+    for name in ("m2q", "zornf5", "cd4q"):
+        cases[f"verify_{name}"] = ["verify", f"{name}.json"]
+    for name in ("m2q", "zornf5"):
+        cases[f"check_map_{name}"] = ["check-map", f"{name}.json", "--map", "random",
+                                      "--seed", "4"]
+    cases["prime_m2f5"] = ["prime", "m2f5.json"]
+    cases["oracle_m2f5"] = ["oracle", "m2f5.json", "--map", "random", "--seed", "3"]
+    cases["check_map_m2q_transpose"] = ["check-map", "m2q.json", "--map", "transpose.json"]
+    for command in ("decompose", "lemmas"):
+        cases[f"{command}_m2q_transpose"] = [command, "m2q.json", "-e", "m2q.idem.json",
+                                             "--map", "transpose.json"]
     return cases
 
 
@@ -56,6 +71,8 @@ def _generate(runner):
     for args in GEN:
         r = runner.invoke(main, args + COMMON)
         assert r.exit_code == 0, r.output
+    with open("transpose.json", "w") as fh:
+        json.dump(TRANSPOSE, fh)
 
 
 def _run(runner, args):

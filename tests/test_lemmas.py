@@ -1,11 +1,16 @@
 """The nine-step check suite: gating, passing runs, and forced failures."""
 
+import json
+import os
+import random
 from fractions import Fraction
 
 import pytest
 
-from altcomm import (LEMMA_IDS, LinearMap, Matrix, RationalField, find_unit,
-                     random_commuting_map, run_all, run_lemma)
+from altcomm import (LEMMA_IDS, LinearMap, Matrix, PreconditionError, PrimeField,
+                     RationalField, direct_sum, find_unit, lift_central, matrix_algebra,
+                     peirce_decompose, random_commuting_map, run_all, run_lemma,
+                     scalar_algebra, zorn)
 from altcomm.lemmas import _EVALS
 
 Q = RationalField()
@@ -50,6 +55,18 @@ def test_single_lemma_matches_run_all(m3q_pd):
         single = run_lemma(lid, m3q_pd, phi)
         assert single.status == full[lid].status
         assert single.notes == full[lid].notes
+
+
+def test_single_lemma_is_gated_like_run_all(m2q_pd):
+    """run_lemma reports not-applicable with run_all's reason and witness, for either gate."""
+    d = direct_sum(scalar_algebra(Q), scalar_algebra(Q))
+    cases = [(m2q_pd, transpose_map(m2q_pd.algebra)),
+             (peirce_decompose(d, d.element([Fraction(1), Fraction(0)])), LinearMap.identity(d))]
+    for pd, phi in cases:
+        full = run_all(pd, phi)
+        assert [run_lemma(lid, pd, phi).to_dict() for lid in LEMMA_IDS] == \
+            [r.to_dict() for r in full]
+        assert {r.status for r in full} == {"not-applicable"}
 
 
 def test_unknown_lemma_id(m2q_pd):
@@ -114,3 +131,76 @@ def test_notes_mention_what_was_checked(zornq_pd):
     # the off-diagonal components of the octonion-like algebra are 3-dim
     assert "3" in notes["L5"] or "basis" in notes["L5"]
     assert notes["L1"] != notes["L2"]
+
+
+# ----------------------------------------------------------------------
+# frozen results of every check outside its hypotheses
+
+FROZEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "lemma_witnesses.json")
+
+
+def _perturbed(algebra, seed):
+    """The seeded commuting map plus a unit in one seeded matrix entry."""
+    rng = random.Random(seed)
+    f = algebra.field
+    n = algebra.dim
+    data = [[f.zero] * n for _ in range(n)]
+    data[rng.randrange(n)][rng.randrange(n)] = f.one
+    return random_commuting_map(algebra, seed) + LinearMap(algebra, Matrix(f, data, cols=n))
+
+
+def _frozen_cases():
+    """(label, PeirceData, map) for maps that break the lemmas in many different places."""
+    m2 = peirce_decompose(*matrix_algebra(Q, 2))
+    m3 = peirce_decompose(*matrix_algebra(Q, 3))
+    zf5 = peirce_decompose(*zorn(PrimeField(5)))
+    cases = [("M2(Q) transpose", m2, transpose_map(m2.algebra)),
+             ("M2(Q) left e11", m2, LinearMap.left_multiplication(m2.algebra, m2.e1))]
+    a3 = m3.algebra
+    for k, label in enumerate(a3.basis_labels):
+        cases.append((f"M3(Q) right {label}", m3,
+                      LinearMap(a3, a3.right_mult_matrix(a3.basis_coords(k)))))
+    for label in ("E22", "E23"):
+        cases.append((f"M3(Q) left {label}", m3, LinearMap.left_multiplication(
+            a3, a3.basis_element(a3.label_index(label)))))
+    for seed in (1, 6):
+        cases.append((f"Zorn(F5) perturbed {seed}", zf5, _perturbed(zf5.algebra, seed)))
+    return cases
+
+
+def _ungated_results():
+    results = {}
+    for label, pd, phi in _frozen_cases():
+        results[label] = {lid: list(_EVALS[lid](pd, phi)) for lid in LEMMA_IDS}
+    return results
+
+
+def _lift_refusal():
+    """Message and witness pair of lift_central on P22(phi(E13)), phi = left mult by E31."""
+    pd = peirce_decompose(*matrix_algebra(Q, 3))
+    a3 = pd.algebra
+    phi = LinearMap.left_multiplication(a3, a3.basis_element(a3.label_index("E31")))
+    x = pd.project(2, 2, phi(a3.basis_element(a3.label_index("E13"))))
+    with pytest.raises(PreconditionError) as exc:
+        lift_central(pd, x, 2)
+    return {"message": str(exc.value),
+            "witness": [w.to_strings() for w in exc.value.witness]}
+
+
+def test_ungated_lemma_results_are_frozen():
+    """(ok, witness, notes) of every check on maps outside the hypotheses, as first recorded."""
+    with open(FROZEN) as fh:
+        frozen = json.load(fh)
+    assert _ungated_results() == frozen["ungated"]
+    assert _lift_refusal() == frozen["lift_refusal"]
+
+
+def _freeze():
+    with open(FROZEN, "w") as fh:
+        json.dump({"ungated": _ungated_results(), "lift_refusal": _lift_refusal()},
+                  fh, indent=1, sort_keys=True)
+        fh.write("\n")
+
+
+if __name__ == "__main__":
+    _freeze()
