@@ -24,7 +24,9 @@ class Algebra:
     Immutable after construction apart from internal memo caches: the
     unit, basis elements and products, the associator and commutator
     tensors (see associator_tensor and commutator_tensor), and the center
-    and the nucleus, which peirce fills.
+    and the nucleus, which peirce fills.  Products are read off the sparse
+    structure table: mul_coords over the nonzero coordinates of both
+    factors, and product_sum for a sum of basis products given as terms.
     Supplied unit coordinates are verified against every basis vector.
     """
 
@@ -142,13 +144,12 @@ class Algebra:
         f = self.field
         out = [f.zero] * self.dim
         rows = self._rows
+        bs = [(j, bj) for j, bj in enumerate(b) if bj]
         for i, ai in enumerate(a):
             if not ai:
                 continue
             row = rows[i]
-            for j, bj in enumerate(b):
-                if not bj:
-                    continue
+            for j, bj in bs:
                 terms = row.get(j)
                 if not terms:
                     continue
@@ -253,6 +254,20 @@ class Algebra:
         acc = {}
         for v, key in terms:
             for k, c in K.get(key, {}).items():
+                acc[k] = f.add(acc.get(k, f.zero), f.mul(v, c))
+        return acc
+
+    def product_sum(self, terms) -> dict:
+        """Coordinates {k: c} of sum v b_s b_t over the terms (v, (s, t)), from the table.
+
+        The product analogue of bracket_sum: coordinates that no term
+        reaches are absent; the others may be zero.
+        """
+        f = self.field
+        rows = self._rows
+        acc = {}
+        for v, (s, t) in terms:
+            for k, c in rows[s].get(t, ()):
                 acc[k] = f.add(acc.get(k, f.zero), f.mul(v, c))
         return acc
 
@@ -388,11 +403,15 @@ class Element:
 class Subspace:
     """A subspace given by a linearly independent list of elements.
 
-    The echelonized coordinate matrix is cached; membership reduces a
-    vector against it and subspace equality compares canonical forms.
+    The reduced echelon form of the coordinate matrix is cached, with the
+    nonzero entries of each row off its pivot.  Echelon rows vanish at each
+    other's pivots, so reducing a vector subtracts, for each pivot it hits,
+    its own coordinate there times that row: membership (reduce_coords,
+    contains, contains_sparse) touches only those rows' nonzeros.  Subspace
+    equality compares canonical forms.
     """
 
-    __slots__ = ("algebra", "basis", "_echelon")
+    __slots__ = ("algebra", "basis", "_echelon", "_tails")
 
     def __init__(self, algebra: Algebra, basis, _echelon=None):
         self.algebra = algebra
@@ -406,6 +425,9 @@ class Subspace:
             if len(_echelon[1]) != len(self.basis):
                 raise ValueError("subspace basis is linearly dependent")
         self._echelon = _echelon
+        # pivot column -> nonzero (column, entry) pairs of its row, pivot one left out
+        self._tails = {pc: [(j, x) for j, x in enumerate(row) if x and j != pc]
+                       for row, pc in zip(*_echelon)}
 
     @classmethod
     def from_spanning(cls, algebra: Algebra, elements) -> "Subspace":
@@ -418,18 +440,34 @@ class Subspace:
     def dim(self) -> int:
         return len(self.basis)
 
+    @property
+    def pivots(self) -> list[int]:
+        """The pivot columns of the echelon basis: coordinates every remainder leaves zero."""
+        return self._echelon[1]
+
     def reduce_coords(self, coords) -> list:
         """Remainder of a coordinate vector after reduction against the echelon basis."""
         f = self.algebra.field
         v = list(coords)
-        rows, pivots = self._echelon
-        for row, pc in zip(rows, pivots):
-            factor = v[pc]
-            if factor:
-                for j in range(len(v)):
-                    if row[j]:
-                        v[j] = f.sub(v[j], f.mul(factor, row[j]))
+        for pc, tail in self._tails.items():
+            a = v[pc]
+            if a:
+                v[pc] = f.zero
+                for j, x in tail:
+                    v[j] = f.sub(v[j], f.mul(a, x))
         return v
+
+    def contains_sparse(self, vec: dict) -> bool:
+        """Membership of a sparse coordinate vector {k: c}; absent coordinates are zero."""
+        f = self.algebra.field
+        rest = dict(vec)
+        for pc, a in vec.items():
+            tail = self._tails.get(pc)
+            if tail is not None and a:
+                del rest[pc]
+                for j, x in tail:
+                    rest[j] = f.sub(rest.get(j, f.zero), f.mul(a, x))
+        return not any(rest.values())
 
     def combine(self, alpha) -> Element:
         """The combination sum_c alpha_c basis_c, for one scalar per basis vector."""

@@ -204,21 +204,25 @@ def decompose_oracle(algebra: Algebra, phi: LinearMap) -> Decomposition | None:
 
     Writes z = sum alpha_c z_c over the central basis and asks that
     phi(b_k) - z b_k be central for every k: its remainder modulo the center
-    vanishes, which is one linear system in the alpha_c.  Returns a verified
-    Decomposition or None when the system is infeasible (z1, z2 are left
-    unset: this route never builds lifts).
+    vanishes, which is one linear system in the alpha_c.  Remainders are
+    zero at the center's pivot coordinates, so those rows are left out.
+    Returns a verified Decomposition or None when the system is infeasible
+    (z1, z2 are left unset: this route never builds lifts).
     """
     if phi.algebra is not algebra:
         raise ValueError("map on a different algebra")
     Z = center(algebra)
     if not Z.basis:
         return None
+    pivots = set(Z.pivots)
+    kept = [r for r in range(algebra.dim) if r not in pivots]
     rows, rhs = [], []
     for k in range(algebra.dim):
         cols = [Z.reduce_coords(algebra.mul_coords(z.coords, algebra.basis_coords(k)))
                 for z in Z.basis]
-        rows.extend(zip(*cols))                   # row r: remainder of z_c b_k, entry r
-        rhs.extend(Z.reduce_coords(phi.matrix.column(k)))
+        rows.extend([col[r] for col in cols] for r in kept)   # remainder of z_c b_k, entry r
+        rem = Z.reduce_coords(phi.matrix.column(k))
+        rhs.extend(rem[r] for r in kept)
     alpha = Matrix(algebra.field, rows, cols=len(Z.basis)).solve(rhs)
     if alpha is None:
         return None

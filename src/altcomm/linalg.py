@@ -106,25 +106,22 @@ class Matrix:
             raise ValueError("dimension mismatch in matrix product")
         f = self.field
         z = f.zero
+        brows = {}      # k -> nonzero (j, entry) of row k of other, read on first use
         out = [[z] * other.cols for _ in range(self.rows)]
-        for i in range(self.rows):
-            row = self.data[i]
-            acc = out[i]
-            for k in range(self.cols):
-                a = row[k]
-                if not a:
-                    continue
-                brow = other.data[k]
-                for j in range(other.cols):
-                    b = brow[j]
-                    if b:
+        for row, acc in zip(self.data, out):
+            for k, a in enumerate(row):
+                if a:
+                    brow = brows.get(k)
+                    if brow is None:
+                        brow = brows[k] = [(j, b) for j, b in enumerate(other.data[k]) if b]
+                    for j, b in brow:
                         acc[j] = f.add(acc[j], f.mul(a, b))
         return Matrix(f, out, cols=other.cols)
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._check_shape(other)
         f = self.field
-        return Matrix(f, [[f.add(a, b) for a, b in zip(r1, r2)]
+        return Matrix(f, [[f.add(a, b) if b else a for a, b in zip(r1, r2)]
                           for r1, r2 in zip(self.data, other.data)], cols=self.cols)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
@@ -161,17 +158,6 @@ class Matrix:
         zero = self.field.zero
         rows.extend([zero] * self.cols for _ in range(self.rows - len(rows)))
         return Matrix(self.field, rows, cols=self.cols), pivots
-
-    def rank(self) -> int:
-        return len(self.rref()[1])
-
-    def kernel_basis(self) -> list[list]:
-        """Basis of the right kernel, one vector per free column.
-
-        Free columns are taken in ascending order; each basis vector has a
-        one in its free position, so the result is deterministic.
-        """
-        return common_kernel(self.field, self.cols, [self.data])
 
     def solve(self, rhs: list) -> list | None:
         """One exact solution of self @ x = rhs, or None if inconsistent.
@@ -235,13 +221,17 @@ def echelon_of_blocks(field, n: int, blocks) -> tuple[list[list], list[int]]:
 
 
 def common_kernel(field, n: int, blocks) -> list[list]:
-    """Common kernel of stacked blocks of length-n rows, as ``Matrix.kernel_basis`` gives it."""
+    """Common kernel of stacked blocks of length-n rows, read off by ``kernel_from_rref``."""
     rows, pivots = echelon_of_blocks(field, n, blocks)
     return kernel_from_rref(field, Matrix(field, rows, cols=n), pivots)
 
 
 def kernel_from_rref(field, reduced: Matrix, pivots: list[int]) -> list[list]:
-    """Kernel basis read off an already reduced matrix (see Matrix.kernel_basis)."""
+    """Kernel basis read off an already reduced matrix, one vector per free column.
+
+    Free columns are taken in ascending order; each basis vector has a one
+    in its free position, so the result is deterministic.
+    """
     pivot_set = set(pivots)
     free = [c for c in range(reduced.cols) if c not in pivot_set]
     basis = []

@@ -12,7 +12,8 @@ on failure.
 
 from __future__ import annotations
 
-from itertools import product
+from collections import defaultdict
+from itertools import combinations, product
 
 from .algebra import Algebra, Element, Subspace, commutator, find_unit
 from .errors import BudgetExceededError, PreconditionError
@@ -28,7 +29,8 @@ def verify_idempotent(algebra: Algebra, e: Element) -> bool:
         raise PreconditionError("idempotent checks need a unital algebra")
     if e.algebra is not algebra:
         raise ValueError("idempotent from a different algebra")
-    return e * e == e and not e.is_zero() and e != unit
+    return (tuple(algebra.mul_coords(e.coords, e.coords)) == e.coords
+            and not e.is_zero() and e != unit)
 
 
 class PeirceData:
@@ -141,19 +143,31 @@ def check_peirce_relations(pd: PeirceData) -> list[dict]:
     r_ij r_ij inside r_ji, (iii) r_ij r_kl = 0 when j != k and
     (i, j) != (k, l), and (iv) squares vanish in the off-diagonal
     components, via x^2 = 0 on basis vectors plus the linearized form
-    xy + yx = 0 on basis pairs.
+    xy + yx = 0 on basis pairs.  Each basis product is summed from the
+    structure table over the nonzero coordinates of both factors, found
+    once per component, and tested for membership sparsely; Elements are
+    multiplied only to report the first failure of an entry.
     """
+    algebra = pd.algebra
+    f = algebra.field
     comp = pd.components
-    zero = Subspace(pd.algebra, [])
+    zero = Subspace(algebra, [])
+    nonzero = {key: [[(u, x) for u, x in enumerate(el.coords) if x] for el in sub.basis]
+               for key, sub in comp.items()}
+
+    def prod(*pairs):
+        """Coordinates of the sum of x y over pairs (xs, ys) of nonzero coordinates."""
+        return algebra.product_sum((f.mul(x, y), (u, v)) for xs, ys in pairs
+                                   for u, x in xs for v, y in ys)
 
     def products(name, a, b, target):
         """The entry for name, failing at the first basis product x y of a, b outside target."""
-        for x in comp[a].basis:
-            for y in comp[b].basis:
-                xy = x * y
-                if not target.contains(xy):
+        for x, xs in zip(comp[a].basis, nonzero[a]):
+            for y, ys in zip(comp[b].basis, nonzero[b]):
+                if not target.contains_sparse(prod((xs, ys))):
                     return {"check": name, "pass": False, "witness": {
-                        "x": x.to_strings(), "y": y.to_strings(), "product": xy.to_strings()}}
+                        "x": x.to_strings(), "y": y.to_strings(),
+                        "product": (x * y).to_strings()}}
         return {"check": name, "pass": True}
 
     report = [products(f"(i) r{i}{j}.r{j}{l} in r{i}{l}", (i, j), (j, l), comp[(i, l)])
@@ -163,23 +177,23 @@ def check_peirce_relations(pd: PeirceData) -> list[dict]:
     report += [products(f"(iii) r{i}{j}.r{k}{l} = 0", (i, j), (k, l), zero)
                for i, j, k, l in product((1, 2), repeat=4) if j != k and (i, j) != (k, l)]
 
-    def fail(entry, **kw):
-        entry["pass"] = False
-        if "witness" not in entry:
-            entry["witness"] = kw
+    def squares_witness(basis, sparse):
+        """The first nonzero square x^2, then anticommutator xy + yx, as a witness, or None."""
+        for x, xs in zip(basis, sparse):
+            if any(prod((xs, xs)).values()):
+                return {"x": x.to_strings(), "square": (x * x).to_strings()}
+        for (x, xs), (y, ys) in combinations(zip(basis, sparse), 2):
+            if any(prod((xs, ys), (ys, xs)).values()):
+                return {"x": x.to_strings(), "y": y.to_strings(),
+                        "anticommutator": (x * y + y * x).to_strings()}
+        return None
 
     for (i, j) in ((1, 2), (2, 1)):
         entry = {"check": f"(iv) squares vanish in r{i}{j}", "pass": True}
-        basis = comp[(i, j)].basis
-        for x in basis:
-            if not (x * x).is_zero():
-                fail(entry, x=x.to_strings(), square=(x * x).to_strings())
-        for a in range(len(basis)):
-            for b in range(a + 1, len(basis)):
-                s = basis[a] * basis[b] + basis[b] * basis[a]
-                if not s.is_zero():
-                    fail(entry, x=basis[a].to_strings(), y=basis[b].to_strings(),
-                         anticommutator=s.to_strings())
+        witness = squares_witness(comp[(i, j)].basis, nonzero[(i, j)])
+        if witness is not None:
+            entry["pass"] = False
+            entry["witness"] = witness
         report.append(entry)
     return report
 
@@ -206,21 +220,37 @@ def _commutant(algebra: Algebra, span, against):
     """Kernel of gamma -> [sum_s gamma_s span_s, t] for t in against, as coefficients over span.
 
     Row (t, k), entry s is coordinate k of [span_s, t], summed from the
-    commutator tensor over the nonzero coordinates of span_s and t.  Only
-    nonzero rows are formed and no Element is built; the kernel vectors are
-    coefficients over span.
+    commutator tensor.  The span is indexed by coordinate, so each nonzero
+    coordinate v of t meets only the tensor entries (u, v) with u in the
+    support of some span_s, and a coefficient one is never multiplied.
+    Only rows that some entry reaches are formed and no Element is built;
+    the kernel vectors are coefficients over span.
     """
-    f, K, m = algebra.field, algebra.commutator_tensor(), len(span)
-    spans = [[(u, x) for u, x in enumerate(el.coords) if x] for el in span]
+    f, m, one = algebra.field, len(span), algebra.field.one
+    at = {}                         # coordinate u -> [(s, coordinate u of span_s)]
+    for s, el in enumerate(span):
+        for u, x in enumerate(el.coords):
+            if x:
+                at.setdefault(u, []).append((s, x, x == one))
+    meets = {}                      # v -> [(at[u], nonzero coordinates of [b_u, b_v])]
+    for (u, v), vec in algebra.commutator_tensor().items():
+        if u in at:
+            meets.setdefault(v, []).append((at[u], list(vec.items())))
     blocks = []
     for t in against:
-        ts = [(v, y) for v, y in enumerate(t.coords) if y]
-        rows = {}
-        for s, xs in enumerate(spans):
-            terms = [(f.mul(x, y), (u, v)) for u, x in xs for v, y in ts if (u, v) in K]
-            for k, c in algebra.bracket_sum(terms).items():
-                if c:
-                    rows.setdefault(k, [f.zero] * m)[s] = c
+        rows = defaultdict(lambda: [f.zero] * m)
+        for v, y in enumerate(t.coords):
+            if not y:
+                continue
+            y_one = y == one
+            for xs, vec in meets.get(v, ()):
+                for s, x, x_one in xs:
+                    xy = y if x_one else (x if y_one else f.mul(x, y))
+                    for k, c in vec:
+                        if not (x_one and y_one):
+                            c = f.mul(xy, c)
+                        row = rows[k]
+                        row[s] = f.add(row[s], c) if row[s] else c
         blocks.append(rows.values())
     return common_kernel(f, m, blocks)
 
@@ -283,7 +313,9 @@ def hypothesis_check(algebra: Algebra, e1: Element):
     For each of e1 and e2 = 1 - e1, computes the kernel
     {x : (x . b_k) . e_i = 0 for every basis vector b_k} and reports
     ((ok1, witness1), (ok2, witness2)), where the witness is a nonzero
-    kernel element when the check fails.
+    kernel element when the check fails: the first vector of the kernel's
+    canonical basis.  The system is read off the structure table and the
+    nonzero columns of R_e, one block per b_k (see _regularity_block).
     """
     unit = find_unit(algebra)
     if unit is None:
@@ -294,16 +326,28 @@ def hypothesis_check(algebra: Algebra, e1: Element):
     n = algebra.dim
     results = []
     for e in (e1, unit - e1):
-        # Block k, column u: (b_u b_k) e.  Blocks are built only until the rank is full.
-        blocks = (Matrix.from_columns(
-            f, [algebra.mul_coords(algebra.basis_product(u, k), e.coords) for u in range(n)]).data
-            for k in range(n))
-        kernel = common_kernel(f, n, blocks)
-        if kernel:
-            results.append((False, Element(algebra, kernel[0])))
-        else:
-            results.append((True, None))
+        R = algebra.right_mult_matrix(e.coords)
+        images = [[(l, r) for l, row in enumerate(R.data) if (r := row[m])] for m in range(n)]
+        # Blocks are built only until the rank is full.
+        kernel = common_kernel(f, n, (_regularity_block(algebra, images, k) for k in range(n)))
+        results.append((False, Element(algebra, kernel[0])) if kernel else (True, None))
     return tuple(results)
+
+
+def _regularity_block(algebra: Algebra, images, k: int):
+    """Block k of the regularity system: row l, column u is coordinate l of (b_u b_k) e.
+
+    images[m] holds the nonzero coordinates of b_m e, and (b_u b_k) e =
+    sum_m C[u, k, m] (b_m e) is summed over the table's products b_u b_k;
+    only rows that some product reaches are formed.
+    """
+    f, n = algebra.field, algebra.dim
+    rows = defaultdict(lambda: [f.zero] * n)
+    for u, terms in algebra._cols[k].items():
+        for m, c in terms:
+            for l, r in images[m]:
+                rows[l][u] = f.add(rows[l][u], f.mul(c, r))
+    return rows.values()
 
 
 def lift_central(pd: PeirceData, x: Element, i: int) -> Element | None:

@@ -5,11 +5,15 @@ from fractions import Fraction
 
 import pytest
 
-from altcomm import (DecompositionError, LinearMap, Matrix, NotCommutingError, PrimeField,
-                     RationalField, check_decomposition, decompose, decompose_oracle,
-                     exhaustive_commuting_check, find_unit, is_anti_commuting,
-                     is_central, is_commuting, load_map, map_from_dict, map_to_dict,
-                     random_commuting_map, random_map_parts, save_map)
+from altcomm import (Decomposition, DecompositionError, LinearMap, Matrix, NotCommutingError,
+                     PrimeField, RationalField, center, check_decomposition, decompose,
+                     decompose_oracle, direct_sum, exhaustive_commuting_check, find_unit,
+                     is_anti_commuting, is_central, is_commuting, load_map, map_from_dict,
+                     map_to_dict, random_commuting_map, random_map_parts, save_map,
+                     scalar_algebra)
+
+from test_associator import BUILTINS
+from test_commutator import maps_for
 
 Q = RationalField()
 F5 = PrimeField(5)
@@ -333,3 +337,54 @@ def test_exhaustive_check_refuses_int64_overflow_at_the_boundary(monkeypatch):
     with pytest.raises(ValueError, match="overflow"):
         exhaustive_commuting_check(algebra, LinearMap.identity(algebra), budget=above)
     _modscan.check_commutator_bound(5, 8)                    # Zorn(F5), the scan workload
+
+
+# ----------------------------------------------------------------------
+# the oracle system without the center's pivot rows
+
+
+def reference_decompose_oracle(algebra, phi):
+    """decompose_oracle with every remainder row kept, the zero rows at pivots included."""
+    Z = center(algebra)
+    if not Z.basis:
+        return None
+    rows, rhs = [], []
+    for k in range(algebra.dim):
+        cols = [Z.reduce_coords(algebra.mul_coords(z.coords, algebra.basis_coords(k)))
+                for z in Z.basis]
+        rows.extend(zip(*cols))
+        rhs.extend(Z.reduce_coords(phi.matrix.column(k)))
+    alpha = Matrix(algebra.field, rows, cols=len(Z.basis)).solve(rhs)
+    if alpha is None:
+        return None
+    z = Z.combine(alpha)
+    xi = phi - LinearMap.left_multiplication(algebra, z)
+    return Decomposition(z=z, xi=xi, verified=True) if check_decomposition(
+        algebra, phi, z, xi) else None
+
+
+ORACLE_CASES = {name: BUILTINS[name] for name in
+                ("M2(Q)", "Zorn(F5)", "CD3(Q)", "M2(Q)+Zorn(Q)", "CD3(F5)+M2(F5)")}
+ORACLE_CASES["Q+Q"] = lambda: direct_sum(scalar_algebra(Q), scalar_algebra(Q))   # all central
+
+
+@pytest.mark.parametrize("name", list(ORACLE_CASES))
+def test_oracle_drops_the_pivot_rows_and_agrees_with_the_full_system(name, monkeypatch):
+    algebra = ORACLE_CASES[name]()
+    n, dim_z = algebra.dim, center(algebra).dim
+    shapes = []
+    solve = Matrix.solve
+
+    def recorded(self, rhs):
+        shapes.append((self.rows, self.cols))
+        return solve(self, rhs)
+
+    for seed in range(3):
+        for phi in maps_for(algebra, seed):
+            want = reference_decompose_oracle(algebra, phi)
+            shapes.clear()
+            monkeypatch.setattr(Matrix, "solve", recorded)
+            got = decompose_oracle(algebra, phi)
+            monkeypatch.setattr(Matrix, "solve", solve)
+            assert shapes == [(n * (n - dim_z), dim_z)]
+            assert (got and got.to_dict()) == (want and want.to_dict())
