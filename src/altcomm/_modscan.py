@@ -1,22 +1,42 @@
 """Vectorized exhaustive scans over finite-field algebras.
 
-numpy int64 arithmetic here is exact, not floating point: coordinates stay
-below p and each product of two residues below p**2.  The primeness scan
-sums dim such products, staying below dim * p**2, and keeps a table of p
-inverses; check_prime_scan_bound refuses dim * p**2 >= 2**63, the int64
-range, and p >= TABLE_LIMIT = 2**20, which the default budget never admits.
-The commutation scan's einsum multiplies three residues and sums dim**2
-terms, reaching dim**2 * p**3; check_commutator_bound refuses (p, dim)
-where that is not below 2**63.
+numpy int64 arithmetic here is exact, not floating point.  Coordinates,
+structure constants and the precomputed tables below are residues in
+[0, p), so a product of two stays below p**2 and of three below p**3.
+
+The commutation scan evaluates [phi(x), x] at every x, exactly, as the
+value Q(x) of one vector-valued quadratic form Q(x) = sum x_i x_j G[i, j].
+It splits x into its r low coordinates u (p**r <= U_TABLE) and the rest v,
+so that Q(u + v) = Q(u) + Q(v) + B(u, v) with B bilinear, and scores a
+chunk of p**r * k elements with one table of Q(u), one of Q(v) and one
+(p**r x r) @ (r x k*dim) matmul for B.  G is reduced mod p after summing
+dim products below p**2.  Before reduction mod p, Q(u) stays
+below r**2 p**3, Q(v) below (dim - r)**2 p**3, the matmul's B below
+r (dim - r) p**3, and their sum below dim**2 p**3.  check_commutator_bound
+refuses (p, dim) where that is not below 2**63.
+
+The primeness scan ranks stacks T(a) = sum a_i W_i of shape (dim**2, dim)
+and their compressions S(a) = sum a_i R W_i of shape (2 dim, dim); each is
+a sum of dim products of residues, below dim * p**2, and so are the rows
+L_a = sum a_i C[i] and the tables W_i.  R W_i is summed in dim blocks of
+dim products each, every block reduced mod p before the blocks are added,
+so it too stays below dim * p**2.  batched_rank's elimination stays below
+p**2.  check_prime_scan_bound refuses dim * p**2 >= 2**63, the int64 range, and
+p >= TABLE_LIMIT = 2**20, which the default budget never admits, before
+the table of p inverses is built.
 """
 
 from __future__ import annotations
+
+import random
 
 import numpy as np
 
 
 INT64_LIMIT = 2 ** 63
 TABLE_LIMIT = 2 ** 20
+# Largest table of low-coordinate values Q(u) in the commutation scan.
+U_TABLE = 1024
 
 
 def check_commutator_bound(p: int, n: int) -> None:
@@ -45,10 +65,22 @@ def structure_tensor(algebra) -> np.ndarray:
 
 
 def inverse_table(p: int) -> np.ndarray:
-    """Lookup table of multiplicative inverses mod p (index 0 unused)."""
-    table = np.zeros(p, dtype=np.int64)
-    for a in range(1, p):
-        table[a] = pow(a, p - 2, p)
+    """Lookup table of multiplicative inverses mod p (index 0 unused).
+
+    Entry a is a**(p - 2) mod p, by square-and-multiply over the whole
+    table at once; p < TABLE_LIMIT keeps every product below 2**40.
+    """
+    base = np.arange(p, dtype=np.int64)
+    table = np.ones(p, dtype=np.int64)
+    e = p - 2
+    while e:
+        if e & 1:
+            table *= base
+            table %= p
+        base *= base
+        base %= p
+        e >>= 1
+    table[0] = 0
     return table
 
 
@@ -85,32 +117,97 @@ def projective_chunks(p: int, n: int, chunk: int = 16384):
 
 
 def batched_rank(mats: np.ndarray, p: int, inv_table: np.ndarray) -> np.ndarray:
-    """Ranks over F_p of a batch of matrices, shape (m, R, C)."""
-    M = np.ascontiguousarray(mats % p)
-    m, R, C = M.shape
-    if m == 0:
-        return np.zeros(0, dtype=np.int64)
+    """Ranks over F_p of a batch of matrices, shape (m, R, C).
+
+    Rows are never swapped.  At column c the first row with a nonzero entry
+    there is the pivot, and every row, the pivot row included, has its
+    entry eliminated from the columns after c.  That leaves the pivot row
+    zero in those columns, so it is never picked again, and each step
+    touches only the columns after c.  The batch is stored column by
+    column, so that step is one contiguous slab.  inv_table[0] must be 0:
+    a matrix with no pivot in column c then subtracts nothing.
+    """
+    M = np.ascontiguousarray((mats % p).transpose(2, 0, 1))
+    C, m, R = M.shape
     rank = np.zeros(m, dtype=np.int64)
-    row_idx = np.arange(R)
+    if M.size == 0:
+        return rank
+    batch = np.arange(m)
     for c in range(C):
-        col = M[:, :, c]
-        valid = (col != 0) & (row_idx[None, :] >= rank[:, None])
-        has = valid.any(axis=1)
-        sel = np.nonzero(has)[0]
-        if sel.size == 0:
-            continue
-        piv = np.argmax(valid[sel], axis=1)
-        cur = rank[sel]
-        tmp = M[sel, piv, :].copy()
-        M[sel, piv, :] = M[sel, cur, :]
-        M[sel, cur, :] = tmp
-        pivot_rows = M[sel, cur, :]
-        inv = inv_table[pivot_rows[:, c]]
-        pivot_rows = (pivot_rows * inv[:, None]) % p
-        M[sel, cur, :] = pivot_rows
-        col_vals = M[sel, :, c]
-        below = row_idx[None, :] > cur[:, None]
-        factors = np.where(below, col_vals, 0)
-        M[sel] = (M[sel] - factors[:, :, None] * pivot_rows[:, None, :]) % p
-        rank[sel] += 1
+        col = M[c]
+        piv = (col != 0).argmax(axis=1)
+        lead = col[batch, piv]
+        pivot_row = M[c + 1:, batch, piv] * inv_table[lead] % p
+        rest = M[c + 1:]
+        rest -= pivot_row[:, :, None] * col[None]
+        rest %= p
+        rank += lead != 0
     return rank
+
+
+def _quadratic(X: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """Rows sum_ij x_i x_j G[i, j] for the rows x of X; below d**2 p**3 for d = X.shape[1]."""
+    (m, d), n = X.shape, G.shape[2]
+    XG = (X @ G.reshape(d, d * n)).reshape(m, d, n)
+    return (XG * X[:, :, None]).sum(axis=1)
+
+
+def commutation_scan(C: np.ndarray, F, p: int):
+    """Coordinates of the first x in enumeration order with [phi(x), x] != 0, or None.
+
+    C is the structure tensor and F the matrix of phi (column i = phi(b_i)).
+    G[i, j] = sum_l F[l, i] [b_l, b_j], so [phi(x), x] = sum x_i x_j G[i, j].
+    """
+    n = C.shape[0]
+    F = np.asarray(F, dtype=np.int64).reshape(n, n)
+    G = np.tensordot(F, C - C.transpose(1, 0, 2), axes=(0, 0)) % p
+    H = (G + G.transpose(1, 0, 2)) % p           # B(u, v) = sum u_i v_j H[i, j]
+    r = 0
+    while r < n and p ** (r + 1) <= U_TABLE:
+        r += 1
+    s = p ** r
+    Guu, Gvv, Hvu = G[:r, :r], G[r:, r:], H[r:, :r].reshape(n - r, r * n)
+    for _, X in element_chunks(p, n, chunk=s * max(1, 65536 // s)):
+        U, V = X[:s, :r], X[::s, r:]
+        k = V.shape[0]
+        B = U @ (V @ Hvu).reshape(k, r, n).transpose(1, 0, 2).reshape(r, k * n)
+        Q = B.reshape(s, k, n) + _quadratic(U, Guu)[:, None, :] + _quadratic(V, Gvv)[None, :, :]
+        bad = np.flatnonzero((Q % p).any(axis=2).T)
+        if bad.size:
+            return X[bad[0]]
+    return None
+
+
+def primeness_scan(C: np.ndarray, p: int, unital: bool):
+    """Coordinates of the first projective a with (a x) b = 0 for all x and some b != 0, or None.
+
+    For each a, b must lie in the kernel of the (n**2, n) stack T(a) whose
+    block k is the matrix of b -> (a b_k) b.  Its compression S(a) = R T(a),
+    for a fixed (2n, n**2) matrix R, has rank S(a) <= rank T(a): the
+    compression only gives a lower bound on rank, so a with rank S(a) = n
+    are skipped without forming T(a) and the rest are ranked on T(a).  For
+    unital algebras a also needs a singular left multiplication (x = 1
+    forces a b = 0), which is tested first.  Each filter keeps the order,
+    and R affects only how many a reach T(a).
+    """
+    n = C.shape[0]
+    inv_table = inverse_table(p)
+    left = C.reshape(n, n * n)                   # a @ left is the transpose of L_a
+    W = np.einsum("ikq,qjl->iklj", C, C) % p     # T(a) = sum a_i W[i], rows (k, l)
+    # A seeded random R: with structured ones, such as R T(a) = the maps
+    # b -> (a y) b for two or three fixed y, every Zorn(F5) candidate still
+    # had rank S(a) < n.  The standard library draws it: numpy.random
+    # would add about 6 MB to the process.
+    R = np.array(random.Random(0).choices(range(p), k=2 * n ** 3), dtype=np.int64)
+    R = R.reshape(2 * n, n, n)
+    RW = np.einsum("rkl,iklj->irkj", R, W) % p   # R W_i, reduced after each block k
+    W, RW = W.reshape(n, -1), (RW.sum(axis=2) % p).reshape(n, -1)
+    for block in projective_chunks(p, n):
+        if unital:
+            block = block[batched_rank((block @ left).reshape(-1, n, n), p, inv_table) < n]
+        block = block[batched_rank((block @ RW).reshape(-1, 2 * n, n), p, inv_table) < n]
+        if block.shape[0]:
+            bad = np.flatnonzero(batched_rank((block @ W).reshape(-1, n * n, n), p, inv_table) < n)
+            if bad.size:
+                return block[bad[0]]
+    return None

@@ -268,18 +268,21 @@ def exhaustive_commuting_check(algebra: Algebra, phi: LinearMap,
     """Check [phi(x), x] = 0 on every element of a finite-field algebra.
 
     Complements is_commuting, which trusts the polarization argument; this
-    one enumerates every x.  Returns (True, None) or (False, x) with the
-    first violating element in enumeration order.  Raises
-    BudgetExceededError when p^dim exceeds the budget, and ValueError when
-    dim^2 p^3 reaches 2^63, where the scan's int64 sums could overflow.
+    one enumerates every x.  Each [phi(x), x] is evaluated exactly, as the
+    value at x of one quadratic form read off phi and the structure
+    constants, split into low and high coordinates (see _modscan); no
+    polarization is used.  Returns (True, None) or (False, x) with the
+    first violating element in enumeration order, re-checked in exact
+    arithmetic.  Raises BudgetExceededError when p^dim exceeds the budget,
+    and ValueError when dim^2 p^3 reaches 2^63: every intermediate of the
+    scan (the tables Q(u) and Q(v), the matmul for the cross term and
+    their sum) stays below dim^2 p^3, so the int64 sums cannot overflow.
     """
     if phi.algebra is not algebra:
         raise ValueError("map on a different algebra")
     field = algebra.field
     if field.kind != "prime":
         raise ValueError("the exhaustive commutation check needs a finite field")
-    import numpy as np
-
     from . import _modscan
 
     p, n = field.p, algebra.dim
@@ -287,20 +290,13 @@ def exhaustive_commuting_check(algebra: Algebra, phi: LinearMap,
         raise BudgetExceededError(
             f"p^dim = {p ** n} exceeds the enumeration budget {budget}")
     _modscan.check_commutator_bound(p, n)
-    C = _modscan.structure_tensor(algebra)
-    F = np.array([[int(v) for v in row] for row in phi.matrix.data], dtype=np.int64)
-
-    for start, X in _modscan.element_chunks(p, n):
-        Y = (X @ F.T) % p                                   # rows phi(x)
-        com = (np.einsum("mi,mj,ijk->mk", Y, X, C)
-               - np.einsum("mi,mj,ijk->mk", X, Y, C)) % p
-        bad = np.nonzero(com.any(axis=1))[0]
-        if bad.size:
-            x = algebra.element([int(v) % p for v in X[bad[0]]])
-            if commutator(phi(x), x).is_zero():
-                raise AssertionError("inconsistent commutation witness")
-            return False, x
-    return True, None
+    coords = _modscan.commutation_scan(_modscan.structure_tensor(algebra), phi.matrix.data, p)
+    if coords is None:
+        return True, None
+    x = algebra.element([int(v) for v in coords])
+    if commutator(phi(x), x).is_zero():
+        raise AssertionError("inconsistent commutation witness")
+    return False, x
 
 
 def map_to_dict(phi: LinearMap) -> dict:

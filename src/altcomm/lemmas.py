@@ -261,7 +261,8 @@ def _eval_l7(pd: PeirceData, phi: LinearMap):
     if not span.contains(v):
         witness = {"equation": "P11(phi(e1)) + P22(phi(e2)) - (z e1 + z' e2) in Z"
                                " for central z, z'",
-                   "target": v.to_strings(), "problem": "the linear system is infeasible"}
+                   "target": v.to_strings(),
+                   "problem": "the target lies outside the span of Z, Z e1 and Z e2"}
         return False, witness, f"no solution over {2 * len(zb)} central coefficients"
     return True, None, "solved for z, z' over " + _n(len(zb), "central basis vector") + " each"
 
@@ -326,7 +327,8 @@ def _eval_l9(pd: PeirceData, phi: LinearMap):
                                        f"(P{i}{i}(phi(e{i})) - z' e{i}) x "
                                        "for central z, z'",
                            "x": x.to_strings(),
-                           "problem": "the linear system is infeasible"}
+                           "problem": f"P{i}{i}(phi(x)) - P{i}{i}(phi(e{i})) x lies outside "
+                                      f"the span of Z e{i} and (Z e{i}) x"}
                 return False, witness, f"no affine form in component ({i},{i})"
     return True, None, "evaluated " + ", ".join(instances)
 

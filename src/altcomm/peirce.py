@@ -385,19 +385,23 @@ def prime_check_exhaustive(algebra: Algebra, budget: int = DEFAULT_BUDGET):
     representatives of a (the condition is homogeneous in a); for each,
     the inner condition is linear in b, so it is a kernel computation,
     not an enumeration.  Returns (True, None) when no pair exists, or
-    (False, (a, b)) with the first pair in enumeration order.  Raises
-    BudgetExceededError when p^dim exceeds the budget, and ValueError when
-    dim p^2 reaches 2^63 or p reaches the inverse-table cap 2^20.
+    (False, (a, b)) with the first pair in enumeration order, re-checked
+    in exact arithmetic.  Raises BudgetExceededError when p^dim exceeds the
+    budget, and ValueError when dim p^2 reaches 2^63 or p reaches the
+    inverse-table cap 2^20.
 
-    For unital algebras, a candidate a with invertible left multiplication
-    cannot work (taking x = 1 forces a b = 0), which lets a cheap batched
-    rank test discard most candidates before the full kernel is formed.
+    Two cheap rank tests discard candidates before the (dim^2, dim) stack
+    T(a) is formed, and keep the order of the rest.  For unital algebras a
+    candidate with invertible left multiplication cannot work (taking
+    x = 1 forces a b = 0).  Then a fixed (2 dim, dim^2) compression
+    S(a) = R T(a) is ranked; the compression only gives a lower bound on
+    rank, so a with rank S(a) = dim are skipped and the others are ranked
+    on T(a) itself.  Each entry of L_a, S(a) and T(a) is a sum of dim
+    products of residues, below dim p^2.
     """
     field = algebra.field
     if field.kind != "prime":
         raise ValueError("the exhaustive primeness scan needs a finite field")
-    import numpy as np
-
     from . import _modscan
 
     p, n = field.p, algebra.dim
@@ -405,33 +409,16 @@ def prime_check_exhaustive(algebra: Algebra, budget: int = DEFAULT_BUDGET):
         raise BudgetExceededError(
             f"p^dim = {p ** n} exceeds the enumeration budget {budget}")
     _modscan.check_prime_scan_bound(p, n)
-    C = _modscan.structure_tensor(algebra)
-    inv_table = _modscan.inverse_table(p)
-    unital = find_unit(algebra) is not None
-
-    for block in _modscan.projective_chunks(p, n):
-        if unital:
-            LA = np.einsum("mi,ijk->mkj", block, C) % p
-            ranks = _modscan.batched_rank(LA, p, inv_table)
-            cand = block[ranks < n]
-        else:
-            cand = block
-        if cand.shape[0] == 0:
-            continue
-        P = np.einsum("mi,ikl->mkl", cand, C) % p          # rows of a . b_k
-        T = np.einsum("mki,ijl->mklj", P, C) % p           # stacked left-mult blocks
-        T = T.reshape(cand.shape[0], n * n, n)
-        ranks2 = _modscan.batched_rank(T, p, inv_table)
-        bad = np.nonzero(ranks2 < n)[0]
-        if bad.size:
-            a = algebra.element([int(v) % p for v in cand[bad[0]]])
-            blocks = (algebra.left_mult_matrix(
-                algebra.mul_coords(a.coords, algebra.basis_coords(k))).data for k in range(n))
-            kernel = common_kernel(field, n, blocks)
-            b = Element(algebra, kernel[0])
-            for k in range(n):
-                prod = algebra.mul_coords(a.coords, algebra.basis_coords(k))
-                if any(algebra.mul_coords(prod, b.coords)):
-                    raise AssertionError("inconsistent primeness witness")
-            return False, (a, b)
-    return True, None
+    coords = _modscan.primeness_scan(_modscan.structure_tensor(algebra), p,
+                                     find_unit(algebra) is not None)
+    if coords is None:
+        return True, None
+    a = algebra.element([int(v) for v in coords])
+    blocks = (algebra.left_mult_matrix(
+        algebra.mul_coords(a.coords, algebra.basis_coords(k))).data for k in range(n))
+    b = Element(algebra, common_kernel(field, n, blocks)[0])
+    for k in range(n):
+        prod = algebra.mul_coords(a.coords, algebra.basis_coords(k))
+        if any(algebra.mul_coords(prod, b.coords)):
+            raise AssertionError("inconsistent primeness witness")
+    return False, (a, b)
