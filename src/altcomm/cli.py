@@ -100,7 +100,7 @@ def parse_element(algebra: Algebra, token: str):
             f"element needs {algebra.dim} coordinates, got {len(token_list)}")
     try:
         coords = [algebra.field.parse(t) for t in token_list]
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise click.UsageError(f"bad element coordinate: {exc}")
     return algebra.element(coords)
 
@@ -132,7 +132,7 @@ def witness_lines(witness: dict) -> list[str]:
 
 
 def guarded_peirce(algebra: Algebra, e1, ctx):
-    """Peirce data with input problems mapped to exit 2 and math failures to 1."""
+    """Peirce data with input problems mapped to exit 2 and a refused split emitted, exit 1."""
     try:
         ok = verify_idempotent(algebra, e1)
     except PreconditionError as exc:
@@ -143,7 +143,8 @@ def guarded_peirce(algebra: Algebra, e1, ctx):
     try:
         return peirce_decompose(algebra, e1)
     except PreconditionError as exc:
-        click.echo(f"FAIL: {exc}")
+        emit(ctx.info_name, {"error": str(exc)}, [f"FAIL: {exc}"],
+             ctx.params["fmt"], ctx.params["deterministic"])
         ctx.exit(1)
 
 
@@ -227,7 +228,7 @@ def gen_cd(steps, gammas, field_token, out, fmt, deterministic):
     else:
         try:
             gamma_list = [field.parse(g) for g in gammas.split(",")]
-        except (ValueError, ZeroDivisionError) as exc:
+        except ValueError as exc:
             raise click.UsageError(f"bad --gammas: {exc}")
         if len(gamma_list) != steps:
             raise click.UsageError("--gammas must list one value per step")

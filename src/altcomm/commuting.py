@@ -307,6 +307,8 @@ def map_to_dict(phi: LinearMap) -> dict:
 
 
 def map_from_dict(algebra: Algebra, d: dict) -> LinearMap:
+    if not isinstance(d, dict):
+        raise ValueError("a map must be a JSON object with dim and matrix")
     if d.get("dim") != algebra.dim:
         raise ValueError("map dimension does not match the algebra")
     raw = d.get("matrix")

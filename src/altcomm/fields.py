@@ -90,7 +90,7 @@ class RationalField:
         Refuses text whose value written out in plain digits would need
         more than SCALAR_DIGIT_LIMIT digits (digits written plus the size
         of any exponent), so "1e200000" raises ValueError instead of
-        building a 664,386-bit integer.
+        building a 664,386-bit integer, and "1/0" raises ValueError too.
         """
         text = text.strip()
         mantissa, _, exponent = text.lower().partition("e")
@@ -100,7 +100,10 @@ class RationalField:
             size = 0        # malformed: Fraction reports it below
         if size > SCALAR_DIGIT_LIMIT:
             raise ValueError(f"scalar {text[:40]!r} has more than {SCALAR_DIGIT_LIMIT} digits")
-        return Fraction(text)
+        try:
+            return Fraction(text)
+        except ZeroDivisionError:
+            raise ValueError(f"scalar {text[:40]!r} has a zero denominator") from None
 
     @staticmethod
     def fmt(a: Fraction) -> str:

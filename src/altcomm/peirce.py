@@ -3,11 +3,12 @@ regularity conditions that make central lifting work.
 
 A nontrivial idempotent e1 in a unital algebra splits the space into the
 four components e_i (x e_j).  Everything this module claims about those
-components is computed, not assumed: the projectors are checked to be a
-complete orthogonal system, the two bracketings e_i (x e_j) and
-(e_i x) e_j are compared before either is trusted, and the multiplication
-rules between components are verified relation by relation with witnesses
-on failure.
+components is computed, not assumed.  The unit is verified, so
+L_e2 = I - L_e1, R_e2 = I - R_e1 and the projectors P_ij = L_i R_j sum
+to I.  All four e_i (x e_j) = (e_i x) e_j iff L_e1 R_e1 = R_e1 L_e1, and
+then the P_ij are orthogonal iff L_e1 and R_e1 are idempotent
+(L_e1 = P11 + P12, R_e1 = P11 + P21).  The component multiplication
+rules are verified relation by relation, with witnesses on failure.
 """
 
 from __future__ import annotations
@@ -36,9 +37,10 @@ def verify_idempotent(algebra: Algebra, e: Element) -> bool:
 class PeirceData:
     """The four projectors and components attached to an idempotent pair.
 
-    Carries memo caches for the derived data that gets reused heavily:
-    the regularity check, the centers of the diagonal components, and the
-    central-lift solve matrices.
+    Carries memo caches for the derived data that gets reused heavily: the
+    regularity check, the centers of the diagonal components, the center
+    recomputed from the split, and for each i the reduced form that
+    answers central lifts (see lift_reduction).
     """
 
     def __init__(self, algebra, e1, e2, projectors, components):
@@ -49,7 +51,7 @@ class PeirceData:
         self.components = components    # {(i, j): Subspace}
         self._hypothesis = None
         self._diag_center = {}
-        self._lift_cols = {}
+        self._lift = {}
         self._center_via_peirce = None
 
     def idempotent(self, i: int) -> Element:
@@ -77,23 +79,27 @@ class PeirceData:
                 self.algebra, [comp.combine(gamma) for gamma in kernel])
         return self._diag_center[i]
 
-    def lift_columns(self, i: int) -> Matrix:
-        """Columns z_c . e_i for the central basis, the solve matrix for lifting."""
-        if i not in self._lift_cols:
-            zb = center(self.algebra).basis
-            e_i = self.idempotent(i)
-            cols = [list((z * e_i).coords) for z in zb]
-            self._lift_cols[i] = Matrix.from_columns(self.algebra.field, cols,
-                                                     rows=self.algebra.dim)
-        return self._lift_cols[i]
+    def lift_reduction(self, i: int) -> tuple[Subspace, Subspace]:
+        """(S_i, W_i): S_i spans the z_c . e_i over the central basis z_c, and W_i
+        holds the lift of each echelon row s_r of S_i, the central combination
+        Y.solve(s_r) for Y with columns z_c . e_i (independent, as the s_r are)."""
+        if i not in self._lift:
+            algebra, Z = self.algebra, center(self.algebra)
+            images = [z * self.idempotent(i) for z in Z.basis]
+            Y = Matrix.from_columns(algebra.field, [y.coords for y in images], rows=algebra.dim)
+            span = Subspace.from_spanning(algebra, images)
+            self._lift[i] = (span, Subspace(algebra, [Z.combine(Y.solve(list(s.coords)))
+                                                      for s in span.basis]))
+        return self._lift[i]
 
 
 def peirce_decompose(algebra: Algebra, e1: Element) -> PeirceData:
     """Split the algebra along a verified nontrivial idempotent.
 
     Raises PreconditionError if the algebra is not unital, e1 is not a
-    nontrivial idempotent, or the two bracketings e_i (x e_j) and
-    (e_i x) e_j disagree (which flags a non-alternative input).
+    nontrivial idempotent, the two bracketings e_i (x e_j) and
+    (e_i x) e_j disagree (which flags a non-alternative input), or
+    L_e1 or R_e1 is not idempotent (the projectors are not orthogonal).
     """
     unit = find_unit(algebra)
     if unit is None:
@@ -101,38 +107,22 @@ def peirce_decompose(algebra: Algebra, e1: Element) -> PeirceData:
     if not verify_idempotent(algebra, e1):
         raise PreconditionError("e1 is not a nontrivial idempotent", witness=e1)
     e2 = unit - e1
-    f = algebra.field
-    n = algebra.dim
-
-    L = {1: algebra.left_mult_matrix(e1.coords), 2: algebra.left_mult_matrix(e2.coords)}
-    R = {1: algebra.right_mult_matrix(e1.coords), 2: algebra.right_mult_matrix(e2.coords)}
-    projectors = {}
-    for i in (1, 2):
-        for j in (1, 2):
-            P = L[i] @ R[j]
-            if P != R[j] @ L[i]:
-                raise PreconditionError(
-                    "e_i (x e_j) and (e_i x) e_j disagree; "
-                    "the algebra is not alternative enough to split")
-            projectors[(i, j)] = P
-
-    total = projectors[(1, 1)] + projectors[(1, 2)] + projectors[(2, 1)] + projectors[(2, 2)]
-    if total != Matrix.identity(f, n):
-        raise PreconditionError("Peirce projectors do not sum to the identity")
-    keys = list(projectors)
-    for a in keys:
-        for b in keys:
-            prod = projectors[a] @ projectors[b]
-            expected = projectors[a] if a == b else Matrix.zeros(f, n, n)
-            if prod != expected:
-                raise PreconditionError(f"Peirce projectors {a} and {b} are not orthogonal")
-
+    L1 = algebra.left_mult_matrix(e1.coords)
+    R1 = algebra.right_mult_matrix(e1.coords)
+    P11 = L1 @ R1
+    if P11 != R1 @ L1:
+        raise PreconditionError(
+            "e_i (x e_j) and (e_i x) e_j disagree; "
+            "the algebra is not alternative enough to split")
+    for M, rule in ((L1, "e1 (e1 x) = e1 x"), (R1, "(x e1) e1 = x e1")):
+        if M @ M != M:
+            raise PreconditionError(f"Peirce projectors are not orthogonal: {rule} fails")
+    projectors = {(1, 1): P11, (1, 2): L1 - P11, (2, 1): R1 - P11,
+                  (2, 2): Matrix.identity(algebra.field, algebra.dim) - L1 - R1 + P11}
     components = {}
     for key, P in projectors.items():
         images = [Element(algebra, col) for col in P.transpose().data]
         components[key] = Subspace.from_spanning(algebra, images)
-    if sum(components[k].dim for k in components) != n:
-        raise PreconditionError("Peirce component dimensions do not sum to the dimension")
     return PeirceData(algebra, e1, e2, projectors, components)
 
 
@@ -354,8 +344,9 @@ def lift_central(pd: PeirceData, x: Element, i: int) -> Element | None:
     """A central z with z . e_i = x, or None when no such lift exists.
 
     x must lie in the (i, i) component and commute with it; both
-    preconditions are verified.  The solve is deterministic, so equal
-    inputs produce the identical lift.
+    preconditions are verified.  x lifts iff it lies in S_i, where
+    x = sum_r x[pivot_r] s_r lifts to the same combination of the cached
+    lifts (lift_reduction): the free-variables-zero solve, linear in x.
     """
     if i not in (1, 2):
         raise ValueError("component index must be 1 or 2")
@@ -367,11 +358,10 @@ def lift_central(pd: PeirceData, x: Element, i: int) -> Element | None:
         t = next(t for t in comp.basis if not commutator(x, t).is_zero())
         raise PreconditionError(
             "element to lift is not central in its component", witness=(x, t))
-    Z = center(pd.algebra)
-    if not Z.basis:
+    span, lifts = pd.lift_reduction(i)
+    if not span.contains(x):
         return None
-    alpha = pd.lift_columns(i).solve(list(x.coords))
-    return None if alpha is None else Z.combine(alpha)
+    return lifts.combine([x.coords[pc] for pc in span.pivots])
 
 
 # ----------------------------------------------------------------------

@@ -14,6 +14,7 @@ from altcomm.commuting import LinearMap
 from altcomm.linalg import Matrix
 
 from test_commuting import transpose_map
+from test_peirce_reference import orthogonality_violator
 
 Q = RationalField()
 
@@ -138,6 +139,19 @@ def test_peirce_usage_and_failure_exits(runner, workdir):
     # the unit is excluded
     r = invoke(runner, ["peirce", "m2q.json", "-e", "1,0,0,1"])
     assert r.exit_code == 2
+
+
+def test_refused_split_is_emitted_in_the_requested_format(runner, workdir):
+    save_algebra(orthogonality_violator(), "orth.json")
+    for args in (["peirce"], ["decompose", "--map", "random"], ["lemmas", "--map", "random"]):
+        command = [args[0], "orth.json", "-e", "e", *args[1:]]
+        text = invoke(runner, command)
+        assert text.exit_code == 1
+        assert text.output.startswith("FAIL: Peirce projectors are not orthogonal")
+        r = invoke(runner, command + ["--format", "json", "--deterministic"])
+        assert r.exit_code == 1
+        assert json.loads(r.output) == {"command": args[0],
+                                        "report": {"error": text.output[6:].strip()}}
 
 
 def test_hypothesis_pass(runner, workdir):
@@ -370,3 +384,27 @@ def test_verify_with_unbounded_scalar_text_is_prompt(runner, tmp_path, monkeypat
         assert r.exit_code == code, r.output
         assert time.perf_counter() - start < 2
     assert "digits" in r.output
+
+
+def assert_usage_error(r):
+    assert r.exit_code == 2, r.output
+    assert isinstance(r.exception, SystemExit)
+    assert "Error:" in r.output and "Traceback" not in r.output
+
+
+def test_zero_denominators_and_non_object_maps_are_usage_errors(runner, workdir):
+    zero_row = ["1/0", "0", "0", "0"]
+    for name, doc in (("zero.json", {"dim": 4, "matrix": [zero_row] + [["0"] * 4] * 3}),
+                      ("list.json", [1])):
+        with open(name, "w") as fh:
+            json.dump(doc, fh)
+        assert_usage_error(invoke(runner, ["check-map", "m2q.json", "--map", name]))
+    base = {"name": "one", "field": {"kind": "rational"}, "dim": 1, "basis": ["1"],
+            "structure": [[0, 0, 0, "1"]]}
+    for key, value in (("structure", [[0, 0, 0, "1/0"]]), ("unit", ["1/0"])):
+        with open("bad.json", "w") as fh:
+            json.dump({**base, key: value}, fh)
+        assert_usage_error(invoke(runner, ["verify", "bad.json"]))
+    assert_usage_error(invoke(runner, ["peirce", "m2q.json", "-e", "1/0,0,0,0"]))
+    assert_usage_error(invoke(runner, ["gen", "cayley-dickson", "--steps", "1",
+                                       "--gammas", "1/0"]))

@@ -4,8 +4,10 @@ Each case runs one CLI command in-process and compares its stdout byte for
 byte, and its exit code, with the files under ``tests/golden/``.  The
 algebras are written by the ``gen`` commands into a temporary directory:
 M2(Q), M2(F5), Zorn(F5), the sedenions CD4(Q) and M2(Q) + M2(Q), each with
-its canonical idempotent.  Next to them goes ``transpose.json``, the
-transpose map of M2(Q), which does not commute with its argument.
+its canonical idempotent.  Next to them go ``transpose.json``, the
+transpose map of M2(Q), which does not commute with its argument, and
+``mixed.json``, a unital algebra whose bracketings e (x e') and (e x) e'
+disagree at its idempotent e, so that the split is refused.
 
 A change that alters output on purpose regenerates the files with
 
@@ -36,6 +38,10 @@ ALGEBRAS = ["m2q", "zornf5", "cd4q", "mm"]
 MAP_ALGEBRAS = ["m2q", "zornf5", "mm"]
 TRANSPOSE = {"dim": 4, "matrix": [["1", "0", "0", "0"], ["0", "0", "1", "0"],
                                   ["0", "1", "0", "0"], ["0", "0", "0", "1"]]}
+MIXED = {"name": "mixedviol", "field": {"kind": "rational"}, "dim": 3,
+         "basis": ["u", "e", "x"], "unit": ["1", "0", "0"],
+         "structure": [[0, 0, 0, "1"], [0, 1, 1, "1"], [0, 2, 2, "1"], [1, 0, 1, "1"],
+                       [1, 1, 1, "1"], [1, 2, 2, "1"], [2, 0, 2, "1"], [2, 1, 0, "1"]]}
 
 
 def _cases():
@@ -61,6 +67,10 @@ def _cases():
     for command in ("decompose", "lemmas"):
         cases[f"{command}_m2q_transpose"] = [command, "m2q.json", "-e", "m2q.idem.json",
                                              "--map", "transpose.json"]
+    cases["peirce_mixed"] = ["peirce", "mixed.json", "-e", "e"]
+    for command in ("decompose", "lemmas"):
+        cases[f"{command}_mixed"] = [command, "mixed.json", "-e", "e",
+                                     "--map", "random", "--seed", "4"]
     return cases
 
 
@@ -71,8 +81,9 @@ def _generate(runner):
     for args in GEN:
         r = runner.invoke(main, args + COMMON)
         assert r.exit_code == 0, r.output
-    with open("transpose.json", "w") as fh:
-        json.dump(TRANSPOSE, fh)
+    for path, doc in (("transpose.json", TRANSPOSE), ("mixed.json", MIXED)):
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
 
 
 def _run(runner, args):
