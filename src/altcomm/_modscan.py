@@ -1,6 +1,6 @@
 """Vectorized exhaustive scans over finite-field algebras.
 
-numpy int64 arithmetic here is exact, not floating point.  Coordinates,
+numpy integer arithmetic here is exact, not floating point.  Coordinates,
 structure constants and the precomputed tables below are residues in
 [0, p), so a product of two stays below p**2 and of three below p**3.
 
@@ -20,10 +20,18 @@ and their compressions S(a) = sum a_i R W_i of shape (2 dim, dim); each is
 a sum of dim products of residues, below dim * p**2, and so are the rows
 L_a = sum a_i C[i] and the tables W_i.  R W_i is summed in dim blocks of
 dim products each, every block reduced mod p before the blocks are added,
-so it too stays below dim * p**2.  batched_rank's elimination stays below
-p**2.  check_prime_scan_bound refuses dim * p**2 >= 2**63, the int64 range, and
-p >= TABLE_LIMIT = 2**20, which the default budget never admits, before
-the table of p inverses is built.
+so it too stays below dim * p**2.  check_prime_scan_bound refuses
+dim * p**2 >= 2**63, the int64 range, and p >= TABLE_LIMIT = 2**20, which
+the default budget never admits, before the table of p inverses is built.
+
+batched_rank reduces lazily: after reducing its input once, each step
+reduces only the pivot column and the pivot row's entries and subtracts
+(pivot row) x (column) from the later columns unreduced.  In a batch with
+C columns an entry is lowered at most C - 1 times by a product of two
+residues, so it stays in (-(C - 1)(p - 1)**2, p), below C * p**2 in
+absolute value.  The batch, and the primeness stacks, are held in
+word_type(p, C), the narrowest of int16, int32 and int64 holding C * p**2.
+batched_rank refuses C * p**2 >= 2**63 and an inverse table shorter than p.
 """
 
 from __future__ import annotations
@@ -35,7 +43,8 @@ import numpy as np
 
 INT64_LIMIT = 2 ** 63
 TABLE_LIMIT = 2 ** 20
-# Largest table of low-coordinate values Q(u) in the commutation scan.
+# Largest table of low-coordinate values: Q(u) in the commutation scan, and
+# the low digits from which every chunk of coordinate vectors is filled.
 U_TABLE = 1024
 
 
@@ -84,17 +93,54 @@ def inverse_table(p: int) -> np.ndarray:
     return table
 
 
+def word_type(p: int, cols: int):
+    """The narrowest of int16, int32 and int64 that holds cols * p**2, or ValueError."""
+    bound = cols * p * p
+    if bound >= INT64_LIMIT:
+        raise ValueError(f"cols p^2 = {bound} reaches 2^63: batched_rank could overflow")
+    return np.int16 if bound < 2 ** 15 else np.int32 if bound < 2 ** 31 else np.int64
+
+
+def _mod(x: np.ndarray, p: int) -> np.ndarray:
+    """x mod p in [0, p), as x - x // p * p: numpy vectorizes // by a scalar but not %."""
+    return x - x // p * p
+
+
+def _digits(idx: np.ndarray, p: int, width: int) -> np.ndarray:
+    """Rows of the width base-p digits of idx, least significant first."""
+    return _mod(idx[:, None] // p ** np.arange(width, dtype=np.int64), p)
+
+
+def _chunks(p: int, width: int, chunk: int, head: list):
+    """Yield (start, rows) over 0, ..., p**width - 1: row t is head, then the digits of start + t.
+
+    The low r digits (p**r <= chunk, U_TABLE) repeat with period s = p**r, so
+    a chunk is whole blocks of s rows from their table, cut to the chunk;
+    only the high digits of its blocks are computed.
+    """
+    r = 0
+    while r < width and p ** (r + 1) <= min(chunk, U_TABLE):
+        r += 1
+    s, h, total = p ** r, len(head), p ** width
+    low = np.indices((p,) * r).reshape(r, s)[::-1].T   # the digits of 0, ..., s - 1
+    for start in range(0, total, chunk):
+        stop = min(start + chunk, total)
+        first, last = start // s, -(-stop // s)
+        rows = np.empty((last - first, s, h + width), dtype=np.int64)
+        rows[:, :, :h] = head
+        rows[:, :, h:h + r] = low
+        if width > r:
+            rows[:, :, h + r:] = _digits(np.arange(first, last, dtype=np.int64), p, width - r)[:, None]
+        yield start, rows.reshape((last - first) * s, h + width)[start - first * s:stop - first * s]
+
+
 def element_chunks(p: int, n: int, chunk: int = 65536):
     """Yield (start_index, coords) batches covering all p**n coordinate vectors.
 
     Index m maps to coords[i] = (m // p**i) % p: coordinate 0 is the least
     significant digit, so the enumeration order is canonical.
     """
-    total = p ** n
-    powers = p ** np.arange(n, dtype=np.int64)
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        yield start, (idx[:, None] // powers[None, :]) % p
+    yield from _chunks(p, n, chunk, [])
 
 
 def projective_chunks(p: int, n: int, chunk: int = 16384):
@@ -104,15 +150,7 @@ def projective_chunks(p: int, n: int, chunk: int = 16384):
     position the free coordinates enumerate as in element_chunks.
     """
     for lead in range(n):
-        free = n - lead - 1
-        total = p ** free
-        powers = p ** np.arange(free, dtype=np.int64)
-        for start in range(0, total, chunk):
-            idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-            block = np.zeros((len(idx), n), dtype=np.int64)
-            block[:, lead] = 1
-            if free:
-                block[:, lead + 1:] = (idx[:, None] // powers[None, :]) % p
+        for _, block in _chunks(p, n - lead - 1, chunk, [0] * lead + [1]):
             yield block
 
 
@@ -122,27 +160,31 @@ def batched_rank(mats: np.ndarray, p: int, inv_table: np.ndarray) -> np.ndarray:
     Rows are never swapped.  At column c the first row with a nonzero entry
     there is the pivot, and every row, the pivot row included, has its
     entry eliminated from the columns after c.  That leaves the pivot row
-    zero in those columns, so it is never picked again, and each step
+    zero mod p in those columns, so it is never picked again, and each step
     touches only the columns after c.  The batch is stored column by
-    column, so that step is one contiguous slab.  inv_table[0] must be 0:
-    a matrix with no pivot in column c then subtracts nothing.
+    column, each column as (R, m), so that step is one contiguous slab.
+    Reduction is lazy, in word_type(p, C): see the module docstring for
+    the entry range.  inv_table[0] must be 0: a matrix with no pivot in
+    column c then subtracts nothing.
     """
-    M = np.ascontiguousarray((mats % p).transpose(2, 0, 1))
-    C, m, R = M.shape
-    rank = np.zeros(m, dtype=np.int64)
+    m, R, C = mats.shape
+    dtype = word_type(p, C)
+    if len(inv_table) < p:
+        raise ValueError(f"the inverse table has {len(inv_table)} < p = {p} entries")
+    M = np.ascontiguousarray(_mod(mats, p).transpose(2, 1, 0), dtype=dtype)
+    inv = inv_table[:p].astype(dtype, copy=False)
     if M.size == 0:
-        return rank
+        return np.zeros(m, dtype=np.int64)
     batch = np.arange(m)
+    leads, col = [], M[0]
     for c in range(C):
-        col = M[c]
-        piv = (col != 0).argmax(axis=1)
-        lead = col[batch, piv]
-        pivot_row = M[c + 1:, batch, piv] * inv_table[lead] % p
-        rest = M[c + 1:]
-        rest -= pivot_row[:, :, None] * col[None]
-        rest %= p
-        rank += lead != 0
-    return rank
+        piv = (col != 0).argmax(axis=0)
+        leads.append(col[piv, batch])
+        if c + 1 < C:
+            rest = M[c + 1:]
+            rest -= _mod(_mod(rest[:, piv, batch], p) * inv[leads[-1]], p)[:, None, :] * col
+            col = _mod(M[c + 1], p)
+    return np.count_nonzero(leads, axis=0)
 
 
 def _quadratic(X: np.ndarray, G: np.ndarray) -> np.ndarray:
@@ -170,12 +212,18 @@ def commutation_scan(C: np.ndarray, F, p: int):
     for _, X in element_chunks(p, n, chunk=s * max(1, 65536 // s)):
         U, V = X[:s, :r], X[::s, r:]
         k = V.shape[0]
-        B = U @ (V @ Hvu).reshape(k, r, n).transpose(1, 0, 2).reshape(r, k * n)
-        Q = B.reshape(s, k, n) + _quadratic(U, Guu)[:, None, :] + _quadratic(V, Gvv)[None, :, :]
-        bad = np.flatnonzero((Q % p).any(axis=2).T)
+        Q = (U @ (V @ Hvu).reshape(k, r, n).transpose(1, 0, 2).reshape(r, k * n)).reshape(s, k, n)
+        Q += _quadratic(U, Guu)[:, None, :]      # Q is B(u, v) before these two
+        Q += _quadratic(V, Gvv)[None, :, :]
+        bad = np.flatnonzero(_mod(Q, p).any(axis=2).T)
         if bad.size:
             return X[bad[0]]
     return None
+
+
+def _combine(A: np.ndarray, tables: np.ndarray, rows: int) -> np.ndarray:
+    """Stacks sum_i a_i tables[i], shape (m, rows, n), by einsum (integer matmul is slower)."""
+    return np.einsum("ai,ij->aj", A, tables).reshape(-1, rows, A.shape[1])
 
 
 def primeness_scan(C: np.ndarray, p: int, unital: bool):
@@ -201,13 +249,17 @@ def primeness_scan(C: np.ndarray, p: int, unital: bool):
     R = np.array(random.Random(0).choices(range(p), k=2 * n ** 3), dtype=np.int64)
     R = R.reshape(2 * n, n, n)
     RW = np.einsum("rkl,iklj->irkj", R, W) % p   # R W_i, reduced after each block k
-    W, RW = W.reshape(n, -1), (RW.sum(axis=2) % p).reshape(n, -1)
+    # Every stack has n columns and entries below n p**2, so batched_rank's type holds it.
+    dtype = word_type(p, n)
+    left, W, RW = (t.astype(dtype) for t in (left, W.reshape(n, -1), RW.sum(axis=2) % p))
+    RW = RW.reshape(n, -1)
     for block in projective_chunks(p, n):
+        block = block.astype(dtype)
         if unital:
-            block = block[batched_rank((block @ left).reshape(-1, n, n), p, inv_table) < n]
-        block = block[batched_rank((block @ RW).reshape(-1, 2 * n, n), p, inv_table) < n]
+            block = block[batched_rank(_combine(block, left, n), p, inv_table) < n]
+        block = block[batched_rank(_combine(block, RW, 2 * n), p, inv_table) < n]
         if block.shape[0]:
-            bad = np.flatnonzero(batched_rank((block @ W).reshape(-1, n * n, n), p, inv_table) < n)
+            bad = np.flatnonzero(batched_rank(_combine(block, W, n * n), p, inv_table) < n)
             if bad.size:
                 return block[bad[0]]
     return None

@@ -1,4 +1,4 @@
-"""The exhaustive F_p scans: frozen witnesses, batched_rank and the inverse table.
+"""The exhaustive F_p scans: frozen witnesses, batched_rank, chunks and the inverse table.
 
 scan_witnesses.json records the verdict and the witness of
 exhaustive_commuting_check and prime_check_exhaustive on the cases below, as
@@ -157,6 +157,101 @@ def test_batched_rank_matches_python_elimination(p):
         got = _modscan.batched_rank(mats, p, table)
         assert got.shape == (mats.shape[0],)
         assert [int(v) for v in got] == [reference_rank(m.tolist(), p) for m in mats]
+
+
+def _worst_growth(p, cols):
+    """A (cols, cols) matrix whose last row is lowered by (p - 1)**2 in every later column at each step.
+
+    Rows 0 .. cols-2 are unit upper triangular with p - 1 above the
+    diagonal.  The last row is c - 1 mod p in column c < cols - 1, so its
+    reduced entry in each pivot column is p - 1, and cols - 1 mod p in the
+    last column, which thus ends at 0 mod p and below -(cols - 2)(p - 1)**2:
+    rank cols - 1.
+    """
+    m = np.triu(np.full((cols, cols), p - 1, dtype=np.int64), 1) + np.eye(cols, dtype=np.int64)
+    m[-1] = [(c - 1) % p for c in range(cols - 1)] + [(cols - 1) % p]
+    return m
+
+
+@pytest.mark.parametrize("p, word", [(61, np.int16), (67, np.int32),
+                                     (16381, np.int32), (16411, np.int64)])
+def test_batched_rank_on_each_side_of_the_word_type_switches(p, word):
+    """8 p^2 is 29768 < 2^15 at p = 61, 35912 at 67; it crosses 2^31 between 16381 and 16411."""
+    cols = 8
+    assert _modscan.word_type(p, cols) is word
+    rng = np.random.default_rng(p)
+    table = _modscan.inverse_table(p)
+    batches = [rng.integers(0, p, size=(12, cols, cols)),
+               rng.integers(0, p, size=(6, cols * cols, cols)),
+               np.einsum("mrk,mkc->mrc", rng.integers(0, p, size=(8, cols, 3)),
+                         rng.integers(0, p, size=(8, 3, cols))),
+               np.full((3, cols, cols), p - 1, dtype=np.int64),
+               np.stack([_worst_growth(p, cols)] * 2)]
+    for mats in batches:
+        got = _modscan.batched_rank(mats, p, table)
+        assert [int(v) for v in got] == [reference_rank(m.tolist(), p) for m in mats]
+    assert [int(v) for v in _modscan.batched_rank(batches[-1], p, table)] == [cols - 1] * 2
+
+
+def test_batched_rank_refuses_overflow_and_short_inverse_tables():
+    p, table = 2 ** 19, np.zeros(2 ** 19, dtype=np.int64)
+    below = np.zeros((0, 1, 2 ** 25 - 1), dtype=np.int64)      # cols p^2 just below 2^63
+    assert _modscan.word_type(p, 2 ** 25 - 1) is np.int64
+    assert _modscan.batched_rank(below, p, table).shape == (0,)
+    with pytest.raises(ValueError, match="2\\^63"):          # exactly 2^63
+        _modscan.batched_rank(np.zeros((0, 1, 2 ** 25), dtype=np.int64), p, table)
+    mats = np.ones((1, 2, 2), dtype=np.int64)
+    assert list(_modscan.batched_rank(mats, 5, _modscan.inverse_table(5))) == [1]
+    with pytest.raises(ValueError, match="inverse table"):
+        _modscan.batched_rank(mats, 5, _modscan.inverse_table(5)[:4])
+
+
+# ----------------------------------------------------------------------
+# chunk enumeration against the closed form
+
+
+def closed_form_element_chunks(p, n, chunk=65536):
+    """element_chunks as first written: every coordinate by division and mod."""
+    total = p ** n
+    powers = p ** np.arange(n, dtype=np.int64)
+    for start in range(0, total, chunk):
+        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
+        yield start, (idx[:, None] // powers[None, :]) % p
+
+
+def closed_form_projective_chunks(p, n, chunk=16384):
+    """projective_chunks as first written."""
+    for lead in range(n):
+        free = n - lead - 1
+        total = p ** free
+        powers = p ** np.arange(free, dtype=np.int64)
+        for start in range(0, total, chunk):
+            idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
+            block = np.zeros((len(idx), n), dtype=np.int64)
+            block[:, lead] = 1
+            if free:
+                block[:, lead + 1:] = (idx[:, None] // powers[None, :]) % p
+            yield block
+
+
+@pytest.mark.parametrize("p, n, chunk", [
+    (7, 4, 1000),                # 7^3 = 343 does not divide the chunk
+    (3, 3, 100), (5, 4, 65536),  # p^n below the chunk
+    (5, 1, 3), (101, 1, 7),      # n = 1
+    (5, 8, 625 * 104),           # the commutation scan's own s k on Zorn(F5)
+    (5, 8, 16384),               # the primeness scan's chunk on Zorn(F5)
+    (2, 11, 1000), (1031, 2, 5000), (5, 0, 7)])
+def test_chunks_match_the_closed_form(p, n, chunk):
+    got = list(_modscan.element_chunks(p, n, chunk))
+    want = list(closed_form_element_chunks(p, n, chunk))
+    assert [start for start, _ in got] == [start for start, _ in want]
+    for (_, a), (_, b) in zip(got, want):
+        assert a.dtype == np.int64 and np.array_equal(a, b)
+    got = list(_modscan.projective_chunks(p, n, chunk))
+    want = list(closed_form_projective_chunks(p, n, chunk))
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.dtype == np.int64 and np.array_equal(a, b)
 
 
 # ----------------------------------------------------------------------
