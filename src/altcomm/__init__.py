@@ -15,8 +15,7 @@ from .commuting import (Decomposition, LinearMap, check_decomposition, decompose
                         decompose_oracle, exhaustive_commuting_check, is_anti_commuting,
                         is_commuting, load_map, map_from_dict, map_to_dict,
                         random_commuting_map, random_map_parts, save_map)
-from .constructions import (InvolutiveAlgebra, cayley_dickson, cayley_dickson_algebra,
-                            ground_involutive, matrix_algebra, scalar_algebra, zorn)
+from .constructions import cayley_dickson_algebra, matrix_algebra, scalar_algebra, zorn
 from .errors import (BudgetExceededError, DecompositionError, HypothesisError,
                      NotCommutingError, PreconditionError)
 from .fields import PrimeField, RationalField, field_from_dict
@@ -28,12 +27,11 @@ from .peirce import (DEFAULT_BUDGET, PeirceData, center, center_via_peirce,
 
 __all__ = [
     "Algebra", "Element", "Subspace", "Matrix", "LinearMap", "Decomposition",
-    "PeirceData", "LemmaReport", "InvolutiveAlgebra",
+    "PeirceData", "LemmaReport",
     "RationalField", "PrimeField", "field_from_dict",
     "commutator", "associator", "is_alternative", "is_associative",
     "find_unit", "direct_sum", "save_algebra", "load_algebra",
-    "matrix_algebra", "zorn", "scalar_algebra", "cayley_dickson",
-    "cayley_dickson_algebra", "ground_involutive",
+    "matrix_algebra", "zorn", "scalar_algebra", "cayley_dickson_algebra",
     "peirce_decompose", "check_peirce_relations", "center", "center_via_peirce",
     "is_central", "nucleus", "hypothesis_check", "lift_central",
     "prime_check_exhaustive", "verify_idempotent", "DEFAULT_BUDGET",

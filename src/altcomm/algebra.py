@@ -17,23 +17,28 @@ from .linalg import Matrix, echelon_of_blocks
 
 _UNSET = object()
 
+# Largest dimension accepted (the benchmark's largest algebra, M8, has 64).
+# Solving for a unit alone stacks 2 dim^3 entries: about 190 MB at dim 128.
+DIM_LIMIT = 128
+
 
 class Algebra:
     """A structure-constant algebra over an exact field.
 
     Immutable after construction apart from internal memo caches: the
-    unit, basis elements and products, the associator and commutator
+    unit and basis elements, the associator and commutator
     tensors (see associator_tensor and commutator_tensor), and the center
     and the nucleus, which peirce fills.  Products are read off the sparse
     structure table: mul_coords over the nonzero coordinates of both
     factors, and product_sum for a sum of basis products given as terms.
-    Supplied unit coordinates are verified against every basis vector.
+    Supplied unit coordinates are verified against every basis vector, and
+    a dimension above DIM_LIMIT is refused before anything is built.
     """
 
     def __init__(self, name, field, dim, basis_labels, structure,
                  unit=None, comment=None):
-        if dim < 1:
-            raise ValueError("algebra dimension must be at least 1")
+        if not 1 <= dim <= DIM_LIMIT:
+            raise ValueError(f"algebra dimension must be between 1 and {DIM_LIMIT}, got {dim}")
         basis_labels = [str(l) for l in basis_labels]
         if len(basis_labels) != dim:
             raise ValueError(f"expected {dim} basis labels, got {len(basis_labels)}")
@@ -78,7 +83,6 @@ class Algebra:
         self._basis_elements = None
         self._basis_coords = [tuple(field.one if t == i else field.zero for t in range(dim))
                               for i in range(dim)]
-        self._basis_products = None
         self._associators = None
         self._commutators = None
         self._center = None
@@ -157,20 +161,6 @@ class Algebra:
                 for k, c in terms:
                     out[k] = f.add(out[k], f.mul(s, c))
         return out
-
-    def basis_product(self, i: int, j: int) -> tuple:
-        """Cached coordinates of b_i b_j."""
-        if self._basis_products is None:
-            self._basis_products = [[None] * self.dim for _ in range(self.dim)]
-        cached = self._basis_products[i][j]
-        if cached is None:
-            f = self.field
-            out = [f.zero] * self.dim
-            for k, c in self._rows[i].get(j, ()):
-                out[k] = c
-            cached = tuple(out)
-            self._basis_products[i][j] = cached
-        return cached
 
     def left_mult_matrix(self, coords) -> Matrix:
         """Matrix of x -> a . x in the chosen basis."""

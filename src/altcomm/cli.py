@@ -42,6 +42,14 @@ seed_option = click.option("--seed", type=int, default=0, show_default=True,
                            help="Seed for --map random.")
 budget_option = click.option("--budget", type=int, default=DEFAULT_BUDGET, show_default=True,
                              help="Cap on exhaustive enumeration size.")
+idempotent_option = click.option("-e", "--idempotent", "idem_token", required=True,
+                                 help="Idempotent: coords file, basis label, or inline scalars.")
+map_option = click.option("--map", "map_token", required=True,
+                          help="Map file, or 'random' for a seeded commuting map.")
+field_option = click.option("--field", "field_token", default="q", show_default=True,
+                            help="Scalar field: q or p<prime>.")
+out_option = click.option("--out", type=click.Path(), default=None,
+                          help="Output path (defaults to a name derived from the algebra).")
 
 
 def emit(command: str, payload: dict, lines: list[str], fmt: str,
@@ -188,10 +196,8 @@ def gen():
 
 @gen.command("matrix")
 @click.option("--n", type=int, default=2, show_default=True, help="Matrix size.")
-@click.option("--field", "field_token", default="q", show_default=True,
-              help="Scalar field: q or p<prime>.")
-@click.option("--out", type=click.Path(), default=None,
-              help="Output path (defaults to a name derived from the algebra).")
+@field_option
+@out_option
 @common_options
 def gen_matrix(n, field_token, out, fmt, deterministic):
     field = parse_field(field_token)
@@ -203,9 +209,8 @@ def gen_matrix(n, field_token, out, fmt, deterministic):
 
 
 @gen.command("zorn")
-@click.option("--field", "field_token", default="q", show_default=True,
-              help="Scalar field: q or p<prime>.")
-@click.option("--out", type=click.Path(), default=None)
+@field_option
+@out_option
 @common_options
 def gen_zorn(field_token, out, fmt, deterministic):
     algebra, e11 = zorn(parse_field(field_token))
@@ -216,8 +221,8 @@ def gen_zorn(field_token, out, fmt, deterministic):
 @click.option("--steps", type=int, required=True, help="Number of doublings.")
 @click.option("--gammas", default=None,
               help="Comma-separated doubling parameters, one per step (default all 1).")
-@click.option("--field", "field_token", default="q", show_default=True)
-@click.option("--out", type=click.Path(), default=None)
+@field_option
+@out_option
 @common_options
 def gen_cd(steps, gammas, field_token, out, fmt, deterministic):
     field = parse_field(field_token)
@@ -244,7 +249,7 @@ def gen_cd(steps, gammas, field_token, out, fmt, deterministic):
               help="Algebra file for the first summand.")
 @click.option("--right", type=click.Path(exists=True), required=True,
               help="Algebra file for the second summand.")
-@click.option("--out", type=click.Path(), default=None)
+@out_option
 @common_options
 def gen_direct_sum(left, right, out, fmt, deterministic):
     a = load_algebra_arg(left)
@@ -290,18 +295,24 @@ def verify(ctx, algebra_path, fmt, deterministic):
     ctx.exit(0 if alt and unit is not None else 1)
 
 
+def subspace_report(word: str, subspace_of, algebra_path: str, fmt: str,
+                    deterministic: bool) -> None:
+    """Report the basis of one subspace of an algebra, e.g. its center."""
+    algebra = load_algebra_arg(algebra_path)
+    space = subspace_of(algebra)
+    payload = {"name": algebra.name, "dim": space.dim,
+               "basis": [el.to_strings() for el in space.basis]}
+    lines = [f"{word} of {algebra.name}: dimension {space.dim}"]
+    lines += [f"  {element_str(el)}" for el in space.basis]
+    emit(word, payload, lines, fmt, deterministic)
+
+
 @main.command()
 @click.argument("algebra_path", type=click.Path(exists=True))
 @common_options
 def center(algebra_path, fmt, deterministic):
     """Print a basis of the center."""
-    algebra = load_algebra_arg(algebra_path)
-    z = center_of(algebra)
-    payload = {"name": algebra.name, "dim": z.dim,
-               "basis": [el.to_strings() for el in z.basis]}
-    lines = [f"center of {algebra.name}: dimension {z.dim}"]
-    lines += [f"  {element_str(el)}" for el in z.basis]
-    emit("center", payload, lines, fmt, deterministic)
+    subspace_report("center", center_of, algebra_path, fmt, deterministic)
 
 
 @main.command("nucleus")
@@ -309,19 +320,12 @@ def center(algebra_path, fmt, deterministic):
 @common_options
 def nucleus_cmd(algebra_path, fmt, deterministic):
     """Print a basis of the nucleus."""
-    algebra = load_algebra_arg(algebra_path)
-    nuc = nucleus(algebra)
-    payload = {"name": algebra.name, "dim": nuc.dim,
-               "basis": [el.to_strings() for el in nuc.basis]}
-    lines = [f"nucleus of {algebra.name}: dimension {nuc.dim}"]
-    lines += [f"  {element_str(el)}" for el in nuc.basis]
-    emit("nucleus", payload, lines, fmt, deterministic)
+    subspace_report("nucleus", nucleus, algebra_path, fmt, deterministic)
 
 
 @main.command()
 @click.argument("algebra_path", type=click.Path(exists=True))
-@click.option("-e", "--idempotent", "idem_token", required=True,
-              help="Idempotent: coords file, basis label, or inline scalars.")
+@idempotent_option
 @common_options
 @click.pass_context
 def peirce(ctx, algebra_path, idem_token, fmt, deterministic):
@@ -349,7 +353,7 @@ def peirce(ctx, algebra_path, idem_token, fmt, deterministic):
 
 @main.command()
 @click.argument("algebra_path", type=click.Path(exists=True))
-@click.option("-e", "--idempotent", "idem_token", required=True)
+@idempotent_option
 @common_options
 @click.pass_context
 def hypothesis(ctx, algebra_path, idem_token, fmt, deterministic):
@@ -402,8 +406,7 @@ def prime(ctx, algebra_path, budget, fmt, deterministic):
 
 @main.command("check-map")
 @click.argument("algebra_path", type=click.Path(exists=True))
-@click.option("--map", "map_token", required=True,
-              help="Map file, or 'random' for a seeded commuting map.")
+@map_option
 @seed_option
 @common_options
 @click.pass_context
@@ -428,8 +431,8 @@ def check_map(ctx, algebra_path, map_token, seed, fmt, deterministic):
 
 @main.command("decompose")
 @click.argument("algebra_path", type=click.Path(exists=True))
-@click.option("-e", "--idempotent", "idem_token", required=True)
-@click.option("--map", "map_token", required=True)
+@idempotent_option
+@map_option
 @seed_option
 @common_options
 @click.pass_context
@@ -474,8 +477,8 @@ def decompose_cmd(ctx, algebra_path, idem_token, map_token, seed, fmt, determini
 
 @main.command("lemmas")
 @click.argument("algebra_path", type=click.Path(exists=True))
-@click.option("-e", "--idempotent", "idem_token", required=True)
-@click.option("--map", "map_token", required=True)
+@idempotent_option
+@map_option
 @seed_option
 @common_options
 @click.pass_context
@@ -501,7 +504,7 @@ def lemmas_cmd(ctx, algebra_path, idem_token, map_token, seed, fmt, deterministi
 
 @main.command("oracle")
 @click.argument("algebra_path", type=click.Path(exists=True))
-@click.option("--map", "map_token", required=True)
+@map_option
 @seed_option
 @budget_option
 @common_options

@@ -5,10 +5,11 @@ Three generators cover the interesting ground:
 * full matrix algebras, the associative baseline;
 * Zorn vector matrices, the split octonions, which are alternative but
   not associative;
-* the Cayley-Dickson doubling tower, which walks out of associativity at
-  step 3 and out of alternativity at step 4.
+* the Cayley-Dickson algebras, which walk out of associativity at step 3
+  and out of alternativity at step 4.
 
-Each generator returns the algebra together with a canonical nontrivial
+Each generator lists its structure constants from a closed-form rule and
+builds one Algebra, returning it together with a canonical nontrivial
 idempotent when the construction has one, so callers need not hunt for
 one by hand.  Multiplication conventions are spelled out in the
 docstrings and recorded in the `comment` field of generated algebras.
@@ -16,10 +17,7 @@ docstrings and recorded in the `comment` field of generated algebras.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .algebra import Algebra, Element
-from .linalg import Matrix
+from .algebra import DIM_LIMIT, Algebra, Element
 
 
 def matrix_algebra(field, n: int) -> tuple[Algebra, Element]:
@@ -30,6 +28,8 @@ def matrix_algebra(field, n: int) -> tuple[Algebra, Element]:
     """
     if n < 2:
         raise ValueError("matrix algebra needs n >= 2 to have a nontrivial idempotent")
+    if n * n > DIM_LIMIT:
+        raise ValueError(f"M{n} has dimension {n * n}, above the limit {DIM_LIMIT}")
     one = field.one
 
     def idx(i, j):
@@ -100,104 +100,51 @@ def scalar_algebra(field) -> Algebra:
                    unit=[field.one])
 
 
-@dataclass(frozen=True)
-class InvolutiveAlgebra:
-    """An algebra packaged with a conjugation (the data doubling consumes)."""
-
-    algebra: Algebra
-    conjugation: Matrix
-
-
-def ground_involutive(field) -> InvolutiveAlgebra:
-    """The base of the doubling tower: the field with trivial conjugation."""
-    return InvolutiveAlgebra(scalar_algebra(field), Matrix.identity(field, 1))
-
-
-def cayley_dickson(base: InvolutiveAlgebra, gamma) -> InvolutiveAlgebra:
-    """One doubling step applied to an involutive algebra.
-
-    On pairs, the product is (a, b)(c, d) = (ac + gamma d conj(b),
-    conj(a) d + c b) and the new conjugation is (a, b) -> (conj(a), -b).
-    The base must be unital, and gamma must be a nonzero scalar.
-    """
-    alg, conj = base.algebra, base.conjugation
-    field = alg.field
-    if not gamma:
-        raise ValueError("doubling parameter gamma must be nonzero")
-    if alg.unit is None:
-        raise ValueError("doubling needs a unital base algebra")
-    unit_coords = list(alg.unit.coords)
-    if conj.matvec(unit_coords) != unit_coords:
-        raise ValueError("conjugation must fix the unit")
-    n = alg.dim
-    conj_cols = [conj.column(i) for i in range(n)]
-
-    entries = []
-
-    def emit(i, j, coords, offset_k, scale=None):
-        for k, c in enumerate(coords):
-            if not c:
-                continue
-            if scale is not None:
-                c = field.mul(scale, c)
-            entries.append((i, j, offset_k + k, c))
-
-    for i in range(n):
-        bi = alg.basis_coords(i)
-        ci = conj_cols[i]
-        for j in range(n):
-            bj = alg.basis_coords(j)
-            emit(i, j, alg.basis_product(i, j), 0)                  # (bi,0)(bj,0)
-            emit(i, n + j, alg.mul_coords(ci, bj), n)               # (bi,0)(0,bj)
-            emit(n + i, j, alg.basis_product(j, i), n)              # (0,bi)(bj,0)
-            emit(n + i, n + j, alg.mul_coords(bj, ci), 0, gamma)    # (0,bi)(0,bj)
-
-    # the new half needs labels distinct from every base label; tagging with
-    # the base dimension keeps repeated doublings collision-free
-    labels = list(alg.basis_labels)
-    labels += [f"{lab}~{n}" for lab in alg.basis_labels]
-    unit = unit_coords + [field.zero] * n
-    doubled = Algebra(f"{alg.name}[dbl]", field, 2 * n, labels, entries, unit=unit)
-
-    z = field.zero
-    rows = []
-    for r in range(n):
-        rows.append([conj.data[r][c] for c in range(n)] + [z] * n)
-    for r in range(n):
-        rows.append([z] * n + [field.neg(field.one) if r == c else z for c in range(n)])
-    return InvolutiveAlgebra(doubled, Matrix(field, rows, cols=2 * n))
-
-
 def cayley_dickson_algebra(field, gammas) -> tuple[Algebra, Element | None]:
-    """The doubling tower over the ground field, one step per gamma.
+    """The Cayley-Dickson algebra over the field, one doubling per gamma.
 
-    Basis labels encode which doubling units enter each product: index m
-    (as a bitmask over steps) is labelled "1", "i1", "i12", and so on.
+    A step doubles A to pairs with (a, b)(c, d) = (ac + gamma d conj(b),
+    conj(a) d + c b) and conj(a, b) = (conj(a), -b), from the field with the
+    trivial conjugation.  Basis index x is a bitmask over the steps (bit s
+    is the second half of step s + 1), labelled "1", "i1", "i12", and so on.
+    So conj(b_x) = sigma(x) b_x, with sigma(0) = 1 and sigma(x) = -1
+    otherwise, and b_x b_y = c_m(x, y) b_(x xor y) with c_0 = 1.  Writing
+    x = x' + h s and y = y' + h t with h = 2^(m-1), the pair rule gives
+
+        (a,0)(c,0) = (ac, 0)               c_m = c_(m-1)(x', y')
+        (a,0)(0,d) = (0, conj(a) d)        c_m = sigma(x') c_(m-1)(x', y')
+        (0,b)(c,0) = (0, c b)              c_m = c_(m-1)(y', x')
+        (0,b)(0,d) = (gamma d conj(b), 0)  c_m = gamma_m sigma(x') c_(m-1)(y', x')
+
     Returns the algebra and, when some gamma equals one, the split
     idempotent (1 + i_s) / 2 for the first such step s; otherwise None.
     """
     gammas = list(gammas)
     if not gammas:
         raise ValueError("at least one doubling step is required")
-    for g in gammas:
-        if not g:
-            raise ValueError("doubling parameter gamma must be nonzero")
-    tower = ground_involutive(field)
-    for g in gammas:
-        tower = cayley_dickson(tower, g)
+    if not all(gammas):
+        raise ValueError("doubling parameter gamma must be nonzero")
     steps = len(gammas)
     dim = 1 << steps
+    if dim > DIM_LIMIT:
+        raise ValueError(f"CD{steps} has dimension 2^{steps}, above the limit {DIM_LIMIT}")
 
-    def label(m):
-        if m == 0:
-            return "1"
-        return "i" + "".join(str(s + 1) for s in range(steps) if m & (1 << s))
+    def sigma(x, row):
+        return row if x == 0 else [field.neg(c) for c in row]
 
-    labels = [label(m) for m in range(dim)]
+    table = [[field.one]]   # table[x][y] = c_m(x, y), one doubling at a time
+    for g in gammas:
+        swapped = [list(col) for col in zip(*table)]
+        table = ([row + sigma(x, row) for x, row in enumerate(table)]
+                 + [col + sigma(x, [field.mul(g, c) for c in col])
+                    for x, col in enumerate(swapped)])
+    entries = [(x, y, x ^ y, c) for x, row in enumerate(table) for y, c in enumerate(row)]
+    labels = ["i" + "".join(str(s + 1) for s in range(steps) if x >> s & 1) if x else "1"
+              for x in range(dim)]
     gam_str = ",".join(field.fmt(g) for g in gammas)
     alg = Algebra(
         f"CD{steps}({field.label};{gam_str})", field, dim, labels,
-        tower.algebra.structure_entries(), unit=list(tower.algebra.unit.coords),
+        entries, unit=[field.one] + [field.zero] * (dim - 1),
         comment=f"Cayley-Dickson tower, gammas=({gam_str}); "
                 "(a,b)(c,d) = (ac + g d conj(b), conj(a) d + c b), "
                 "conj(a,b) = (conj(a), -b)")
@@ -205,10 +152,8 @@ def cayley_dickson_algebra(field, gammas) -> tuple[Algebra, Element | None]:
     idem = None
     for s, g in enumerate(gammas):
         if g == field.one:
-            half = field.inv(field.from_int(2))
             coords = [field.zero] * dim
-            coords[0] = half
-            coords[1 << s] = half
+            coords[0] = coords[1 << s] = field.inv(field.from_int(2))
             idem = alg.element(coords)
             break
     return alg, idem

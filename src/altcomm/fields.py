@@ -58,7 +58,6 @@ class RationalField:
     """
 
     kind = "rational"
-    characteristic = 0
     zero = Fraction(0)
     one = Fraction(1)
 
@@ -72,12 +71,6 @@ class RationalField:
         if not a:
             raise ZeroDivisionError("inverse of zero")
         return Fraction(1) / a
-
-    @staticmethod
-    def div(a: Fraction, b: Fraction) -> Fraction:
-        if not b:
-            raise ZeroDivisionError("division by zero")
-        return a / b
 
     @staticmethod
     def from_int(n: int) -> Fraction:
@@ -139,7 +132,6 @@ class PrimeField:
         if p in (2, 3):
             raise ValueError(f"characteristic {p} is not supported; it must differ from 2 and 3")
         self.p = p
-        self.characteristic = p
         self.zero = 0
         self.one = 1
         # Bound closures once; arithmetic runs in tight loops.
@@ -152,9 +144,6 @@ class PrimeField:
         if a % self.p == 0:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, self.p - 2, self.p)
-
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
 
     def from_int(self, n: int) -> int:
         return n % self.p

@@ -134,7 +134,9 @@ def test_json_round_trip(tmp_path, m2q, zornf5):
         assert loaded.basis_labels == algebra.basis_labels
         for i in range(algebra.dim):
             for j in range(algebra.dim):
-                assert loaded.basis_product(i, j) == algebra.basis_product(i, j)
+                assert (tuple(loaded.mul_coords(loaded.basis_coords(i), loaded.basis_coords(j)))
+                        == tuple(algebra.mul_coords(algebra.basis_coords(i),
+                                                    algebra.basis_coords(j))))
         unit = find_unit(algebra)
         assert find_unit(loaded) == loaded.element(list(unit.coords))
 

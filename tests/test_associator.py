@@ -70,9 +70,11 @@ def reference_nucleus(algebra):
     """All 3 n^3 associator rows stacked and reduced at once."""
     f = algebra.field
     n = algebra.dim
-    bp = algebra.basis_product
     bc = algebra.basis_coords
     mul = algebra.mul_coords
+
+    def bp(s, t):
+        return tuple(mul(bc(s), bc(t)))
 
     def assoc(s, t, u):
         left = mul(bp(s, t), bc(u))

@@ -408,3 +408,45 @@ def test_zero_denominators_and_non_object_maps_are_usage_errors(runner, workdir)
     assert_usage_error(invoke(runner, ["peirce", "m2q.json", "-e", "1/0,0,0,0"]))
     assert_usage_error(invoke(runner, ["gen", "cayley-dickson", "--steps", "1",
                                        "--gammas", "1/0"]))
+
+
+def test_hostile_sizes_are_refused_promptly(runner, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    n = 100000
+    with open("huge_dim.json", "w") as fh:
+        json.dump({"name": "huge", "field": {"kind": "rational"}, "dim": n,
+                   "basis": [f"b{i}" for i in range(n)], "structure": []}, fh)
+    for args in (["verify", "huge_dim.json"],
+                 ["gen", "matrix", "--n", str(n)],
+                 ["gen", "cayley-dickson", "--steps", "40"]):
+        start = time.perf_counter()
+        assert_usage_error(invoke(runner, args))
+        assert time.perf_counter() - start < 2, args
+
+
+def test_dimension_limit_is_inclusive(runner, tmp_path, monkeypatch):
+    from altcomm.algebra import DIM_LIMIT, Algebra
+
+    labels = [f"b{i}" for i in range(DIM_LIMIT + 1)]
+    assert Algebra("top", Q, DIM_LIMIT, labels[:-1], []).dim == DIM_LIMIT
+    with pytest.raises(ValueError, match="between 1 and"):
+        Algebra("over", Q, DIM_LIMIT + 1, labels, [])
+    monkeypatch.chdir(tmp_path)
+    assert invoke(runner, ["gen", "cayley-dickson", "--steps", "7"]).exit_code == 0
+    for args in (["gen", "cayley-dickson", "--steps", "8"], ["gen", "matrix", "--n", "12"]):
+        r = invoke(runner, args)
+        assert_usage_error(r)
+        assert f"above the limit {DIM_LIMIT}" in r.output
+
+
+@pytest.mark.parametrize("command", ["peirce", "hypothesis", "check-map", "decompose",
+                                     "lemmas", "oracle"])
+def test_help_describes_idempotent_and_map_options(runner, command):
+    r = invoke(runner, [command, "--help"])
+    assert r.exit_code == 0, r.output
+    text = " ".join(r.output.split())
+    params = {p.name for p in main.commands[command].params}
+    if "idem_token" in params:
+        assert "Idempotent: coords file, basis label, or inline scalars." in text
+    if "map_token" in params:
+        assert "Map file, or 'random' for a seeded commuting map." in text

@@ -5,13 +5,18 @@ from fractions import Fraction
 
 import pytest
 
-from altcomm import (PrimeField, RationalField, associator, cayley_dickson,
-                     cayley_dickson_algebra, commutator, find_unit, ground_involutive,
-                     is_alternative, is_associative, matrix_algebra, verify_idempotent,
-                     zorn)
+from altcomm import (PrimeField, RationalField, associator, cayley_dickson_algebra,
+                     commutator, find_unit, is_alternative, is_associative, matrix_algebra,
+                     scalar_algebra, verify_idempotent, zorn)
 
 Q = RationalField()
 F5 = PrimeField(5)
+F7 = PrimeField(7)
+
+
+def conjugate(field, coords):
+    """The Cayley-Dickson conjugation diag(1, -1, ..., -1)."""
+    return [coords[0]] + [field.neg(c) for c in coords[1:]]
 
 
 def test_matrix_algebra_sizes_and_idempotent():
@@ -128,19 +133,17 @@ def test_cayley_dickson_over_f5():
 
 
 def test_doubling_step_conjugation_is_an_involution():
-    base = ground_involutive(Q)
-    for _ in range(3):
-        base = cayley_dickson(base, Q.one)
-    algebra, conj = base.algebra, base.conjugation
+    algebra, _ = cayley_dickson_algebra(Q, [Q.one] * 3)
+
+    def conj(el):
+        return algebra.element(conjugate(Q, list(el.coords)))
+
     # conj(conj(x)) = x and conj(xy) = conj(y) conj(x) on a sample
     x = algebra.element([Fraction(k % 3 - 1) for k in range(8)])
     y = algebra.element([Fraction((2 * k) % 5 - 2) for k in range(8)])
-    cx = algebra.element(conj.matvec(list(x.coords)))
-    ccx = algebra.element(conj.matvec(list(cx.coords)))
-    assert ccx == x
-    cy = algebra.element(conj.matvec(list(y.coords)))
-    cxy = algebra.element(conj.matvec(list((x * y).coords)))
-    assert cxy == cy * cx
+    cx = conj(x)
+    assert conj(cx) == x
+    assert conj(x * y) == conj(y) * cx
     # norm form: x conj(x) is a multiple of the unit
     unit = find_unit(algebra)
     prod = x * cx
@@ -158,6 +161,45 @@ def test_zorn_over_f5_matches_rational_structure(zornf5, zornq):
     aq, _ = zornq
     for i in range(8):
         for j in range(8):
-            pq = aq.basis_product(i, j)
-            p5 = a5.basis_product(i, j)
+            pq = tuple(aq.mul_coords(aq.basis_coords(i), aq.basis_coords(j)))
+            p5 = tuple(a5.mul_coords(a5.basis_coords(i), a5.basis_coords(j)))
             assert [F5.from_int(int(c)) for c in pq] == list(p5), (i, j)
+
+
+def doubled_product(base, gamma, x, y):
+    """b_x b_y in the double of base, straight from the pair rule.
+
+    (a, b)(c, d) = (ac + gamma d conj(b), conj(a) d + c b); index x < h is
+    (b_x, 0) and index h + x is (0, b_x), with h = base.dim.
+    """
+    f, h = base.field, base.dim
+    mul = base.mul_coords
+    zero = [f.zero] * h
+
+    def pair(i):
+        e = list(base.basis_coords(i % h))
+        return (e, zero) if i < h else (zero, e)
+
+    def add(u, v):
+        return [f.add(s, t) for s, t in zip(u, v)]
+
+    (a, b), (c, d) = pair(x), pair(y)
+    first = add(mul(a, c), [f.mul(gamma, t) for t in mul(d, conjugate(f, b))])
+    second = add(mul(conjugate(f, a), d), mul(c, b))
+    return first + second
+
+
+@pytest.mark.parametrize("field", [Q, F5, F7], ids=str)
+def test_each_doubling_follows_the_pair_rule(field):
+    """Every basis product of CD(g1..gm) is the doubled product of CD(g1..g(m-1))."""
+    lists = [list(gs) for m in (1, 2, 3) for gs in itertools.product([1, -1, 2], repeat=m)]
+    lists += [[2, -1, 1, -1], [-1, 2, 1, 1, -1]]
+    for ints in lists:
+        gammas = [field.from_int(g) for g in ints]
+        algebra, _ = cayley_dickson_algebra(field, gammas)
+        base = (cayley_dickson_algebra(field, gammas[:-1])[0] if len(gammas) > 1
+                else scalar_algebra(field))
+        for x in range(algebra.dim):
+            for y in range(algebra.dim):
+                got = algebra.mul_coords(algebra.basis_coords(x), algebra.basis_coords(y))
+                assert got == doubled_product(base, gammas[-1], x, y), (ints, x, y)

@@ -9,12 +9,10 @@ from altcomm.fields import MODULUS_LIMIT, _is_prime
 
 def test_rational_basics():
     f = RationalField()
-    assert f.characteristic == 0
     assert f.one == Fraction(1) and f.zero == Fraction(0)
     assert f.add(Fraction(1, 2), Fraction(1, 3)) == Fraction(5, 6)
     assert f.mul(Fraction(2, 3), Fraction(3, 4)) == Fraction(1, 2)
     assert f.inv(Fraction(-7, 3)) == Fraction(-3, 7)
-    assert f.div(Fraction(1), Fraction(4)) == Fraction(1, 4)
 
 
 def test_rational_parse_and_fmt_round_trip():
@@ -32,7 +30,6 @@ def test_rational_zero_division():
 
 def test_prime_field_arithmetic():
     f = PrimeField(7)
-    assert f.characteristic == 7
     assert f.add(5, 4) == 2
     assert f.sub(2, 5) == 4
     assert f.mul(3, 5) == 1

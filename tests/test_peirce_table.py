@@ -81,7 +81,9 @@ def reference_hypothesis_check(algebra, e1):
     results = []
     for e in (e1, algebra.unit - e1):
         blocks = (Matrix.from_columns(
-            f, [algebra.mul_coords(algebra.basis_product(u, k), e.coords) for u in range(n)]).data
+            f, [algebra.mul_coords(tuple(algebra.mul_coords(algebra.basis_coords(u),
+                                                            algebra.basis_coords(k))),
+                                   e.coords) for u in range(n)]).data
             for k in range(n))
         kernel = common_kernel(f, n, blocks)
         results.append((False, Element(algebra, kernel[0])) if kernel else (True, None))
@@ -103,12 +105,13 @@ def reference_reduce(space, coords):
 
 
 def reference_mul(algebra, a, b):
-    """sum a_i b_j (b_i b_j) over every index pair, from the cached basis products."""
+    """sum a_i b_j (b_i b_j) over every index pair, from the basis products."""
     f = algebra.field
     out = [f.zero] * algebra.dim
     for i, j in product(range(algebra.dim), repeat=2):
         s = f.mul(a[i], b[j])
-        for k, c in enumerate(algebra.basis_product(i, j)):
+        for k, c in enumerate(tuple(algebra.mul_coords(algebra.basis_coords(i),
+                                                       algebra.basis_coords(j)))):
             out[k] = f.add(out[k], f.mul(s, c))
     return out
 
