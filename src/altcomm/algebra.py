@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 
 from .fields import field_from_dict
-from .linalg import Matrix, echelon_of_blocks
+from .linalg import Matrix, echelon_of_blocks, echelon_rows, reduce_against
 
 _UNSET = object()
 
@@ -393,15 +393,14 @@ class Element:
 class Subspace:
     """A subspace given by a linearly independent list of elements.
 
-    The reduced echelon form of the coordinate matrix is cached, with the
-    nonzero entries of each row off its pivot.  Echelon rows vanish at each
-    other's pivots, so reducing a vector subtracts, for each pivot it hits,
-    its own coordinate there times that row: membership (reduce_coords,
-    contains, contains_sparse) touches only those rows' nonzeros.  Subspace
-    equality compares canonical forms.
+    The reduced echelon form of the coordinate matrix is cached as the
+    sparse map {pivot column: {column: entry}} of echelon_of_blocks, its
+    only form: pivots are the map's keys, reduce returns the nonzero
+    remainder of a dense or sparse vector, touching only the rows at the
+    pivots it holds, and subspace equality compares the maps.
     """
 
-    __slots__ = ("algebra", "basis", "_echelon", "_tails")
+    __slots__ = ("algebra", "basis", "_echelon")
 
     def __init__(self, algebra: Algebra, basis, _echelon=None):
         self.algebra = algebra
@@ -412,19 +411,17 @@ class Subspace:
         if _echelon is None:
             _echelon = echelon_of_blocks(algebra.field, algebra.dim,
                                          [[el.coords for el in self.basis]])
-            if len(_echelon[1]) != len(self.basis):
+            if len(_echelon) != len(self.basis):
                 raise ValueError("subspace basis is linearly dependent")
         self._echelon = _echelon
-        # pivot column -> nonzero (column, entry) pairs of its row, pivot one left out
-        self._tails = {pc: [(j, x) for j, x in enumerate(row) if x and j != pc]
-                       for row, pc in zip(*_echelon)}
 
     @classmethod
     def from_spanning(cls, algebra: Algebra, elements) -> "Subspace":
         """The span of arbitrary elements, with a canonical echelon basis."""
-        rows, pivots = echelon_of_blocks(algebra.field, algebra.dim,
-                                         [[el.coords for el in elements]])
-        return cls(algebra, [Element(algebra, r) for r in rows], _echelon=(rows, pivots))
+        f, n = algebra.field, algebra.dim
+        echelon = echelon_of_blocks(f, n, [[el.coords for el in elements]])
+        return cls(algebra, [Element(algebra, r) for r in echelon_rows(f, n, echelon)],
+                   _echelon=echelon)
 
     @property
     def dim(self) -> int:
@@ -433,31 +430,11 @@ class Subspace:
     @property
     def pivots(self) -> list[int]:
         """The pivot columns of the echelon basis: coordinates every remainder leaves zero."""
-        return self._echelon[1]
+        return list(self._echelon)
 
-    def reduce_coords(self, coords) -> list:
-        """Remainder of a coordinate vector after reduction against the echelon basis."""
-        f = self.algebra.field
-        v = list(coords)
-        for pc, tail in self._tails.items():
-            a = v[pc]
-            if a:
-                v[pc] = f.zero
-                for j, x in tail:
-                    v[j] = f.sub(v[j], f.mul(a, x))
-        return v
-
-    def contains_sparse(self, vec: dict) -> bool:
-        """Membership of a sparse coordinate vector {k: c}; absent coordinates are zero."""
-        f = self.algebra.field
-        rest = dict(vec)
-        for pc, a in vec.items():
-            tail = self._tails.get(pc)
-            if tail is not None and a:
-                del rest[pc]
-                for j, x in tail:
-                    rest[j] = f.sub(rest.get(j, f.zero), f.mul(a, x))
-        return not any(rest.values())
+    def reduce(self, vec) -> dict:
+        """The nonzero remainder {k: c} of a dense or sparse ({k: c}) coordinate vector."""
+        return reduce_against(self.algebra.field, self._echelon, vec)
 
     def combine(self, alpha) -> Element:
         """The combination sum_c alpha_c basis_c, for one scalar per basis vector."""
@@ -473,14 +450,14 @@ class Subspace:
     def contains(self, el: Element) -> bool:
         if el.algebra is not self.algebra:
             raise ValueError("element from a different algebra")
-        return not any(self.reduce_coords(el.coords))
+        return not self.reduce(el.coords)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Subspace):
             return NotImplemented
         if self.algebra is not other.algebra:
             return False
-        return self._echelon[0] == other._echelon[0] and self._echelon[1] == other._echelon[1]
+        return self._echelon == other._echelon
 
     __hash__ = None
 

@@ -19,7 +19,7 @@ import click
 from .algebra import Algebra, direct_sum, find_unit, is_alternative, load_algebra, save_algebra
 from .commuting import (LinearMap, decompose, exhaustive_commuting_check,
                         is_anti_commuting, is_commuting, load_map, random_commuting_map)
-from .constructions import cayley_dickson_algebra, matrix_algebra, zorn
+from .constructions import cayley_dickson_algebra, cd_dimension, matrix_algebra, zorn
 from .errors import (BudgetExceededError, DecompositionError, HypothesisError,
                      NotCommutingError, PreconditionError)
 from .fields import PrimeField, RationalField
@@ -228,16 +228,17 @@ def gen_cd(steps, gammas, field_token, out, fmt, deterministic):
     field = parse_field(field_token)
     if steps < 1:
         raise click.UsageError("--steps must be at least 1")
-    if gammas is None:
-        gamma_list = [field.one] * steps
-    else:
-        try:
-            gamma_list = [field.parse(g) for g in gammas.split(",")]
-        except ValueError as exc:
-            raise click.UsageError(f"bad --gammas: {exc}")
-        if len(gamma_list) != steps:
-            raise click.UsageError("--gammas must list one value per step")
     try:
+        cd_dimension(steps)             # refused before a list of steps is built
+        if gammas is None:
+            gamma_list = [field.one] * steps
+        else:
+            try:
+                gamma_list = [field.parse(g) for g in gammas.split(",")]
+            except ValueError as exc:
+                raise click.UsageError(f"bad --gammas: {exc}")
+            if len(gamma_list) != steps:
+                raise click.UsageError("--gammas must list one value per step")
         algebra, idem = cayley_dickson_algebra(field, gamma_list)
     except ValueError as exc:
         raise click.UsageError(str(exc))

@@ -214,15 +214,15 @@ def decompose_oracle(algebra: Algebra, phi: LinearMap) -> Decomposition | None:
     Z = center(algebra)
     if not Z.basis:
         return None
-    pivots = set(Z.pivots)
+    zero, pivots = algebra.field.zero, set(Z.pivots)
     kept = [r for r in range(algebra.dim) if r not in pivots]
     rows, rhs = [], []
     for k in range(algebra.dim):
-        cols = [Z.reduce_coords(algebra.mul_coords(z.coords, algebra.basis_coords(k)))
+        cols = [Z.reduce(algebra.mul_coords(z.coords, algebra.basis_coords(k)))
                 for z in Z.basis]
-        rows.extend([col[r] for col in cols] for r in kept)   # remainder of z_c b_k, entry r
-        rem = Z.reduce_coords(phi.matrix.column(k))
-        rhs.extend(rem[r] for r in kept)
+        rows.extend([col.get(r, zero) for col in cols] for r in kept)   # remainder of z_c b_k
+        rem = Z.reduce(phi.matrix.column(k))
+        rhs.extend(rem.get(r, zero) for r in kept)
     alpha = Matrix(algebra.field, rows, cols=len(Z.basis)).solve(rhs)
     if alpha is None:
         return None

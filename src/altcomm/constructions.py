@@ -23,8 +23,9 @@ from .algebra import DIM_LIMIT, Algebra, Element
 def matrix_algebra(field, n: int) -> tuple[Algebra, Element]:
     """The n x n matrix algebra with matrix-unit basis, plus the idempotent E11.
 
-    Basis vector E_ij (labelled 1-based) is the matrix with a single one in
-    row i, column j; the product rule is E_ij E_kl = delta_jk E_il.
+    Basis vector E_ij (labelled 1-based, "E12"; "E1,11" from n = 11, where
+    plain digits would collide) is the matrix with a single one in row i,
+    column j; the product rule is E_ij E_kl = delta_jk E_il.
     """
     if n < 2:
         raise ValueError("matrix algebra needs n >= 2 to have a nontrivial idempotent")
@@ -35,7 +36,8 @@ def matrix_algebra(field, n: int) -> tuple[Algebra, Element]:
     def idx(i, j):
         return i * n + j
 
-    labels = [f"E{i + 1}{j + 1}" for i in range(n) for j in range(n)]
+    sep = "," if n > 10 else ""
+    labels = [f"E{i + 1}{sep}{j + 1}" for i in range(n) for j in range(n)]
     entries = []
     for i in range(n):
         for j in range(n):
@@ -100,6 +102,13 @@ def scalar_algebra(field) -> Algebra:
                    unit=[field.one])
 
 
+def cd_dimension(steps: int) -> int:
+    """2^steps, the dimension of CD with that many steps; above DIM_LIMIT refused unformed."""
+    if steps >= DIM_LIMIT.bit_length():
+        raise ValueError(f"CD{steps} has dimension 2^{steps}, above the limit {DIM_LIMIT}")
+    return 1 << steps
+
+
 def cayley_dickson_algebra(field, gammas) -> tuple[Algebra, Element | None]:
     """The Cayley-Dickson algebra over the field, one doubling per gamma.
 
@@ -125,9 +134,7 @@ def cayley_dickson_algebra(field, gammas) -> tuple[Algebra, Element | None]:
     if not all(gammas):
         raise ValueError("doubling parameter gamma must be nonzero")
     steps = len(gammas)
-    dim = 1 << steps
-    if dim > DIM_LIMIT:
-        raise ValueError(f"CD{steps} has dimension 2^{steps}, above the limit {DIM_LIMIT}")
+    dim = cd_dimension(steps)
 
     def sigma(x, row):
         return row if x == 0 else [field.neg(c) for c in row]

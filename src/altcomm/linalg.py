@@ -5,6 +5,12 @@ reduced row echelon form: it is unique for a row space, whatever order the
 rows arrive in, and exact scalars need no magnitude heuristics.  Echelon
 forms, ranks, kernels and particular solutions are therefore reproducible
 byte for byte across runs and platforms.
+
+An echelon has one form, the map {pivot column: {column: entry}}: each
+row lists its nonzero entries off the pivot, whose entry is an implicit
+one, and pivots ascend.  ``reduce_against`` is the one reduction against
+it, behind the elimination itself and every ``Subspace``; ``Matrix.rref``
+spells the map out as dense rows.
 """
 
 from __future__ import annotations
@@ -154,10 +160,10 @@ class Matrix:
 
     def rref(self) -> tuple["Matrix", list[int]]:
         """Reduced row echelon form, zero rows last, and the list of pivot columns."""
-        rows, pivots = echelon_of_blocks(self.field, self.cols, [self.data])
-        zero = self.field.zero
-        rows.extend([zero] * self.cols for _ in range(self.rows - len(rows)))
-        return Matrix(self.field, rows, cols=self.cols), pivots
+        echelon = echelon_of_blocks(self.field, self.cols, [self.data])
+        rows = echelon_rows(self.field, self.cols, echelon)
+        rows.extend([self.field.zero] * self.cols for _ in range(self.rows - len(rows)))
+        return Matrix(self.field, rows, cols=self.cols), list(echelon)
 
     def solve(self, rhs: list) -> list | None:
         """One exact solution of self @ x = rhs, or None if inconsistent.
@@ -179,68 +185,75 @@ class Matrix:
         return x
 
 
-def echelon_of_blocks(field, n: int, blocks) -> tuple[list[list], list[int]]:
-    """Nonzero rows and pivot columns of the reduced row echelon form of stacked blocks.
+def echelon_of_blocks(field, n: int, blocks) -> dict[int, dict]:
+    """The reduced row echelon form of stacked blocks of rows, as an echelon map.
 
-    Each block is an iterable of length-n rows.  Rows are folded in one at
-    a time, so the stack is never formed and the working echelon holds at
-    most n sparse rows; the remaining blocks are not read once the rank
-    reaches n.  The reduced echelon form of a row space is unique, so the
-    result equals the nonzero rows of ``Matrix.stack(...).rref()``.
+    A row is a length-n sequence or a {column: entry} map; explicit zeros
+    are dropped.  Rows are folded in one at a time, each reduced against
+    the rows at the pivots it holds, so the stack is never formed; the
+    lead is the smallest nonzero column, and the remaining blocks are not
+    read once the rank reaches n.  The reduced echelon form of a row space
+    is unique, so the result does not depend on the order of the rows.
     """
     f = field
-    echelon = {}    # pivot column -> {column: entry}, pivot entry one
+    echelon = {}
     for row in chain.from_iterable(blocks):
-        if not any(row):
+        v = reduce_against(f, echelon, row)
+        if not v:
             continue
-        v = list(row)
-        for pc, terms in echelon.items():
-            a = v[pc]
-            if a:
-                for j, x in terms.items():
-                    v[j] = f.sub(v[j], f.mul(a, x))
-        lead = next((j for j, x in enumerate(v) if x), None)
-        if lead is None:
-            continue
-        inv = f.inv(v[lead])
-        new = {j: f.mul(inv, x) for j, x in enumerate(v) if x}
-        for terms in echelon.values():
-            a = terms.get(lead)
-            if a:
-                for j, x in new.items():
-                    y = f.sub(terms.get(j, f.zero), f.mul(a, x))
-                    if y:
-                        terms[j] = y
-                    else:
-                        del terms[j]
+        lead = min(v)
+        inv = f.inv(v.pop(lead))
+        new = {j: f.mul(inv, x) for j, x in v.items()}
+        for pc, terms in echelon.items():       # clear column lead from the older rows
+            if lead in terms:
+                echelon[pc] = reduce_against(f, {lead: new}, terms)
         echelon[lead] = new
         if len(echelon) == n:
             break
-    pivots = sorted(echelon)
-    return [[echelon[pc].get(j, f.zero) for j in range(n)] for pc in pivots], pivots
+    return dict(sorted(echelon.items()))
+
+
+def reduce_against(field, echelon: dict, vec) -> dict:
+    """The nonzero remainder {column: entry} of a dense or sparse vector modulo an echelon.
+
+    Echelon rows vanish at each other's pivots, so each pivot column the
+    vector holds is cleared once, by subtracting its entry there times
+    that row's off-pivot entries; the pivot's implicit one is never used.
+    """
+    f = field
+    v = {j: x for j, x in (vec.items() if isinstance(vec, dict) else enumerate(vec)) if x}
+    for pc in echelon.keys() & v.keys():
+        a = v.pop(pc)
+        for j, x in echelon[pc].items():
+            y = f.sub(v[j], f.mul(a, x)) if j in v else f.neg(f.mul(a, x))
+            if y:
+                v[j] = y
+            else:
+                del v[j]
+    return v
+
+
+def echelon_rows(field, n: int, echelon: dict) -> list[list]:
+    """The echelon's rows as dense length-n lists, pivot entries one, in pivot order."""
+    z, o = field.zero, field.one
+    return [[o if j == pc else terms.get(j, z) for j in range(n)]
+            for pc, terms in echelon.items()]
 
 
 def common_kernel(field, n: int, blocks) -> list[list]:
-    """Common kernel of stacked blocks of length-n rows, read off by ``kernel_from_rref``."""
-    rows, pivots = echelon_of_blocks(field, n, blocks)
-    return kernel_from_rref(field, Matrix(field, rows, cols=n), pivots)
+    """Common kernel of stacked blocks of rows, read off echelon_of_blocks.
 
-
-def kernel_from_rref(field, reduced: Matrix, pivots: list[int]) -> list[list]:
-    """Kernel basis read off an already reduced matrix, one vector per free column.
-
-    Free columns are taken in ascending order; each basis vector has a one
-    in its free position, so the result is deterministic.
+    One vector per free column c, ascending: a one at c and, at each
+    pivot, minus that echelon row's entry in column c.
     """
-    pivot_set = set(pivots)
-    free = [c for c in range(reduced.cols) if c not in pivot_set]
+    echelon = echelon_of_blocks(field, n, blocks)
     basis = []
-    for fc in free:
-        v = [field.zero] * reduced.cols
-        v[fc] = field.one
-        for r, pc in enumerate(pivots):
-            coeff = reduced.data[r][fc]
-            if coeff:
-                v[pc] = field.neg(coeff)
-        basis.append(v)
+    for fc in range(n):
+        if fc not in echelon:
+            v = [field.zero] * n
+            v[fc] = field.one
+            for pc, terms in echelon.items():
+                if fc in terms:
+                    v[pc] = field.neg(terms[fc])
+            basis.append(v)
     return basis

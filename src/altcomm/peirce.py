@@ -154,7 +154,7 @@ def check_peirce_relations(pd: PeirceData) -> list[dict]:
         """The entry for name, failing at the first basis product x y of a, b outside target."""
         for x, xs in zip(comp[a].basis, nonzero[a]):
             for y, ys in zip(comp[b].basis, nonzero[b]):
-                if not target.contains_sparse(prod((xs, ys))):
+                if target.reduce(prod((xs, ys))):
                     return {"check": name, "pass": False, "witness": {
                         "x": x.to_strings(), "y": y.to_strings(),
                         "product": (x * y).to_strings()}}
@@ -213,8 +213,8 @@ def _commutant(algebra: Algebra, span, against):
     commutator tensor.  The span is indexed by coordinate, so each nonzero
     coordinate v of t meets only the tensor entries (u, v) with u in the
     support of some span_s, and a coefficient one is never multiplied.
-    Only rows that some entry reaches are formed and no Element is built;
-    the kernel vectors are coefficients over span.
+    Only rows that some entry reaches are formed, as {s: entry} maps; no
+    Element is built, and the kernel vectors are coefficients over span.
     """
     f, m, one = algebra.field, len(span), algebra.field.one
     at = {}                         # coordinate u -> [(s, coordinate u of span_s)]
@@ -228,7 +228,7 @@ def _commutant(algebra: Algebra, span, against):
             meets.setdefault(v, []).append((at[u], list(vec.items())))
     blocks = []
     for t in against:
-        rows = defaultdict(lambda: [f.zero] * m)
+        rows = defaultdict(dict)
         for v, y in enumerate(t.coords):
             if not y:
                 continue
@@ -240,7 +240,7 @@ def _commutant(algebra: Algebra, span, against):
                         if not (x_one and y_one):
                             c = f.mul(xy, c)
                         row = rows[k]
-                        row[s] = f.add(row[s], c) if row[s] else c
+                        row[s] = f.add(row[s], c) if s in row else c
         blocks.append(rows.values())
     return common_kernel(f, m, blocks)
 
@@ -255,19 +255,18 @@ def nucleus(algebra: Algebra) -> Subspace:
     By trilinearity this is the common kernel of r -> A(s, t, r),
     A(s, r, t) and A(r, s, t) over all basis pairs (s, t), with A the
     cached associator tensor.  Only rows that hold a nonzero associator
-    coordinate are formed, so an associative algebra costs one empty scan.
+    coordinate are formed, as {column: entry} maps, so an associative
+    algebra costs one empty scan.
     """
     if algebra._nucleus is None:
-        f = algebra.field
-        n = algebra.dim
         # Row (s, t, k) of each family: coordinate k as r runs over the basis.
         families = ({}, {}, {})
         for (a, b, c), vec in algebra.associator_tensor().items():
             for k, val in vec.items():
-                families[0].setdefault((a, b, k), [f.zero] * n)[c] = val   # (b_s, b_t, r)
-                families[1].setdefault((a, c, k), [f.zero] * n)[b] = val   # (b_s, r, b_t)
-                families[2].setdefault((b, c, k), [f.zero] * n)[a] = val   # (r, b_s, b_t)
-        kernel = common_kernel(f, n, (rows.values() for rows in families))
+                families[0].setdefault((a, b, k), {})[c] = val   # (b_s, b_t, r)
+                families[1].setdefault((a, c, k), {})[b] = val   # (b_s, r, b_t)
+                families[2].setdefault((b, c, k), {})[a] = val   # (r, b_s, b_t)
+        kernel = common_kernel(algebra.field, algebra.dim, (rows.values() for rows in families))
         algebra._nucleus = Subspace(algebra, [Element(algebra, v) for v in kernel])
     return algebra._nucleus
 
@@ -329,14 +328,15 @@ def _regularity_block(algebra: Algebra, images, k: int):
 
     images[m] holds the nonzero coordinates of b_m e, and (b_u b_k) e =
     sum_m C[u, k, m] (b_m e) is summed over the table's products b_u b_k;
-    only rows that some product reaches are formed.
+    only rows that some product reaches are formed, as {u: entry} maps.
     """
-    f, n = algebra.field, algebra.dim
-    rows = defaultdict(lambda: [f.zero] * n)
+    f = algebra.field
+    rows = defaultdict(dict)
     for u, terms in algebra._cols[k].items():
         for m, c in terms:
             for l, r in images[m]:
-                rows[l][u] = f.add(rows[l][u], f.mul(c, r))
+                row = rows[l]
+                row[u] = f.add(row[u], f.mul(c, r)) if u in row else f.mul(c, r)
     return rows.values()
 
 

@@ -4,8 +4,9 @@
 associator tensor, and every kernel goes through ``echelon_of_blocks``.
 The references below are the direct forms: associators of basis Elements
 scanned in order, the stacked nucleus system, and dense Gauss-Jordan
-elimination.  Verdicts, witness triples and nucleus subspaces must agree
-exactly, since scan order and reduced echelon forms are both canonical.
+elimination with its kernel read off the dense rows.  Verdicts, witness
+triples and nucleus subspaces must agree exactly, since scan order and
+reduced echelon forms are both canonical.
 """
 
 import random
@@ -19,7 +20,7 @@ from altcomm import (Algebra, PrimeField, RationalField, Subspace, associator,
                      cayley_dickson_algebra, direct_sum, is_alternative, is_associative,
                      matrix_algebra, nucleus, scalar_algebra, zorn)
 from altcomm.algebra import Element
-from altcomm.linalg import Matrix, common_kernel, echelon_of_blocks, kernel_from_rref
+from altcomm.linalg import Matrix, common_kernel, echelon_of_blocks
 
 Q = RationalField()
 F5 = PrimeField(5)
@@ -96,7 +97,7 @@ def reference_nucleus(algebra):
                     b3[k][u] = val           # (r, b_s, b_t)
             rows.extend(b1 + b2 + b3)
     reduced, pivots = dense_rref(f, rows, n)
-    kernel = kernel_from_rref(f, Matrix(f, reduced, cols=n), pivots)
+    kernel = dense_kernel(f, reduced, pivots, n)
     return Subspace(algebra, [Element(algebra, v) for v in kernel])
 
 
@@ -122,6 +123,38 @@ def dense_rref(f, data, n_cols):
         if r == n_rows:
             break
     return m, pivots
+
+
+def dense_kernel(f, reduced, pivots, n_cols):
+    """Kernel basis read off dense reduced rows: per free column, ascending, a one there."""
+    basis = []
+    for fc in range(n_cols):
+        if fc in pivots:
+            continue
+        v = [f.zero] * n_cols
+        v[fc] = f.one
+        for row, pc in zip(reduced, pivots):
+            if row[fc]:
+                v[pc] = f.neg(row[fc])
+        basis.append(v)
+    return basis
+
+
+def spelled_out(f, n_cols, echelon):
+    """An echelon map as (dense rows, pivots), after checking its shape.
+
+    Pivots ascend, and each row stores only nonzero entries off its pivot.
+    """
+    assert list(echelon) == sorted(echelon)
+    rows = []
+    for pc, terms in echelon.items():
+        assert pc not in terms and all(terms.values())
+        row = [f.zero] * n_cols
+        row[pc] = f.one
+        for j, x in terms.items():
+            row[j] = x
+        rows.append(row)
+    return rows, list(echelon)
 
 
 def assert_agrees(algebra):
@@ -213,16 +246,20 @@ def random_blocks(rng, field, n, count):
 
 def test_common_kernel_matches_the_stacked_kernel():
     rng = random.Random(5)
+    zeros = random.Random(6)        # explicit zeros in the sparse form
     for _ in range(150):
         field = rng.choice([Q, F5, F7])
         n = rng.randint(1, 6)
         blocks = random_blocks(rng, field, n, rng.randint(0, 4))
+        sparse = [[{j: x for j, x in enumerate(row) if x or zeros.random() < 0.3}
+                   for row in block] for block in blocks]
         stacked = [row for block in blocks for row in block]
         reduced, pivots = dense_rref(field, stacked, n)
         rows = reduced[: len(pivots)]
-        assert echelon_of_blocks(field, n, blocks) == (rows, pivots)
-        expected = kernel_from_rref(field, Matrix(field, rows, cols=n), pivots)
-        assert common_kernel(field, n, blocks) == expected
+        expected = dense_kernel(field, rows, pivots, n)
+        for form in (blocks, sparse):
+            assert spelled_out(field, n, echelon_of_blocks(field, n, form)) == (rows, pivots)
+            assert common_kernel(field, n, form) == expected
         stack = Matrix.stack(field, blocks, cols=n)
         assert common_kernel(field, n, blocks) == common_kernel(field, n, [stack.data])
         full, full_pivots = Matrix(field, stacked, cols=n).rref()

@@ -418,7 +418,8 @@ def test_hostile_sizes_are_refused_promptly(runner, tmp_path, monkeypatch):
                    "basis": [f"b{i}" for i in range(n)], "structure": []}, fh)
     for args in (["verify", "huge_dim.json"],
                  ["gen", "matrix", "--n", str(n)],
-                 ["gen", "cayley-dickson", "--steps", "40"]):
+                 ["gen", "cayley-dickson", "--steps", "40"],
+                 ["gen", "cayley-dickson", "--steps", "10000000"]):
         start = time.perf_counter()
         assert_usage_error(invoke(runner, args))
         assert time.perf_counter() - start < 2, args
@@ -433,6 +434,10 @@ def test_dimension_limit_is_inclusive(runner, tmp_path, monkeypatch):
         Algebra("over", Q, DIM_LIMIT + 1, labels, [])
     monkeypatch.chdir(tmp_path)
     assert invoke(runner, ["gen", "cayley-dickson", "--steps", "7"]).exit_code == 0
+    r = invoke(runner, ["gen", "matrix", "--n", "11", "--out", "m11.json"])
+    assert r.exit_code == 0, r.output
+    labels = json.loads((tmp_path / "m11.json").read_text())["basis"]
+    assert len(labels) == len(set(labels)) == 121 and labels[10] == "E1,11"
     for args in (["gen", "cayley-dickson", "--steps", "8"], ["gen", "matrix", "--n", "12"]):
         r = invoke(runner, args)
         assert_usage_error(r)

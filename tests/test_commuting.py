@@ -348,12 +348,16 @@ def reference_decompose_oracle(algebra, phi):
     Z = center(algebra)
     if not Z.basis:
         return None
+
+    def dense(rem):
+        return [rem.get(r, algebra.field.zero) for r in range(algebra.dim)]
+
     rows, rhs = [], []
     for k in range(algebra.dim):
-        cols = [Z.reduce_coords(algebra.mul_coords(z.coords, algebra.basis_coords(k)))
+        cols = [dense(Z.reduce(algebra.mul_coords(z.coords, algebra.basis_coords(k))))
                 for z in Z.basis]
         rows.extend(zip(*cols))
-        rhs.extend(Z.reduce_coords(phi.matrix.column(k)))
+        rhs.extend(dense(Z.reduce(phi.matrix.column(k))))
     alpha = Matrix(algebra.field, rows, cols=len(Z.basis)).solve(rhs)
     if alpha is None:
         return None

@@ -7,7 +7,9 @@ from fractions import Fraction
 import pytest
 
 from altcomm import PrimeField, RationalField
-from altcomm.linalg import Matrix, common_kernel, echelon_of_blocks, kernel_from_rref
+from altcomm.linalg import Matrix, common_kernel, echelon_of_blocks
+
+from test_associator import dense_kernel, dense_rref
 
 Q = RationalField()
 F5 = PrimeField(5)
@@ -58,7 +60,8 @@ def test_rank_nullity():
         rows, cols = rng.randint(1, 5), rng.randint(1, 5)
         m = Matrix(Q, [[Fraction(rng.randint(-3, 3)) for _ in range(cols)]
                        for _ in range(rows)], cols=cols)
-        rank = len(echelon_of_blocks(Q, cols, [m.data])[1])
+        rank = len(dense_rref(Q, m.data, cols)[1])
+        assert rank == len(echelon_of_blocks(Q, cols, [m.data]))
         assert rank + len(common_kernel(Q, cols, [m.data])) == cols
 
 
@@ -109,10 +112,11 @@ def test_stack_and_from_columns():
     assert c.data == [[Fraction(1), Fraction(3)], [Fraction(2), Fraction(4)]]
 
 
-def test_kernel_from_rref_matches_kernel_basis():
+def test_common_kernel_matches_the_dense_kernel_reader():
     m = Matrix(F5, [[1, 2, 3], [2, 4, 1]], cols=3)
-    reduced, pivots = m.rref()
-    assert kernel_from_rref(F5, reduced, pivots) == common_kernel(F5, 3, [m.data])
+    reduced, pivots = dense_rref(F5, m.data, 3)
+    assert dense_kernel(F5, reduced, pivots, 3) == common_kernel(F5, 3, [m.data]) \
+        == [[3, 1, 0], [2, 0, 1]]
 
 
 def test_dimension_mismatch_raises():

@@ -91,11 +91,13 @@ def reference_hypothesis_check(algebra, e1):
 
 
 def reference_reduce(space, coords):
-    """Reduction against every echelon row in turn, over every column."""
+    """Reduction against every echelon row in turn, over every column.
+
+    The basis of a Subspace.from_spanning is its echelon rows, in pivot order.
+    """
     f = space.algebra.field
     v = list(coords)
-    rows, pivots = space._echelon
-    for row, pc in zip(rows, pivots):
+    for row, pc in zip((el.coords for el in space.basis), space.pivots):
         factor = v[pc]
         if factor:
             for j in range(len(v)):
@@ -366,12 +368,12 @@ def test_sparse_membership_matches_the_reduction(field):
         members = [space.combine([scalar(rng, field) for _ in space.basis]) for _ in range(3)]
         others = [Element(algebra, [scalar(rng, field) for _ in range(n)]) for _ in range(3)]
         for el in members + others:
-            rem = space.reduce_coords(el.coords)
-            assert rem == reference_reduce(space, el.coords)
+            want = {k: c for k, c in enumerate(reference_reduce(space, el.coords)) if c}
             sparse = {k: c for k, c in enumerate(el.coords) if c}
-            assert space.contains_sparse(sparse) == (not any(rem)) == space.contains(el)
+            assert space.reduce(el.coords) == space.reduce(sparse) == want
+            assert space.contains(el) == (not want)
         for el in members:
-            assert space.contains_sparse({k: c for k, c in enumerate(el.coords) if c})
+            assert not space.reduce({k: c for k, c in enumerate(el.coords) if c})
 
 
 def test_matmul_matches_the_dense_triple_loop():
