@@ -121,10 +121,11 @@ def _first_failing_pair(algebra: Algebra, phi: LinearMap, pairs, second_key):
     The sum is [phi(b_i), b_j] plus the bracket of phi(b_j) with b_i that
     second_key picks: (s, i) gives [phi(b_j), b_i] and (i, s) gives
     [b_i, phi(b_j)].  Both are read off the commutator tensor over the
-    nonzero coordinates s of each image, found once; no Element is formed.
+    nonzero coordinates s of each image phi(b_i), which is column i of
+    phi's matrix; no Element is formed.
     Returns (True, None) or (False, (b_i, b_j)).
     """
-    images = [[(s, v) for s, v in enumerate(phi(algebra.basis_element(i)).coords) if v]
+    images = [[(s, v) for s, v in enumerate(phi.matrix.column(i)) if v]
               for i in range(algebra.dim)]
     for i, j in pairs:
         terms = [(v, (s, j)) for s, v in images[i]] + [(v, second_key(s, i)) for s, v in images[j]]
@@ -143,10 +144,11 @@ def check_decomposition(algebra: Algebra, phi: LinearMap, z: Element,
 def _range_failure(algebra: Algebra, z: Element, xi: LinearMap):
     """The first failed range check of z and xi as (message, witness), or None.
 
-    In order: the first non-central residual xi(b_k), then a non-central z.
+    In order: the first non-central residual xi(b_k), column k of xi's
+    matrix, then a non-central z.
     """
     for k in range(algebra.dim):
-        xk = xi(algebra.basis_element(k))
+        xk = Element(algebra, xi.matrix.column(k))
         if not is_central(algebra, xk):
             return "the residual map is not center-valued", xk
     if not is_central(algebra, z):

@@ -1,10 +1,12 @@
 """Exact scalar fields: the rationals and prime residue fields.
 
-Scalars are plain Python values, `fractions.Fraction` for the rationals and
-canonical residues (ints in [0, p)) for a prime field, so every scalar is
-exact, hashable and comparable with ==.  A field object supplies the
-arithmetic; generic code keeps a field reference and never inspects the
-representation.  No floating point appears anywhere.
+Scalars are plain Python values: a rational is an int when it is integral
+and a `fractions.Fraction` otherwise, and a prime field's scalars are
+canonical residues (ints in [0, p)).  So every scalar is exact, hashable and
+comparable with ==; an int and a Fraction of the same value are equal, hash
+alike and print alike.  A field object supplies the arithmetic; generic
+code keeps a field reference and never inspects the representation.  No
+floating point appears anywhere.
 
 Characteristics 2 and 3 are rejected at construction: the algebraic
 machinery built on top divides by 2 in its linearization arguments and by
@@ -50,16 +52,25 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-class RationalField:
-    """The rational numbers; scalars are `Fraction` values.
+def _integral(r: Fraction) -> int | Fraction:
+    """r as an int when it is integral, else r itself."""
+    return r.numerator if r.denominator == 1 else r
 
-    Fractions normalize themselves to lowest terms with positive
-    denominator, which keeps equality and string round-trips canonical.
+
+class RationalField:
+    """The rational numbers; scalars are ints where integral, else `Fraction`.
+
+    Every builtin over Q has integral structure constants, so most scalars
+    stay ints and their arithmetic is native.  The builtin operators mix the
+    two types exactly: a sum or product may be an integral Fraction, which
+    equals, hashes and prints like the int.  Fractions normalize themselves
+    to lowest terms with positive denominator, which keeps equality and
+    string round-trips canonical.
     """
 
     kind = "rational"
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
     add = staticmethod(operator.add)
     sub = staticmethod(operator.sub)
@@ -67,17 +78,17 @@ class RationalField:
     neg = staticmethod(operator.neg)
 
     @staticmethod
-    def inv(a: Fraction) -> Fraction:
+    def inv(a: int | Fraction) -> int | Fraction:
         if not a:
             raise ZeroDivisionError("inverse of zero")
-        return Fraction(1) / a
+        return _integral(Fraction(1) / a)
 
     @staticmethod
-    def from_int(n: int) -> Fraction:
-        return Fraction(n)
+    def from_int(n: int) -> int:
+        return n
 
     @staticmethod
-    def parse(text: str) -> Fraction:
+    def parse(text: str) -> int | Fraction:
         """A rational from text such as "-3", "2/7", "1.5" or "1e-3".
 
         Refuses text whose value written out in plain digits would need
@@ -94,12 +105,12 @@ class RationalField:
         if size > SCALAR_DIGIT_LIMIT:
             raise ValueError(f"scalar {text[:40]!r} has more than {SCALAR_DIGIT_LIMIT} digits")
         try:
-            return Fraction(text)
+            return _integral(Fraction(text))
         except ZeroDivisionError:
             raise ValueError(f"scalar {text[:40]!r} has a zero denominator") from None
 
     @staticmethod
-    def fmt(a: Fraction) -> str:
+    def fmt(a: int | Fraction) -> str:
         return str(a)
 
     @property

@@ -11,6 +11,7 @@ are both canonical.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -81,7 +82,7 @@ def reference_combine(algebra, alpha, basis):
 
 def scalar(rng, field):
     v = rng.choice([0, 0, 0, 1, 2, -1, -3])
-    return field.from_int(v) / rng.choice([1, 2]) if field is Q else field.from_int(v)
+    return Fraction(v, rng.choice([1, 2])) if field is Q else field.from_int(v)
 
 
 def random_map(algebra, rng):

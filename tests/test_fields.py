@@ -1,10 +1,18 @@
+import json
 import time
 from fractions import Fraction
 
 import pytest
 
-from altcomm import PrimeField, RationalField, field_from_dict
+from altcomm import (Algebra, LinearMap, Matrix, PrimeField, RationalField,
+                     cayley_dickson_algebra, center, check_peirce_relations, decompose,
+                     field_from_dict, matrix_algebra, nucleus, peirce_decompose,
+                     random_commuting_map, run_all, zorn)
+from altcomm.algebra import Element
 from altcomm.fields import MODULUS_LIMIT, _is_prime
+from altcomm.linalg import echelon_of_blocks
+
+Q = RationalField()
 
 
 def test_rational_basics():
@@ -126,3 +134,82 @@ def test_rational_parse_refuses_unbounded_scalar_text():
     for text in ("", "abc", "1e", "1/0.5"):
         with pytest.raises(ValueError):
             f.parse(text)
+
+
+# ----------------------------------------------------------------------
+# integral rationals are ints, the rest Fractions
+
+
+def test_integral_rationals_are_ints():
+    f = RationalField()
+    for value in (f.zero, f.one, f.from_int(3), f.parse("4/2"), f.parse("1e3"),
+                  f.inv(Fraction(-1))):
+        assert type(value) is int
+    assert f.parse("4/2") == 2 and f.inv(Fraction(-1)) == -1
+    assert f.inv(2) == Fraction(1, 2) and type(f.inv(2)) is Fraction
+    assert type(f.parse("-3/6")) is Fraction
+
+
+def test_parse_refusals_survive_the_int_representation():
+    from altcomm.fields import SCALAR_DIGIT_LIMIT
+
+    f = RationalField()
+    for text in ("1e200000", "1" * (SCALAR_DIGIT_LIMIT + 1), "1/0", "-4/0"):
+        with pytest.raises(ValueError):
+            f.parse(text)
+
+
+def _scalars(value):
+    """Every leaf scalar of nested lists, tuples and dicts of scalars."""
+    if isinstance(value, (list, tuple)):
+        return [x for v in value for x in _scalars(v)]
+    if isinstance(value, dict):
+        return [x for v in value.values() for x in _scalars(v)]
+    return [value]
+
+
+def test_no_rational_result_is_a_float():
+    x = Matrix(Q, [[2, 1], [1, 3]], cols=2).solve([1, 2])
+    assert x == [Fraction(1, 5), Fraction(3, 5)]
+    echelon = echelon_of_blocks(Q, 3, [[[2, 4, 1], [3, 1, 0]]])
+    algebra, e = cayley_dickson_algebra(Q, [Q.one] * 4)
+    dec = decompose(peirce_decompose(algebra, e), random_commuting_map(algebra, 4))
+    half = LinearMap(algebra, Matrix(Q, [[Fraction(1, 2) if i == j else 0 for j in range(16)]
+                                         for i in range(16)], cols=16))
+    dec_half = decompose(peirce_decompose(algebra, e), half)
+    scalars = _scalars([x, echelon])
+    for d in (dec, dec_half):
+        scalars += _scalars([d.z.coords, d.z1.coords, d.z2.coords, d.xi.matrix.data])
+    assert any(type(c) is Fraction for c in scalars)
+    assert all(isinstance(c, (int, Fraction)) for c in scalars)
+
+
+def _fraction_built(algebra, e):
+    """The same algebra and idempotent with every scalar a Fraction."""
+    built = Algebra(algebra.name, Q, algebra.dim, algebra.basis_labels,
+                    [(i, j, k, Fraction(c)) for i, j, k, c in algebra.structure_entries()],
+                    unit=[Fraction(c) for c in algebra.unit.coords])
+    assert all(type(c) is Fraction for *_, c in built.structure_entries())
+    return built, Element(built, [Fraction(c) for c in e.coords])
+
+
+def _report(algebra, e):
+    """The formatted structure, Peirce split, decomposition and lemmas at e."""
+    pd = peirce_decompose(algebra, e)
+    phi = random_commuting_map(algebra, 4)
+    return {
+        "center": [el.to_strings() for el in center(algebra).basis],
+        "nucleus": [el.to_strings() for el in nucleus(algebra).basis],
+        "dims": pd.dims(),
+        "relations": check_peirce_relations(pd),
+        "decompose": decompose(pd, phi).to_dict(),
+        "lemmas": [report.to_dict() for report in run_all(pd, phi)],
+    }
+
+
+@pytest.mark.parametrize("build", [lambda: matrix_algebra(Q, 3), lambda: zorn(Q),
+                                   lambda: cayley_dickson_algebra(Q, [Q.one] * 4)],
+                         ids=["M3Q", "ZornQ", "CD4Q"])
+def test_results_do_not_depend_on_the_scalar_type(build):
+    algebra, e = build()
+    assert json.dumps(_report(*_fraction_built(algebra, e))) == json.dumps(_report(algebra, e))

@@ -5,9 +5,10 @@ byte, and its exit code, with the files under ``tests/golden/``.  The
 algebras are written by the ``gen`` commands into a temporary directory:
 M2(Q), M2(F5), Zorn(F5), the sedenions CD4(Q) and M2(Q) + M2(Q), each with
 its canonical idempotent.  Next to them go ``transpose.json``, the
-transpose map of M2(Q), which does not commute with its argument, and
-``mixed.json``, a unital algebra whose bracketings e (x e') and (e x) e'
-disagree at its idempotent e, so that the split is refused.
+transpose map of M2(Q), which does not commute with its argument,
+``half.json``, one half times the identity of M2(Q), and ``mixed.json``, a
+unital algebra whose bracketings e (x e') and (e x) e' disagree at its
+idempotent e, so that the split is refused.
 
 A change that alters output on purpose regenerates the files with
 
@@ -35,9 +36,10 @@ GEN = [
     ["gen", "direct-sum", "--left", "m2q.json", "--right", "m2q.json", "--out", "mm.json"],
 ]
 ALGEBRAS = ["m2q", "zornf5", "cd4q", "mm"]
-MAP_ALGEBRAS = ["m2q", "zornf5", "mm"]
+MAP_ALGEBRAS = ["m2q", "zornf5", "cd4q", "mm"]
 TRANSPOSE = {"dim": 4, "matrix": [["1", "0", "0", "0"], ["0", "0", "1", "0"],
                                   ["0", "1", "0", "0"], ["0", "0", "0", "1"]]}
+HALF = {"dim": 4, "matrix": [["1/2" if i == j else "0" for j in range(4)] for i in range(4)]}
 MIXED = {"name": "mixedviol", "field": {"kind": "rational"}, "dim": 3,
          "basis": ["u", "e", "x"], "unit": ["1", "0", "0"],
          "structure": [[0, 0, 0, "1"], [0, 1, 1, "1"], [0, 2, 2, "1"], [1, 0, 1, "1"],
@@ -67,6 +69,8 @@ def _cases():
     for command in ("decompose", "lemmas"):
         cases[f"{command}_m2q_transpose"] = [command, "m2q.json", "-e", "m2q.idem.json",
                                              "--map", "transpose.json"]
+    cases["decompose_m2q_half"] = ["decompose", "m2q.json", "-e", "m2q.idem.json",
+                                   "--map", "half.json"]
     cases["peirce_mixed"] = ["peirce", "mixed.json", "-e", "e"]
     for command in ("decompose", "lemmas"):
         cases[f"{command}_mixed"] = [command, "mixed.json", "-e", "e",
@@ -81,7 +85,8 @@ def _generate(runner):
     for args in GEN:
         r = runner.invoke(main, args + COMMON)
         assert r.exit_code == 0, r.output
-    for path, doc in (("transpose.json", TRANSPOSE), ("mixed.json", MIXED)):
+    for path, doc in (("transpose.json", TRANSPOSE), ("half.json", HALF),
+                      ("mixed.json", MIXED)):
         with open(path, "w") as fh:
             json.dump(doc, fh)
 
