@@ -13,12 +13,13 @@ from __future__ import annotations
 import json
 
 from .fields import field_from_dict
-from .linalg import Matrix, echelon_of_blocks, echelon_rows, reduce_against
+from .linalg import (Matrix, echelon_of_blocks, echelon_rows, express, reduce_against,
+                     tagged_echelon)
 
 _UNSET = object()
 
 # Largest dimension accepted (the benchmark's largest algebra, M8, has 64).
-# Solving for a unit alone stacks 2 dim^3 entries: about 190 MB at dim 128.
+# At dim 128 solving for the unit of CD7(Q) peaks near 5 MB (tracemalloc).
 DIM_LIMIT = 128
 
 
@@ -57,7 +58,7 @@ class Algebra:
         for entry in structure:
             i, j, k, c = entry
             for idx in (i, j, k):
-                if not 0 <= idx < dim:
+                if isinstance(idx, bool) or not 0 <= idx < dim:
                     raise ValueError(f"structure index {idx} out of range for dim {dim}")
             if not c:
                 continue
@@ -124,16 +125,17 @@ class Algebra:
                     f"claimed unit fails on basis vector {self.basis_labels[i]}")
 
     def _solve_unit(self) -> "Element | None":
-        blocks = []
-        rhs = []
-        for j in range(self.dim):
-            bj = self._basis_coords[j]
-            blocks.append(self.right_mult_matrix(bj))   # u . b_j = b_j
-            rhs.extend(bj)
-            blocks.append(self.left_mult_matrix(bj))    # b_j . u = b_j
-            rhs.extend(bj)
-        system = Matrix.stack(self.field, blocks, cols=self.dim)
-        sol = system.solve(rhs)
+        """The u = sum u_i b_i with u b_j = b_j = b_j u for every j, or None.
+
+        The generator of u_i holds the b_k parts of b_i b_j and b_j b_i, read
+        off the table, at j n + k and n^2 + j n + k; (b_j, b_j)_j is expressed
+        over the generators."""
+        f, n = self.field, self.dim
+        generators = [{(s * n + j) * n + k: c
+                       for s, products in enumerate((self._rows[i], self._cols[i]))
+                       for j, terms in products.items() for k, c in terms} for i in range(n)]
+        rhs = {(s * n + j) * n + j: f.one for s in (0, 1) for j in range(n)}
+        sol = express(f, 2 * n * n, n, tagged_echelon(f, 2 * n * n, generators), rhs)
         if sol is None:
             return None
         u = Element(self, sol)
@@ -295,7 +297,7 @@ class Algebra:
                 raise ValueError(f"algebra file is missing {key!r}")
         field = field_from_dict(d["field"])
         dim = d["dim"]
-        if not isinstance(dim, int) or dim < 1:
+        if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
             raise ValueError(f"bad dimension {dim!r}")
         structure = []
         for entry in d["structure"]:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .algebra import Algebra, Element, commutator
 from .errors import BudgetExceededError, DecompositionError, HypothesisError, NotCommutingError
-from .linalg import Matrix
+from .linalg import Matrix, express, tagged_echelon
 from .peirce import DEFAULT_BUDGET, PeirceData, center, is_central
 
 
@@ -206,8 +206,9 @@ def decompose_oracle(algebra: Algebra, phi: LinearMap) -> Decomposition | None:
 
     Writes z = sum alpha_c z_c over the central basis and asks that
     phi(b_k) - z b_k be central for every k: its remainder modulo the center
-    vanishes, which is one linear system in the alpha_c.  Remainders are
-    zero at the center's pivot coordinates, so those rows are left out.
+    vanishes.  So the remainders of phi's columns, at End(A) coordinates
+    k n + r, are expressed (linalg.express) over the remainders of the
+    (z_c b_k)_k, which are sparse: no zero row of the system is formed.
     Returns a verified Decomposition or None when the system is infeasible
     (z1, z2 are left unset: this route never builds lifts).
     """
@@ -216,16 +217,16 @@ def decompose_oracle(algebra: Algebra, phi: LinearMap) -> Decomposition | None:
     Z = center(algebra)
     if not Z.basis:
         return None
-    zero, pivots = algebra.field.zero, set(Z.pivots)
-    kept = [r for r in range(algebra.dim) if r not in pivots]
-    rows, rhs = [], []
-    for k in range(algebra.dim):
-        cols = [Z.reduce(algebra.mul_coords(z.coords, algebra.basis_coords(k)))
-                for z in Z.basis]
-        rows.extend([col.get(r, zero) for col in cols] for r in kept)   # remainder of z_c b_k
-        rem = Z.reduce(phi.matrix.column(k))
-        rhs.extend(rem.get(r, zero) for r in kept)
-    alpha = Matrix(algebra.field, rows, cols=len(Z.basis)).solve(rhs)
+    n = algebra.dim
+
+    def remainders(columns):
+        return {k * n + r: x for k, col in enumerate(columns) for r, x in Z.reduce(col).items()}
+
+    echelon = tagged_echelon(algebra.field, n * n, [
+        remainders(algebra.mul_coords(z.coords, algebra.basis_coords(k)) for k in range(n))
+        for z in Z.basis])
+    alpha = express(algebra.field, n * n, Z.dim, echelon,
+                    remainders(phi.matrix.column(k) for k in range(n)))
     if alpha is None:
         return None
     z = Z.combine(alpha)

@@ -11,6 +11,10 @@ row lists its nonzero entries off the pivot, whose entry is an implicit
 one, and pivots ascend.  ``reduce_against`` is the one reduction against
 it, behind the elimination itself and every ``Subspace``; ``Matrix.rref``
 spells the map out as dense rows.
+
+Every solve is one reduction too: ``tagged_echelon`` carries an identity
+block through the elimination, and ``express`` reads a vector's
+coefficients over the generators off its remainder (H. Cohen, GTM 138, Ch. 2).
 """
 
 from __future__ import annotations
@@ -57,28 +61,6 @@ class Matrix:
             raise ValueError("from_columns with no columns needs an explicit row count")
         data = [[col[i] for col in columns] for i in range(rows)]
         return cls(field, data, cols=len(columns))
-
-    @classmethod
-    def stack(cls, field, blocks, cols: int | None = None) -> "Matrix":
-        """Stack matrices (or raw row lists) vertically."""
-        data = []
-        for b in blocks:
-            if isinstance(b, Matrix):
-                if cols is None:
-                    cols = b.cols
-                elif b.cols != cols:
-                    raise ValueError("column count mismatch in stack")
-                data.extend(b.data)
-            else:
-                for row in b:
-                    if cols is None:
-                        cols = len(row)
-                    elif len(row) != cols:
-                        raise ValueError("column count mismatch in stack")
-                    data.append(list(row))
-        if cols is None:
-            raise ValueError("cannot stack an empty block list without a column count")
-        return cls(field, data, cols=cols)
 
     # ------------------------------------------------------------------
     # basic operations
@@ -166,23 +148,13 @@ class Matrix:
         return Matrix(self.field, rows, cols=self.cols), list(echelon)
 
     def solve(self, rhs: list) -> list | None:
-        """One exact solution of self @ x = rhs, or None if inconsistent.
-
-        Free variables are set to zero, so the particular solution is
-        deterministic.
-        """
+        """One exact solution of self @ x = rhs, or None if inconsistent: rhs
+        expressed over the columns (see express), free variables zero."""
         if len(rhs) != self.rows:
             raise ValueError("dimension mismatch in solve")
-        f = self.field
-        aug = Matrix(f, [row + [rhs[i]] for i, row in enumerate(self.data)],
-                     cols=self.cols + 1)
-        reduced, pivots = aug.rref()
-        if self.cols in pivots:
-            return None
-        x = [f.zero] * self.cols
-        for r, c in enumerate(pivots):
-            x[c] = reduced.data[r][self.cols]
-        return x
+        return express(self.field, self.rows, self.cols,
+                       tagged_echelon(self.field, self.rows,
+                                      [self.column(j) for j in range(self.cols)]), rhs)
 
 
 def echelon_of_blocks(field, n: int, blocks) -> dict[int, dict]:
@@ -231,6 +203,34 @@ def reduce_against(field, echelon: dict, vec) -> dict:
             else:
                 del v[j]
     return v
+
+
+def tagged_echelon(field, n: int, vectors) -> dict[int, dict]:
+    """The echelon of m generators in F^n, each tagged to record its combination.
+
+    Generator v_c (a length-n sequence or a {column: entry} map) is
+    extended by a one at column n + m - 1 - c, so each echelon row carries
+    the combination of generators it is, in the columns from n on.
+    """
+    m = len(vectors)
+    tagged = ({**(v if isinstance(v, dict) else dict(enumerate(v))), n + m - 1 - c: field.one}
+              for c, v in enumerate(vectors))
+    return echelon_of_blocks(field, n + m, [tagged])
+
+
+def express(field, n: int, m: int, echelon: dict, vec) -> list | None:
+    """alpha with sum_c alpha_c v_c = vec over a tagged_echelon, or None if vec is not in the span.
+
+    vec is reduced once: off the tags it must leave no remainder, and in the
+    tags its remainder is -alpha.  Reversed tags put each relation's pivot
+    at its largest c, a v_c that depends on earlier ones, so alpha is zero
+    there: the free-variables-zero solution.
+    """
+    rem = reduce_against(field, echelon, vec)
+    if any(j < n for j in rem):
+        return None
+    return [field.neg(rem[t]) if t in rem else field.zero
+            for t in range(n + m - 1, n - 1, -1)]
 
 
 def echelon_rows(field, n: int, echelon: dict) -> list[list]:

@@ -18,7 +18,7 @@ from itertools import combinations, product
 
 from .algebra import Algebra, Element, Subspace, commutator, find_unit
 from .errors import BudgetExceededError, PreconditionError
-from .linalg import Matrix, common_kernel
+from .linalg import Matrix, common_kernel, express, tagged_echelon
 
 DEFAULT_BUDGET = 10 ** 6
 
@@ -39,7 +39,7 @@ class PeirceData:
 
     Carries memo caches for the derived data that gets reused heavily: the
     regularity check, the centers of the diagonal components, the center
-    recomputed from the split, and for each i the reduced form that
+    recomputed from the split, and for each i the tagged echelon that
     answers central lifts (see lift_reduction).
     """
 
@@ -79,17 +79,13 @@ class PeirceData:
                 self.algebra, [comp.combine(gamma) for gamma in kernel])
         return self._diag_center[i]
 
-    def lift_reduction(self, i: int) -> tuple[Subspace, Subspace]:
-        """(S_i, W_i): S_i spans the z_c . e_i over the central basis z_c, and W_i
-        holds the lift of each echelon row s_r of S_i, the central combination
-        Y.solve(s_r) for Y with columns z_c . e_i (independent, as the s_r are)."""
+    def lift_reduction(self, i: int) -> dict:
+        """The tagged echelon (linalg.tagged_echelon) of the z_c . e_i over the
+        central basis z_c: express reads a lift's central coefficients off it."""
         if i not in self._lift:
-            algebra, Z = self.algebra, center(self.algebra)
-            images = [z * self.idempotent(i) for z in Z.basis]
-            Y = Matrix.from_columns(algebra.field, [y.coords for y in images], rows=algebra.dim)
-            span = Subspace.from_spanning(algebra, images)
-            self._lift[i] = (span, Subspace(algebra, [Z.combine(Y.solve(list(s.coords)))
-                                                      for s in span.basis]))
+            images = [z * self.idempotent(i) for z in center(self.algebra).basis]
+            self._lift[i] = tagged_echelon(self.algebra.field, self.algebra.dim,
+                                           [y.coords for y in images])
         return self._lift[i]
 
 
@@ -344,9 +340,9 @@ def lift_central(pd: PeirceData, x: Element, i: int) -> Element | None:
     """A central z with z . e_i = x, or None when no such lift exists.
 
     x must lie in the (i, i) component and commute with it; both
-    preconditions are verified.  x lifts iff it lies in S_i, where
-    x = sum_r x[pivot_r] s_r lifts to the same combination of the cached
-    lifts (lift_reduction): the free-variables-zero solve, linear in x.
+    preconditions are verified.  x is expressed once over the z_c . e_i
+    (lift_reduction), giving the free-variables-zero combination of the
+    central basis z_c, linear in x.
     """
     if i not in (1, 2):
         raise ValueError("component index must be 1 or 2")
@@ -358,10 +354,9 @@ def lift_central(pd: PeirceData, x: Element, i: int) -> Element | None:
         t = next(t for t in comp.basis if not commutator(x, t).is_zero())
         raise PreconditionError(
             "element to lift is not central in its component", witness=(x, t))
-    span, lifts = pd.lift_reduction(i)
-    if not span.contains(x):
-        return None
-    return lifts.combine([x.coords[pc] for pc in span.pivots])
+    Z = center(pd.algebra)
+    alpha = express(pd.algebra.field, pd.algebra.dim, Z.dim, pd.lift_reduction(i), x.coords)
+    return None if alpha is None else Z.combine(alpha)
 
 
 # ----------------------------------------------------------------------

@@ -125,6 +125,20 @@ def dense_rref(f, data, n_cols):
     return m, pivots
 
 
+def dense_solve(f, data, n_cols, rhs):
+    """One solution x of data @ x = rhs read off the dense rref of [data | rhs].
+
+    Free variables are zero; None when rhs's column holds a pivot.
+    """
+    reduced, pivots = dense_rref(f, [list(row) + [b] for row, b in zip(data, rhs)], n_cols + 1)
+    if n_cols in pivots:
+        return None
+    x = [f.zero] * n_cols
+    for row, c in zip(reduced, pivots):
+        x[c] = row[n_cols]
+    return x
+
+
 def dense_kernel(f, reduced, pivots, n_cols):
     """Kernel basis read off dense reduced rows: per free column, ascending, a one there."""
     basis = []
@@ -260,8 +274,7 @@ def test_common_kernel_matches_the_stacked_kernel():
         for form in (blocks, sparse):
             assert spelled_out(field, n, echelon_of_blocks(field, n, form)) == (rows, pivots)
             assert common_kernel(field, n, form) == expected
-        stack = Matrix.stack(field, blocks, cols=n)
-        assert common_kernel(field, n, blocks) == common_kernel(field, n, [stack.data])
+        assert common_kernel(field, n, blocks) == common_kernel(field, n, [stacked])
         full, full_pivots = Matrix(field, stacked, cols=n).rref()
         assert full_pivots == pivots and full.data[: len(pivots)] == rows
 
@@ -270,7 +283,7 @@ def test_common_kernel_of_no_blocks_or_zero_blocks_is_everything():
     identity = [[1 if i == j else 0 for j in range(3)] for i in range(3)]
     assert common_kernel(F5, 3, []) == identity
     assert common_kernel(F5, 3, [[], [[0, 0, 0]] * 4]) == identity
-    assert common_kernel(F5, 3, []) == common_kernel(F5, 3, [Matrix.stack(F5, [], cols=3).data])
+    assert common_kernel(F5, 3, []) == common_kernel(F5, 3, [[]])
 
 
 def test_common_kernel_stops_reading_at_full_rank():

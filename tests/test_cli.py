@@ -7,7 +7,7 @@ import time
 import pytest
 from click.testing import CliRunner
 
-from altcomm import (RationalField, direct_sum, save_algebra, save_map,
+from altcomm import (Algebra, RationalField, direct_sum, save_algebra, save_map,
                      scalar_algebra)
 from altcomm.cli import main
 from altcomm.commuting import LinearMap
@@ -408,6 +408,22 @@ def test_zero_denominators_and_non_object_maps_are_usage_errors(runner, workdir)
     assert_usage_error(invoke(runner, ["peirce", "m2q.json", "-e", "1/0,0,0,0"]))
     assert_usage_error(invoke(runner, ["gen", "cayley-dickson", "--steps", "1",
                                        "--gammas", "1/0"]))
+
+
+def test_booleans_are_not_dimensions_or_structure_indices(runner, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    base = {"name": "two", "field": {"kind": "rational"}, "dim": 2, "basis": ["a", "b"],
+            "structure": [[0, 0, 0, "1"], [1, 1, 1, "1"]]}
+    for doc in ({**base, "dim": True, "basis": ["a"], "structure": [[0, 0, 0, "1"]]},
+                {**base, "structure": [[0, 0, 0, "1"], [True, True, True, "1"]]},
+                {**base, "structure": [[0, 0, 0, "1"], [1, 1, False, "1"]]}):
+        with open("bool.json", "w") as fh:
+            json.dump(doc, fh)
+        assert_usage_error(invoke(runner, ["verify", "bool.json"]))
+    with pytest.raises(ValueError, match="dimension"):
+        Algebra.from_dict({**base, "dim": True, "basis": ["a"]})
+    with pytest.raises(ValueError, match="structure index"):
+        Algebra("two", Q, 2, ["a", "b"], [(0, True, 1, Q.one)])
 
 
 def test_hostile_sizes_are_refused_promptly(runner, tmp_path, monkeypatch):

@@ -4,11 +4,12 @@ Each case runs one CLI command in-process and compares its stdout byte for
 byte, and its exit code, with the files under ``tests/golden/``.  The
 algebras are written by the ``gen`` commands into a temporary directory:
 M2(Q), M2(F5), Zorn(F5), the sedenions CD4(Q) and M2(Q) + M2(Q), each with
-its canonical idempotent.  Next to them go ``transpose.json``, the
+its canonical idempotent, and CD3(Q).  Next to them go ``transpose.json``, the
 transpose map of M2(Q), which does not commute with its argument,
 ``half.json``, one half times the identity of M2(Q), and ``mixed.json``, a
 unital algebra whose bracketings e (x e') and (e x) e' disagree at its
-idempotent e, so that the split is refused.
+idempotent e, so that the split is refused, and ``cd3q_unitless.json``,
+CD3(Q) with its ``unit`` key removed, so that the unit is solved for.
 
 A change that alters output on purpose regenerates the files with
 
@@ -33,6 +34,7 @@ GEN = [
     ["gen", "matrix", "--n", "2", "--field", "p5"],
     ["gen", "zorn", "--field", "p5"],
     ["gen", "cayley-dickson", "--steps", "4", "--out", "cd4q.json"],
+    ["gen", "cayley-dickson", "--steps", "3", "--out", "cd3q.json"],
     ["gen", "direct-sum", "--left", "m2q.json", "--right", "m2q.json", "--out", "mm.json"],
 ]
 ALGEBRAS = ["m2q", "zornf5", "cd4q", "mm"]
@@ -63,6 +65,8 @@ def _cases():
     for name in ("m2q", "zornf5"):
         cases[f"check_map_{name}"] = ["check-map", f"{name}.json", "--map", "random",
                                       "--seed", "4"]
+    for command in ("verify", "center"):
+        cases[f"{command}_cd3q_unitless"] = [command, "cd3q_unitless.json"]
     cases["prime_m2f5"] = ["prime", "m2f5.json"]
     cases["oracle_m2f5"] = ["oracle", "m2f5.json", "--map", "random", "--seed", "3"]
     cases["check_map_m2q_transpose"] = ["check-map", "m2q.json", "--map", "transpose.json"]
@@ -89,6 +93,11 @@ def _generate(runner):
                       ("mixed.json", MIXED)):
         with open(path, "w") as fh:
             json.dump(doc, fh)
+    with open("cd3q.json") as fh:
+        unitless = json.load(fh)
+    del unitless["unit"]
+    with open("cd3q_unitless.json", "w") as fh:
+        json.dump(unitless, fh)
 
 
 def _run(runner, args):

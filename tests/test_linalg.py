@@ -5,14 +5,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from altcomm import PrimeField, RationalField
 from altcomm.linalg import Matrix, common_kernel, echelon_of_blocks
 
-from test_associator import dense_kernel, dense_rref
+from test_associator import dense_kernel, dense_rref, dense_solve
 
 Q = RationalField()
 F5 = PrimeField(5)
+F7 = PrimeField(7)
 
 
 def qmat(rows):
@@ -92,6 +95,33 @@ def test_solve_with_zero_columns():
     assert m.solve([Q.one, Q.zero]) is None
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_solve_agrees_with_the_dense_augmented_rref(data):
+    """Matrix.solve against dense_solve: 0-7 rows and columns, low-rank products,
+    right-hand sides in the column space and arbitrary ones."""
+    field = data.draw(st.sampled_from([Q, F5, F7]), label="field")
+    rows, cols = data.draw(st.integers(0, 7)), data.draw(st.integers(0, 7))
+    scalars = st.integers(-3, 3).map(field.from_int)
+
+    def matrix(r, c):
+        return Matrix(field, data.draw(st.lists(st.lists(scalars, min_size=c, max_size=c),
+                                                min_size=r, max_size=r)), cols=c)
+
+    if data.draw(st.booleans(), label="low rank"):
+        rank = data.draw(st.integers(0, 3))
+        m = matrix(rows, rank) @ matrix(rank, cols)
+    else:
+        m = matrix(rows, cols)
+    if data.draw(st.booleans(), label="consistent"):
+        rhs = m.matvec(data.draw(st.lists(scalars, min_size=cols, max_size=cols)))
+    else:
+        rhs = data.draw(st.lists(scalars, min_size=rows, max_size=rows))
+    expected = dense_solve(field, m.data, cols, rhs)
+    assert m.solve(rhs) == expected
+    assert expected is None or m.matvec(expected) == rhs
+
+
 def test_matmul_and_matvec_agree():
     rng = random.Random(2)
     a = Matrix(Q, [[Fraction(rng.randint(-4, 4)) for _ in range(3)] for _ in range(2)],
@@ -103,11 +133,7 @@ def test_matmul_and_matvec_agree():
         assert ab.column(j) == a.matvec(b.column(j))
 
 
-def test_stack_and_from_columns():
-    a = qmat([[1, 2]])
-    b = qmat([[3, 4], [5, 6]])
-    s = Matrix.stack(Q, [a, b])
-    assert s.rows == 3 and s.data[2] == [Fraction(5), Fraction(6)]
+def test_from_columns():
     c = Matrix.from_columns(Q, [[Fraction(1), Fraction(2)], [Fraction(3), Fraction(4)]])
     assert c.data == [[Fraction(1), Fraction(3)], [Fraction(2), Fraction(4)]]
 

@@ -1,11 +1,13 @@
 """The Peirce split and central lifts against their direct forms.
 
 ``peirce_decompose`` checks the split through three identities of L_e1 and
-R_e1, and ``lift_central`` reduces against one cached span per component.
+R_e1, and ``lift_central`` expresses x over one cached tagged echelon per
+component.
 The references below are the direct forms they replace: the four
 projectors L_i R_j formed from both idempotents, with every bracketing,
 the identity sum, all sixteen orthogonality products and the dimension
-sum checked; and one ``Matrix.solve`` per lift on the columns z_c . e_i.
+sum checked; and one dense solve per lift on the columns z_c . e_i, read off
+the Gauss-Jordan form of the augmented matrix (test_associator.dense_solve).
 Verdicts, the class of each refusal, projectors, components and lifts
 (None included) must agree exactly.
 """
@@ -24,6 +26,7 @@ from altcomm import (Algebra, PreconditionError, PrimeField, RationalField, Subs
 from altcomm.algebra import Element
 from altcomm.linalg import Matrix
 
+from test_associator import dense_solve
 from test_peirce import lift_gap_algebra, with_unit_row
 
 Q = RationalField()
@@ -70,13 +73,14 @@ def reference_peirce_decompose(algebra, e1):
 
 
 def reference_lift(pd, x, i):
-    """One Matrix.solve on the columns z_c . e_i, free variables zero."""
+    """One dense solve on the columns z_c . e_i, free variables zero."""
     algebra = pd.algebra
     Z = center(algebra)
     if not Z.basis:
         return None
     cols = [list((z * pd.idempotent(i)).coords) for z in Z.basis]
-    alpha = Matrix.from_columns(algebra.field, cols, rows=algebra.dim).solve(list(x.coords))
+    alpha = dense_solve(algebra.field, Matrix.from_columns(algebra.field, cols).data,
+                        len(cols), x.coords)
     return None if alpha is None else Z.combine(alpha)
 
 
