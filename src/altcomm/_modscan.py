@@ -7,13 +7,15 @@ structure constants and the precomputed tables below are residues in
 The commutation scan evaluates [phi(x), x] at every x, exactly, as the
 value Q(x) of one vector-valued quadratic form Q(x) = sum x_i x_j G[i, j].
 It splits x into its r low coordinates u (p**r <= U_TABLE) and the rest v,
-so that Q(u + v) = Q(u) + Q(v) + B(u, v) with B bilinear, and scores a
-chunk of p**r * k elements with one table of Q(u), one of Q(v) and one
-(p**r x r) @ (r x k*dim) matmul for B.  G is reduced mod p after summing
-dim products below p**2.  Before reduction mod p, Q(u) stays
-below r**2 p**3, Q(v) below (dim - r)**2 p**3, the matmul's B below
-r (dim - r) p**3, and their sum below dim**2 p**3.  check_commutator_bound
-refuses (p, dim) where that is not below 2**63.
+so that Q(u + v) = Q(u) + Q(v) + B(u, v) with B(u, v) = sum_i u_i (V H)_i
+bilinear.  G and H are reduced mod p after summing dim products below p**2.
+The tables are built in int64: Q(u) stays below r**2 p**3, Q(v) below
+(dim - r)**2 p**3 and V H below dim p**2, all below dim**2 p**3, which
+check_commutator_bound keeps below 2**63.  They are reduced mod p before
+they meet, so a chunk of p**r * k elements is scored in word_type(p, r + 2)
+by one (p**r x r) (r x k*dim) integer einsum for B plus the two tables:
+every value is below r p**2 + 2p < (r + 2) p**2, which is 150 on Zorn(F5),
+int16.  The chunk is reduced once and tested once.
 
 The primeness scan ranks stacks T(a) = sum a_i W_i of shape (dim**2, dim)
 and their compressions S(a) = sum a_i R W_i of shape (2 dim, dim); each is
@@ -199,6 +201,8 @@ def commutation_scan(C: np.ndarray, F, p: int):
 
     C is the structure tensor and F the matrix of phi (column i = phi(b_i)).
     G[i, j] = sum_l F[l, i] [b_l, b_j], so [phi(x), x] = sum x_i x_j G[i, j].
+    Only the tables are int64, below dim**2 p**3; reduced mod p, they score
+    each chunk in word_type(p, r + 2), below (r + 2) p**2 (module docstring).
     """
     n = C.shape[0]
     F = np.asarray(F, dtype=np.int64).reshape(n, n)
@@ -207,17 +211,22 @@ def commutation_scan(C: np.ndarray, F, p: int):
     r = 0
     while r < n and p ** (r + 1) <= U_TABLE:
         r += 1
-    s = p ** r
+    s, dtype = p ** r, word_type(p, r + 2)
     Guu, Gvv, Hvu = G[:r, :r], G[r:, r:], H[r:, :r].reshape(n - r, r * n)
+    U = None
     for _, X in element_chunks(p, n, chunk=s * max(1, 65536 // s)):
-        U, V = X[:s, :r], X[::s, r:]
+        if U is None:                            # U and Q(u) are the same in every chunk
+            Qu = _mod(_quadratic(X[:s, :r], Guu), p).astype(dtype)[:, None, :]
+            U = X[:s, :r].astype(dtype)
+        V = X[::s, r:]
         k = V.shape[0]
-        Q = (U @ (V @ Hvu).reshape(k, r, n).transpose(1, 0, 2).reshape(r, k * n)).reshape(s, k, n)
-        Q += _quadratic(U, Guu)[:, None, :]      # Q is B(u, v) before these two
-        Q += _quadratic(V, Gvv)[None, :, :]
-        bad = np.flatnonzero(_mod(Q, p).any(axis=2).T)
-        if bad.size:
-            return X[bad[0]]
+        VH = _mod(V @ Hvu, p).astype(dtype).reshape(k, r, n).transpose(1, 0, 2).reshape(r, k * n)
+        Q = np.einsum("ui,ij->uj", U, VH).reshape(s, k, n)   # B(u, v), below r p**2
+        Q += Qu
+        Q += _mod(_quadratic(V, Gvv), p).astype(dtype)[None, :, :]
+        Q = _mod(Q, p)
+        if Q.any():
+            return X[np.flatnonzero(Q.any(axis=2).T)[0]]
     return None
 
 

@@ -429,11 +429,6 @@ class Subspace:
     def dim(self) -> int:
         return len(self.basis)
 
-    @property
-    def pivots(self) -> list[int]:
-        """The pivot columns of the echelon basis: coordinates every remainder leaves zero."""
-        return list(self._echelon)
-
     def reduce(self, vec) -> dict:
         """The nonzero remainder {k: c} of a dense or sparse ({k: c}) coordinate vector."""
         return reduce_against(self.algebra.field, self._echelon, vec)

@@ -277,9 +277,10 @@ def exhaustive_commuting_check(algebra: Algebra, phi: LinearMap,
     polarization is used.  Returns (True, None) or (False, x) with the
     first violating element in enumeration order, re-checked in exact
     arithmetic.  Raises BudgetExceededError when p^dim exceeds the budget,
-    and ValueError when dim^2 p^3 reaches 2^63: every intermediate of the
-    scan (the tables Q(u) and Q(v), the matmul for the cross term and
-    their sum) stays below dim^2 p^3, so the int64 sums cannot overflow.
+    and ValueError when dim^2 p^3 reaches 2^63: the scan's int64 tables
+    (Q(u), Q(v) and the cross term's V H) stay below dim^2 p^3.  They are
+    reduced mod p first, so every chunk value stays below (r + 2) p^2 for
+    r low coordinates and is held in the narrowest integer type that fits.
     """
     if phi.algebra is not algebra:
         raise ValueError("map on a different algebra")

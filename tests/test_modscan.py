@@ -1,4 +1,4 @@
-"""The exhaustive F_p scans: frozen witnesses, batched_rank, chunks and the inverse table.
+"""The exhaustive F_p scans: frozen witnesses, word types, batched_rank, chunks, inverse table.
 
 scan_witnesses.json records the verdict and the witness of
 exhaustive_commuting_check and prime_check_exhaustive on the cases below, as
@@ -109,6 +109,62 @@ def test_scan_witnesses_are_frozen():
     with open(FROZEN) as fh:
         frozen = json.load(fh)
     assert _scan_results() == frozen
+
+
+# ----------------------------------------------------------------------
+# the commutation scan's word type against exact arithmetic
+
+
+def _left_unit_algebra(field):
+    """e e = e, e a = a, a e = a a = 0: [y, x] = (y_0 x_1 - x_0 y_1) a, so [e, a] = a."""
+    return Algebra("ea", field, 2, ["e", "a"], [(0, 0, 0, field.one), (0, 1, 1, field.one)])
+
+
+def _maps(algebra, seed):
+    """Seeded matrices, some with phi(e) in F e so that the row x_1 = 0 commutes, and -id."""
+    f, n, rng = algebra.field, algebra.dim, random.Random(seed)
+    for t in range(6):
+        data = [[f.from_int(rng.randrange(f.p)) for _ in range(n)] for _ in range(n)]
+        if t % 2 and n == 2:
+            data[1][0] = f.zero
+        yield LinearMap(algebra, Matrix(f, data, cols=n))
+    yield LinearMap.zero(algebra) - LinearMap.identity(algebra)
+
+
+def _exact_first_witness(algebra, phi):
+    p, n = algebra.field.p, algebra.dim
+    for m in range(p ** n):
+        x = algebra.element([(m // p ** i) % p for i in range(n)])
+        if not commutator(phi(x), x).is_zero():
+            return x
+    return None
+
+
+@pytest.mark.parametrize("p, dim, word", [(103, 2, np.int16), (107, 2, np.int32),
+                                          (32749, 1, np.int32), (32771, 1, np.int64)])
+def test_commutation_scan_on_each_side_of_the_word_type_switches(monkeypatch, p, dim, word):
+    """The scan scores chunks in word_type(p, r + 2) and agrees with exact arithmetic.
+
+    (r + 2) p^2 is 31827 < 2^15 at p = 103 and 34347 at 107, with r = 1 low
+    coordinate (p <= U_TABLE < p^2); with r = 0 (p > U_TABLE) it crosses 2^31
+    between 32749 and 32771.
+    """
+    r = dim - 1
+    assert _modscan.word_type(p, r + 2) is word
+    field = PrimeField(p)
+    algebra = _left_unit_algebra(field) if dim == 2 else scalar_algebra(field)
+    einsum, used = np.einsum, set()
+
+    def spy(subscripts, *operands, **kwargs):
+        used.update(op.dtype.type for op in operands)
+        return einsum(subscripts, *operands, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", spy)
+    for phi in _maps(algebra, p):
+        # Every map on a one-dimensional algebra commutes.
+        witness = _exact_first_witness(algebra, phi) if dim == 2 else None
+        assert exhaustive_commuting_check(algebra, phi) == (witness is None, witness)
+    assert used == {word}
 
 
 # ----------------------------------------------------------------------

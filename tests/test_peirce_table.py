@@ -93,12 +93,13 @@ def reference_hypothesis_check(algebra, e1):
 def reference_reduce(space, coords):
     """Reduction against every echelon row in turn, over every column.
 
-    The basis of a Subspace.from_spanning is its echelon rows, in pivot order.
+    The basis of a Subspace.from_spanning is its echelon rows, in pivot order,
+    and each row's pivot is its first nonzero coordinate.
     """
     f = space.algebra.field
     v = list(coords)
-    for row, pc in zip((el.coords for el in space.basis), space.pivots):
-        factor = v[pc]
+    for row in (el.coords for el in space.basis):
+        factor = v[next(j for j, c in enumerate(row) if c)]
         if factor:
             for j in range(len(v)):
                 if row[j]:
