@@ -111,6 +111,38 @@ def test_scan_witnesses_are_frozen():
     assert _scan_results() == frozen
 
 
+def _f25_plus_f5():
+    """F25 + F5 (F25 = F5[i], i^2 = 2) on the basis u0 = (1, 1), u1 = (i, 0), u2 = (1, 0).
+
+    a = a0 u0 + a1 u1 + a2 u2 has F25 part (a0 + a2) + a1 i and F5 part a0,
+    so the first projective a whose component vanishes, the first witness,
+    is u0 + 4 u2, at index 20 of the free coordinates.
+    """
+    std = [(1, 0, 1), (0, 1, 0), (1, 0, 0)]              # (g, h; f) of g + h i in F25, f in F5
+    entries = []
+    for i, (g, h, f) in enumerate(std):
+        for j, (g2, h2, f2) in enumerate(std):
+            pg, ph, pf = g * g2 + 2 * h * h2, g * h2 + h * g2, f * f2
+            for k, c in enumerate((pf, ph, pg - pf)):  # coordinates on u0, u1, u2
+                if c % 5:
+                    entries.append((i, j, k, F5.from_int(c)))
+    return Algebra("f25f5", F5, 3, ["u0", "u1", "u2"], entries)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 625, 4096, 16384])
+def test_prime_witness_does_not_depend_on_the_chunk(monkeypatch, chunk):
+    """Chunk boundaries change no verdict and no witness, including one past the first chunks."""
+    chunks = _modscan.projective_chunks
+    monkeypatch.setattr(_modscan, "projective_chunks", lambda p, n: chunks(p, n, chunk))
+    with open(FROZEN) as fh:
+        frozen = json.load(fh)["prime"]
+    for label, algebra in _prime_cases():
+        ok, pair = prime_check_exhaustive(algebra)
+        assert [ok, None if pair is None else [w.to_strings() for w in pair]] == frozen[label]
+    ok, (a, _) = prime_check_exhaustive(_f25_plus_f5())
+    assert not ok and a.to_strings() == ["1", "0", "4"]
+
+
 # ----------------------------------------------------------------------
 # the commutation scan's word type against exact arithmetic
 
@@ -229,6 +261,22 @@ def _worst_growth(p, cols):
     return m
 
 
+@pytest.mark.parametrize("p", [5, 7, 101])
+def test_batched_rank_leaves_its_input_and_ignores_its_layout(p):
+    """The update is in place on a copy: the input is unchanged, and a strided view ranks the same."""
+    rng = np.random.default_rng(p)
+    table = _modscan.inverse_table(p)
+    for mats in [*_batches(rng, p), np.stack([_worst_growth(p, 8)] * 3)]:
+        mats = mats.astype(np.int64)
+        before = mats.copy()
+        want = [reference_rank(m.tolist(), p) for m in mats]
+        assert [int(v) for v in _modscan.batched_rank(mats, p, table)] == want
+        assert np.array_equal(mats, before)
+        strided = np.ascontiguousarray(mats.transpose(0, 2, 1)).transpose(0, 2, 1)
+        assert [int(v) for v in _modscan.batched_rank(strided, p, table)] == want
+        assert np.array_equal(strided, before)
+
+
 @pytest.mark.parametrize("p, word", [(61, np.int16), (67, np.int32),
                                      (16381, np.int32), (16411, np.int64)])
 def test_batched_rank_on_each_side_of_the_word_type_switches(p, word):
@@ -295,7 +343,8 @@ def closed_form_projective_chunks(p, n, chunk=16384):
     (3, 3, 100), (5, 4, 65536),  # p^n below the chunk
     (5, 1, 3), (101, 1, 7),      # n = 1
     (5, 8, 625 * 104),           # the commutation scan's own s k on Zorn(F5)
-    (5, 8, 16384),               # the primeness scan's chunk on Zorn(F5)
+    (5, 8, 4096),                # the primeness scan's chunk on Zorn(F5)
+    (5, 8, 16384),               # the primeness scan's earlier chunk on Zorn(F5)
     (2, 11, 1000), (1031, 2, 5000), (5, 0, 7)])
 def test_chunks_match_the_closed_form(p, n, chunk):
     got = list(_modscan.element_chunks(p, n, chunk))
