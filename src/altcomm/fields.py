@@ -4,9 +4,11 @@ Scalars are plain Python values: a rational is an int when it is integral
 and a `fractions.Fraction` otherwise, and a prime field's scalars are
 canonical residues (ints in [0, p)).  So every scalar is exact, hashable and
 comparable with ==; an int and a Fraction of the same value are equal, hash
-alike and print alike.  A field object supplies the arithmetic; generic
-code keeps a field reference and never inspects the representation.  No
-floating point appears anywhere.
+alike and print alike.  The elimination divides each new pivot row by its
+lead through RationalField.monic, so the integral entries of that row are
+ints, never Fraction(1), and products with them stay native.  A field
+object supplies the arithmetic; generic code keeps a field reference and
+never inspects the representation.  No floating point appears anywhere.
 
 Characteristics 2 and 3 are rejected at construction: the algebraic
 machinery built on top divides by 2 in its linearization arguments and by
@@ -17,6 +19,7 @@ would silently corrupt results.
 from __future__ import annotations
 
 import operator
+import re
 from fractions import Fraction
 
 
@@ -27,6 +30,9 @@ MODULUS_LIMIT = 318665857834031151167461
 
 # Rational scalar text may spell at most this many digits, exponent included.
 SCALAR_DIGIT_LIMIT = 1000
+
+# Plain ASCII integer text, the form of nearly every structure constant.
+_INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
 def _is_prime(n: int) -> bool:
@@ -88,6 +94,16 @@ class RationalField:
         return n
 
     @staticmethod
+    def monic(row: dict, a: int | Fraction) -> dict:
+        """row / a entrywise, {column: entry}, with every integral entry an int.
+
+        Dividing by a lead entry is where 2 * Fraction(1, 2) would leave an
+        integral Fraction in a new echelon row (see linalg.echelon_of_blocks).
+        """
+        inv = Fraction(1) / a
+        return {j: _integral(x * inv) for j, x in row.items()}
+
+    @staticmethod
     def parse(text: str) -> int | Fraction:
         """A rational from text such as "-3", "2/7", "1.5" or "1e-3".
 
@@ -95,8 +111,14 @@ class RationalField:
         more than SCALAR_DIGIT_LIMIT digits (digits written plus the size
         of any exponent), so "1e200000" raises ValueError instead of
         building a 664,386-bit integer, and "1/0" raises ValueError too.
+        Plain integer text within the limit is read by int() directly;
+        everything else ("1_000", non-ASCII digits, fractions, decimals,
+        exponents, text over the limit) goes through Fraction, so values
+        and messages do not depend on the path.
         """
         text = text.strip()
+        if _INTEGER.fullmatch(text) and len(text.lstrip("+-")) <= SCALAR_DIGIT_LIMIT:
+            return int(text)
         mantissa, _, exponent = text.lower().partition("e")
         try:
             size = sum(ch.isdigit() for ch in mantissa) + abs(int(exponent or 0))

@@ -15,6 +15,14 @@ spells the map out as dense rows.
 Every solve is one reduction too: ``tagged_echelon`` carries an identity
 block through the elimination, and ``express`` reads a vector's
 coefficients over the generators off its remainder (H. Cohen, GTM 138, Ch. 2).
+
+A caller that has proved some vectors lie in the kernel passes them as
+``known``: the elimination stops once the rank reaches n - dim span(known),
+since the rows it has read already span the whole row space, and the
+unique echelon is the same bytes.  The known vectors are checked against
+every echelon row, never trusted.  A new pivot row divided by its lead goes
+through RationalField.monic over Q, so its integral entries are ints,
+never Fraction(1).
 """
 
 from __future__ import annotations
@@ -157,32 +165,66 @@ class Matrix:
                                       [self.column(j) for j in range(self.cols)]), rhs)
 
 
-def echelon_of_blocks(field, n: int, blocks) -> dict[int, dict]:
+def echelon_of_blocks(field, n: int, blocks, known=()) -> dict[int, dict]:
     """The reduced row echelon form of stacked blocks of rows, as an echelon map.
 
     A row is a length-n sequence or a {column: entry} map; explicit zeros
     are dropped.  Rows are folded in one at a time, each reduced against
     the rows at the pivots it holds, so the stack is never formed; the
-    lead is the smallest nonzero column, and the remaining blocks are not
-    read once the rank reaches n.  The reduced echelon form of a row space
-    is unique, so the result does not depend on the order of the rows.
+    lead is the smallest nonzero column, and a new row whose lead entry is
+    not one is divided by it through the field's ``monic`` where the field
+    has one (RationalField: integral entries stay ints).  The reduced
+    echelon form of a row space is unique, so the result does not depend on
+    the order of the rows.
+
+    known holds vectors, dense or sparse, that the caller has proved lie in
+    the kernel of every row.  The row space then has rank at most
+    n - dim span(known), and the remaining blocks are not read once the
+    rank reaches that cap (n when known is empty): rows past it can only
+    span the same space, so the echelon is the same one, byte for byte.
+    Either way every echelon row is checked against every known vector,
+    and one that is not annihilated raises ValueError instead of being
+    trusted.
     """
     f = field
+    known = [_sparse(v) for v in known]
+    cap = n - len(echelon_of_blocks(f, n, [known])) if known else n
+    monic = getattr(f, "monic", None)
     echelon = {}
-    for row in chain.from_iterable(blocks):
+    for row in chain.from_iterable(blocks) if cap else ():
         v = reduce_against(f, echelon, row)
         if not v:
             continue
         lead = min(v)
-        inv = f.inv(v.pop(lead))
-        new = {j: f.mul(inv, x) for j, x in v.items()}
+        a = v.pop(lead)
+        if a == f.one:
+            new = v
+        elif monic is not None:
+            new = monic(v, a)
+        else:
+            inv = f.inv(a)
+            new = {j: f.mul(inv, x) for j, x in v.items()}
         for pc, terms in echelon.items():       # clear column lead from the older rows
             if lead in terms:
                 echelon[pc] = reduce_against(f, {lead: new}, terms)
         echelon[lead] = new
-        if len(echelon) == n:
+        if len(echelon) == cap:
             break
+    for c, v in enumerate(known):
+        for pc, terms in echelon.items():
+            acc = v.get(pc, f.zero)
+            for j, x in v.items():
+                if j in terms:
+                    acc = f.add(acc, f.mul(terms[j], x))
+            if acc:
+                raise ValueError(f"known vector {c} is not in the kernel: "
+                                 f"the echelon row at pivot {pc} does not annihilate it")
     return dict(sorted(echelon.items()))
+
+
+def _sparse(vec) -> dict:
+    """The nonzero entries {column: entry} of a dense or sparse vector."""
+    return {j: x for j, x in (vec.items() if isinstance(vec, dict) else enumerate(vec)) if x}
 
 
 def reduce_against(field, echelon: dict, vec) -> dict:
@@ -193,7 +235,7 @@ def reduce_against(field, echelon: dict, vec) -> dict:
     that row's off-pivot entries; the pivot's implicit one is never used.
     """
     f = field
-    v = {j: x for j, x in (vec.items() if isinstance(vec, dict) else enumerate(vec)) if x}
+    v = _sparse(vec)
     for pc in echelon.keys() & v.keys():
         a = v.pop(pc)
         for j, x in echelon[pc].items():
@@ -240,13 +282,17 @@ def echelon_rows(field, n: int, echelon: dict) -> list[list]:
             for pc, terms in echelon.items()]
 
 
-def common_kernel(field, n: int, blocks) -> list[list]:
+def common_kernel(field, n: int, blocks, known=()) -> list[list]:
     """Common kernel of stacked blocks of rows, read off echelon_of_blocks.
 
     One vector per free column c, ascending: a one at c and, at each
-    pivot, minus that echelon row's entry in column c.
+    pivot, minus that echelon row's entry in column c.  known holds
+    vectors the caller has proved lie in the kernel (see
+    echelon_of_blocks): elimination stops at rank n - dim span(known),
+    and since the reduced echelon form of the rows read equals that of all
+    of them, the basis is the one the full elimination gives.
     """
-    echelon = echelon_of_blocks(field, n, blocks)
+    echelon = echelon_of_blocks(field, n, blocks, known)
     basis = []
     for fc in range(n):
         if fc not in echelon:

@@ -14,7 +14,7 @@ rules are verified relation by relation, with witnesses on failure.
 from __future__ import annotations
 
 from collections import defaultdict
-from itertools import combinations, product
+from itertools import combinations, groupby, product
 
 from .algebra import Algebra, Element, Subspace, commutator, find_unit
 from .errors import BudgetExceededError, PreconditionError
@@ -71,10 +71,15 @@ class PeirceData:
         return self._hypothesis
 
     def diagonal_center(self, i: int) -> Subspace:
-        """The center of the (i, i) component as a subalgebra."""
+        """The center of the (i, i) component as a subalgebra.
+
+        e_i is the component's unit, so it is central there and caps the
+        elimination (linalg.echelon_of_blocks).
+        """
         if i not in self._diag_center:
             comp = self.components[(i, i)]
-            kernel = _commutant(self.algebra, comp.basis, comp.basis)
+            kernel = _commutant(self.algebra, comp.basis, comp.basis,
+                                known=[_over(comp, self.idempotent(i))])
             self._diag_center[i] = Subspace.from_spanning(
                 self.algebra, [comp.combine(gamma) for gamma in kernel])
         return self._diag_center[i]
@@ -156,9 +161,12 @@ def check_peirce_relations(pd: PeirceData) -> list[dict]:
                         "product": (x * y).to_strings()}}
         return {"check": name, "pass": True}
 
-    report = [products(f"(i) r{i}{j}.r{j}{l} in r{i}{l}", (i, j), (j, l), comp[(i, l)])
-              for i, j, l in product((1, 2), repeat=3)]
-    report += [products(f"(ii) r{i}{j}.r{i}{j} in r{j}{i}", (i, j), (i, j), comp[(j, i)])
+    first = {(i, j, l): products(f"(i) r{i}{j}.r{j}{l} in r{i}{l}", (i, j), (j, l), comp[(i, l)])
+             for i, j, l in product((1, 2), repeat=3)}
+    report = list(first.values())
+    # (ii) at i = j is (i) at i = j = l: the same products against the same target.
+    report += [{**first[(i, i, i)], "check": f"(ii) r{i}{i}.r{i}{i} in r{i}{i}"} if i == j else
+               products(f"(ii) r{i}{j}.r{i}{j} in r{j}{i}", (i, j), (i, j), comp[(j, i)])
                for i, j in product((1, 2), repeat=2)]
     report += [products(f"(iii) r{i}{j}.r{k}{l} = 0", (i, j), (k, l), zero)
                for i, j, k, l in product((1, 2), repeat=4) if j != k and (i, j) != (k, l)]
@@ -193,16 +201,28 @@ def center(algebra: Algebra) -> Subspace:
 
     Every centrality question reads this one subspace: is_central asks its
     contains, and spans built from its basis answer the existence questions
-    of the lemma suite.
+    of the lemma suite.  A verified unit is central, so on a unital
+    algebra the elimination stops at rank dim - 1 (see _commutant).
     """
     if algebra._center is None:
         basis = [algebra.basis_element(k) for k in range(algebra.dim)]
+        unit = find_unit(algebra)
+        known = () if unit is None else [unit.coords]
         algebra._center = Subspace(
-            algebra, [Element(algebra, v) for v in _commutant(algebra, basis, basis)])
+            algebra, [Element(algebra, v) for v in _commutant(algebra, basis, basis, known)])
     return algebra._center
 
 
-def _commutant(algebra: Algebra, span, against):
+def _over(sub: Subspace, x: Element) -> list:
+    """The coefficients of x in sub over its canonical (from_spanning) basis.
+
+    Each basis vector is one at its own pivot and zero at the others, so
+    the coefficient of basis vector c is x's coordinate at pivot c.
+    """
+    return [x.coords[pc] for pc in sub._echelon]
+
+
+def _commutant(algebra: Algebra, span, against, known=()):
     """Kernel of gamma -> [sum_s gamma_s span_s, t] for t in against, as coefficients over span.
 
     Row (t, k), entry s is coordinate k of [span_s, t], summed from the
@@ -211,6 +231,9 @@ def _commutant(algebra: Algebra, span, against):
     support of some span_s, and a coefficient one is never multiplied.
     Only rows that some entry reaches are formed, as {s: entry} maps; no
     Element is built, and the kernel vectors are coefficients over span.
+    Blocks are formed one t at a time, as the elimination asks for them:
+    known holds coefficient vectors proved to lie in the kernel, and once
+    the rank reaches their cap (linalg.common_kernel) no later t is read.
     """
     f, m, one = algebra.field, len(span), algebra.field.one
     at = {}                         # coordinate u -> [(s, coordinate u of span_s)]
@@ -222,23 +245,25 @@ def _commutant(algebra: Algebra, span, against):
     for (u, v), vec in algebra.commutator_tensor().items():
         if u in at:
             meets.setdefault(v, []).append((at[u], list(vec.items())))
-    blocks = []
-    for t in against:
-        rows = defaultdict(dict)
-        for v, y in enumerate(t.coords):
-            if not y:
-                continue
-            y_one = y == one
-            for xs, vec in meets.get(v, ()):
-                for s, x, x_one in xs:
-                    xy = y if x_one else (x if y_one else f.mul(x, y))
-                    for k, c in vec:
-                        if not (x_one and y_one):
-                            c = f.mul(xy, c)
-                        row = rows[k]
-                        row[s] = f.add(row[s], c) if s in row else c
-        blocks.append(rows.values())
-    return common_kernel(f, m, blocks)
+
+    def blocks():
+        for t in against:
+            rows = defaultdict(dict)
+            for v, y in enumerate(t.coords):
+                if not y:
+                    continue
+                y_one = y == one
+                for xs, vec in meets.get(v, ()):
+                    for s, x, x_one in xs:
+                        xy = y if x_one else (x if y_one else f.mul(x, y))
+                        for k, c in vec:
+                            if not (x_one and y_one):
+                                c = f.mul(xy, c)
+                            row = rows[k]
+                            row[s] = f.add(row[s], c) if s in row else c
+            yield rows.values()
+
+    return common_kernel(f, m, blocks(), known)
 
 
 def is_central(algebra: Algebra, x: Element) -> bool:
@@ -252,19 +277,42 @@ def nucleus(algebra: Algebra) -> Subspace:
     A(s, r, t) and A(r, s, t) over all basis pairs (s, t), with A the
     cached associator tensor.  Only rows that hold a nonzero associator
     coordinate are formed, as {column: entry} maps, so an associative
-    algebra costs one empty scan.
+    algebra costs one empty scan.  A verified unit lies in the nucleus,
+    so on a unital algebra the elimination stops at rank dim - 1, and the
+    rows are formed as it asks for them (see _nucleus_blocks): where the
+    first family alone reaches that rank, as on CD4(Q) and CD5(Q), the
+    other two are never built.
     """
     if algebra._nucleus is None:
-        # Row (s, t, k) of each family: coordinate k as r runs over the basis.
-        families = ({}, {}, {})
-        for (a, b, c), vec in algebra.associator_tensor().items():
-            for k, val in vec.items():
-                families[0].setdefault((a, b, k), {})[c] = val   # (b_s, b_t, r)
-                families[1].setdefault((a, c, k), {})[b] = val   # (b_s, r, b_t)
-                families[2].setdefault((b, c, k), {})[a] = val   # (r, b_s, b_t)
-        kernel = common_kernel(algebra.field, algebra.dim, (rows.values() for rows in families))
+        unit = find_unit(algebra)
+        kernel = common_kernel(algebra.field, algebra.dim,
+                               _nucleus_blocks(algebra.associator_tensor()),
+                               known=() if unit is None else [unit.coords])
         algebra._nucleus = Subspace(algebra, [Element(algebra, v) for v in kernel])
     return algebra._nucleus
+
+
+def _nucleus_blocks(A: dict):
+    """The nucleus system's rows, family 0 first, one basis pair (s, t) at a time.
+
+    Row (s, t, k) of each family is coordinate k as r runs over the basis.
+    The tensor's keys are sorted, so family 0's rows (b_s, b_t, r) are
+    complete once the keys (s, t, .) have passed and are yielded there;
+    families 1 and 2 index by other slots and are built whole, only if the
+    elimination reads past family 0.
+    """
+    for _, group in groupby(A.items(), key=lambda item: item[0][:2]):
+        rows = defaultdict(dict)
+        for (_, _, c), vec in group:
+            for k, val in vec.items():
+                rows[k][c] = val
+        yield rows.values()
+    families = ({}, {})
+    for (a, b, c), vec in A.items():
+        for k, val in vec.items():
+            families[0].setdefault((a, c, k), {})[b] = val   # (b_s, r, b_t)
+            families[1].setdefault((b, c, k), {})[a] = val   # (r, b_s, b_t)
+    yield from (rows.values() for rows in families)
 
 
 def center_via_peirce(pd: PeirceData) -> Subspace:
@@ -282,7 +330,9 @@ def center_via_peirce(pd: PeirceData) -> Subspace:
     if pd._center_via_peirce is None:
         comp = pd.components
         diag = Subspace(pd.algebra, comp[(1, 1)].basis + comp[(2, 2)].basis)
-        kernel = _commutant(pd.algebra, diag.basis, comp[(1, 2)].basis + comp[(2, 1)].basis)
+        unit = _over(comp[(1, 1)], pd.e1) + _over(comp[(2, 2)], pd.e2)  # 1 = e1 + e2, central
+        kernel = _commutant(pd.algebra, diag.basis, comp[(1, 2)].basis + comp[(2, 1)].basis,
+                            known=[unit])
         pd._center_via_peirce = Subspace.from_spanning(
             pd.algebra, [diag.combine(gamma) for gamma in kernel])
     return pd._center_via_peirce

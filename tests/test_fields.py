@@ -1,4 +1,5 @@
 import json
+import re
 import time
 from fractions import Fraction
 
@@ -134,6 +135,28 @@ def test_rational_parse_refuses_unbounded_scalar_text():
     for text in ("", "abc", "1e", "1/0.5"):
         with pytest.raises(ValueError):
             f.parse(text)
+
+
+def _parse_outcome(text):
+    try:
+        value = RationalField.parse(text)
+    except ValueError as exc:
+        return "error", str(exc)
+    return type(value), value
+
+
+def test_integer_fast_path_agrees_with_the_fraction_path(monkeypatch):
+    from altcomm import fields
+
+    texts = ["+5", " -7 ", "0010", "-0", "\t42\n", "1_000", "\u0663", "1e3", "3/1", "1.0",
+             "5" * fields.SCALAR_DIGIT_LIMIT, "-" + "5" * fields.SCALAR_DIGIT_LIMIT,
+             "5" * (fields.SCALAR_DIGIT_LIMIT + 1), "+" + "5" * (fields.SCALAR_DIGIT_LIMIT + 1),
+             "", "+", "--5", "5 5"]
+    fast = [_parse_outcome(text) for text in texts]
+    monkeypatch.setattr(fields, "_INTEGER", re.compile(r"(?!)"))     # Fraction path only
+    assert fast == [_parse_outcome(text) for text in texts]
+    assert fast[:3] == [(int, 5), (int, -7), (int, 10)]
+    assert fast[12][0] == "error" and "digits" in fast[12][1]
 
 
 # ----------------------------------------------------------------------

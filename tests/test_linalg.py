@@ -151,3 +151,65 @@ def test_dimension_mismatch_raises():
         m.matvec([Fraction(1)])
     with pytest.raises(ValueError):
         m.solve([Fraction(1), Fraction(2)])
+
+
+# ----------------------------------------------------------------------
+# a known kernel caps the elimination
+
+
+def test_a_known_kernel_caps_the_elimination_without_changing_the_echelon():
+    """Rows drawn from the annihilator of known vectors, in several orders:
+    the capped echelon equals the full one, whether or not the cap is reached."""
+    rng = random.Random(16)
+    reached = ran_out = 0
+    for _ in range(60):
+        field = rng.choice([Q, F5, F7])
+        n = rng.randint(2, 7)
+        scalar = ((lambda: Fraction(rng.randint(-3, 3), rng.choice([1, 2]))) if field is Q
+                  else (lambda: rng.randrange(field.p)))
+        known = [[scalar() for _ in range(n)] for _ in range(rng.randint(1, 3))]
+        known.append([field.mul(field.from_int(2), x) for x in known[0]])   # dependent
+        annihilator = common_kernel(field, n, [known])
+        if not annihilator:
+            continue
+        coefficients = [[scalar() for _ in annihilator] for _ in range(rng.randint(0, 2 * n))]
+        rows = [[sum(c * x for c, x in zip(cs, col)) for col in zip(*annihilator)]
+                for cs in coefficients]
+        if field is not Q:
+            rows = [[x % field.p for x in row] for row in rows]
+        full = echelon_of_blocks(field, n, [rows])
+        for _ in range(4):
+            rng.shuffle(rows)
+            assert echelon_of_blocks(field, n, [rows], known=known) == full
+            assert common_kernel(field, n, [rows], known=known) == common_kernel(field, n, [rows])
+        if len(full) == len(annihilator):
+            reached += 1
+        else:
+            ran_out += 1
+    assert reached >= 10 and ran_out >= 10
+
+
+def test_a_known_kernel_stops_reading_at_its_cap():
+    read = []
+
+    def blocks():
+        for k in range(5):
+            read.append(k)
+            yield [[1 if j == k else 0 for j in range(4)]]
+        raise AssertionError("unreachable: the rank reaches 4 - 1 after three blocks")
+
+    assert common_kernel(F7, 4, blocks(), known=[[0, 0, 0, 3], [0, 0, 0, 1]]) == [[0, 0, 0, 1]]
+    assert read == [0, 1, 2]
+
+
+def test_a_wrong_known_vector_is_refused():
+    rows = [[1, 0, 0], [0, 1, 0]]
+    with pytest.raises(ValueError, match="not in the kernel"):     # the cap is reached
+        echelon_of_blocks(F7, 3, [rows], known=[[1, 0, 0]])
+    with pytest.raises(ValueError, match="not in the kernel"):     # the rows run out
+        common_kernel(Q, 3, [rows[:1]], known=[{0: 1, 1: 1}])
+
+
+def test_echelon_rows_hold_ints_where_integral():
+    echelon = echelon_of_blocks(Q, 3, [[[2, 1, 2]]])       # 2 * Fraction(1, 2) is Fraction(1)
+    assert echelon == {0: {1: Fraction(1, 2), 2: 1}} and type(echelon[0][2]) is int

@@ -11,6 +11,8 @@ from altcomm import (Algebra, BudgetExceededError, PreconditionError, PrimeField
                      matrix_algebra, nucleus, peirce_decompose, prime_check_exhaustive,
                      scalar_algebra, verify_idempotent, zorn)
 from altcomm.constructions import cayley_dickson_algebra
+from altcomm.linalg import common_kernel
+from altcomm.peirce import _commutant, _nucleus_blocks
 
 Q = RationalField()
 F5 = PrimeField(5)
@@ -158,6 +160,31 @@ def test_sedenion_relation_witnesses_are_frozen():
     }
 
 
+def test_the_diagonal_square_entry_is_the_first_familys_entry():
+    """(ii) r_ii.r_ii in r_ii is (i) at i = j = l: the same result under its own name."""
+    for algebra, idem in (matrix_algebra(Q, 3), cayley_dickson_algebra(Q, [Q.one] * 4)):
+        report = check_peirce_relations(peirce_decompose(algebra, idem))
+        assert [r["check"] for r in report[8:12]] == [
+            "(ii) r11.r11 in r11", "(ii) r12.r12 in r21", "(ii) r21.r21 in r12",
+            "(ii) r22.r22 in r22"]
+        by_name = {r["check"]: r for r in report}
+        for i in (1, 2):
+            first = by_name[f"(i) r{i}{i}.r{i}{i} in r{i}{i}"]
+            assert by_name[f"(ii) r{i}{i}.r{i}{i} in r{i}{i}"] == {
+                **first, "check": f"(ii) r{i}{i}.r{i}{i} in r{i}{i}"}
+
+
+def test_sedenion_peirce_bases_hold_ints_where_integral():
+    """At (1 + i)/2 the pivot rows are divided by non-unit leads; no Fraction(1) is left."""
+    algebra, idem = cayley_dickson_algebra(Q, [Q.one] * 4)
+    assert idem.to_strings()[:3] == ["1/2", "1/2", "0"]
+    pd = peirce_decompose(algebra, idem)
+    spaces = [*pd.components.values(), pd.diagonal_center(1), pd.diagonal_center(2),
+              center_via_peirce(pd)]
+    scalars = [c for sub in spaces for el in sub.basis for c in el.coords]
+    assert scalars and all(type(c) is int for c in scalars if c.denominator == 1)
+
+
 # ----------------------------------------------------------------------
 # center and nucleus
 
@@ -191,6 +218,25 @@ def test_nucleus_of_builtins(m2q, m3q, zornq):
     nz = nucleus(az)
     assert nz.dim == 1
     assert nz.contains(find_unit(az))
+
+
+def test_a_wrong_known_central_vector_is_refused(m3q):
+    algebra, _ = m3q
+    basis = [algebra.basis_element(k) for k in range(algebra.dim)]
+    with pytest.raises(ValueError, match="not in the kernel"):
+        _commutant(algebra, basis, basis, known=[algebra.basis_coords(1)])
+    assert (_commutant(algebra, basis, basis, known=[find_unit(algebra).coords])
+            == _commutant(algebra, basis, basis) == [list(find_unit(algebra).coords)])
+
+
+def test_the_capped_nucleus_stops_inside_the_first_family():
+    algebra, _ = cayley_dickson_algebra(Q, [Q.one] * 4)
+    A, unit = algebra.associator_tensor(), find_unit(algebra)
+    blocks = _nucleus_blocks(A)
+    assert common_kernel(Q, 16, blocks, known=[unit.coords]) == [list(unit.coords)]
+    assert len(list(blocks)) >= 2, "families 1 and 2 were formed"
+    assert common_kernel(Q, 16, _nucleus_blocks(A)) == [list(unit.coords)]
+    assert nucleus(algebra).basis == (unit,)
 
 
 def test_center_via_peirce_matches(m2q_pd, m3q_pd, zornq_pd, m2f5_pd, zornf5_pd):
