@@ -4,11 +4,10 @@ Scalars are plain Python values: a rational is an int when it is integral
 and a `fractions.Fraction` otherwise, and a prime field's scalars are
 canonical residues (ints in [0, p)).  So every scalar is exact, hashable and
 comparable with ==; an int and a Fraction of the same value are equal, hash
-alike and print alike.  The elimination divides each new pivot row by its
-lead through RationalField.monic, so the integral entries of that row are
-ints, never Fraction(1), and products with them stay native.  A field
-object supplies the arithmetic; generic code keeps a field reference and
-never inspects the representation.  No floating point appears anywhere.
+alike and print alike.  A field object supplies the arithmetic, and its
+``monic`` keeps new echelon rows canonical (over Q, integral entries are
+ints, never Fraction(1)); generic code keeps a field reference and never
+inspects the representation.  No floating point appears anywhere.
 
 Characteristics 2 and 3 are rejected at construction: the algebraic
 machinery built on top divides by 2 in its linearization arguments and by
@@ -180,6 +179,11 @@ class PrimeField:
 
     def from_int(self, n: int) -> int:
         return n % self.p
+
+    def monic(self, row: dict, a: int) -> dict:
+        """row / a entrywise, {column: entry}."""
+        inv, mul = self.inv(a), self.mul
+        return {j: mul(inv, x) for j, x in row.items()}
 
     def parse(self, text: str) -> int:
         return int(text.strip(), 10) % self.p

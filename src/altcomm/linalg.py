@@ -17,12 +17,9 @@ block through the elimination, and ``express`` reads a vector's
 coefficients over the generators off its remainder (H. Cohen, GTM 138, Ch. 2).
 
 A caller that has proved some vectors lie in the kernel passes them as
-``known``: the elimination stops once the rank reaches n - dim span(known),
-since the rows it has read already span the whole row space, and the
-unique echelon is the same bytes.  The known vectors are checked against
-every echelon row, never trusted.  A new pivot row divided by its lead goes
-through RationalField.monic over Q, so its integral entries are ints,
-never Fraction(1).
+``known``, and the elimination stops at the rank they allow; the rows read
+are checked against them, and soundness past the cap rests on the caller's
+proof (see ``echelon_of_blocks``).
 """
 
 from __future__ import annotations
@@ -172,8 +169,7 @@ def echelon_of_blocks(field, n: int, blocks, known=()) -> dict[int, dict]:
     are dropped.  Rows are folded in one at a time, each reduced against
     the rows at the pivots it holds, so the stack is never formed; the
     lead is the smallest nonzero column, and a new row whose lead entry is
-    not one is divided by it through the field's ``monic`` where the field
-    has one (RationalField: integral entries stay ints).  The reduced
+    not one is divided by it through the field's ``monic``.  The reduced
     echelon form of a row space is unique, so the result does not depend on
     the order of the rows.
 
@@ -182,14 +178,14 @@ def echelon_of_blocks(field, n: int, blocks, known=()) -> dict[int, dict]:
     n - dim span(known), and the remaining blocks are not read once the
     rank reaches that cap (n when known is empty): rows past it can only
     span the same space, so the echelon is the same one, byte for byte.
-    Either way every echelon row is checked against every known vector,
-    and one that is not annihilated raises ValueError instead of being
-    trusted.
+    The rows read are checked: whether the cap is reached or the rows run
+    out, every echelon row must annihilate every known vector, or this
+    raises ValueError.  Rows past the cap are never read, so there the
+    result rests on the caller's proof.
     """
     f = field
     known = [_sparse(v) for v in known]
     cap = n - len(echelon_of_blocks(f, n, [known])) if known else n
-    monic = getattr(f, "monic", None)
     echelon = {}
     for row in chain.from_iterable(blocks) if cap else ():
         v = reduce_against(f, echelon, row)
@@ -197,13 +193,7 @@ def echelon_of_blocks(field, n: int, blocks, known=()) -> dict[int, dict]:
             continue
         lead = min(v)
         a = v.pop(lead)
-        if a == f.one:
-            new = v
-        elif monic is not None:
-            new = monic(v, a)
-        else:
-            inv = f.inv(a)
-            new = {j: f.mul(inv, x) for j, x in v.items()}
+        new = v if a == f.one else f.monic(v, a)
         for pc, terms in echelon.items():       # clear column lead from the older rows
             if lead in terms:
                 echelon[pc] = reduce_against(f, {lead: new}, terms)
@@ -286,11 +276,8 @@ def common_kernel(field, n: int, blocks, known=()) -> list[list]:
     """Common kernel of stacked blocks of rows, read off echelon_of_blocks.
 
     One vector per free column c, ascending: a one at c and, at each
-    pivot, minus that echelon row's entry in column c.  known holds
-    vectors the caller has proved lie in the kernel (see
-    echelon_of_blocks): elimination stops at rank n - dim span(known),
-    and since the reduced echelon form of the rows read equals that of all
-    of them, the basis is the one the full elimination gives.
+    pivot, minus that echelon row's entry in column c.  known caps the
+    elimination; see echelon_of_blocks.
     """
     echelon = echelon_of_blocks(field, n, blocks, known)
     basis = []

@@ -73,8 +73,7 @@ class PeirceData:
     def diagonal_center(self, i: int) -> Subspace:
         """The center of the (i, i) component as a subalgebra.
 
-        e_i is the component's unit, so it is central there and caps the
-        elimination (linalg.echelon_of_blocks).
+        Capped by e_i, the component's unit; see linalg.echelon_of_blocks.
         """
         if i not in self._diag_center:
             comp = self.components[(i, i)]
@@ -201,8 +200,8 @@ def center(algebra: Algebra) -> Subspace:
 
     Every centrality question reads this one subspace: is_central asks its
     contains, and spans built from its basis answer the existence questions
-    of the lemma suite.  A verified unit is central, so on a unital
-    algebra the elimination stops at rank dim - 1 (see _commutant).
+    of the lemma suite.  Capped by the verified unit, if there is one; see
+    linalg.echelon_of_blocks.
     """
     if algebra._center is None:
         basis = [algebra.basis_element(k) for k in range(algebra.dim)]
@@ -214,12 +213,17 @@ def center(algebra: Algebra) -> Subspace:
 
 
 def _over(sub: Subspace, x: Element) -> list:
-    """The coefficients of x in sub over its canonical (from_spanning) basis.
+    """The coefficients of x over sub's basis, read at its pivots.
 
-    Each basis vector is one at its own pivot and zero at the others, so
-    the coefficient of basis vector c is x's coordinate at pivot c.
+    A canonical (from_spanning) basis vector is one at its own pivot and
+    zero at the others, so the coefficient of basis vector c is x's
+    coordinate at pivot c.  The combination is checked against x, so a
+    basis of another form, or an x outside sub, raises ValueError.
     """
-    return [x.coords[pc] for pc in sub._echelon]
+    alpha = [x.coords[pc] for pc in sub._echelon]
+    if sub.combine(alpha) != x:
+        raise ValueError("the element is not read off the subspace's pivots")
+    return alpha
 
 
 def _commutant(algebra: Algebra, span, against, known=()):
@@ -231,9 +235,8 @@ def _commutant(algebra: Algebra, span, against, known=()):
     support of some span_s, and a coefficient one is never multiplied.
     Only rows that some entry reaches are formed, as {s: entry} maps; no
     Element is built, and the kernel vectors are coefficients over span.
-    Blocks are formed one t at a time, as the elimination asks for them:
-    known holds coefficient vectors proved to lie in the kernel, and once
-    the rank reaches their cap (linalg.common_kernel) no later t is read.
+    Blocks are formed one t at a time, so none past the cap that known
+    sets (linalg.echelon_of_blocks) is built.
     """
     f, m, one = algebra.field, len(span), algebra.field.one
     at = {}                         # coordinate u -> [(s, coordinate u of span_s)]
@@ -277,11 +280,11 @@ def nucleus(algebra: Algebra) -> Subspace:
     A(s, r, t) and A(r, s, t) over all basis pairs (s, t), with A the
     cached associator tensor.  Only rows that hold a nonzero associator
     coordinate are formed, as {column: entry} maps, so an associative
-    algebra costs one empty scan.  A verified unit lies in the nucleus,
-    so on a unital algebra the elimination stops at rank dim - 1, and the
-    rows are formed as it asks for them (see _nucleus_blocks): where the
-    first family alone reaches that rank, as on CD4(Q) and CD5(Q), the
-    other two are never built.
+    algebra costs one empty scan.  Capped by the verified unit, if there
+    is one (linalg.echelon_of_blocks); the rows are formed as the
+    elimination asks for them (_nucleus_blocks), so where the first family
+    alone reaches the cap, as on CD4(Q) and CD5(Q), the other two are
+    never built.
     """
     if algebra._nucleus is None:
         unit = find_unit(algebra)

@@ -173,6 +173,13 @@ def test_integral_rationals_are_ints():
     assert type(f.parse("-3/6")) is Fraction
 
 
+def test_monic_divides_a_row_by_its_lead():
+    row = {1: Fraction(1, 2), 3: 6}
+    assert RationalField.monic(row, Fraction(1, 2)) == {1: 1, 3: 12}
+    assert all(type(x) is int for x in RationalField.monic(row, Fraction(1, 2)).values())
+    assert PrimeField(7).monic({1: 3, 3: 6}, 3) == {1: 1, 3: 2}
+
+
 def test_parse_refusals_survive_the_int_representation():
     from altcomm.fields import SCALAR_DIGIT_LIMIT
 

@@ -9,10 +9,10 @@ from altcomm import (Algebra, BudgetExceededError, PreconditionError, PrimeField
                      RationalField, center, center_via_peirce, check_peirce_relations,
                      direct_sum, find_unit, hypothesis_check, is_central, lift_central,
                      matrix_algebra, nucleus, peirce_decompose, prime_check_exhaustive,
-                     scalar_algebra, verify_idempotent, zorn)
+                     Subspace, scalar_algebra, verify_idempotent, zorn)
 from altcomm.constructions import cayley_dickson_algebra
 from altcomm.linalg import common_kernel
-from altcomm.peirce import _commutant, _nucleus_blocks
+from altcomm.peirce import _commutant, _nucleus_blocks, _over
 
 Q = RationalField()
 F5 = PrimeField(5)
@@ -218,6 +218,18 @@ def test_nucleus_of_builtins(m2q, m3q, zornq):
     nz = nucleus(az)
     assert nz.dim == 1
     assert nz.contains(find_unit(az))
+
+
+def test_coefficients_read_at_the_pivots_are_checked(m3q):
+    """_over reads a canonical basis at its pivots; any other basis, or an x outside, raises."""
+    algebra, _ = m3q
+    b0, b1, b2 = (algebra.basis_element(k) for k in range(3))
+    canonical = Subspace.from_spanning(algebra, [b0 + b1, b1])
+    assert _over(canonical, b0 + b1 + b1) == [1, 2]
+    with pytest.raises(ValueError, match="pivots"):
+        _over(Subspace(algebra, [b0 + b1, b1]), b0)
+    with pytest.raises(ValueError, match="pivots"):
+        _over(canonical, b2)
 
 
 def test_a_wrong_known_central_vector_is_refused(m3q):
