@@ -58,8 +58,9 @@ class Algebra:
         for entry in structure:
             i, j, k, c = entry
             for idx in (i, j, k):
-                if isinstance(idx, bool) or not 0 <= idx < dim:
-                    raise ValueError(f"structure index {idx} out of range for dim {dim}")
+                if type(idx) is not int or not 0 <= idx < dim:
+                    raise ValueError(f"structure index {idx!r} must be an integer "
+                                     f"from 0 to {dim - 1}")
             if not c:
                 continue
             key = (i, j, k)
@@ -164,29 +165,25 @@ class Algebra:
                     out[k] = f.add(out[k], f.mul(s, c))
         return out
 
-    def left_mult_matrix(self, coords) -> Matrix:
-        """Matrix of x -> a . x in the chosen basis."""
+    def _mult_matrix(self, coords, table) -> Matrix:
+        # table[i][j] holds b_i b_j (_rows, for L_a) or b_j b_i (_cols, for R_a)
         f = self.field
         m = [[f.zero] * self.dim for _ in range(self.dim)]
         for i, ai in enumerate(coords):
             if not ai:
                 continue
-            for j, terms in self._rows[i].items():
+            for j, terms in table[i].items():
                 for k, c in terms:
                     m[k][j] = f.add(m[k][j], f.mul(ai, c))
         return Matrix(f, m, cols=self.dim)
 
+    def left_mult_matrix(self, coords) -> Matrix:
+        """Matrix of x -> a . x in the chosen basis."""
+        return self._mult_matrix(coords, self._rows)
+
     def right_mult_matrix(self, coords) -> Matrix:
         """Matrix of x -> x . a in the chosen basis."""
-        f = self.field
-        m = [[f.zero] * self.dim for _ in range(self.dim)]
-        for j, aj in enumerate(coords):
-            if not aj:
-                continue
-            for i, terms in self._cols[j].items():
-                for k, c in terms:
-                    m[k][i] = f.add(m[k][i], f.mul(aj, c))
-        return Matrix(f, m, cols=self.dim)
+        return self._mult_matrix(coords, self._cols)
 
     def associator_tensor(self) -> dict:
         """Cached sparse associators of basis triples, {(s, t, u): {k: c}}.
@@ -572,17 +569,26 @@ def direct_sum(a: Algebra, b: Algebra) -> Algebra:
 # file I/O
 
 
-def save_algebra(algebra: Algebra, path) -> None:
+def read_json(path):
+    """The JSON document in a file; ValueError if it is not JSON or too deeply nested to read."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"not valid JSON: {path} ({exc})") from exc
+        except RecursionError:
+            raise ValueError(f"not valid JSON: {path} (nested too deeply)") from None
+
+
+def write_json(path, data) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(algebra.to_dict(), fh, indent=2)
+        json.dump(data, fh, indent=2)
         fh.write("\n")
 
 
-def load_algebra(path) -> Algebra:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            d = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"not valid JSON: {path} ({exc})") from exc
-    return Algebra.from_dict(d)
+def save_algebra(algebra: Algebra, path) -> None:
+    write_json(path, algebra.to_dict())
 
+
+def load_algebra(path) -> Algebra:
+    return Algebra.from_dict(read_json(path))

@@ -16,7 +16,8 @@ import re
 
 import click
 
-from .algebra import Algebra, direct_sum, find_unit, is_alternative, load_algebra, save_algebra
+from .algebra import (Algebra, direct_sum, find_unit, is_alternative, load_algebra,
+                      read_json, save_algebra, write_json)
 from .commuting import (LinearMap, decompose, exhaustive_commuting_check,
                         is_anti_commuting, is_commuting, load_map, random_commuting_map)
 from .constructions import cayley_dickson_algebra, cd_dimension, matrix_algebra, zorn
@@ -29,11 +30,17 @@ from .peirce import (DEFAULT_BUDGET, check_peirce_relations, hypothesis_check, n
 from .peirce import center as center_of
 
 
+def _keep_setting(ctx, param, value):
+    ctx.meta[param.name] = value
+
+
 def common_options(fn):
+    """--format and --deterministic, read by emit and not passed to the command."""
     fn = click.option("--format", "fmt", type=click.Choice(["text", "json"]),
-                      default="text", show_default=True,
-                      help="Report format.")(fn)
-    fn = click.option("--deterministic", is_flag=True,
+                      default="text", show_default=True, expose_value=False,
+                      callback=_keep_setting, help="Report format.")(fn)
+    fn = click.option("--deterministic", is_flag=True, expose_value=False,
+                      callback=_keep_setting,
                       help="Omit the generated_at envelope field from JSON output.")(fn)
     return fn
 
@@ -52,17 +59,23 @@ out_option = click.option("--out", type=click.Path(), default=None,
                           help="Output path (defaults to a name derived from the algebra).")
 
 
-def emit(command: str, payload: dict, lines: list[str], fmt: str,
-         deterministic: bool) -> None:
-    if fmt == "json":
+def emit(command: str, payload: dict, lines: list[str], ok: bool = True) -> None:
+    """Print a report in the running command's --format, then exit 0, or 1 when not ok.
+
+    The one place a command's exit code is decided: usage errors exit 2
+    through click.UsageError before anything is emitted.
+    """
+    ctx = click.get_current_context()
+    if ctx.meta["fmt"] == "json":
         envelope = {"command": command, "report": payload}
-        if not deterministic:
+        if not ctx.meta["deterministic"]:
             from datetime import datetime, timezone
             envelope["generated_at"] = datetime.now(timezone.utc).isoformat()
         click.echo(json.dumps(envelope, indent=2, sort_keys=True))
     else:
         for line in lines:
             click.echo(line)
+    ctx.exit(0 if ok else 1)
 
 
 def parse_field(token: str):
@@ -91,8 +104,7 @@ def parse_element(algebra: Algebra, token: str):
     """An element given as a coords file, a basis label, or inline scalars."""
     if os.path.exists(token):
         try:
-            with open(token) as fh:
-                raw = json.load(fh)
+            raw = read_json(token)
         except (OSError, ValueError) as exc:
             raise click.UsageError(f"cannot read element file {token}: {exc}")
         coords = raw.get("coords") if isinstance(raw, dict) else raw
@@ -139,7 +151,7 @@ def witness_lines(witness: dict) -> list[str]:
     return out
 
 
-def guarded_peirce(algebra: Algebra, e1, ctx):
+def guarded_peirce(algebra: Algebra, e1):
     """Peirce data with input problems mapped to exit 2 and a refused split emitted, exit 1."""
     try:
         ok = verify_idempotent(algebra, e1)
@@ -151,14 +163,24 @@ def guarded_peirce(algebra: Algebra, e1, ctx):
     try:
         return peirce_decompose(algebra, e1)
     except PreconditionError as exc:
-        emit(ctx.info_name, {"error": str(exc)}, [f"FAIL: {exc}"],
-             ctx.params["fmt"], ctx.params["deterministic"])
-        ctx.exit(1)
+        emit(click.get_current_context().info_name, {"error": str(exc)}, [f"FAIL: {exc}"],
+             ok=False)
 
 
 @click.group()
 def main():
     """Exact computations in finite-dimensional alternative algebras."""
+
+
+def reader(name: str, *options):
+    """Declare a command on one algebra file: the path, the command's options, the common ones."""
+    def declare(fn):
+        fn = common_options(fn)
+        for option in reversed(options):
+            fn = option(fn)
+        fn = click.argument("algebra_path", type=click.Path(exists=True))(fn)
+        return main.command(name)(fn)
+    return declare
 
 
 # ----------------------------------------------------------------------
@@ -171,22 +193,19 @@ def default_out(algebra: Algebra) -> str:
     return re.sub(r"[^a-z0-9]+", "", slug) + ".json"
 
 
-def write_generated(algebra: Algebra, idem, out: str | None, fmt: str,
-                    deterministic: bool) -> None:
+def write_generated(algebra: Algebra, idem, out: str | None) -> None:
     path = out or default_out(algebra)
     save_algebra(algebra, path)
     idem_path = None
     if idem is not None:
         idem_path = os.path.splitext(path)[0] + ".idem.json"
-        with open(idem_path, "w") as fh:
-            json.dump({"coords": idem.to_strings()}, fh, indent=2)
-            fh.write("\n")
+        write_json(idem_path, {"coords": idem.to_strings()})
     payload = {"algebra": path, "idempotent": idem_path,
                "dim": algebra.dim, "field": algebra.field.label, "name": algebra.name}
     lines = [f"wrote {path} ({algebra.name}, dim {algebra.dim})"]
     if idem_path:
         lines.append(f"wrote {idem_path} (idempotent {element_str(idem)})")
-    emit("gen", payload, lines, fmt, deterministic)
+    emit("gen", payload, lines)
 
 
 @main.group()
@@ -199,22 +218,22 @@ def gen():
 @field_option
 @out_option
 @common_options
-def gen_matrix(n, field_token, out, fmt, deterministic):
+def gen_matrix(n, field_token, out):
     field = parse_field(field_token)
     try:
         algebra, e11 = matrix_algebra(field, n)
     except ValueError as exc:
         raise click.UsageError(str(exc))
-    write_generated(algebra, e11, out, fmt, deterministic)
+    write_generated(algebra, e11, out)
 
 
 @gen.command("zorn")
 @field_option
 @out_option
 @common_options
-def gen_zorn(field_token, out, fmt, deterministic):
+def gen_zorn(field_token, out):
     algebra, e11 = zorn(parse_field(field_token))
-    write_generated(algebra, e11, out, fmt, deterministic)
+    write_generated(algebra, e11, out)
 
 
 @gen.command("cayley-dickson")
@@ -224,7 +243,7 @@ def gen_zorn(field_token, out, fmt, deterministic):
 @field_option
 @out_option
 @common_options
-def gen_cd(steps, gammas, field_token, out, fmt, deterministic):
+def gen_cd(steps, gammas, field_token, out):
     field = parse_field(field_token)
     if steps < 1:
         raise click.UsageError("--steps must be at least 1")
@@ -242,7 +261,7 @@ def gen_cd(steps, gammas, field_token, out, fmt, deterministic):
         algebra, idem = cayley_dickson_algebra(field, gamma_list)
     except ValueError as exc:
         raise click.UsageError(str(exc))
-    write_generated(algebra, idem, out, fmt, deterministic)
+    write_generated(algebra, idem, out)
 
 
 @gen.command("direct-sum")
@@ -252,7 +271,7 @@ def gen_cd(steps, gammas, field_token, out, fmt, deterministic):
               help="Algebra file for the second summand.")
 @out_option
 @common_options
-def gen_direct_sum(left, right, out, fmt, deterministic):
+def gen_direct_sum(left, right, out):
     a = load_algebra_arg(left)
     b = load_algebra_arg(right)
     try:
@@ -261,20 +280,16 @@ def gen_direct_sum(left, right, out, fmt, deterministic):
         raise click.UsageError(str(exc))
     idem = None
     if a.unit is not None:
-        coords = list(a.unit.coords) + [b.field.zero] * b.dim
-        idem = algebra.element(coords)
-    write_generated(algebra, idem, out, fmt, deterministic)
+        idem = algebra.element(list(a.unit.coords) + [b.field.zero] * b.dim)
+    write_generated(algebra, idem, out)
 
 
 # ----------------------------------------------------------------------
 # verification
 
 
-@main.command()
-@click.argument("algebra_path", type=click.Path(exists=True))
-@common_options
-@click.pass_context
-def verify(ctx, algebra_path, fmt, deterministic):
+@reader("verify")
+def verify(algebra_path):
     """Check alternativity and the existence of a unit."""
     algebra = load_algebra_arg(algebra_path)
     alt, triple = is_alternative(algebra)
@@ -292,12 +307,10 @@ def verify(ctx, algebra_path, fmt, deterministic):
         lines.append(f"unital: yes, unit = {element_str(unit)}")
     else:
         lines.append("unital: NO (no two-sided unit exists)")
-    emit("verify", payload, lines, fmt, deterministic)
-    ctx.exit(0 if alt and unit is not None else 1)
+    emit("verify", payload, lines, ok=alt and unit is not None)
 
 
-def subspace_report(word: str, subspace_of, algebra_path: str, fmt: str,
-                    deterministic: bool) -> None:
+def subspace_report(word: str, subspace_of, algebra_path: str) -> None:
     """Report the basis of one subspace of an algebra, e.g. its center."""
     algebra = load_algebra_arg(algebra_path)
     space = subspace_of(algebra)
@@ -305,59 +318,43 @@ def subspace_report(word: str, subspace_of, algebra_path: str, fmt: str,
                "basis": [el.to_strings() for el in space.basis]}
     lines = [f"{word} of {algebra.name}: dimension {space.dim}"]
     lines += [f"  {element_str(el)}" for el in space.basis]
-    emit(word, payload, lines, fmt, deterministic)
+    emit(word, payload, lines)
 
 
-@main.command()
-@click.argument("algebra_path", type=click.Path(exists=True))
-@common_options
-def center(algebra_path, fmt, deterministic):
+@reader("center")
+def center(algebra_path):
     """Print a basis of the center."""
-    subspace_report("center", center_of, algebra_path, fmt, deterministic)
+    subspace_report("center", center_of, algebra_path)
 
 
-@main.command("nucleus")
-@click.argument("algebra_path", type=click.Path(exists=True))
-@common_options
-def nucleus_cmd(algebra_path, fmt, deterministic):
+@reader("nucleus")
+def nucleus_cmd(algebra_path):
     """Print a basis of the nucleus."""
-    subspace_report("nucleus", nucleus, algebra_path, fmt, deterministic)
+    subspace_report("nucleus", nucleus, algebra_path)
 
 
-@main.command()
-@click.argument("algebra_path", type=click.Path(exists=True))
-@idempotent_option
-@common_options
-@click.pass_context
-def peirce(ctx, algebra_path, idem_token, fmt, deterministic):
+@reader("peirce", idempotent_option)
+def peirce(algebra_path, idem_token):
     """Split along an idempotent and verify the component multiplication rules."""
     algebra = load_algebra_arg(algebra_path)
     e1 = parse_element(algebra, idem_token)
-    pd = guarded_peirce(algebra, e1, ctx)
+    pd = guarded_peirce(algebra, e1)
     report = check_peirce_relations(pd)
     dims = pd.dims()
     payload = {"name": algebra.name, "dims": list(dims), "relations": report}
     lines = [f"Peirce split of {algebra.name} at e1 = {element_str(e1)}",
              f"component dimensions (r11, r12, r21, r22) = {dims}"]
-    passed = 0
     for entry in report:
-        mark = "ok" if entry["pass"] else "FAIL"
-        lines.append(f"  {entry['check']}: {mark}")
-        if entry["pass"]:
-            passed += 1
-        else:
+        lines.append(f"  {entry['check']}: {'ok' if entry['pass'] else 'FAIL'}")
+        if not entry["pass"]:
             lines += witness_lines(entry["witness"])
+    passed = sum(entry["pass"] for entry in report)
     lines.append(f"relations: {passed}/{len(report)} ok")
-    emit("peirce", payload, lines, fmt, deterministic)
-    ctx.exit(0 if passed == len(report) else 1)
+    emit("peirce", payload, lines, ok=passed == len(report))
 
 
-@main.command()
-@click.argument("algebra_path", type=click.Path(exists=True))
-@idempotent_option
-@common_options
-@click.pass_context
-def hypothesis(ctx, algebra_path, idem_token, fmt, deterministic):
+@reader("hypothesis", idempotent_option)
+def hypothesis(algebra_path, idem_token):
     """Check the regularity condition at e1 and its complement."""
     algebra = load_algebra_arg(algebra_path)
     e1 = parse_element(algebra, idem_token)
@@ -373,16 +370,11 @@ def hypothesis(ctx, algebra_path, idem_token, fmt, deterministic):
         else:
             payload[f"witness_{label}"] = w.to_strings()
             lines.append(f"  {label}: FAILS, witness {element_str(w)}")
-    emit("hypothesis", payload, lines, fmt, deterministic)
-    ctx.exit(0 if ok1 and ok2 else 1)
+    emit("hypothesis", payload, lines, ok=ok1 and ok2)
 
 
-@main.command()
-@click.argument("algebra_path", type=click.Path(exists=True))
-@budget_option
-@common_options
-@click.pass_context
-def prime(ctx, algebra_path, budget, fmt, deterministic):
+@reader("prime", budget_option)
+def prime(algebra_path, budget):
     """Exhaustively search a finite-field algebra for an annihilating pair."""
     algebra = load_algebra_arg(algebra_path)
     try:
@@ -397,21 +389,15 @@ def prime(ctx, algebra_path, budget, fmt, deterministic):
         payload["witness"] = {"a": a.to_strings(), "b": b.to_strings()}
         lines = [f"{algebra.name}: NOT prime",
                  f"  witness a = {element_str(a)}, b = {element_str(b)}"]
-    emit("prime", payload, lines, fmt, deterministic)
-    ctx.exit(0 if ok else 1)
+    emit("prime", payload, lines, ok=ok)
 
 
 # ----------------------------------------------------------------------
 # maps
 
 
-@main.command("check-map")
-@click.argument("algebra_path", type=click.Path(exists=True))
-@map_option
-@seed_option
-@common_options
-@click.pass_context
-def check_map(ctx, algebra_path, map_token, seed, fmt, deterministic):
+@reader("check-map", map_option, seed_option)
+def check_map(algebra_path, map_token, seed):
     """Test whether a linear map commutes (and anti-commutes) with its argument."""
     algebra = load_algebra_arg(algebra_path)
     phi = load_map_arg(algebra, map_token, seed)
@@ -426,23 +412,16 @@ def check_map(ctx, algebra_path, map_token, seed, fmt, deterministic):
         lines.append("commuting: NO")
         lines.append(f"  witness x = {element_str(pair[0])}, y = {element_str(pair[1])}")
     lines.append(f"anti-commuting: {'yes' if anti else 'no'}")
-    emit("check-map", payload, lines, fmt, deterministic)
-    ctx.exit(0 if ok else 1)
+    emit("check-map", payload, lines, ok=ok)
 
 
-@main.command("decompose")
-@click.argument("algebra_path", type=click.Path(exists=True))
-@idempotent_option
-@map_option
-@seed_option
-@common_options
-@click.pass_context
-def decompose_cmd(ctx, algebra_path, idem_token, map_token, seed, fmt, deterministic):
+@reader("decompose", idempotent_option, map_option, seed_option)
+def decompose_cmd(algebra_path, idem_token, map_token, seed):
     """Split a commuting map as phi(x) = z x + xi(x) with z central, xi center-valued."""
     algebra = load_algebra_arg(algebra_path)
     e1 = parse_element(algebra, idem_token)
     phi = load_map_arg(algebra, map_token, seed)
-    pd = guarded_peirce(algebra, e1, ctx)
+    pd = guarded_peirce(algebra, e1)
     try:
         dec = decompose(pd, phi)
     except NotCommutingError as exc:
@@ -451,9 +430,7 @@ def decompose_cmd(ctx, algebra_path, idem_token, map_token, seed, fmt, determini
              {"error": "not commuting",
               "witness": {"x": x.to_strings(), "y": y.to_strings()}},
              ["FAIL: the map is not commuting",
-              f"  witness x = {element_str(x)}, y = {element_str(y)}"],
-             fmt, deterministic)
-        ctx.exit(1)
+              f"  witness x = {element_str(x)}, y = {element_str(y)}"], ok=False)
     except (HypothesisError, DecompositionError) as exc:
         w = exc.witness
         lines = [f"FAIL: {exc}"]
@@ -461,8 +438,7 @@ def decompose_cmd(ctx, algebra_path, idem_token, map_token, seed, fmt, determini
         if w is not None:
             payload["witness"] = w.to_strings()
             lines.append(f"  witness {element_str(w)}")
-        emit("decompose", payload, lines, fmt, deterministic)
-        ctx.exit(1)
+        emit("decompose", payload, lines, ok=False)
     payload = dec.to_dict()
     payload["name"] = algebra.name
     lines = [f"z  = {element_str(dec.z)}",
@@ -472,23 +448,16 @@ def decompose_cmd(ctx, algebra_path, idem_token, map_token, seed, fmt, determini
     lines += ["  " + ",".join(algebra.field.fmt(v) for v in row)
               for row in dec.xi.matrix.data]
     lines.append(f"verified: {dec.verified}")
-    emit("decompose", payload, lines, fmt, deterministic)
-    ctx.exit(0)
+    emit("decompose", payload, lines)
 
 
-@main.command("lemmas")
-@click.argument("algebra_path", type=click.Path(exists=True))
-@idempotent_option
-@map_option
-@seed_option
-@common_options
-@click.pass_context
-def lemmas_cmd(ctx, algebra_path, idem_token, map_token, seed, fmt, deterministic):
+@reader("lemmas", idempotent_option, map_option, seed_option)
+def lemmas_cmd(algebra_path, idem_token, map_token, seed):
     """Run the nine supporting checks and print a table."""
     algebra = load_algebra_arg(algebra_path)
     e1 = parse_element(algebra, idem_token)
     phi = load_map_arg(algebra, map_token, seed)
-    pd = guarded_peirce(algebra, e1, ctx)
+    pd = guarded_peirce(algebra, e1)
     reports = run_all(pd, phi)
     marks = {"pass": "✓", "fail": "✗", "not-applicable": "n-a"}
     payload = {"name": algebra.name, "lemmas": [r.to_dict() for r in reports]}
@@ -499,18 +468,11 @@ def lemmas_cmd(ctx, algebra_path, idem_token, map_token, seed, fmt, deterministi
             lines += witness_lines(r.witness)
     passed = sum(r.status == "pass" for r in reports)
     lines.append(f"{passed}/{len(reports)} passed")
-    emit("lemmas", payload, lines, fmt, deterministic)
-    ctx.exit(0 if all(r.status == "pass" for r in reports) else 1)
+    emit("lemmas", payload, lines, ok=passed == len(reports))
 
 
-@main.command("oracle")
-@click.argument("algebra_path", type=click.Path(exists=True))
-@map_option
-@seed_option
-@budget_option
-@common_options
-@click.pass_context
-def oracle(ctx, algebra_path, map_token, seed, budget, fmt, deterministic):
+@reader("oracle", map_option, seed_option, budget_option)
+def oracle(algebra_path, map_token, seed, budget):
     """Check [phi(x), x] = 0 on every element of a finite-field algebra."""
     algebra = load_algebra_arg(algebra_path)
     phi = load_map_arg(algebra, map_token, seed)
@@ -525,8 +487,7 @@ def oracle(ctx, algebra_path, map_token, seed, budget, fmt, deterministic):
         payload["witness"] = x.to_strings()
         lines = ["found a violating element",
                  f"  witness x = {element_str(x)}"]
-    emit("oracle", payload, lines, fmt, deterministic)
-    ctx.exit(0 if ok else 1)
+    emit("oracle", payload, lines, ok=ok)
 
 
 if __name__ == "__main__":

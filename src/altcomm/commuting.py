@@ -13,10 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import Algebra, Element, commutator
-from .errors import BudgetExceededError, DecompositionError, HypothesisError, NotCommutingError
+from .algebra import Algebra, Element, commutator, read_json, write_json
+from .errors import DecompositionError, HypothesisError, NotCommutingError
 from .linalg import Matrix, express, tagged_echelon
-from .peirce import DEFAULT_BUDGET, PeirceData, center, is_central
+from .peirce import DEFAULT_BUDGET, PeirceData, center, is_central, scan_guard
 
 
 class LinearMap:
@@ -284,15 +284,9 @@ def exhaustive_commuting_check(algebra: Algebra, phi: LinearMap,
     """
     if phi.algebra is not algebra:
         raise ValueError("map on a different algebra")
-    field = algebra.field
-    if field.kind != "prime":
-        raise ValueError("the exhaustive commutation check needs a finite field")
+    p, n = scan_guard(algebra, budget, "commutation check")
     from . import _modscan
 
-    p, n = field.p, algebra.dim
-    if p ** n > budget:
-        raise BudgetExceededError(
-            f"p^dim = {p ** n} exceeds the enumeration budget {budget}")
     _modscan.check_commutator_bound(p, n)
     coords = _modscan.commutation_scan(_modscan.structure_tensor(algebra), phi.matrix.data, p)
     if coords is None:
@@ -328,15 +322,8 @@ def map_from_dict(algebra: Algebra, d: dict) -> LinearMap:
 
 
 def save_map(phi: LinearMap, path) -> None:
-    import json
-
-    with open(path, "w") as fh:
-        json.dump(map_to_dict(phi), fh, indent=2)
-        fh.write("\n")
+    write_json(path, map_to_dict(phi))
 
 
 def load_map(algebra: Algebra, path) -> LinearMap:
-    import json
-
-    with open(path) as fh:
-        return map_from_dict(algebra, json.load(fh))
+    return map_from_dict(algebra, read_json(path))

@@ -232,18 +232,17 @@ def _commutant(algebra: Algebra, span, against, known=()):
     Row (t, k), entry s is coordinate k of [span_s, t], summed from the
     commutator tensor.  The span is indexed by coordinate, so each nonzero
     coordinate v of t meets only the tensor entries (u, v) with u in the
-    support of some span_s, and a coefficient one is never multiplied.
-    Only rows that some entry reaches are formed, as {s: entry} maps; no
-    Element is built, and the kernel vectors are coefficients over span.
-    Blocks are formed one t at a time, so none past the cap that known
-    sets (linalg.echelon_of_blocks) is built.
+    support of some span_s.  Only rows that some entry reaches are formed,
+    as {s: entry} maps; no Element is built, and the kernel vectors are
+    coefficients over span.  Blocks are formed one t at a time, so none
+    past the cap that known sets (linalg.echelon_of_blocks) is built.
     """
-    f, m, one = algebra.field, len(span), algebra.field.one
+    f, m = algebra.field, len(span)
     at = {}                         # coordinate u -> [(s, coordinate u of span_s)]
     for s, el in enumerate(span):
         for u, x in enumerate(el.coords):
             if x:
-                at.setdefault(u, []).append((s, x, x == one))
+                at.setdefault(u, []).append((s, x))
     meets = {}                      # v -> [(at[u], nonzero coordinates of [b_u, b_v])]
     for (u, v), vec in algebra.commutator_tensor().items():
         if u in at:
@@ -255,13 +254,11 @@ def _commutant(algebra: Algebra, span, against, known=()):
             for v, y in enumerate(t.coords):
                 if not y:
                     continue
-                y_one = y == one
                 for xs, vec in meets.get(v, ()):
-                    for s, x, x_one in xs:
-                        xy = y if x_one else (x if y_one else f.mul(x, y))
+                    for s, x in xs:
+                        xy = f.mul(x, y)
                         for k, c in vec:
-                            if not (x_one and y_one):
-                                c = f.mul(xy, c)
+                            c = f.mul(xy, c)
                             row = rows[k]
                             row[s] = f.add(row[s], c) if s in row else c
             yield rows.values()
@@ -416,6 +413,23 @@ def lift_central(pd: PeirceData, x: Element, i: int) -> Element | None:
 # exhaustive primeness scan
 
 
+def scan_guard(algebra: Algebra, budget: int, scan: str) -> tuple[int, int]:
+    """(p, dim) of an algebra that an exhaustive scan may enumerate.
+
+    Both scans call it before _modscan, and so numpy, is imported: it
+    raises ValueError unless the field is finite, and BudgetExceededError
+    when p^dim exceeds the budget.  Each scan's int64 bound follows in
+    _modscan.
+    """
+    field = algebra.field
+    if field.kind != "prime":
+        raise ValueError(f"the exhaustive {scan} needs a finite field")
+    p, n = field.p, algebra.dim
+    if p ** n > budget:
+        raise BudgetExceededError(f"p^dim = {p ** n} exceeds the enumeration budget {budget}")
+    return p, n
+
+
 def prime_check_exhaustive(algebra: Algebra, budget: int = DEFAULT_BUDGET):
     """Search for a pair of nonzero a, b with (a x) b = 0 for every x.
 
@@ -437,15 +451,9 @@ def prime_check_exhaustive(algebra: Algebra, budget: int = DEFAULT_BUDGET):
     on T(a) itself.  Each entry of L_a, S(a) and T(a) is a sum of dim
     products of residues, below dim p^2.
     """
-    field = algebra.field
-    if field.kind != "prime":
-        raise ValueError("the exhaustive primeness scan needs a finite field")
+    p, n = scan_guard(algebra, budget, "primeness scan")
     from . import _modscan
 
-    p, n = field.p, algebra.dim
-    if p ** n > budget:
-        raise BudgetExceededError(
-            f"p^dim = {p ** n} exceeds the enumeration budget {budget}")
     _modscan.check_prime_scan_bound(p, n)
     coords = _modscan.primeness_scan(_modscan.structure_tensor(algebra), p,
                                      find_unit(algebra) is not None)
@@ -454,7 +462,7 @@ def prime_check_exhaustive(algebra: Algebra, budget: int = DEFAULT_BUDGET):
     a = algebra.element([int(v) for v in coords])
     blocks = (algebra.left_mult_matrix(
         algebra.mul_coords(a.coords, algebra.basis_coords(k))).data for k in range(n))
-    b = Element(algebra, common_kernel(field, n, blocks)[0])
+    b = Element(algebra, common_kernel(algebra.field, n, blocks)[0])
     for k in range(n):
         prod = algebra.mul_coords(a.coords, algebra.basis_coords(k))
         if any(algebra.mul_coords(prod, b.coords)):

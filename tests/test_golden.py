@@ -11,6 +11,11 @@ unital algebra whose bracketings e (x e') and (e x) e' disagree at its
 idempotent e, so that the split is refused, and ``cd3q_unitless.json``,
 CD3(Q) with its ``unit`` key removed, so that the unit is solved for.
 
+``cli_params.json`` pins every command's declared parameters in order: name,
+option strings, type, whether required, default and help text.  It reads
+click's parameter objects, not the formatted ``--help``, so it does not
+depend on the click version's help layout.
+
 A change that alters output on purpose regenerates the files with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -21,12 +26,14 @@ run from the repository root, and says why in the change log.
 import json
 import os
 
+import click
 import pytest
 from click.testing import CliRunner
 
 from altcomm.cli import main
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+PARAMS = os.path.join(GOLDEN, "cli_params.json")
 COMMON = ["--format", "json", "--deterministic"]
 
 GEN = [
@@ -127,6 +134,31 @@ def test_output_matches_golden(case, algebra_dir, monkeypatch):
         assert output == fh.read()
 
 
+def _declared_params(group=main, prefix=""):
+    """Each command's parameters in declaration order, keyed by its full name."""
+    out = {}
+    for name, command in sorted(group.commands.items()):
+        if isinstance(command, click.Group):
+            out.update(_declared_params(command, f"{prefix}{name} "))
+            continue
+        # an unset default reads None or click's UNSET sentinel, by version
+        out[prefix + name] = [[p.name, p.opts, p.type.name, p.required,
+                               p.default if isinstance(p.default, (str, int)) else None,
+                               getattr(p, "help", None)] for p in command.params]
+    return out
+
+
+def test_declared_parameters_match_golden():
+    with open(PARAMS) as fh:
+        assert _declared_params() == json.load(fh)
+
+
+def _write_params():
+    with open(PARAMS, "w") as fh:
+        json.dump(_declared_params(), fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def _regenerate():
     import tempfile
 
@@ -147,6 +179,7 @@ def _regenerate():
     with open(os.path.join(GOLDEN, "exit_codes.json"), "w") as fh:
         json.dump(codes, fh, indent=2, sort_keys=True)
         fh.write("\n")
+    _write_params()
 
 
 if __name__ == "__main__":
