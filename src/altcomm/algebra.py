@@ -27,25 +27,31 @@ class Algebra:
     """A structure-constant algebra over an exact field.
 
     Immutable after construction apart from internal memo caches: the
-    unit and basis elements, the associator and commutator
-    tensors (see associator_tensor and commutator_tensor), and the center
-    and the nucleus, which peirce fills.  Products are read off the sparse
+    unit, the basis elements, the associator tensor, the commutator tensor
+    and its rows grouped by first index (see associator_tensor,
+    commutator_tensor and commutator_rows), and the center and the
+    nucleus, which peirce fills.  Products are read off the sparse
     structure table: mul_coords over the nonzero coordinates of both
     factors, and product_sum for a sum of basis products given as terms.
-    Supplied unit coordinates are verified against every basis vector, and
-    a dimension above DIM_LIMIT is refused before anything is built.
+    The name and every basis label must be strings.  Supplied unit
+    coordinates are verified against every basis vector, and a dimension
+    above DIM_LIMIT is refused before anything is built.
     """
 
     def __init__(self, name, field, dim, basis_labels, structure,
                  unit=None, comment=None):
         if not 1 <= dim <= DIM_LIMIT:
             raise ValueError(f"algebra dimension must be between 1 and {DIM_LIMIT}, got {dim}")
-        basis_labels = [str(l) for l in basis_labels]
+        if not isinstance(name, str):
+            raise ValueError(f"algebra name must be a string, got {type(name).__name__}")
+        if not (isinstance(basis_labels, (list, tuple))
+                and all(isinstance(label, str) for label in basis_labels)):
+            raise ValueError("basis labels must be a list of strings")
         if len(basis_labels) != dim:
             raise ValueError(f"expected {dim} basis labels, got {len(basis_labels)}")
         if len(set(basis_labels)) != dim:
             raise ValueError("basis labels must be distinct")
-        self.name = str(name)
+        self.name = name
         self.field = field
         self.dim = dim
         self.basis_labels = tuple(basis_labels)
@@ -87,6 +93,7 @@ class Algebra:
                               for i in range(dim)]
         self._associators = None
         self._commutators = None
+        self._commutator_rows = None
         self._center = None
         self._nucleus = None
 
@@ -233,24 +240,24 @@ class Algebra:
             self._commutators = _drop_zeros(acc)
         return self._commutators
 
-    def bracket_sum(self, terms) -> dict:
-        """Coordinates {k: c} of sum v [b_s, b_t] over the terms (v, (s, t)), from the tensor.
+    def commutator_rows(self) -> list:
+        """The commutator tensor grouped by its first index; cached.
 
-        Coordinates that no term reaches are absent; the others may be zero.
+        Entry s lists (t, [(k, c), ...]) for every nonzero [b_s, b_t], in
+        the tensor's order, so a caller that walks one vector's nonzero
+        coordinates s reads each s's brackets without a dict lookup per t.
         """
-        f = self.field
-        K = self.commutator_tensor()
-        acc = {}
-        for v, key in terms:
-            for k, c in K.get(key, {}).items():
-                acc[k] = f.add(acc.get(k, f.zero), f.mul(v, c))
-        return acc
+        if self._commutator_rows is None:
+            rows = [[] for _ in range(self.dim)]
+            for (s, t), vec in self.commutator_tensor().items():
+                rows[s].append((t, list(vec.items())))
+            self._commutator_rows = rows
+        return self._commutator_rows
 
     def product_sum(self, terms) -> dict:
         """Coordinates {k: c} of sum v b_s b_t over the terms (v, (s, t)), from the table.
 
-        The product analogue of bracket_sum: coordinates that no term
-        reaches are absent; the others may be zero.
+        Coordinates that no term reaches are absent; the others may be zero.
         """
         f = self.field
         rows = self._rows
@@ -464,16 +471,22 @@ class Subspace:
 
 
 def commutator(a: Element, b: Element) -> Element:
-    """[a, b] = ab - ba, summed as a_s b_t [b_s, b_t] over the commutator tensor."""
+    """[a, b] = ab - ba, summed as a_s b_t [b_s, b_t] over the commutator tensor's rows."""
     if not isinstance(a, Element):
         raise TypeError(f"expected an Element, got {type(a).__name__}")
     a._require_same(b)
     algebra = a.algebra
-    f, K = algebra.field, algebra.commutator_tensor()
-    ys = [(t, y) for t, y in enumerate(b.coords) if y]
-    acc = algebra.bracket_sum((f.mul(x, y), (s, t)) for s, x in enumerate(a.coords) if x
-                              for t, y in ys if (s, t) in K)
-    return Element(algebra, [acc.get(k, f.zero) for k in range(algebra.dim)])
+    f, brackets = algebra.field, algebra.commutator_rows()
+    out = [f.zero] * algebra.dim
+    for s, x in enumerate(a.coords):
+        if not x:
+            continue
+        for t, vec in brackets[s]:
+            if b.coords[t]:
+                v = f.mul(x, b.coords[t])
+                for k, c in vec:
+                    out[k] = f.add(out[k], f.mul(v, c))
+    return Element(algebra, out)
 
 
 def associator(a: Element, b: Element, c: Element) -> Element:

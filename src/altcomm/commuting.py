@@ -97,41 +97,67 @@ def is_commuting(algebra: Algebra, phi: LinearMap):
     Returns (True, None) or (False, (b_i, b_j)) naming the first basis pair
     (i <= j, row-major) where [phi(b_i), b_j] + [phi(b_j), b_i] != 0.  Over
     fields of characteristic not 2 the pair conditions are equivalent to
-    the identity.
+    the identity.  All pairs are summed in one pass (see _failing_pair), so
+    there is no early exit; the witness is still the first failing pair in
+    row-major order.
     """
-    n = algebra.dim
-    pairs = ((i, j) for i in range(n) for j in range(i, n))
-    return _first_failing_pair(algebra, phi, pairs, lambda s, i: (s, i))
+    return _failing_pair(algebra, phi, anti=False)
 
 
 def is_anti_commuting(algebra: Algebra, phi: LinearMap):
     """Whether [phi(x), y] = -[x, phi(y)] for all x, y, checked on basis pairs.
 
     The failing pair, if any, is the first (b_i, b_j) in row-major order
-    with [phi(b_i), b_j] + [b_i, phi(b_j)] != 0.
+    with [phi(b_i), b_j] + [b_i, phi(b_j)] != 0.  That sum changes sign when
+    i and j swap and vanishes at i = j, so the first failing pair has
+    i < j; like is_commuting, every pair is summed in one pass.
     """
-    n = algebra.dim
-    pairs = ((i, j) for i in range(n) for j in range(n))
-    return _first_failing_pair(algebra, phi, pairs, lambda s, i: (i, s))
+    return _failing_pair(algebra, phi, anti=True)
 
 
-def _first_failing_pair(algebra: Algebra, phi: LinearMap, pairs, second_key):
-    """The first basis pair (i, j) in pairs whose bracket sum is nonzero.
+def _failing_pair(algebra: Algebra, phi: LinearMap, anti: bool):
+    """The first basis pair i <= j whose polarized bracket sum is nonzero, in one pass.
 
-    The sum is [phi(b_i), b_j] plus the bracket of phi(b_j) with b_i that
-    second_key picks: (s, i) gives [phi(b_j), b_i] and (i, s) gives
-    [b_i, phi(b_j)].  Both are read off the commutator tensor over the
-    nonzero coordinates s of each image phi(b_i), which is column i of
-    phi's matrix; no Element is formed.
+    Each nonzero matrix entry v = phi[s][i] (coordinate s of phi(b_i))
+    meets each nonzero commutator [b_s, b_t] once, and v [b_s, b_t] is
+    added to the sum of the unordered pair (min(i, t), max(i, t)).  For the
+    commuting check that sum is [phi(b_i), b_j] + [phi(b_j), b_i], with the
+    diagonal i = j counted once instead of twice, which is nonzero exactly
+    when the doubled sum is (characteristic not 2).  For the anti-commuting
+    check it is [phi(b_i), b_j] - [phi(b_j), b_i] for i < j: the term is
+    negated when i > t and skipped when i = t.  The sums are kept in one
+    flat map at key (i n + j) n + k, so the smallest key with a nonzero sum
+    is the first failing pair in row-major order.
     Returns (True, None) or (False, (b_i, b_j)).
     """
-    images = [[(s, v) for s, v in enumerate(phi.matrix.column(i)) if v]
-              for i in range(algebra.dim)]
-    for i, j in pairs:
-        terms = [(v, (s, j)) for s, v in images[i]] + [(v, second_key(s, i)) for s, v in images[j]]
-        if any(algebra.bracket_sum(terms).values()):
-            return False, (algebra.basis_element(i), algebra.basis_element(j))
-    return True, None
+    f, n = algebra.field, algebra.dim
+    add, mul, neg, zero = f.add, f.mul, f.neg, f.zero
+    brackets = algebra.commutator_rows()
+    acc = {}
+    for s, row in enumerate(phi.matrix.data):
+        if not brackets[s]:
+            continue
+        for i, v in enumerate(row):
+            if not v:
+                continue
+            w = neg(v) if anti else v
+            for t, vec in brackets[s]:
+                if t > i:
+                    base, x = (i * n + t) * n, v
+                elif t < i:
+                    base, x = (t * n + i) * n, w
+                elif anti:
+                    continue
+                else:
+                    base, x = (i * n + i) * n, v
+                for k, c in vec:
+                    key = base + k
+                    acc[key] = add(acc.get(key, zero), mul(x, c))
+    failing = [key for key, x in acc.items() if x]
+    if not failing:
+        return True, None
+    i, j = divmod(min(failing) // n, n)
+    return False, (algebra.basis_element(i), algebra.basis_element(j))
 
 
 def check_decomposition(algebra: Algebra, phi: LinearMap, z: Element,

@@ -38,9 +38,11 @@ class PeirceData:
     """The four projectors and components attached to an idempotent pair.
 
     Carries memo caches for the derived data that gets reused heavily: the
-    regularity check, the centers of the diagonal components, the center
-    recomputed from the split, and for each i the tagged echelon that
-    answers central lifts (see lift_reduction).
+    nonzero columns of each projector, which project reads, the regularity
+    check, the centers of the diagonal components, the center recomputed
+    from the split, and for each i the tagged echelon that answers central
+    lifts (see lift_reduction).  Each is built on first use, so
+    peirce_decompose pays for none of them.
     """
 
     def __init__(self, algebra, e1, e2, projectors, components):
@@ -49,6 +51,7 @@ class PeirceData:
         self.e2 = e2
         self.projectors = projectors    # {(i, j): Matrix}
         self.components = components    # {(i, j): Subspace}
+        self._columns = {}
         self._hypothesis = None
         self._diag_center = {}
         self._lift = {}
@@ -58,7 +61,22 @@ class PeirceData:
         return self.e1 if i == 1 else self.e2
 
     def project(self, i: int, j: int, x: Element) -> Element:
-        return Element(self.algebra, self.projectors[(i, j)].matvec(list(x.coords)))
+        """P_ij x, summed over the nonzero entries of P_ij's columns at x's nonzero coordinates.
+
+        Equal to projectors[(i, j)].matvec(x.coords), adding the same
+        products in the same order; the columns are cached per projector.
+        """
+        f = self.algebra.field
+        if (i, j) not in self._columns:
+            self._columns[(i, j)] = [[(r, a) for r, a in enumerate(col) if a]
+                                     for col in zip(*self.projectors[(i, j)].data)]
+        columns = self._columns[(i, j)]
+        out = [f.zero] * self.algebra.dim
+        for c, x_c in enumerate(x.coords):
+            if x_c:
+                for r, a in columns[c]:
+                    out[r] = f.add(out[r], f.mul(a, x_c))
+        return Element(self.algebra, out)
 
     def dims(self) -> tuple[int, int, int, int]:
         c = self.components

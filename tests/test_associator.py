@@ -199,6 +199,29 @@ BUILTINS = {
 }
 
 
+def builtin_over(name, field):
+    """The builtin family name over field, as (algebra, a nontrivial idempotent).
+
+    The same constructions as BUILTINS, with any field: the idempotent is
+    E11 on M_n, the split one on Zorn, (1 + i1)/2 on CD3 and CD4, and the
+    first summand's idempotent on a direct sum.
+    """
+    one, minus = field.one, field.from_int(-1)
+    if name in ("M2", "M3", "M4"):
+        return matrix_algebra(field, int(name[1]))
+    if name == "Zorn":
+        return zorn(field)
+    if name in ("CD3", "CD4"):
+        return cayley_dickson_algebra(field, [one, minus, one] if name == "CD3" else [one] * 4)
+    first, e = builtin_over(name.split("+")[0], field)
+    second = builtin_over(name.split("+")[1], field)[0]
+    algebra = direct_sum(first, second)
+    return algebra, algebra.element(list(e.coords) + [field.zero] * second.dim)
+
+
+FAMILIES = ["M2", "M3", "M4", "Zorn", "CD3", "CD4", "M2+Zorn", "CD3+M2"]
+
+
 @pytest.mark.parametrize("name", list(BUILTINS))
 def test_builtins_agree_with_the_reference(name):
     assert_agrees(BUILTINS[name]())

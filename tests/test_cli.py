@@ -434,6 +434,28 @@ def test_booleans_are_not_dimensions_or_structure_indices(runner, tmp_path, monk
         Algebra("two", Q, 2, ["a", "b"], [(0, True, 1, Q.one)])
 
 
+def test_names_and_basis_labels_must_be_strings(runner, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    base = {"name": "two", "field": {"kind": "rational"}, "dim": 2, "basis": ["a", "b"],
+            "structure": [[0, 0, 0, "1"], [1, 1, 1, "1"]]}
+    nested = "a"
+    for _ in range(900):
+        nested = [nested]
+    for key, value, message in (("basis", "ab", "basis labels must be a list of strings"),
+                                ("name", [1, 2], "name must be a string"),
+                                ("basis", ["a", nested], "basis labels must be a list of strings"),
+                                ("basis", ["a", 2], "basis labels must be a list of strings")):
+        with open("labels.json", "w") as fh:
+            json.dump({**base, key: value}, fh)
+        r = invoke(runner, ["verify", "labels.json"])
+        assert_usage_error(r)
+        assert message in r.output, (key, value)
+    with pytest.raises(ValueError, match="basis labels must be a list of strings"):
+        Algebra("two", Q, 2, ["a", 1], [])
+    with pytest.raises(ValueError, match="name must be a string"):
+        Algebra(None, Q, 1, ["a"], [])
+
+
 def test_hostile_sizes_are_refused_promptly(runner, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     n = 100000

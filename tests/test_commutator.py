@@ -17,11 +17,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from altcomm import (LinearMap, Matrix, Subspace, center, center_via_peirce, commutator,
-                     is_anti_commuting, is_central, is_commuting, random_commuting_map)
+from altcomm import (Algebra, LinearMap, Matrix, PrimeField, Subspace, center,
+                     center_via_peirce, commutator, is_anti_commuting, is_central,
+                     is_commuting, random_commuting_map)
 from altcomm.algebra import Element
+from altcomm.linalg import reduce_against
 
-from test_associator import BUILTINS, F5, Q, SMALL, dense_kernel, dense_rref, small_algebras
+from test_associator import (BUILTINS, F5, FAMILIES, Q, SMALL, builtin_over, dense_kernel,
+                             dense_rref, small_algebras)
+
+F101 = PrimeField(101)
 
 
 # ----------------------------------------------------------------------
@@ -155,6 +160,131 @@ def test_witness_pairs_are_the_first_failing_pairs(m2q):
             phi = LinearMap(algebra, Matrix(f, data, cols=algebra.dim))
             assert is_commuting(algebra, phi) == reference_is_commuting(algebra, phi)
             assert is_anti_commuting(algebra, phi) == reference_is_anti_commuting(algebra, phi)
+
+
+# ----------------------------------------------------------------------
+# one pass over all pairs: the witness is still the first failing pair
+
+
+def reference_failing_pairs(algebra, phi, anti):
+    """Every basis pair i <= j whose reference bracket sum is nonzero, row-major."""
+    b = algebra.basis_element
+    images = [phi(b(i)) for i in range(algebra.dim)]
+    pairs = []
+    for i in range(algebra.dim):
+        for j in range(i, algebra.dim):
+            second = (reference_commutator(b(i), images[j]) if anti
+                      else reference_commutator(images[j], b(i)))
+            if not (reference_commutator(images[i], b(j)) + second).is_zero():
+                pairs.append((i, j))
+    return pairs
+
+
+def condition_rows(algebra, brackets, i, j, anti):
+    """The rows {column: entry} of pair (i, j)'s condition on phi, unknown phi[s][c] at s n + c.
+
+    Coordinate k of [phi(b_i), b_j] plus [phi(b_j), b_i] (or [b_i, phi(b_j)]),
+    from the reference brackets[s][t] = [b_s, b_t].
+    """
+    f, n = algebra.field, algebra.dim
+    second = f.neg if anti else (lambda c: c)
+    rows = [{} for _ in range(n)]
+    for s in range(n):
+        for column, vec in ((s * n + i, brackets[s][j]), (s * n + j, map(second, brackets[s][i]))):
+            for k, c in enumerate(vec):
+                if c:
+                    rows[k][column] = f.add(rows[k].get(column, f.zero), c)
+    return [{col: c for col, c in row.items() if c} for row in rows]
+
+
+def first_failing_maps(algebra, anti):
+    """{pair: map} with one map for each pair that can be a first failing pair, row-major.
+
+    The pair conditions are eliminated in row-major order.  A pair whose
+    rows raise the rank is not implied by the pairs before it, so a kernel
+    vector of the echelon before it fails there: the one at the lead of a
+    row's remainder, which is a free column.  That map satisfies every
+    earlier pair and fails at this one.
+    """
+    f, n = algebra.field, algebra.dim
+    b = algebra.basis_element
+    brackets = [[reference_commutator(b(s), b(t)).coords for t in range(n)] for s in range(n)]
+    echelon, maps = {}, {}
+    for i in range(n):
+        for j in range(i, n):
+            before, free = dict(echelon), None
+            for row in condition_rows(algebra, brackets, i, j, anti):
+                v = reduce_against(f, echelon, row)
+                if not v:
+                    continue
+                lead = min(v)
+                free = lead if free is None else free
+                a = v.pop(lead)
+                new = f.monic(v, a)
+                for pc, terms in echelon.items():
+                    if lead in terms:
+                        echelon[pc] = reduce_against(f, {lead: new}, terms)
+                echelon[lead] = new
+            if free is None:
+                continue
+            data = [[f.zero] * n for _ in range(n)]
+            data[free // n][free % n] = f.one
+            for pc, terms in before.items():
+                if free in terms:
+                    data[pc // n][pc % n] = f.neg(terms[free])
+            maps[(i, j)] = LinearMap(algebra, Matrix(f, data, cols=n))
+    return maps
+
+
+def assert_same_verdicts(algebra, phi):
+    assert is_commuting(algebra, phi) == reference_is_commuting(algebra, phi), algebra.name
+    assert is_anti_commuting(algebra, phi) == reference_is_anti_commuting(algebra, phi), \
+        algebra.name
+
+
+@pytest.mark.parametrize("field", [Q, F5, F101], ids=lambda f: f.label)
+@pytest.mark.parametrize("name", FAMILIES)
+def test_late_diagonal_and_many_failures_give_the_reference_witness(name, field):
+    algebra = builtin_over(name, field)[0]
+    b = algebra.basis_element
+    n = algebra.dim
+    for anti in (False, True):
+        maps = first_failing_maps(algebra, anti)
+        pairs = list(maps)
+        # the last three pairs that can fail first; every later pair's condition
+        # follows from the earlier ones, so these maps fail only late
+        late = pairs[-3:]
+        # diagonal pairs (anti-commuting sums vanish there, so only the commuting check)
+        diagonal = [p for p in pairs if p[0] == p[1]]
+        assert (not diagonal) == anti, (name, anti)
+        for pair in late + diagonal[:1] + diagonal[-1:]:
+            phi = maps[pair]
+            assert reference_failing_pairs(algebra, phi, anti)[0] == pair
+            check = is_anti_commuting if anti else is_commuting
+            assert check(algebra, phi) == (False, (b(pair[0]), b(pair[1])))
+            assert_same_verdicts(algebra, phi)
+    # dense seeded maps fail at many pairs
+    rng = random.Random(len(name) * 7 + n)
+    for _ in range(2):
+        phi = random_map(algebra, rng)
+        assert len(reference_failing_pairs(algebra, phi, anti=False)) >= n
+        assert len(reference_failing_pairs(algebra, phi, anti=True)) >= n
+        assert_same_verdicts(algebra, phi)
+
+
+@pytest.mark.parametrize("field", [Q, F5, F101], ids=lambda f: f.label)
+def test_a_map_failing_only_at_a_diagonal_pair(field):
+    """b0 b1 = b1 and phi(b1) = b0: only [phi(b1), b1] = b1 is nonzero.
+
+    No builtin has such a map (each diagonal condition there follows from
+    the other pairs), so this two-dimensional algebra carries the case.
+    """
+    algebra = Algebra("step", field, 2, ["b0", "b1"], [(0, 1, 1, field.one)])
+    phi = LinearMap(algebra, Matrix(field, [[field.zero, field.one], [field.zero] * 2]))
+    b = algebra.basis_element
+    assert reference_failing_pairs(algebra, phi, anti=False) == [(1, 1)]
+    assert is_commuting(algebra, phi) == (False, (b(1), b(1)))
+    assert_same_verdicts(algebra, phi)
 
 
 def test_commutator_keeps_its_argument_checks(m2q, m3q):

@@ -1,6 +1,7 @@
 """Peirce splitting, centers, regularity, lifting, and the primeness scan."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,8 @@ from altcomm import (Algebra, BudgetExceededError, PreconditionError, PrimeField
 from altcomm.constructions import cayley_dickson_algebra
 from altcomm.linalg import common_kernel
 from altcomm.peirce import _commutant, _nucleus_blocks, _over
+
+from test_associator import FAMILIES, builtin_over
 
 Q = RationalField()
 F5 = PrimeField(5)
@@ -89,6 +92,35 @@ def test_projectors_split_every_element(zornq_pd):
     assert total == x
     for (i, j) in ((1, 1), (1, 2), (2, 1), (2, 2)):
         assert pd.components[(i, j)].contains(pd.project(i, j, x))
+
+
+@pytest.mark.parametrize("field", [Q, F5, PrimeField(101)], ids=lambda f: f.label)
+@pytest.mark.parametrize("name", FAMILIES)
+def test_sparse_projection_is_the_projector_matvec(name, field):
+    """project reads each projector's nonzero columns; it must equal the dense matvec.
+
+    CD3 and CD4 split at (1 + i)/2, whose components are not spanned by
+    basis vectors, so the projectors there have dense columns.
+    """
+    algebra, e = builtin_over(name, field)
+    pd = peirce_decompose(algebra, e)
+    assert pd._columns == {}, "peirce_decompose builds no projector columns"
+    rng = random.Random(len(name) + algebra.dim)
+    n = algebra.dim
+    elements = [algebra.basis_element(k) for k in range(n)] + [pd.e1, pd.e2]
+    for density in (0.2, 0.6, 1.0):
+        elements += [algebra.element([field.from_int(rng.randint(-4, 4))
+                                      if rng.random() < density else field.zero
+                                      for _ in range(n)]) for _ in range(4)]
+    if field is Q:
+        elements.append(algebra.element([Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                                         for _ in range(n)]))
+    for x in elements:
+        for key, P in pd.projectors.items():
+            assert pd.project(*key, x).coords == tuple(P.matvec(list(x.coords))), (key, x)
+    if name.startswith("CD"):
+        assert any(sum(1 for c in el.coords if c) > 1
+                   for sub in pd.components.values() for el in sub.basis)
 
 
 def test_projection_of_idempotents(m3q_pd):
