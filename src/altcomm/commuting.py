@@ -47,7 +47,7 @@ class LinearMap:
     def __call__(self, x: Element) -> Element:
         if x.algebra is not self.algebra:
             raise ValueError("element from a different algebra")
-        return Element(self.algebra, self.matrix.matvec(list(x.coords)))
+        return Element(self.algebra, self.matrix.matvec(x.coords))
 
     def __add__(self, other: "LinearMap") -> "LinearMap":
         if other.algebra is not self.algebra:
@@ -118,12 +118,13 @@ def is_anti_commuting(algebra: Algebra, phi: LinearMap):
 def _failing_pair(algebra: Algebra, phi: LinearMap, anti: bool):
     """The first basis pair i <= j whose polarized bracket sum is nonzero, in one pass.
 
-    Each nonzero matrix entry v = phi[s][i] (coordinate s of phi(b_i))
-    meets each nonzero commutator [b_s, b_t] once, and v [b_s, b_t] is
-    added to the sum of the unordered pair (min(i, t), max(i, t)).  For the
-    commuting check that sum is [phi(b_i), b_j] + [phi(b_j), b_i], with the
-    diagonal i = j counted once instead of twice, which is nonzero exactly
-    when the doubled sum is (characteristic not 2).  For the anti-commuting
+    Each nonzero matrix entry v = phi[s][i] (coordinate s of phi(b_i)),
+    read off phi's nonzero-column view, meets each nonzero commutator
+    [b_s, b_t] once, and v [b_s, b_t] is added to the sum of the unordered
+    pair (min(i, t), max(i, t)).  For the commuting check that sum is
+    [phi(b_i), b_j] + [phi(b_j), b_i], with the diagonal i = j counted
+    once instead of twice, which is nonzero exactly when the doubled sum
+    is (characteristic not 2).  For the anti-commuting
     check it is [phi(b_i), b_j] - [phi(b_j), b_i] for i < j: the term is
     negated when i > t and skipped when i = t.  The sums are kept in one
     flat map at key (i n + j) n + k, so the smallest key with a nonzero sum
@@ -134,12 +135,8 @@ def _failing_pair(algebra: Algebra, phi: LinearMap, anti: bool):
     add, mul, neg, zero = f.add, f.mul, f.neg, f.zero
     brackets = algebra.commutator_rows()
     acc = {}
-    for s, row in enumerate(phi.matrix.data):
-        if not brackets[s]:
-            continue
-        for i, v in enumerate(row):
-            if not v:
-                continue
+    for i, column in enumerate(phi.matrix.nonzero_columns()):
+        for s, v in column:
             w = neg(v) if anti else v
             for t, vec in brackets[s]:
                 if t > i:
@@ -252,7 +249,7 @@ def decompose_oracle(algebra: Algebra, phi: LinearMap) -> Decomposition | None:
         remainders(algebra.mul_coords(z.coords, algebra.basis_coords(k)) for k in range(n))
         for z in Z.basis])
     alpha = express(algebra.field, n * n, Z.dim, echelon,
-                    remainders(phi.matrix.column(k) for k in range(n)))
+                    remainders(dict(col) for col in phi.matrix.nonzero_columns()))
     if alpha is None:
         return None
     z = Z.combine(alpha)

@@ -1,5 +1,12 @@
 """Dense exact matrices and deterministic Gaussian elimination.
 
+A ``Matrix`` copies its rows and is not mutated after construction.  It
+has one sparse view, ``nonzero_columns``, built on first use: ``matvec``
+and ``@`` apply the matrix through it, and it is what
+``PeirceData.project`` (a projector's matvec), ``hypothesis_check`` (the
+columns of R_e), the commuting check and ``decompose_oracle`` read of a
+matrix.
+
 Every elimination goes through ``echelon_of_blocks``, which computes the
 reduced row echelon form: it is unique for a row space, whatever order the
 rows arrive in, and exact scalars need no magnitude heuristics.  Echelon
@@ -28,14 +35,19 @@ from itertools import chain
 
 
 class Matrix:
-    """A rows x cols matrix of exact scalars over a shared field."""
+    """A rows x cols matrix of exact scalars over a shared field.
 
-    __slots__ = ("field", "rows", "cols", "data")
+    The rows are copied in and never changed afterwards, so the view of
+    nonzero columns, cached in one slot on first use, stays valid.
+    """
+
+    __slots__ = ("field", "rows", "cols", "data", "_columns")
 
     def __init__(self, field, data, cols: int | None = None):
         self.field = field
         self.data = [list(row) for row in data]
         self.rows = len(self.data)
+        self._columns = None
         if self.rows:
             self.cols = len(self.data[0])
             for row in self.data:
@@ -59,12 +71,12 @@ class Matrix:
 
     @classmethod
     def from_columns(cls, field, columns, rows: int | None = None) -> "Matrix":
-        columns = [list(c) for c in columns]
+        columns = list(columns)
         if columns:
             rows = len(columns[0])
         elif rows is None:
             raise ValueError("from_columns with no columns needs an explicit row count")
-        data = [[col[i] for col in columns] for i in range(rows)]
+        data = zip(*columns, strict=True) if columns else [()] * rows
         return cls(field, data, cols=len(columns))
 
     # ------------------------------------------------------------------
@@ -77,39 +89,38 @@ class Matrix:
         return Matrix(self.field, [list(col) for col in zip(*self.data)], cols=self.rows) \
             if self.rows else Matrix(self.field, [[] for _ in range(self.cols)], cols=0)
 
-    def matvec(self, v: list) -> list:
-        if len(v) != self.cols:
-            raise ValueError("dimension mismatch in matvec")
+    def nonzero_columns(self) -> list[list[tuple]]:
+        """For each column, its nonzero entries [(row, entry), ...]; built once, on first use."""
+        if self._columns is None:
+            self._columns = [[(r, a) for r, a in enumerate(col) if a] for col in zip(*self.data)] \
+                if self.rows else [[] for _ in range(self.cols)]
+        return self._columns
+
+    def _apply(self, terms) -> list:
+        """sum_j x_j (column j) over the (j, x_j) terms, as a dense list; zero x_j are skipped."""
         f = self.field
-        nonzero = [(j, x) for j, x in enumerate(v) if x]
-        out = []
-        for row in self.data:
-            acc = f.zero
-            for j, x in nonzero:
-                a = row[j]
-                if a:
-                    acc = f.add(acc, f.mul(a, x))
-            out.append(acc)
+        add, mul = f.add, f.mul
+        columns = self.nonzero_columns()
+        out = [f.zero] * self.rows
+        for j, x in terms:
+            if x:
+                for r, a in columns[j]:
+                    out[r] = add(out[r], mul(a, x))
         return out
 
+    def matvec(self, v) -> list:
+        if len(v) != self.cols:
+            raise ValueError("dimension mismatch in matvec")
+        return self._apply(enumerate(v))
+
     def __matmul__(self, other: "Matrix") -> "Matrix":
+        """Column j of the product is self applied to column j of other."""
         if self.field != other.field:
             raise ValueError("field mismatch in matrix product")
         if self.cols != other.rows:
             raise ValueError("dimension mismatch in matrix product")
-        f = self.field
-        z = f.zero
-        brows = {}      # k -> nonzero (j, entry) of row k of other, read on first use
-        out = [[z] * other.cols for _ in range(self.rows)]
-        for row, acc in zip(self.data, out):
-            for k, a in enumerate(row):
-                if a:
-                    brow = brows.get(k)
-                    if brow is None:
-                        brow = brows[k] = [(j, b) for j, b in enumerate(other.data[k]) if b]
-                    for j, b in brow:
-                        acc[j] = f.add(acc[j], f.mul(a, b))
-        return Matrix(f, out, cols=other.cols)
+        return Matrix.from_columns(self.field, map(self._apply, other.nonzero_columns()),
+                                   rows=self.rows)
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._check_shape(other)
@@ -135,7 +146,7 @@ class Matrix:
                 and self.rows == other.rows and self.cols == other.cols
                 and self.data == other.data)
 
-    __hash__ = None  # matrices are mutable containers
+    __hash__ = None  # compared by value; the rows are lists
 
     def __repr__(self) -> str:
         f = self.field

@@ -38,11 +38,11 @@ class PeirceData:
     """The four projectors and components attached to an idempotent pair.
 
     Carries memo caches for the derived data that gets reused heavily: the
-    nonzero columns of each projector, which project reads, the regularity
-    check, the centers of the diagonal components, the center recomputed
-    from the split, and for each i the tagged echelon that answers central
-    lifts (see lift_reduction).  Each is built on first use, so
-    peirce_decompose pays for none of them.
+    regularity check, the centers of the diagonal components, the center
+    recomputed from the split, and for each i the tagged echelon that
+    answers central lifts (see lift_reduction).  Each is built on first
+    use, so peirce_decompose pays for none of them; nor does it build a
+    projector's nonzero-column view (linalg.Matrix), which project reads.
     """
 
     def __init__(self, algebra, e1, e2, projectors, components):
@@ -51,7 +51,6 @@ class PeirceData:
         self.e2 = e2
         self.projectors = projectors    # {(i, j): Matrix}
         self.components = components    # {(i, j): Subspace}
-        self._columns = {}
         self._hypothesis = None
         self._diag_center = {}
         self._lift = {}
@@ -61,22 +60,8 @@ class PeirceData:
         return self.e1 if i == 1 else self.e2
 
     def project(self, i: int, j: int, x: Element) -> Element:
-        """P_ij x, summed over the nonzero entries of P_ij's columns at x's nonzero coordinates.
-
-        Equal to projectors[(i, j)].matvec(x.coords), adding the same
-        products in the same order; the columns are cached per projector.
-        """
-        f = self.algebra.field
-        if (i, j) not in self._columns:
-            self._columns[(i, j)] = [[(r, a) for r, a in enumerate(col) if a]
-                                     for col in zip(*self.projectors[(i, j)].data)]
-        columns = self._columns[(i, j)]
-        out = [f.zero] * self.algebra.dim
-        for c, x_c in enumerate(x.coords):
-            if x_c:
-                for r, a in columns[c]:
-                    out[r] = f.add(out[r], f.mul(a, x_c))
-        return Element(self.algebra, out)
+        """P_ij x, applied through the projector's nonzero columns (Matrix.matvec)."""
+        return Element(self.algebra, self.projectors[(i, j)].matvec(x.coords))
 
     def dims(self) -> tuple[int, int, int, int]:
         c = self.components
@@ -379,8 +364,7 @@ def hypothesis_check(algebra: Algebra, e1: Element):
     n = algebra.dim
     results = []
     for e in (e1, unit - e1):
-        R = algebra.right_mult_matrix(e.coords)
-        images = [[(l, r) for l, row in enumerate(R.data) if (r := row[m])] for m in range(n)]
+        images = algebra.right_mult_matrix(e.coords).nonzero_columns()
         # Blocks are built only until the rank is full.
         kernel = common_kernel(f, n, (_regularity_block(algebra, images, k) for k in range(n)))
         results.append((False, Element(algebra, kernel[0])) if kernel else (True, None))

@@ -12,6 +12,7 @@ from altcomm import PrimeField, RationalField
 from altcomm.linalg import Matrix, common_kernel, echelon_of_blocks
 
 from test_associator import dense_kernel, dense_rref, dense_solve
+from test_peirce_table import reference_matmul
 
 Q = RationalField()
 F5 = PrimeField(5)
@@ -136,6 +137,8 @@ def test_matmul_and_matvec_agree():
 def test_from_columns():
     c = Matrix.from_columns(Q, [[Fraction(1), Fraction(2)], [Fraction(3), Fraction(4)]])
     assert c.data == [[Fraction(1), Fraction(3)], [Fraction(2), Fraction(4)]]
+    with pytest.raises(ValueError):
+        Matrix.from_columns(Q, [[Fraction(1), Fraction(2)], [Fraction(3)]])
 
 
 def test_common_kernel_matches_the_dense_kernel_reader():
@@ -151,6 +154,110 @@ def test_dimension_mismatch_raises():
         m.matvec([Fraction(1)])
     with pytest.raises(ValueError):
         m.solve([Fraction(1), Fraction(2)])
+
+
+# ----------------------------------------------------------------------
+# the nonzero-column view behind matvec and @
+
+F101 = PrimeField(101)
+
+
+def dense_matvec(field, rows, v):
+    out = []
+    for row in rows:
+        acc = field.zero
+        for a, x in zip(row, v):
+            acc = field.add(acc, field.mul(a, x))
+        out.append(acc)
+    return out
+
+
+def seeded_entry(rng, field, density):
+    if rng.random() >= density:
+        return field.zero
+    if field is Q:
+        return Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+    return field.from_int(rng.randint(-50, 50))
+
+
+def seeded_matrix(rng, field, rows, cols, density, zero_columns=()):
+    return Matrix(field, [[field.zero if j in zero_columns else seeded_entry(rng, field, density)
+                           for j in range(cols)] for _ in range(rows)], cols=cols)
+
+
+@pytest.mark.parametrize("field", [Q, F5, F101], ids=lambda f: f.label)
+def test_matvec_and_matmul_match_the_dense_reference(field):
+    """Shapes 0-5 by 0-5, all-zero columns, sparse and dense operands."""
+    rng = random.Random(19)
+    for _ in range(150):
+        r, k, c = rng.randint(0, 5), rng.randint(0, 5), rng.randint(0, 5)
+        a = seeded_matrix(rng, field, r, k, rng.choice([0.3, 1.0]),
+                          zero_columns=range(0, k, 2))
+        b = seeded_matrix(rng, field, k, c, rng.choice([0.0, 0.3, 1.0]))
+        for density in (0.0, 0.3, 1.0):
+            v = [seeded_entry(rng, field, density) for _ in range(k)]
+            assert a.matvec(v) == dense_matvec(field, a.data, v)
+            assert a.matvec(tuple(v)) == dense_matvec(field, a.data, v)
+        ab = a @ b
+        assert (ab.rows, ab.cols) == (r, c)
+        assert ab.data == reference_matmul(a, b)
+
+
+def test_matmul_keeps_empty_shapes():
+    for r, k, c in ((0, 3, 2), (2, 0, 3), (3, 2, 0), (0, 0, 0), (2, 0, 0)):
+        ab = Matrix.zeros(F5, r, k) @ Matrix.zeros(F5, k, c)
+        assert (ab.rows, ab.cols, ab.data) == (r, c, [[0] * c for _ in range(r)])
+    assert Matrix.zeros(F5, 3, 0).matvec([]) == [0, 0, 0]
+    assert Matrix.zeros(F5, 0, 3).matvec([1, 2, 3]) == []
+
+
+def test_the_view_lists_nonzero_entries_by_column():
+    m = Matrix(F5, [[0, 2, 0], [3, 0, 0]], cols=3)
+    assert m.nonzero_columns() == [[(1, 3)], [(0, 2)], []]
+    assert Matrix.zeros(F5, 0, 2).nonzero_columns() == [[], []]
+    assert Matrix.zeros(F5, 2, 0).nonzero_columns() == []
+
+
+def test_the_view_is_built_once_on_first_use():
+    m = Matrix(F5, [[1, 2], [0, 4]], cols=2)
+    assert m._columns is None
+    m.matvec([1, 1])
+    view = m._columns
+    assert view == [[(0, 1)], [(0, 2), (1, 4)]]
+    m.matvec([2, 3])
+    m @ Matrix.identity(F5, 2)
+    Matrix.identity(F5, 2) @ m
+    assert m._columns is view and m.nonzero_columns() is view
+
+
+def test_results_of_add_sub_and_matmul_have_no_view():
+    a = Matrix(F101, [[1, 2], [3, 4]], cols=2)
+    b = Matrix(F101, [[0, 5], [6, 0]], cols=2)
+    a.nonzero_columns(), b.nonzero_columns()
+    for result in (a + b, a - b, a @ b):
+        assert result._columns is None
+
+
+def test_the_rows_are_copied_in():
+    rows = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(2)]]
+    m = Matrix(Q, rows, cols=2)
+    rows[0][1] = Fraction(7)
+    rows.append([Fraction(1), Fraction(1)])
+    assert m.data == [[1, 0], [0, 2]] and m.rows == 2
+    assert m.matvec([Fraction(1), Fraction(1)]) == [1, 2]
+    assert m.nonzero_columns() == [[(0, 1)], [(1, 2)]]
+
+
+def test_matvec_and_matmul_mismatches_raise():
+    m = Matrix(F5, [[1, 2, 3]], cols=3)
+    for v in ([1, 2], [1, 2, 3, 4]):
+        with pytest.raises(ValueError, match="dimension mismatch in matvec"):
+            m.matvec(v)
+    with pytest.raises(ValueError, match="dimension mismatch in matrix product"):
+        m @ Matrix.identity(F5, 2)
+    with pytest.raises(ValueError, match="field mismatch in matrix product"):
+        m @ Matrix.identity(F7, 3)
+    assert m._columns is None, "a refused product builds no view"
 
 
 # ----------------------------------------------------------------------

@@ -3,8 +3,9 @@
 ``check_peirce_relations`` sums each basis product from the table and tests
 membership sparsely, ``hypothesis_check`` builds its blocks from the table
 and the nonzero columns of R_e, ``Subspace`` reduces against the nonzero
-entries of its echelon rows, and ``Matrix.__matmul__`` reads the nonzero
-entries of each row of its right factor once.  The references below are
+entries of its echelon rows, and ``Matrix.__matmul__`` applies its left
+factor to each column of its right one through their nonzero-column
+views.  The references below are
 the direct forms: products of basis Elements, blocks of ``mul_coords``
 columns, the dense reduction loop and the dense triple loop.  Reports,
 verdicts, witnesses and remainders must agree exactly.
