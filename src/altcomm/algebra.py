@@ -29,8 +29,9 @@ class Algebra:
     Immutable after construction apart from internal memo caches: the
     unit, the basis elements, the associator tensor, the commutator tensor
     and its rows grouped by first index (see associator_tensor,
-    commutator_tensor and commutator_rows), and the center and the
-    nucleus, which peirce fills.  Products are read off the sparse
+    commutator_tensor and commutator_rows), and the center, the spans
+    over its basis (one tagged echelon per key, see express_central) and
+    the nucleus, which peirce fills.  Products are read off the sparse
     structure table: mul_coords over the nonzero coordinates of both
     factors, and product_sum for a sum of basis products given as terms.
     The name and every basis label must be strings.  Supplied unit
@@ -95,6 +96,7 @@ class Algebra:
         self._commutators = None
         self._commutator_rows = None
         self._center = None
+        self._spans = {}
         self._nucleus = None
 
         if unit is not None:

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 from .algebra import Algebra, Element, commutator, read_json, write_json
 from .errors import DecompositionError, HypothesisError, NotCommutingError
-from .linalg import Matrix, express, tagged_echelon
-from .peirce import DEFAULT_BUDGET, PeirceData, center, is_central, scan_guard
+from .linalg import Matrix
+from .peirce import DEFAULT_BUDGET, PeirceData, center, express_central, is_central, scan_guard
 
 
 class LinearMap:
@@ -227,13 +227,16 @@ def _lift_or_fail(pd: PeirceData, x: Element, i: int, what: str) -> Element:
 def decompose_oracle(algebra: Algebra, phi: LinearMap) -> Decomposition | None:
     """Find phi = L_z + xi by linear feasibility, independent of the construction.
 
-    Writes z = sum alpha_c z_c over the central basis and asks that
-    phi(b_k) - z b_k be central for every k: its remainder modulo the center
-    vanishes.  So the remainders of phi's columns, at End(A) coordinates
-    k n + r, are expressed (linalg.express) over the remainders of the
-    (z_c b_k)_k, which are sparse: no zero row of the system is formed.
-    Returns a verified Decomposition or None when the system is infeasible
-    (z1, z2 are left unset: this route never builds lifts).
+    The maps L_z + xi with z central and xi center-valued form the standard
+    space S, spanned by the center-valued maps b_k -> z_c (all other basis
+    vectors to 0), for each k, then the L_{z_c}, over the central basis z_c.
+    phi, flattened so that its entry (r, k) sits at End(A) coordinate
+    k n + r, is expressed over S (express_central, cached under
+    ("standard",)), and the last dim Z coefficients give z.  The
+    center-valued words come first, so a z_c whose L_{z_c} is center-valued
+    modulo the others gets coefficient zero.  Returns a verified
+    Decomposition or None when phi is not in S (z1, z2 are left unset: this
+    route never builds lifts).
     """
     if phi.algebra is not algebra:
         raise ValueError("map on a different algebra")
@@ -242,17 +245,15 @@ def decompose_oracle(algebra: Algebra, phi: LinearMap) -> Decomposition | None:
         return None
     n = algebra.dim
 
-    def remainders(columns):
-        return {k * n + r: x for k, col in enumerate(columns) for r, x in Z.reduce(col).items()}
+    def flat(matrix):
+        return {k * n + r: x for k, col in enumerate(matrix.nonzero_columns()) for r, x in col}
 
-    echelon = tagged_echelon(algebra.field, n * n, [
-        remainders(algebra.mul_coords(z.coords, algebra.basis_coords(k)) for k in range(n))
-        for z in Z.basis])
-    alpha = express(algebra.field, n * n, Z.dim, echelon,
-                    remainders(dict(col) for col in phi.matrix.nonzero_columns()))
+    words = [lambda z, k=k: {k * n + r: x for r, x in enumerate(z.coords) if x} for k in range(n)]
+    words.append(lambda z: flat(algebra.left_mult_matrix(z.coords)))
+    alpha = express_central(algebra, ("standard",), words, flat(phi.matrix), n * n)
     if alpha is None:
         return None
-    z = Z.combine(alpha)
+    z = Z.combine(alpha[-Z.dim:])
     xi = phi - LinearMap.left_multiplication(algebra, z)
     if not check_decomposition(algebra, phi, z, xi):
         return None

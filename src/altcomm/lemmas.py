@@ -15,10 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import Element, Subspace, commutator, find_unit
+from .algebra import Element, commutator, find_unit
 from .commuting import LinearMap, is_commuting
 from .errors import PreconditionError
-from .peirce import PeirceData, center, center_via_peirce, is_central, lift_central
+from .peirce import (PeirceData, center, center_via_peirce, express_central, is_central,
+                     lift_central)
 
 LEMMA_IDS = ("L1", "L2", "L3", "L4", "L5", "L6", "L7", "L8", "L9")
 
@@ -254,17 +255,16 @@ def _eval_l7(pd: PeirceData, phi: LinearMap):
 
     That is, P11(phi(e1)) + P22(phi(e2)) lies in the span of Z, Z e1 and Z e2.
     """
-    zb = center(pd.algebra).basis
+    d = center(pd.algebra).dim
     v = pd.project(1, 1, phi(pd.e1)) + pd.project(2, 2, phi(pd.e2))
-    span = Subspace.from_spanning(
-        pd.algebra, [*zb, *(zc * e for e in (pd.e1, pd.e2) for zc in zb)])
-    if not span.contains(v):
+    words = [lambda z: z.coords, lambda z: (z * pd.e1).coords, lambda z: (z * pd.e2).coords]
+    if express_central(pd.algebra, ("L7", pd.e1.coords, pd.e2.coords), words, v.coords) is None:
         witness = {"equation": "P11(phi(e1)) + P22(phi(e2)) - (z e1 + z' e2) in Z"
                                " for central z, z'",
                    "target": v.to_strings(),
                    "problem": "the target lies outside the span of Z, Z e1 and Z e2"}
-        return False, witness, f"no solution over {2 * len(zb)} central coefficients"
-    return True, None, "solved for z, z' over " + _n(len(zb), "central basis vector") + " each"
+        return False, witness, f"no solution over {2 * d} central coefficients"
+    return True, None, "solved for z, z' over " + _n(d, "central basis vector") + " each"
 
 
 def _eval_l8(pd: PeirceData, phi: LinearMap):
@@ -313,16 +313,15 @@ def _eval_l9(pd: PeirceData, phi: LinearMap):
                                "commutator": c.to_strings()}
                     return False, witness, "a diagonal part is not central"
 
-    zb = center(algebra).basis
     for i in (1, 2):
         e_i = pd.idempotent(i)
-        ze = [zc * e_i for zc in zb]
         pe = pd.project(i, i, phi(e_i))
         basis = pd.components[(i, i)].basis
         instances.append(_n(len(basis), "vector") + f" of r{i}{i}")
         for x in basis:
-            span = Subspace.from_spanning(algebra, ze + [w * x for w in ze])
-            if not span.contains(pd.project(i, i, phi(x)) - pe * x):
+            words = [lambda z: (z * e_i).coords, lambda z: ((z * e_i) * x).coords]
+            target = (pd.project(i, i, phi(x)) - pe * x).coords
+            if express_central(algebra, ("L9", e_i.coords, x.coords), words, target) is None:
                 witness = {"equation": f"P{i}{i}(phi(x)) = z e{i} + "
                                        f"(P{i}{i}(phi(e{i})) - z' e{i}) x "
                                        "for central z, z'",

@@ -38,11 +38,12 @@ class PeirceData:
     """The four projectors and components attached to an idempotent pair.
 
     Carries memo caches for the derived data that gets reused heavily: the
-    regularity check, the centers of the diagonal components, the center
-    recomputed from the split, and for each i the tagged echelon that
-    answers central lifts (see lift_reduction).  Each is built on first
-    use, so peirce_decompose pays for none of them; nor does it build a
+    regularity check, the centers of the diagonal components and the
+    center recomputed from the split.  Each is built on first use, so
+    peirce_decompose pays for none of them; nor does it build a
     projector's nonzero-column view (linalg.Matrix), which project reads.
+    The spans that answer central lifts are cached on the algebra
+    (express_central), keyed by the idempotent they read.
     """
 
     def __init__(self, algebra, e1, e2, projectors, components):
@@ -53,7 +54,6 @@ class PeirceData:
         self.components = components    # {(i, j): Subspace}
         self._hypothesis = None
         self._diag_center = {}
-        self._lift = {}
         self._center_via_peirce = None
 
     def idempotent(self, i: int) -> Element:
@@ -85,15 +85,6 @@ class PeirceData:
             self._diag_center[i] = Subspace.from_spanning(
                 self.algebra, [comp.combine(gamma) for gamma in kernel])
         return self._diag_center[i]
-
-    def lift_reduction(self, i: int) -> dict:
-        """The tagged echelon (linalg.tagged_echelon) of the z_c . e_i over the
-        central basis z_c: express reads a lift's central coefficients off it."""
-        if i not in self._lift:
-            images = [z * self.idempotent(i) for z in center(self.algebra).basis]
-            self._lift[i] = tagged_echelon(self.algebra.field, self.algebra.dim,
-                                           [y.coords for y in images])
-        return self._lift[i]
 
 
 def peirce_decompose(algebra: Algebra, e1: Element) -> PeirceData:
@@ -202,8 +193,9 @@ def center(algebra: Algebra) -> Subspace:
     """Elements commuting with the whole algebra; cached on the algebra.
 
     Every centrality question reads this one subspace: is_central asks its
-    contains, and spans built from its basis answer the existence questions
-    of the lemma suite.  Capped by the verified unit, if there is one; see
+    contains, and spans built from its basis (express_central) answer every
+    existence question: central lifts, the oracle and the lemma suite.
+    Capped by the verified unit, if there is one; see
     linalg.echelon_of_blocks.
     """
     if algebra._center is None:
@@ -213,6 +205,25 @@ def center(algebra: Algebra) -> Subspace:
         algebra._center = Subspace(
             algebra, [Element(algebra, v) for v in _commutant(algebra, basis, basis, known)])
     return algebra._center
+
+
+def express_central(algebra: Algebra, key: tuple, words, x, n: int | None = None) -> list | None:
+    """x's coefficients over the generators w(z_c), or None when x is not in their span.
+
+    The generators run over the words w, and within each word over the
+    central basis z_c; a word maps a central basis element to a dense or
+    sparse vector of length n (default dim).  The coefficients are
+    linalg.express's free-variables-zero solution, so a generator that
+    depends on earlier ones gets coefficient zero.  The tagged echelon of
+    the generators is built on the first call with a key and cached on the
+    algebra next to its center, so the key names the words and the
+    coordinates of every element they read.
+    """
+    Z, n = center(algebra), n or algebra.dim
+    if key not in algebra._spans:
+        algebra._spans[key] = tagged_echelon(algebra.field, n,
+                                             [w(z) for w in words for z in Z.basis])
+    return express(algebra.field, n, len(words) * Z.dim, algebra._spans[key], x)
 
 
 def _over(sub: Subspace, x: Element) -> list:
@@ -393,8 +404,8 @@ def lift_central(pd: PeirceData, x: Element, i: int) -> Element | None:
 
     x must lie in the (i, i) component and commute with it; both
     preconditions are verified.  x is expressed once over the z_c . e_i
-    (lift_reduction), giving the free-variables-zero combination of the
-    central basis z_c, linear in x.
+    (express_central, one word z -> z . e_i keyed by e_i), giving the
+    free-variables-zero combination of the central basis z_c, linear in x.
     """
     if i not in (1, 2):
         raise ValueError("component index must be 1 or 2")
@@ -406,9 +417,9 @@ def lift_central(pd: PeirceData, x: Element, i: int) -> Element | None:
         t = next(t for t in comp.basis if not commutator(x, t).is_zero())
         raise PreconditionError(
             "element to lift is not central in its component", witness=(x, t))
-    Z = center(pd.algebra)
-    alpha = express(pd.algebra.field, pd.algebra.dim, Z.dim, pd.lift_reduction(i), x.coords)
-    return None if alpha is None else Z.combine(alpha)
+    e = pd.idempotent(i)
+    alpha = express_central(pd.algebra, ("lift", e.coords), [lambda z: (z * e).coords], x.coords)
+    return None if alpha is None else center(pd.algebra).combine(alpha)
 
 
 # ----------------------------------------------------------------------

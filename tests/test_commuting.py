@@ -11,7 +11,7 @@ from altcomm import (Decomposition, DecompositionError, LinearMap, Matrix, NotCo
                      is_anti_commuting, is_central, is_commuting, load_map, map_from_dict,
                      map_to_dict, random_commuting_map, random_map_parts, save_map,
                      scalar_algebra)
-from altcomm import commuting
+from altcomm import peirce
 
 from test_associator import BUILTINS, dense_solve
 from test_commutator import maps_for
@@ -341,7 +341,7 @@ def test_exhaustive_check_refuses_int64_overflow_at_the_boundary(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# the oracle system: sparse remainders against the dense full system
+# the oracle system: one cached span S against the dense remainder system
 
 
 def reference_decompose_oracle(algebra, phi):
@@ -375,22 +375,24 @@ ORACLE_CASES["Q+Q"] = lambda: direct_sum(scalar_algebra(Q), scalar_algebra(Q))  
 
 @pytest.mark.parametrize("name", list(ORACLE_CASES))
 def test_oracle_drops_the_pivot_rows_and_agrees_with_the_full_system(name, monkeypatch):
+    """S is built once per algebra, from d (n + 1) sparse generators with no zero entry."""
     algebra = ORACLE_CASES[name]()
-    dim_z = center(algebra).dim
+    n, dim_z = algebra.dim, center(algebra).dim
     handed, solves = [], []
-    tagged_echelon = commuting.tagged_echelon
+    tagged_echelon = peirce.tagged_echelon
 
-    def recorded(field, n, vectors):
-        handed.append(vectors)
-        return tagged_echelon(field, n, vectors)
+    def recorded(field, size, vectors):
+        handed.append((size, vectors))
+        return tagged_echelon(field, size, vectors)
 
-    monkeypatch.setattr(commuting, "tagged_echelon", recorded)
+    monkeypatch.setattr(peirce, "tagged_echelon", recorded)
     monkeypatch.setattr(Matrix, "solve", lambda self, rhs: solves.append(self))
-    for seed in range(3):
-        for phi in maps_for(algebra, seed):
-            want = reference_decompose_oracle(algebra, phi)
-            handed.clear()
-            got = decompose_oracle(algebra, phi)
-            assert solves == [] and len(handed) == 1 and len(handed[0]) == dim_z
-            assert all(isinstance(v, dict) and all(v.values()) for v in handed[0])
-            assert (got and got.to_dict()) == (want and want.to_dict())
+    maps = [phi for seed in range(3) for phi in maps_for(algebra, seed)]
+    for phi in maps:
+        want = reference_decompose_oracle(algebra, phi)
+        got = decompose_oracle(algebra, phi)
+        assert (got and got.to_dict()) == (want and want.to_dict())
+    assert len(maps) == 9 and solves == [] and len(handed) == 1
+    size, generators = handed[0]
+    assert size == n * n and len(generators) == dim_z * (n + 1)
+    assert all(isinstance(v, dict) and v and all(v.values()) for v in generators)

@@ -8,10 +8,14 @@ from fractions import Fraction
 import pytest
 
 from altcomm import (LEMMA_IDS, LinearMap, Matrix, PreconditionError, PrimeField,
-                     RationalField, direct_sum, find_unit, lift_central, matrix_algebra,
-                     peirce_decompose, random_commuting_map, run_all, run_lemma,
-                     scalar_algebra, zorn)
+                     RationalField, Subspace, center, decompose, decompose_oracle, direct_sum,
+                     find_unit, lift_central, matrix_algebra, peirce, peirce_decompose,
+                     random_commuting_map, run_all, run_lemma, scalar_algebra, zorn)
+from altcomm import lemmas
+from altcomm.algebra import Element
 from altcomm.lemmas import _EVALS
+
+from test_peirce_reference import reference_lift
 
 Q = RationalField()
 
@@ -200,6 +204,90 @@ def _freeze():
         json.dump({"ungated": _ungated_results(), "lift_refusal": _lift_refusal()},
                   fh, indent=1, sort_keys=True)
         fh.write("\n")
+
+
+
+# ----------------------------------------------------------------------
+# spans over the central basis, at dim Z = 2 and two idempotents per algebra
+
+
+def _two_split_cases():
+    """(label, algebra, e1, e1') with a two-dimensional center, regular at both.
+
+    On M2(Q)+M2(Q), E11+E11 and E11+E22 split the same summands; on
+    M2(Q)+Zorn(Q), E11+e11 and (E11+E12)+e11 have different spans Z e1.
+    """
+    m2 = matrix_algebra(Q, 2)[0]
+    cases = [("M2(Q)+M2(Q)", direct_sum(m2, m2), [1, 0, 0, 0, 1, 0, 0, 0],
+              [1, 0, 0, 0, 0, 0, 0, 1])]
+    mz = direct_sum(m2, zorn(Q)[0])
+    cases.append(("M2(Q)+Zorn(Q)", mz, [1, 0, 0, 0, 1] + [0] * 7, [1, 1, 0, 0, 1] + [0] * 7))
+    return cases
+
+
+def _reference_lift(pd, x, i):
+    """reference_lift behind lift_central's two refusals, with the same messages."""
+    if not pd.components[(i, i)].contains(x):
+        raise PreconditionError("element to lift is not in the diagonal component")
+    if not pd.diagonal_center(i).contains(x):
+        raise PreconditionError("element to lift is not central in its component")
+    return reference_lift(pd, x, i)
+
+
+def _reference_span(algebra, key, words, x, n=None):
+    """Membership of x in the Subspace.from_spanning of the w(z_c): [] or None."""
+    generators = [Element(algebra, w(z)) for w in words for z in center(algebra).basis]
+    return [] if Subspace.from_spanning(algebra, generators).contains(Element(algebra, x)) \
+        else None
+
+
+SPAN_LEMMAS = ("L2", "L3", "L4", "L5", "L7", "L9")
+
+
+@pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+@pytest.mark.parametrize("case", range(2))
+def test_central_spans_agree_with_a_reference_at_two_idempotents(case, order, monkeypatch):
+    """Two PeirceData on one algebra share its span cache; every key must name its e_i."""
+    label, algebra, *idempotents = _two_split_cases()[case]
+    assert center(algebra).dim == 2
+    pds = [peirce_decompose(algebra, algebra.element(idempotents[k])) for k in order]
+    for pd in pds:
+        for seed in range(3):
+            assert all(r.passed for r in run_all(pd, random_commuting_map(algebra, seed))), label
+            phi = _perturbed(algebra, seed)
+            got = {lid: _EVALS[lid](pd, phi) for lid in SPAN_LEMMAS}
+            with monkeypatch.context() as patch:
+                patch.setattr(lemmas, "lift_central", _reference_lift)
+                patch.setattr(lemmas, "express_central", _reference_span)
+                want = {lid: _EVALS[lid](pd, phi) for lid in SPAN_LEMMAS}
+            assert got == want, (label, pd.e1.to_strings(), seed)
+
+
+def test_warm_spans_build_no_echelon(monkeypatch):
+    """After one warm call each, the oracle, lifts and lemmas read only cached spans."""
+    label, algebra, e1, _ = _two_split_cases()[1]
+    pd = peirce_decompose(algebra, algebra.element(e1))
+    warm = random_commuting_map(algebra, 0)
+    decompose_oracle(algebra, warm)
+    decompose(pd, warm)
+    run_all(pd, warm)
+    builds = []
+    tagged_echelon = peirce.tagged_echelon
+
+    def counted(*args):
+        builds.append(args)
+        return tagged_echelon(*args)
+
+    monkeypatch.setattr(peirce, "tagged_echelon", counted)
+    for seed in range(1, 4):
+        phi = random_commuting_map(algebra, seed)
+        assert decompose_oracle(algebra, phi) is not None
+        for i in (1, 2):
+            for x in pd.diagonal_center(i).basis:
+                assert lift_central(pd, x, i) is not None
+        assert all(r.passed for r in run_all(pd, phi))
+        run_all(pd, _perturbed(algebra, seed))
+    assert builds == [], label
 
 
 if __name__ == "__main__":

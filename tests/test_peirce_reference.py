@@ -1,8 +1,8 @@
 """The Peirce split and central lifts against their direct forms.
 
 ``peirce_decompose`` checks the split through three identities of L_e1 and
-R_e1, and ``lift_central`` expresses x over one cached tagged echelon per
-component.
+R_e1, and ``lift_central`` expresses x over one tagged echelon per
+idempotent e_i, cached on the algebra (``express_central``).
 The references below are the direct forms they replace: the four
 projectors L_i R_j formed from both idempotents, with every bracketing,
 the identity sum, all sixteen orthogonality products and the dimension
