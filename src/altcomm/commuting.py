@@ -20,9 +20,15 @@ from .peirce import DEFAULT_BUDGET, PeirceData, center, express_central, is_cent
 
 
 class LinearMap:
-    """A linear self-map stored as a matrix acting on coordinate columns."""
+    """A linear self-map stored as a matrix acting on coordinate columns.
 
-    __slots__ = ("algebra", "matrix")
+    Like its Matrix, a map is never mutated: + and - build new maps.  That
+    is what lets it memoise its commuting and anti-commuting verdicts
+    (_failing_pair), so a map checked by decompose is not checked again by
+    the lemma gate.
+    """
+
+    __slots__ = ("algebra", "matrix", "_verdicts")
 
     def __init__(self, algebra: Algebra, matrix: Matrix):
         if matrix.rows != algebra.dim or matrix.cols != algebra.dim:
@@ -31,6 +37,7 @@ class LinearMap:
             raise ValueError("map matrix over the wrong field")
         self.algebra = algebra
         self.matrix = matrix
+        self._verdicts = {}             # anti -> _failing_pair's result
 
     @classmethod
     def identity(cls, algebra: Algebra) -> "LinearMap":
@@ -99,7 +106,8 @@ def is_commuting(algebra: Algebra, phi: LinearMap):
     fields of characteristic not 2 the pair conditions are equivalent to
     the identity.  All pairs are summed in one pass (see _failing_pair), so
     there is no early exit; the witness is still the first failing pair in
-    row-major order.
+    row-major order.  The verdict is memoised on phi, so decompose and the
+    lemma gate share one pass.
     """
     return _failing_pair(algebra, phi, anti=False)
 
@@ -129,8 +137,17 @@ def _failing_pair(algebra: Algebra, phi: LinearMap, anti: bool):
     negated when i > t and skipped when i = t.  The sums are kept in one
     flat map at key (i n + j) n + k, so the smallest key with a nonzero sum
     is the first failing pair in row-major order.
-    Returns (True, None) or (False, (b_i, b_j)).
+    Returns (True, None) or (False, (b_i, b_j)), computed once per map and
+    anti, and raises ValueError for a map on another algebra.
     """
+    if phi.algebra is not algebra:
+        raise ValueError("map on a different algebra")
+    if anti not in phi._verdicts:
+        phi._verdicts[anti] = _pair_sums(algebra, phi, anti)
+    return phi._verdicts[anti]
+
+
+def _pair_sums(algebra: Algebra, phi: LinearMap, anti: bool):
     f, n = algebra.field, algebra.dim
     add, mul, neg, zero = f.add, f.mul, f.neg, f.zero
     brackets = algebra.commutator_rows()
@@ -190,8 +207,6 @@ def decompose(pd: PeirceData, phi: LinearMap) -> Decomposition:
     offending element).
     """
     algebra = pd.algebra
-    if phi.algebra is not algebra:
-        raise ValueError("map on a different algebra")
     ok, witness = is_commuting(algebra, phi)
     if not ok:
         raise NotCommutingError(
@@ -202,13 +217,10 @@ def decompose(pd: PeirceData, phi: LinearMap) -> Decomposition:
     if not ok2:
         raise HypothesisError("the regularity condition fails at e2", witness=w2)
 
-    c1 = pd.project(2, 2, phi(pd.e1))
-    z1 = _lift_or_fail(pd, c1, 2, "the (2,2) projection of phi(e1)")
-    c2 = pd.project(1, 1, phi(pd.e2))
-    z2 = _lift_or_fail(pd, c2, 1, "the (1,1) projection of phi(e2)")
-
-    z = pd.project(1, 1, phi(pd.e1)) + pd.project(2, 2, phi(pd.e2)) \
-        - (z1 * pd.e1 + z2 * pd.e2)
+    f1, f2 = phi(pd.e1), phi(pd.e2)
+    z1 = _lift_or_fail(pd, pd.project(2, 2, f1), 2, "the (2,2) projection of phi(e1)")
+    z2 = _lift_or_fail(pd, pd.project(1, 1, f2), 1, "the (1,1) projection of phi(e2)")
+    z = pd.project(1, 1, f1) + pd.project(2, 2, f2) - (z1 * pd.e1 + z2 * pd.e2)
     xi = phi - LinearMap.left_multiplication(algebra, z)     # phi = L_z + xi by construction
     failure = _range_failure(algebra, z, xi)
     if failure is not None:

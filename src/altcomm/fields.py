@@ -96,10 +96,13 @@ class RationalField:
     def monic(row: dict, a: int | Fraction) -> dict:
         """row / a entrywise, {column: entry}, with every integral entry an int.
 
-        Dividing by a lead entry is where 2 * Fraction(1, 2) would leave an
-        integral Fraction in a new echelon row (see linalg.echelon_of_blocks).
+        Dividing by a lead entry, and by one to tidy a row that
+        back-substitution changed, is where 2 * Fraction(1, 2) or
+        Fraction(1, 2) + Fraction(1, 2) would leave an integral Fraction in
+        an echelon row (see linalg.echelon_of_blocks).  One and minus one
+        are their own inverses, so dividing ints by them stays in ints.
         """
-        inv = Fraction(1) / a
+        inv = a if a in (1, -1) else Fraction(1) / a
         return {j: _integral(x * inv) for j, x in row.items()}
 
     @staticmethod

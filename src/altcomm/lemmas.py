@@ -9,10 +9,16 @@ outside that span is a failure, not an exception.
 All nine checks assume a commuting map and the regularity condition;
 run_lemma and run_all verify both and report not-applicable when either
 fails, so a lemma is never asserted outside its hypotheses.
+
+A run evaluates each thing once: the gate reuses the map's memoised
+commuting verdict, the checks read phi's images and their Peirce
+projections from one table (Images), and L1 and L2, which do not involve
+the map, are cached on the PeirceData once the gate has passed.
 """
 
 from __future__ import annotations
 
+from copy import deepcopy
 from dataclasses import dataclass
 
 from .algebra import Element, commutator, find_unit
@@ -73,17 +79,57 @@ def run_all(pd: PeirceData, phi: LinearMap) -> list[LemmaReport]:
 
 
 def _run(pd: PeirceData, phi: LinearMap, lemma_ids) -> list[LemmaReport]:
-    """Reports for lemma_ids in order, behind one gate check shared by all of them."""
+    """Reports for lemma_ids in order, behind one gate check shared by all of them.
+
+    The checks share one Images table; L1 and L2 are read from the
+    PeirceData's cache.  Each report gets its own copy of the witness.
+    """
     blocked = _gate(pd, phi)
     if blocked is not None:
         reason, witness = blocked
         return [LemmaReport(lid, "not-applicable", witness, f"not applicable: {reason}")
                 for lid in lemma_ids]
+    images = Images(pd, phi)
     reports = []
     for lid in lemma_ids:
-        ok, witness, notes = _EVALS[lid](pd, phi)
-        reports.append(LemmaReport(lid, "pass" if ok else "fail", witness, notes))
+        cache = pd._map_free if lid in ("L1", "L2") else {}
+        if lid not in cache:
+            cache[lid] = _EVALS[lid](pd, images)
+        ok, witness, notes = cache[lid]
+        reports.append(LemmaReport(lid, "pass" if ok else "fail", deepcopy(witness), notes))
     return reports
+
+
+class Images:
+    """phi's images and their Peirce projections for one suite run, each formed once.
+
+    images(x) is phi(x), images.part(i, j, x) is P_ij(phi(x)) and
+    images.diag(x) is P11(phi(x)) + P22(phi(x)), each keyed by x's
+    coordinates, so e1, e2, 1 and each Peirce basis vector are applied at
+    most once however many checks read them.  images.lift(x, i) is
+    _try_lift's answer, keyed by i and x's coordinates: the parts the
+    checks lift often coincide (zero, or one multiple of e_i).
+    """
+
+    def __init__(self, pd: PeirceData, phi: LinearMap):
+        self.pd, self.phi, self._seen = pd, phi, {}
+
+    def _once(self, key, make):
+        if key not in self._seen:
+            self._seen[key] = make()
+        return self._seen[key]
+
+    def __call__(self, x: Element) -> Element:
+        return self._once(("phi", x.coords), lambda: self.phi(x))
+
+    def part(self, i: int, j: int, x: Element) -> Element:
+        return self._once((i, j, x.coords), lambda: self.pd.project(i, j, self(x)))
+
+    def diag(self, x: Element) -> Element:
+        return self._once(("diag", x.coords), lambda: self.part(1, 1, x) + self.part(2, 2, x))
+
+    def lift(self, x: Element, i: int):
+        return self._once(("lift", i, x.coords), lambda: _try_lift(self.pd, x, i))
 
 
 # ----------------------------------------------------------------------
@@ -110,10 +156,10 @@ def _lift_failure(x: Element, i: int, problem: str) -> dict:
             "x": x.to_strings(), "problem": problem}
 
 
-def _off_diagonal_zero(pd: PeirceData, y: Element):
-    """The off-diagonal projections of y, when nonzero."""
+def _off_diagonal_zero(phi: Images, y: Element):
+    """The off-diagonal projections of phi(y), when nonzero."""
     for (i, j) in ((1, 2), (2, 1)):
-        part = pd.project(i, j, y)
+        part = phi.part(i, j, y)
         if not part.is_zero():
             return (i, j), part
     return None, None
@@ -123,7 +169,7 @@ def _off_diagonal_zero(pd: PeirceData, y: Element):
 # the nine checks
 
 
-def _eval_l1(pd: PeirceData, phi: LinearMap):
+def _eval_l1(pd: PeirceData, phi: Images):
     """The center equals its description through the idempotent splitting."""
     direct = center(pd.algebra)
     via = center_via_peirce(pd)
@@ -138,40 +184,39 @@ def _eval_l1(pd: PeirceData, phi: LinearMap):
     return False, witness, "the two center computations disagree"
 
 
-def _eval_l2(pd: PeirceData, phi: LinearMap):
+def _eval_l2(pd: PeirceData, phi: Images):
     """Every central element of a diagonal component lifts to a central element."""
     counts = []
     for i in (1, 2):
         zc = pd.diagonal_center(i)
         counts.append(_n(zc.dim, "central vector") + f" of r{i}{i}")
         for x in zc.basis:
-            z, problem = _try_lift(pd, x, i)
+            z, problem = phi.lift(x, i)
             if z is None:
                 return False, _lift_failure(x, i, problem), \
                     f"lift failed in component ({i},{i})"
     return True, None, "lifted " + " and ".join(counts)
 
 
-def _eval_l3(pd: PeirceData, phi: LinearMap):
+def _eval_l3(pd: PeirceData, phi: Images):
     """phi fixes the diagonal at the unit and idempotents, and phi(1) lifts there."""
     unit = find_unit(pd.algebra)
     for name, y in (("1", unit), ("e1", pd.e1), ("e2", pd.e2)):
-        key, part = _off_diagonal_zero(pd, phi(y))
+        key, part = _off_diagonal_zero(phi, y)
         if key is not None:
             witness = {"equation": f"P{key[0]}{key[1]}(phi({name})) = 0",
                        "projection": part.to_strings()}
             return False, witness, f"phi({name}) has an off-diagonal part"
-    f1 = phi(unit)
     for i in (1, 2):
-        x = pd.project(i, i, f1)
-        z, problem = _try_lift(pd, x, i)
+        x = phi.part(i, i, unit)
+        z, problem = phi.lift(x, i)
         if z is None:
             return False, _lift_failure(x, i, problem), \
                 f"the ({i},{i}) part of phi(1) does not lift"
     return True, None, "evaluated phi at 1, e1, e2; lifted both diagonal parts of phi(1)"
 
 
-def _eval_l4(pd: PeirceData, phi: LinearMap):
+def _eval_l4(pd: PeirceData, phi: Images):
     """On diagonal components phi stays diagonal and the opposite part lifts."""
     evaluated = []
     for i in (1, 2):
@@ -179,14 +224,13 @@ def _eval_l4(pd: PeirceData, phi: LinearMap):
         basis = pd.components[(i, i)].basis
         evaluated.append(_n(len(basis), "basis vector") + f" of r{i}{i}")
         for x in basis:
-            fx = phi(x)
-            key, part = _off_diagonal_zero(pd, fx)
+            key, part = _off_diagonal_zero(phi, x)
             if key is not None:
                 witness = {"equation": f"P{key[0]}{key[1]}(phi(x)) = 0 for x in r{i}{i}",
                            "x": x.to_strings(), "projection": part.to_strings()}
                 return False, witness, f"phi of a vector in r{i}{i} leaves the diagonal"
-            part = pd.project(j, j, fx)
-            z, problem = _try_lift(pd, part, j)
+            part = phi.part(j, j, x)
+            z, problem = phi.lift(part, j)
             if z is None:
                 witness = _lift_failure(part, j, problem)
                 witness["x"] = x.to_strings()
@@ -195,24 +239,21 @@ def _eval_l4(pd: PeirceData, phi: LinearMap):
     return True, None, "evaluated " + " and ".join(evaluated)
 
 
-def _eval_l5(pd: PeirceData, phi: LinearMap):
+def _eval_l5(pd: PeirceData, phi: Images):
     """The four off-diagonal facts: where phi(x) lives and how it is controlled."""
     evaluated = []
     for (i, j) in ((1, 2), (2, 1)):
         basis = pd.components[(i, j)].basis
         evaluated.append(_n(len(basis), "basis vector") + f" of r{i}{j}")
-        ei, ej = pd.idempotent(i), pd.idempotent(j)
-        di = pd.project(i, i, phi(ei)) + pd.project(j, j, phi(ei))
-        dj = pd.project(j, j, phi(ej)) + pd.project(i, i, phi(ej))
+        di, dj = phi.diag(pd.idempotent(i)), phi.diag(pd.idempotent(j))
         for x in basis:
-            fx = phi(x)
-            part = pd.project(j, i, fx)
+            part = phi.part(j, i, x)
             if not part.is_zero():
                 witness = {"equation": f"P{j}{i}(phi(x)) = 0 for x in r{i}{j}",
                            "x": x.to_strings(), "projection": part.to_strings()}
                 return False, witness, "(i) fails"
             expected = commutator(di, x)
-            got = pd.project(i, j, fx)
+            got = phi.part(i, j, x)
             if got != expected:
                 witness = {"equation": f"P{i}{j}(phi(x)) = [P{i}{i}(phi(e{i})) + "
                                        f"P{j}{j}(phi(e{i})), x]",
@@ -225,14 +266,14 @@ def _eval_l5(pd: PeirceData, phi: LinearMap):
                            "x": x.to_strings(), "left": got.to_strings(),
                            "right": (-commutator(dj, x)).to_strings()}
                 return False, witness, "(ii) fails"
-            diag = pd.project(i, i, fx) + pd.project(j, j, fx)
+            diag = phi.diag(x)
             c = commutator(diag, x)
             if not c.is_zero():
                 witness = {"equation": f"[P{i}{i}(phi(x)) + P{j}{j}(phi(x)), x] = 0",
                            "x": x.to_strings(), "commutator": c.to_strings()}
                 return False, witness, "(iii) fails"
-            for (idx, part) in ((i, pd.project(i, i, fx)), (j, pd.project(j, j, fx))):
-                z, problem = _try_lift(pd, part, idx)
+            for (idx, part) in ((i, phi.part(i, i, x)), (j, phi.part(j, j, x))):
+                z, problem = phi.lift(part, idx)
                 if z is None:
                     witness = _lift_failure(part, idx, problem)
                     witness["x"] = x.to_strings()
@@ -240,7 +281,7 @@ def _eval_l5(pd: PeirceData, phi: LinearMap):
     return True, None, "evaluated (i)-(iv) on " + " and ".join(evaluated)
 
 
-def _eval_l6(pd: PeirceData, phi: LinearMap):
+def _eval_l6(pd: PeirceData, phi: Images):
     """The unit's image is central."""
     unit = find_unit(pd.algebra)
     f1 = phi(unit)
@@ -250,13 +291,13 @@ def _eval_l6(pd: PeirceData, phi: LinearMap):
         "phi(1) is not central"
 
 
-def _eval_l7(pd: PeirceData, phi: LinearMap):
+def _eval_l7(pd: PeirceData, phi: Images):
     """Central z, z' exist making P11(phi(e1)) + P22(phi(e2)) - (z e1 + z' e2) central.
 
     That is, P11(phi(e1)) + P22(phi(e2)) lies in the span of Z, Z e1 and Z e2.
     """
     d = center(pd.algebra).dim
-    v = pd.project(1, 1, phi(pd.e1)) + pd.project(2, 2, phi(pd.e2))
+    v = phi.part(1, 1, pd.e1) + phi.part(2, 2, pd.e2)
     words = [lambda z: z.coords, lambda z: (z * pd.e1).coords, lambda z: (z * pd.e2).coords]
     if express_central(pd.algebra, ("L7", pd.e1.coords, pd.e2.coords), words, v.coords) is None:
         witness = {"equation": "P11(phi(e1)) + P22(phi(e2)) - (z e1 + z' e2) in Z"
@@ -267,13 +308,12 @@ def _eval_l7(pd: PeirceData, phi: LinearMap):
     return True, None, "solved for z, z' over " + _n(d, "central basis vector") + " each"
 
 
-def _eval_l8(pd: PeirceData, phi: LinearMap):
+def _eval_l8(pd: PeirceData, phi: Images):
     """Diagonal parts of phi on r_ij commute with the opposite component."""
     pairs = 0
     for (i, j) in ((1, 2), (2, 1)):
         for x in pd.components[(i, j)].basis:
-            fx = phi(x)
-            diag = pd.project(1, 1, fx) + pd.project(2, 2, fx)
+            diag = phi.diag(x)
             for y in pd.components[(j, i)].basis:
                 pairs += 1
                 c = commutator(diag, y)
@@ -286,7 +326,7 @@ def _eval_l8(pd: PeirceData, phi: LinearMap):
     return True, None, "evaluated " + _n(pairs, "basis pair") + " across both off-diagonal components"
 
 
-def _eval_l9(pd: PeirceData, phi: LinearMap):
+def _eval_l9(pd: PeirceData, phi: Images):
     """Diagonal parts of phi on r_ij are central; on r_ii phi is affine in x.
 
     The affine form P_ii(phi(x)) = z e_i + (P_ii(phi(e_i)) - z' e_i) x, for
@@ -299,8 +339,7 @@ def _eval_l9(pd: PeirceData, phi: LinearMap):
         basis = pd.components[(i, j)].basis
         instances.append(_n(len(basis), "vector") + f" of r{i}{j}")
         for x in basis:
-            fx = phi(x)
-            diag = pd.project(1, 1, fx) + pd.project(2, 2, fx)
+            diag = phi.diag(x)
             if is_central(algebra, diag):
                 continue
             for r in range(algebra.dim):
@@ -315,12 +354,12 @@ def _eval_l9(pd: PeirceData, phi: LinearMap):
 
     for i in (1, 2):
         e_i = pd.idempotent(i)
-        pe = pd.project(i, i, phi(e_i))
+        pe = phi.part(i, i, e_i)
         basis = pd.components[(i, i)].basis
         instances.append(_n(len(basis), "vector") + f" of r{i}{i}")
         for x in basis:
             words = [lambda z: (z * e_i).coords, lambda z: ((z * e_i) * x).coords]
-            target = (pd.project(i, i, phi(x)) - pe * x).coords
+            target = (phi.part(i, i, x) - pe * x).coords
             if express_central(algebra, ("L9", e_i.coords, x.coords), words, target) is None:
                 witness = {"equation": f"P{i}{i}(phi(x)) = z e{i} + "
                                        f"(P{i}{i}(phi(e{i})) - z' e{i}) x "

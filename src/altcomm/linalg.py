@@ -31,6 +31,7 @@ proof (see ``echelon_of_blocks``).
 
 from __future__ import annotations
 
+from collections import defaultdict
 from itertools import chain
 
 
@@ -179,10 +180,14 @@ def echelon_of_blocks(field, n: int, blocks, known=()) -> dict[int, dict]:
     A row is a length-n sequence or a {column: entry} map; explicit zeros
     are dropped.  Rows are folded in one at a time, each reduced against
     the rows at the pivots it holds, so the stack is never formed; the
-    lead is the smallest nonzero column, and a new row whose lead entry is
-    not one is divided by it through the field's ``monic``.  The reduced
-    echelon form of a row space is unique, so the result does not depend on
-    the order of the rows.
+    lead is the smallest nonzero column, and a new row is divided by its
+    lead entry through the field's ``monic``.  Back-substitution goes
+    through a column index, holders[column] = the pivots whose row holds
+    it, kept up to date as rows change, so a new lead touches only the
+    older rows that hold it; each row it changes is passed through
+    ``monic`` by one, so over Q no entry is left an integral ``Fraction``.
+    The reduced echelon form of a row space is unique, so the result does
+    not depend on the order of the rows.
 
     known holds vectors, dense or sparse, that the caller has proved lie in
     the kernel of every row.  The row space then has rank at most
@@ -191,28 +196,34 @@ def echelon_of_blocks(field, n: int, blocks, known=()) -> dict[int, dict]:
     span the same space, so the echelon is the same one, byte for byte.
     The rows read are checked: whether the cap is reached or the rows run
     out, every echelon row must annihilate every known vector, or this
-    raises ValueError.  Rows past the cap are never read, so there the
-    result rests on the caller's proof.
+    raises ValueError naming the smallest pivot whose row does not.  Only
+    the rows at the vector's columns or holding one of them (the index)
+    can fail.  Rows past the cap are never read, so there the result
+    rests on the caller's proof.
     """
     f = field
     known = [_sparse(v) for v in known]
     cap = n - len(echelon_of_blocks(f, n, [known])) if known else n
-    echelon = {}
+    echelon, holders = {}, defaultdict(set)
     for row in chain.from_iterable(blocks) if cap else ():
         v = reduce_against(f, echelon, row)
         if not v:
             continue
         lead = min(v)
         a = v.pop(lead)
-        new = v if a == f.one else f.monic(v, a)
-        for pc, terms in echelon.items():       # clear column lead from the older rows
-            if lead in terms:
-                echelon[pc] = reduce_against(f, {lead: new}, terms)
+        new = f.monic(v, a)
+        for pc in holders.pop(lead, ()):        # clear column lead from the rows holding it
+            terms = echelon[pc] = f.monic(reduce_against(f, {lead: new}, echelon[pc]), f.one)
+            for j in new:
+                (holders[j].add if j in terms else holders[j].discard)(pc)
         echelon[lead] = new
+        for j in new:
+            holders[j].add(lead)
         if len(echelon) == cap:
             break
     for c, v in enumerate(known):
-        for pc, terms in echelon.items():
+        for pc in sorted(echelon.keys() & v.keys() | set().union(*(holders[j] for j in v))):
+            terms = echelon[pc]
             acc = v.get(pc, f.zero)
             for j, x in v.items():
                 if j in terms:

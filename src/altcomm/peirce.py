@@ -38,12 +38,16 @@ class PeirceData:
     """The four projectors and components attached to an idempotent pair.
 
     Carries memo caches for the derived data that gets reused heavily: the
-    regularity check, the centers of the diagonal components and the
-    center recomputed from the split.  Each is built on first use, so
-    peirce_decompose pays for none of them; nor does it build a
-    projector's nonzero-column view (linalg.Matrix), which project reads.
-    The spans that answer central lifts are cached on the algebra
-    (express_central), keyed by the idempotent they read.
+    regularity check, the centers of the diagonal components, the center
+    recomputed from the split, and the results of lemmas L1 and L2, which
+    do not involve the map (lemmas._run fills that cache after its gate
+    passes).  Each is built on first use, so peirce_decompose pays for
+    none of them; nor does it build a projector's nonzero-column view
+    (linalg.Matrix), which project reads.  The caches are sound because
+    nothing here is mutated after construction: not the idempotents, the
+    projectors, the components nor the algebra.  The spans that answer
+    central lifts are cached on the algebra (express_central), keyed by
+    the idempotent they read.
     """
 
     def __init__(self, algebra, e1, e2, projectors, components):
@@ -55,6 +59,7 @@ class PeirceData:
         self._hypothesis = None
         self._diag_center = {}
         self._center_via_peirce = None
+        self._map_free = {}             # lemma id -> (ok, witness, notes) for L1, L2
 
     def idempotent(self, i: int) -> Element:
         return self.e1 if i == 1 else self.e2
@@ -402,18 +407,21 @@ def _regularity_block(algebra: Algebra, images, k: int):
 def lift_central(pd: PeirceData, x: Element, i: int) -> Element | None:
     """A central z with z . e_i = x, or None when no such lift exists.
 
-    x must lie in the (i, i) component and commute with it; both
-    preconditions are verified.  x is expressed once over the z_c . e_i
-    (express_central, one word z -> z . e_i keyed by e_i), giving the
-    free-variables-zero combination of the central basis z_c, linear in x.
+    x must lie in the (i, i) component and commute with it.  Both
+    preconditions are verified by one membership test, in the component's
+    center, which is built inside the component; only on a failure is the
+    component asked which of the two errors to raise.  x is expressed once
+    over the z_c . e_i (express_central, one word z -> z . e_i keyed by
+    e_i), giving the free-variables-zero combination of the central basis
+    z_c, linear in x.
     """
     if i not in (1, 2):
         raise ValueError("component index must be 1 or 2")
-    comp = pd.components[(i, i)]
-    if not comp.contains(x):
-        raise PreconditionError("element to lift is not in the diagonal component",
-                                witness=x)
     if not pd.diagonal_center(i).contains(x):
+        comp = pd.components[(i, i)]
+        if not comp.contains(x):
+            raise PreconditionError("element to lift is not in the diagonal component",
+                                    witness=x)
         t = next(t for t in comp.basis if not commutator(x, t).is_zero())
         raise PreconditionError(
             "element to lift is not central in its component", witness=(x, t))

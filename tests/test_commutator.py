@@ -407,3 +407,22 @@ def assert_peirce_centers_agree(pd, via_peirce=True):
     want = Subspace.from_spanning(algebra, [reference_combine(algebra, g, diag) for g in kernel])
     got = center_via_peirce(pd)
     assert got == want and got.basis == want.basis
+
+
+@pytest.mark.parametrize("anti", [False, True], ids=["C", "AC"])
+@pytest.mark.parametrize("name", ["M4", "CD4"])
+def test_the_indexed_elimination_of_the_map_systems_matches_the_row_scan(name, anti):
+    """The commuting (C) and anti-commuting (AC) systems on End(A), rows in pair order:
+    the same echelon with the column index as with the scan over every row."""
+    from altcomm.linalg import echelon_of_blocks
+
+    from test_linalg import scan_echelon
+
+    algebra = builtin_over(name, Q)[0]
+    n = algebra.dim
+    b = algebra.basis_element
+    brackets = [[reference_commutator(b(s), b(t)).coords for t in range(n)] for s in range(n)]
+    blocks = [condition_rows(algebra, brackets, i, j, anti) for i in range(n) for j in range(i, n)]
+    echelon = echelon_of_blocks(Q, n * n, blocks)
+    assert echelon == scan_echelon(Q, n * n, blocks)
+    assert n * n - len(echelon) == (n + 1 if not anti else n)      # dim C = dim S, dim Z = 1

@@ -109,6 +109,47 @@ def test_anti_commuting_detection(m2q):
     assert not ok and witness is not None
 
 
+def test_a_map_on_another_algebra_is_refused():
+    """Two separately built M2(Q): equal tables, but a map carries its own algebra's brackets."""
+    from altcomm import matrix_algebra, peirce_decompose, run_all
+
+    a, e1 = matrix_algebra(Q, 2)
+    b, _ = matrix_algebra(Q, 2)
+    phi = transpose_map(a)
+    for check in (is_commuting, is_anti_commuting):
+        with pytest.raises(ValueError, match="map on a different algebra"):
+            check(b, phi)
+    with pytest.raises(ValueError, match="map on a different algebra"):
+        decompose(peirce_decompose(b, b.element(e1.coords)), LinearMap.identity(a))
+    with pytest.raises(ValueError, match="map on a different algebra"):
+        run_all(peirce_decompose(b, b.element(e1.coords)), LinearMap.identity(a))
+    assert phi._verdicts == {}, "a refused check memoises nothing"
+    assert is_commuting(a, phi)[0] is False and is_anti_commuting(a, phi)[0] is False
+
+
+def test_each_verdict_is_computed_once_per_map(m3q, monkeypatch):
+    """is_commuting and is_anti_commuting memoise on the map, keyed by anti; a sum is a new map."""
+    import altcomm.commuting as commuting
+
+    algebra, _ = m3q
+    calls = []
+    pair_sums = commuting._pair_sums
+
+    def counted(alg, phi, anti):
+        calls.append(anti)
+        return pair_sums(alg, phi, anti)
+
+    monkeypatch.setattr(commuting, "_pair_sums", counted)
+    phi = transpose_map(algebra)
+    first = is_commuting(algebra, phi)
+    assert is_commuting(algebra, phi) is first and calls == [False]
+    anti = is_anti_commuting(algebra, phi)
+    assert is_anti_commuting(algebra, phi) is anti and calls == [False, True]
+    assert first == pair_sums(algebra, phi, False) and anti == pair_sums(algebra, phi, True)
+    psi = phi + LinearMap.zero(algebra)
+    assert is_commuting(algebra, psi) == first and calls == [False, True, False]
+
+
 def test_left_multiplication_by_central_commutes(zornq):
     algebra, _ = zornq
     z = find_unit(algebra).scale(Fraction(7, 2))

@@ -13,7 +13,7 @@ from altcomm import (LEMMA_IDS, LinearMap, Matrix, PreconditionError, PrimeField
                      random_commuting_map, run_all, run_lemma, scalar_algebra, zorn)
 from altcomm import lemmas
 from altcomm.algebra import Element
-from altcomm.lemmas import _EVALS
+from altcomm.lemmas import _EVALS, Images
 
 from test_peirce_reference import reference_lift
 
@@ -113,7 +113,7 @@ def test_ungated_evaluation_exposes_failures(m2q_pd):
     for label, (phi, expected_failures) in cases.items():
         failed = set()
         for lid in LEMMA_IDS:
-            ok, witness, notes = _EVALS[lid](m2q_pd, phi)
+            ok, witness, notes = _EVALS[lid](m2q_pd, Images(m2q_pd, phi))
             if not ok:
                 failed.add(lid)
                 assert witness, (label, lid)
@@ -175,7 +175,7 @@ def _frozen_cases():
 def _ungated_results():
     results = {}
     for label, pd, phi in _frozen_cases():
-        results[label] = {lid: list(_EVALS[lid](pd, phi)) for lid in LEMMA_IDS}
+        results[label] = {lid: list(_EVALS[lid](pd, Images(pd, phi))) for lid in LEMMA_IDS}
     return results
 
 
@@ -255,11 +255,11 @@ def test_central_spans_agree_with_a_reference_at_two_idempotents(case, order, mo
         for seed in range(3):
             assert all(r.passed for r in run_all(pd, random_commuting_map(algebra, seed))), label
             phi = _perturbed(algebra, seed)
-            got = {lid: _EVALS[lid](pd, phi) for lid in SPAN_LEMMAS}
+            got = {lid: _EVALS[lid](pd, Images(pd, phi)) for lid in SPAN_LEMMAS}
             with monkeypatch.context() as patch:
                 patch.setattr(lemmas, "lift_central", _reference_lift)
                 patch.setattr(lemmas, "express_central", _reference_span)
-                want = {lid: _EVALS[lid](pd, phi) for lid in SPAN_LEMMAS}
+                want = {lid: _EVALS[lid](pd, Images(pd, phi)) for lid in SPAN_LEMMAS}
             assert got == want, (label, pd.e1.to_strings(), seed)
 
 
@@ -288,6 +288,104 @@ def test_warm_spans_build_no_echelon(monkeypatch):
         assert all(r.passed for r in run_all(pd, phi))
         run_all(pd, _perturbed(algebra, seed))
     assert builds == [], label
+
+
+# ----------------------------------------------------------------------
+# one suite run evaluates each thing once
+
+
+def _counting(monkeypatch, owner, name):
+    """Replace owner.name by a wrapper that records its arguments; returns the record."""
+    original = getattr(owner, name)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_one_run_applies_phi_once_per_input(m3q_pd, zornq_pd, m2f5_pd, monkeypatch):
+    """phi meets each of 1, e1, e2 and the Peirce basis vectors at most once, each of
+    the four projections of an image is formed at most once, and so is each lift."""
+    applied = _counting(monkeypatch, LinearMap, "__call__")
+    projected = _counting(monkeypatch, type(m3q_pd), "project")
+    lifted = _counting(monkeypatch, lemmas, "lift_central")
+    for pd in (m3q_pd, zornq_pd, m2f5_pd):
+        inputs = {x.coords for comp in pd.components.values() for x in comp.basis}
+        inputs |= {pd.e1.coords, pd.e2.coords, find_unit(pd.algebra).coords}
+        for phi in (random_commuting_map(pd.algebra, 4), LinearMap.identity(pd.algebra)):
+            applied.clear()
+            projected.clear()
+            lifted.clear()
+            assert all(r.passed for r in run_all(pd, phi))
+            seen = [x.coords for _, x in applied]
+            assert seen and len(seen) == len(set(seen)) and set(seen) <= inputs
+            assert 0 < len(projected) <= 4 * len(seen)
+            lifts = [(x.coords, i) for _, x, i in lifted]
+            assert lifts and len(lifts) == len(set(lifts))
+    applied.clear()
+    assert {r.status for r in run_all(m3q_pd, _perturbed(m3q_pd.algebra, 2))} == \
+        {"not-applicable"} and applied == []
+
+
+def test_the_commuting_check_runs_once_per_map(m3q_pd, monkeypatch):
+    """decompose then run_all check phi once; phi + extra is a new map and is checked again."""
+    from altcomm import commuting
+
+    checked = _counting(monkeypatch, commuting, "_pair_sums")
+    phi = random_commuting_map(m3q_pd.algebra, 2)
+    decompose(m3q_pd, phi)
+    assert all(r.passed for r in run_all(m3q_pd, phi))
+    assert [args[1] for args in checked] == [phi]
+    psi = _perturbed(m3q_pd.algebra, 2)
+    for _ in range(2):
+        assert {r.status for r in run_all(m3q_pd, psi)} == {"not-applicable"}
+    assert [args[1] for args in checked] == [phi, psi]
+
+
+def test_a_second_run_on_the_same_split_builds_no_l1_or_l2_lift(monkeypatch):
+    """L1 and L2 are evaluated on the first run past the gate, then read from the split."""
+    pd = peirce_decompose(*matrix_algebra(Q, 3))
+    run_all(pd, _perturbed(pd.algebra, 1))
+    assert pd._map_free == {}, "a gated run caches nothing"
+    phi = random_commuting_map(pd.algebra, 3)
+    first = [r.to_dict() for r in run_all(pd, phi)]
+    assert all(r["status"] == "pass" for r in first)
+
+    def refuse(pd, images):
+        raise AssertionError("L1 and L2 are read from the split's cache")
+
+    monkeypatch.setitem(lemmas._EVALS, "L1", refuse)
+    monkeypatch.setitem(lemmas._EVALS, "L2", refuse)
+    lifts = _counting(monkeypatch, lemmas, "lift_central")
+    for seed in (3, 4):
+        lifts.clear()
+        again = [r.to_dict() for r in run_all(pd, random_commuting_map(pd.algebra, seed))]
+        assert again[:2] == first[:2] and all(r["status"] == "pass" for r in again)
+        made = list(lifts)
+        lifts.clear()
+        images = Images(pd, random_commuting_map(pd.algebra, seed))
+        for lid in ("L3", "L4", "L5"):
+            assert _EVALS[lid](pd, images)[0]
+        assert made == lifts, "every lift of the second run is one of L3-L5's"
+
+
+def test_a_cached_report_gets_its_own_witness(monkeypatch):
+    """A failing L1 is cached with its witness; each run's report holds its own copy."""
+    pd = peirce_decompose(*matrix_algebra(Q, 2))
+    witness = {"equation": "forced", "direct_basis": [["1", "0", "0", "1"]]}
+    monkeypatch.setitem(lemmas._EVALS, "L1", lambda pd, images: (False, witness, "forced"))
+    phi = LinearMap.identity(pd.algebra)
+    first, second = run_all(pd, phi)[0], run_all(pd, phi)[0]
+    assert first.status == second.status == "fail" and first.witness == second.witness == witness
+    assert witness is not first.witness is not second.witness is not witness
+    first.witness["direct_basis"][0].append("mutated")
+    assert second.witness == witness == {"equation": "forced",
+                                         "direct_basis": [["1", "0", "0", "1"]]}
+    assert run_all(pd, phi)[0].witness == witness
 
 
 if __name__ == "__main__":

@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from altcomm import PrimeField, RationalField
-from altcomm.linalg import Matrix, common_kernel, echelon_of_blocks
+from altcomm import linalg
+from altcomm.linalg import Matrix, common_kernel, echelon_of_blocks, reduce_against
 
 from test_associator import dense_kernel, dense_rref, dense_solve
 from test_peirce_table import reference_matmul
@@ -320,3 +321,164 @@ def test_a_wrong_known_vector_is_refused():
 def test_echelon_rows_hold_ints_where_integral():
     echelon = echelon_of_blocks(Q, 3, [[[2, 1, 2]]])       # 2 * Fraction(1, 2) is Fraction(1)
     assert echelon == {0: {1: Fraction(1, 2), 2: 1}} and type(echelon[0][2]) is int
+
+
+# ----------------------------------------------------------------------
+# back-substitution through a column index
+
+
+def scan_echelon(field, n, blocks, known=(), hits=None):
+    """echelon_of_blocks before the column index: a new lead scans every older row for
+    its column, and the known check reads every row.  hits, if given, collects the
+    (lead, pivot) of every older row the lead clears."""
+    f = field
+    known = [{j: x for j, x in (v.items() if isinstance(v, dict) else enumerate(v)) if x}
+             for v in known]
+    cap = n - len(scan_echelon(f, n, [known])) if known else n
+    echelon = {}
+    for row in itertools.chain.from_iterable(blocks) if cap else ():
+        v = reduce_against(f, echelon, row)
+        if not v:
+            continue
+        lead = min(v)
+        a = v.pop(lead)
+        new = v if a == f.one else f.monic(v, a)
+        for pc, terms in echelon.items():
+            if lead in terms:
+                echelon[pc] = reduce_against(f, {lead: new}, terms)
+                if hits is not None:
+                    hits.append((lead, pc))
+        echelon[lead] = new
+        if len(echelon) == cap:
+            break
+    for c, v in enumerate(known):
+        for pc, terms in echelon.items():
+            acc = v.get(pc, f.zero)
+            for j, x in v.items():
+                if j in terms:
+                    acc = f.add(acc, f.mul(terms[j], x))
+            if acc:
+                raise ValueError(f"known vector {c} is not in the kernel")
+    return dict(sorted(echelon.items()))
+
+
+def seeded_system(rng, field):
+    """Up to 9 rows of up to 7 columns, dense or sparse, with repeated and zero rows."""
+    n = rng.randint(1, 7)
+    density = rng.choice([0.2, 0.5, 1.0])
+    rows = [[seeded_entry(rng, field, density) for _ in range(n)] for _ in range(rng.randint(0, 9))]
+    if rows and rng.random() < 0.3:
+        rows.append(list(rows[0]))
+    if rng.random() < 0.5:
+        rows = [{j: x for j, x in enumerate(row) if x} for row in rows]
+    return n, rows
+
+
+def indexed_hits(monkeypatch):
+    """Record the (lead, row) of every older row that a run of echelon_of_blocks clears.
+
+    The new rows are reduced against the growing echelon itself, the first echelon
+    reduce_against sees; every other call clears one older row by one new lead.
+    """
+    original = linalg.reduce_against
+    calls = []
+
+    def recorded(f, echelon, vec):
+        calls.append((echelon, vec))
+        return original(f, echelon, vec)
+
+    monkeypatch.setattr(linalg, "reduce_against", recorded)
+    return calls
+
+
+def cleared(calls):
+    main = calls[0][0] if calls else None
+    return [(next(iter(ech)), vec) for ech, vec in calls if ech is not main]
+
+
+@pytest.mark.parametrize("field", [Q, F5, F101], ids=lambda f: f.label)
+def test_indexed_back_substitution_matches_the_row_scan(field, monkeypatch):
+    """Seeded systems: the same echelon as the scan, and a new lead clears exactly the
+    rows the scan would clear, each of which holds it."""
+    rng = random.Random(2101)
+    calls = indexed_hits(monkeypatch)
+    total = 0
+    for _ in range(300):
+        n, rows = seeded_system(rng, field)
+        hits = []
+        want = scan_echelon(field, n, [rows], hits=hits)
+        calls.clear()
+        assert echelon_of_blocks(field, n, [rows]) == want
+        got = cleared(calls)
+        assert all(lead in vec for lead, vec in got)
+        assert sorted(lead for lead, _ in got) == sorted(lead for lead, _ in hits)
+        total += len(got)
+    assert total > 100
+
+
+def test_a_row_cleared_to_empty_off_its_pivot_leaves_the_index(monkeypatch):
+    calls = indexed_hits(monkeypatch)
+    rows = [[1, 2, 0, 0], [0, 1, 0, 0], [0, 0, 1, 3], [0, 0, 0, 1]]
+    assert echelon_of_blocks(F7, 4, [rows]) == {0: {}, 1: {}, 2: {}, 3: {}}
+    assert [lead for lead, _ in cleared(calls)] == [1, 3]
+    # Lead 2 clears row 0 to empty: its entry at column 3 cancels.  Lead 3 then
+    # touches only row 2, the one row still holding column 3.
+    calls.clear()
+    rows = [[1, 0, 1, 1], [0, 0, 1, 1], [0, 0, 0, 1]]
+    assert echelon_of_blocks(F7, 4, [rows]) == {0: {}, 2: {}, 3: {}}
+    assert [(lead, dict(vec)) for lead, vec in cleared(calls)] == [(2, {2: 1, 3: 1}), (3, {3: 1})]
+    assert echelon_of_blocks(F7, 4, [rows], known=[[0, 1, 0, 0]]) == {0: {}, 2: {}, 3: {}}
+    with pytest.raises(ValueError, match="pivot 3 does not annihilate"):
+        echelon_of_blocks(F7, 4, [rows], known=[[0, 0, 0, 1]])
+
+
+@pytest.mark.parametrize("field", [Q, F5, F101], ids=lambda f: f.label)
+def test_the_known_cap_and_check_match_the_row_scan(field):
+    """Known vectors from the kernel cap the elimination as before; a vector outside it
+    is refused by both, whether the failing row meets it at its pivot or off it."""
+    rng = random.Random(2102)
+    refused = capped = 0
+    for _ in range(200):
+        n, rows = seeded_system(rng, field)
+        kernel = common_kernel(field, n, [rows])
+        known = rng.sample(kernel, rng.randint(0, len(kernel)))
+        if rng.random() < 0.4:
+            known.append([seeded_entry(rng, field, 0.5) for _ in range(n)])
+        try:
+            want = scan_echelon(field, n, [rows], known)
+        except ValueError:
+            with pytest.raises(ValueError, match="not in the kernel"):
+                echelon_of_blocks(field, n, [rows], known)
+            refused += 1
+            continue
+        assert echelon_of_blocks(field, n, [rows], known) == want
+        capped += bool(known)
+    assert refused > 20 and capped > 50
+
+
+def test_the_check_names_the_smallest_failing_pivot():
+    with pytest.raises(ValueError, match="pivot 0 does not annihilate"):    # off its pivot
+        echelon_of_blocks(F7, 3, [[[1, 1, 0]]], known=[[0, 1, 0]])
+    with pytest.raises(ValueError, match="pivot 0 does not annihilate"):    # both rows fail
+        echelon_of_blocks(Q, 3, [[[0, 1, 1], [1, 0, 1]]], known=[[0, 0, 1]])
+
+
+def test_no_echelon_entry_is_an_integral_fraction():
+    """2,000 seeded systems over Q, 2-6 columns, entries +-3 over 1-3 with integral ones
+    ints: back-substitution used to leave Fraction(1, 2) + Fraction(1, 2) behind."""
+    def entry(rng):
+        x = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        return x.numerator if x.denominator == 1 else x
+
+    found = 0
+    for seed in range(2000):
+        rng = random.Random(seed)
+        n = rng.randint(2, 6)
+        rows = [[entry(rng) for _ in range(n)] for _ in range(rng.randint(1, 6))]
+        echelon = echelon_of_blocks(Q, n, [rows])
+        assert echelon == scan_echelon(Q, n, [rows])
+        entries = [x for terms in echelon.values() for x in terms.values()]
+        assert not any(type(x) is Fraction and x.denominator == 1 for x in entries), seed
+        found += any(type(scan) is Fraction and scan.denominator == 1
+                     for terms in scan_echelon(Q, n, [rows]).values() for scan in terms.values())
+    assert found > 50, "the scan leaves integral Fractions that the index canonicalises"

@@ -382,6 +382,34 @@ def test_lift_preconditions(m3q_pd):
         lift_central(pd, pd.e1, 3)
 
 
+def test_a_lift_makes_one_membership_test(m3q_pd, monkeypatch):
+    """A lift that passes tests membership once, in the component's center; a refusal
+    then asks the component which of the two errors to raise, witnesses included."""
+    pd = m3q_pd
+    algebra = pd.algebra
+    contains = Subspace.contains
+    asked = []
+
+    def counted(self, el):
+        asked.append(self)
+        return contains(self, el)
+
+    monkeypatch.setattr(Subspace, "contains", counted)
+    for i in (1, 2):
+        for x in pd.diagonal_center(i).basis:
+            asked.clear()
+            assert lift_central(pd, x, i) is not None
+            assert len(asked) == 1 and asked[0] is pd.diagonal_center(i)
+    with pytest.raises(PreconditionError, match="not in the diagonal component") as exc:
+        lift_central(pd, pd.e1, 2)
+    assert exc.value.witness == pd.e1
+    e22 = algebra.basis_element(4)
+    with pytest.raises(PreconditionError, match="not central in its component") as exc:
+        lift_central(pd, e22, 2)
+    x, t = exc.value.witness
+    assert x == e22 and t in pd.components[(2, 2)].basis and x * t != t * x
+
+
 def test_lift_gap_returns_none():
     algebra = lift_gap_algebra()
     pd = peirce_decompose(algebra, algebra.basis_element(1))
