@@ -3,13 +3,16 @@
 Exit codes keep three meanings apart: 0 when every requested check
 passes, 1 when a mathematical property fails (the failure always comes
 with a witness in the same format the tool accepts as input), 2 for
-unusable input or flags.  Text output carries no timestamps; JSON output
+unusable input or flags.  Inputs are read and refused by the declaration
+of their command (reader, generator), so a command body only computes
+and reports.  Text output carries no timestamps; JSON output
 gets a generated_at envelope field unless --deterministic asks for
 byte-identical reruns.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import re
@@ -57,6 +60,9 @@ field_option = click.option("--field", "field_token", default="q", show_default=
                             help="Scalar field: q or p<prime>.")
 out_option = click.option("--out", type=click.Path(), default=None,
                           help="Output path (defaults to a name derived from the algebra).")
+# An algebra file read as its option is processed; the command gets the Algebra.
+summand_option = functools.partial(click.option, type=click.Path(exists=True), required=True,
+                                   callback=lambda ctx, param, path: load_algebra_arg(path))
 
 
 def emit(command: str, payload: dict, lines: list[str], ok: bool = True) -> None:
@@ -125,6 +131,19 @@ def parse_element(algebra: Algebra, token: str):
     return algebra.element(coords)
 
 
+def idempotent_arg(algebra: Algebra, token: str):
+    """-e parsed, and refused unless it is a nontrivial idempotent of a unital algebra."""
+    e1 = parse_element(algebra, token)
+    try:
+        ok = verify_idempotent(algebra, e1)
+    except PreconditionError as exc:
+        raise click.UsageError(str(exc))
+    if not ok:
+        raise click.UsageError(
+            f"{element_str(e1)} is not a nontrivial idempotent of this algebra")
+    return e1
+
+
 def load_map_arg(algebra: Algebra, token: str, seed: int) -> LinearMap:
     if token == "random":
         return random_commuting_map(algebra, seed)
@@ -152,14 +171,7 @@ def witness_lines(witness: dict) -> list[str]:
 
 
 def guarded_peirce(algebra: Algebra, e1):
-    """Peirce data with input problems mapped to exit 2 and a refused split emitted, exit 1."""
-    try:
-        ok = verify_idempotent(algebra, e1)
-    except PreconditionError as exc:
-        raise click.UsageError(str(exc))
-    if not ok:
-        raise click.UsageError(
-            f"{element_str(e1)} is not a nontrivial idempotent of this algebra")
+    """Peirce data at an idempotent the reader accepted, or the refused split emitted, exit 1."""
     try:
         return peirce_decompose(algebra, e1)
     except PreconditionError as exc:
@@ -172,15 +184,34 @@ def main():
     """Exact computations in finite-dimensional alternative algebras."""
 
 
+def declare(group, name: str, fn, options):
+    """Register fn as a command of group with its parameters, given in declaration order."""
+    for option in reversed(options):
+        fn = option(fn)
+    return group.command(name)(fn)
+
+
 def reader(name: str, *options):
-    """Declare a command on one algebra file: the path, the command's options, the common ones."""
-    def declare(fn):
-        fn = common_options(fn)
-        for option in reversed(options):
-            fn = option(fn)
-        fn = click.argument("algebra_path", type=click.Path(exists=True))(fn)
-        return main.command(name)(fn)
-    return declare
+    """Declare a command on one algebra file: the path, the command's options, the common ones.
+
+    Every input is read here, and each one that cannot be used exits 2
+    here, so the body only computes and reports.  It gets the Algebra in
+    place of the path, e1 in place of -e (parsed and checked by
+    idempotent_arg) and phi in place of --map and --seed; other options
+    (--budget) pass through.
+    """
+    def wrap(fn):
+        @functools.wraps(fn)
+        def run(algebra_path, idem_token=None, map_token=None, seed=0, **rest):
+            algebra = load_algebra_arg(algebra_path)
+            if idem_token is not None:
+                rest["e1"] = idempotent_arg(algebra, idem_token)
+            if map_token is not None:
+                rest["phi"] = load_map_arg(algebra, map_token, seed)
+            fn(algebra, **rest)
+        algebra_arg = click.argument("algebra_path", type=click.Path(exists=True))
+        return declare(main, name, run, [algebra_arg, *options, common_options])
+    return wrap
 
 
 # ----------------------------------------------------------------------
@@ -194,12 +225,15 @@ def default_out(algebra: Algebra) -> str:
 
 
 def write_generated(algebra: Algebra, idem, out: str | None) -> None:
+    """Write the algebra and its idempotent, if any; an unwritable path exits 2."""
     path = out or default_out(algebra)
-    save_algebra(algebra, path)
-    idem_path = None
-    if idem is not None:
-        idem_path = os.path.splitext(path)[0] + ".idem.json"
-        write_json(idem_path, {"coords": idem.to_strings()})
+    idem_path = None if idem is None else os.path.splitext(path)[0] + ".idem.json"
+    try:
+        save_algebra(algebra, path)
+        if idem_path:
+            write_json(idem_path, {"coords": idem.to_strings()})
+    except OSError as exc:
+        raise click.UsageError(f"cannot write output file: {exc}")
     payload = {"algebra": path, "idempotent": idem_path,
                "dim": algebra.dim, "field": algebra.field.label, "name": algebra.name}
     lines = [f"wrote {path} ({algebra.name}, dim {algebra.dim})"]
@@ -213,75 +247,66 @@ def gen():
     """Write a builtin algebra (and its canonical idempotent) to JSON files."""
 
 
-@gen.command("matrix")
-@click.option("--n", type=int, default=2, show_default=True, help="Matrix size.")
-@field_option
-@out_option
-@common_options
-def gen_matrix(n, field_token, out):
-    field = parse_field(field_token)
-    try:
-        algebra, e11 = matrix_algebra(field, n)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
-    write_generated(algebra, e11, out)
+def generator(name: str, *options):
+    """Declare a gen command: its options, --out and the common ones.
+
+    The body gets the parsed field in place of --field and returns
+    (algebra, idempotent or None).  A ValueError from the builder exits 2,
+    and write_generated writes the files and reports them.
+    """
+    def wrap(fn):
+        @functools.wraps(fn)
+        def run(out, field_token=None, **rest):
+            if field_token is not None:
+                rest["field"] = parse_field(field_token)
+            try:
+                algebra, idem = fn(**rest)
+            except ValueError as exc:
+                raise click.UsageError(str(exc))
+            write_generated(algebra, idem, out)
+        return declare(gen, name, run, [*options, out_option, common_options])
+    return wrap
 
 
-@gen.command("zorn")
-@field_option
-@out_option
-@common_options
-def gen_zorn(field_token, out):
-    algebra, e11 = zorn(parse_field(field_token))
-    write_generated(algebra, e11, out)
+@generator("matrix", click.option("--n", type=int, default=2, show_default=True,
+                                  help="Matrix size."), field_option)
+def gen_matrix(n, field):
+    return matrix_algebra(field, n)
 
 
-@gen.command("cayley-dickson")
-@click.option("--steps", type=int, required=True, help="Number of doublings.")
-@click.option("--gammas", default=None,
-              help="Comma-separated doubling parameters, one per step (default all 1).")
-@field_option
-@out_option
-@common_options
-def gen_cd(steps, gammas, field_token, out):
-    field = parse_field(field_token)
+@generator("zorn", field_option)
+def gen_zorn(field):
+    return zorn(field)
+
+
+@generator("cayley-dickson",
+           click.option("--steps", type=int, required=True, help="Number of doublings."),
+           click.option("--gammas", default=None,
+                        help="Comma-separated doubling parameters, one per step (default all 1)."),
+           field_option)
+def gen_cd(steps, gammas, field):
     if steps < 1:
         raise click.UsageError("--steps must be at least 1")
+    cd_dimension(steps)                 # refused before a list of steps is built
+    if gammas is None:
+        return cayley_dickson_algebra(field, [field.one] * steps)
     try:
-        cd_dimension(steps)             # refused before a list of steps is built
-        if gammas is None:
-            gamma_list = [field.one] * steps
-        else:
-            try:
-                gamma_list = [field.parse(g) for g in gammas.split(",")]
-            except ValueError as exc:
-                raise click.UsageError(f"bad --gammas: {exc}")
-            if len(gamma_list) != steps:
-                raise click.UsageError("--gammas must list one value per step")
-        algebra, idem = cayley_dickson_algebra(field, gamma_list)
+        gamma_list = [field.parse(g) for g in gammas.split(",")]
     except ValueError as exc:
-        raise click.UsageError(str(exc))
-    write_generated(algebra, idem, out)
+        raise click.UsageError(f"bad --gammas: {exc}")
+    if len(gamma_list) != steps:
+        raise click.UsageError("--gammas must list one value per step")
+    return cayley_dickson_algebra(field, gamma_list)
 
 
-@gen.command("direct-sum")
-@click.option("--left", type=click.Path(exists=True), required=True,
-              help="Algebra file for the first summand.")
-@click.option("--right", type=click.Path(exists=True), required=True,
-              help="Algebra file for the second summand.")
-@out_option
-@common_options
-def gen_direct_sum(left, right, out):
-    a = load_algebra_arg(left)
-    b = load_algebra_arg(right)
-    try:
-        algebra = direct_sum(a, b)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+@generator("direct-sum", summand_option("--left", help="Algebra file for the first summand."),
+           summand_option("--right", help="Algebra file for the second summand."))
+def gen_direct_sum(left, right):
+    algebra = direct_sum(left, right)
     idem = None
-    if a.unit is not None:
-        idem = algebra.element(list(a.unit.coords) + [b.field.zero] * b.dim)
-    write_generated(algebra, idem, out)
+    if left.unit is not None:
+        idem = algebra.element(list(left.unit.coords) + [right.field.zero] * right.dim)
+    return algebra, idem
 
 
 # ----------------------------------------------------------------------
@@ -289,9 +314,8 @@ def gen_direct_sum(left, right, out):
 
 
 @reader("verify")
-def verify(algebra_path):
+def verify(algebra):
     """Check alternativity and the existence of a unit."""
-    algebra = load_algebra_arg(algebra_path)
     alt, triple = is_alternative(algebra)
     unit = find_unit(algebra)
     payload = {"name": algebra.name, "alternative": alt, "unital": unit is not None}
@@ -310,9 +334,8 @@ def verify(algebra_path):
     emit("verify", payload, lines, ok=alt and unit is not None)
 
 
-def subspace_report(word: str, subspace_of, algebra_path: str) -> None:
+def subspace_report(word: str, subspace_of, algebra: Algebra) -> None:
     """Report the basis of one subspace of an algebra, e.g. its center."""
-    algebra = load_algebra_arg(algebra_path)
     space = subspace_of(algebra)
     payload = {"name": algebra.name, "dim": space.dim,
                "basis": [el.to_strings() for el in space.basis]}
@@ -322,22 +345,20 @@ def subspace_report(word: str, subspace_of, algebra_path: str) -> None:
 
 
 @reader("center")
-def center(algebra_path):
+def center(algebra):
     """Print a basis of the center."""
-    subspace_report("center", center_of, algebra_path)
+    subspace_report("center", center_of, algebra)
 
 
 @reader("nucleus")
-def nucleus_cmd(algebra_path):
+def nucleus_cmd(algebra):
     """Print a basis of the nucleus."""
-    subspace_report("nucleus", nucleus, algebra_path)
+    subspace_report("nucleus", nucleus, algebra)
 
 
 @reader("peirce", idempotent_option)
-def peirce(algebra_path, idem_token):
+def peirce(algebra, e1):
     """Split along an idempotent and verify the component multiplication rules."""
-    algebra = load_algebra_arg(algebra_path)
-    e1 = parse_element(algebra, idem_token)
     pd = guarded_peirce(algebra, e1)
     report = check_peirce_relations(pd)
     dims = pd.dims()
@@ -354,14 +375,9 @@ def peirce(algebra_path, idem_token):
 
 
 @reader("hypothesis", idempotent_option)
-def hypothesis(algebra_path, idem_token):
+def hypothesis(algebra, e1):
     """Check the regularity condition at e1 and its complement."""
-    algebra = load_algebra_arg(algebra_path)
-    e1 = parse_element(algebra, idem_token)
-    try:
-        (ok1, w1), (ok2, w2) = hypothesis_check(algebra, e1)
-    except PreconditionError as exc:
-        raise click.UsageError(str(exc))
+    (ok1, w1), (ok2, w2) = hypothesis_check(algebra, e1)
     payload = {"name": algebra.name, "e1": ok1, "e2": ok2}
     lines = [f"regularity of {algebra.name} at e1 = {element_str(e1)}"]
     for label, ok, w in (("e1", ok1, w1), ("e2", ok2, w2)):
@@ -374,9 +390,8 @@ def hypothesis(algebra_path, idem_token):
 
 
 @reader("prime", budget_option)
-def prime(algebra_path, budget):
+def prime(algebra, budget):
     """Exhaustively search a finite-field algebra for an annihilating pair."""
-    algebra = load_algebra_arg(algebra_path)
     try:
         ok, pair = prime_check_exhaustive(algebra, budget=budget)
     except (ValueError, BudgetExceededError) as exc:
@@ -397,10 +412,8 @@ def prime(algebra_path, budget):
 
 
 @reader("check-map", map_option, seed_option)
-def check_map(algebra_path, map_token, seed):
+def check_map(algebra, phi):
     """Test whether a linear map commutes (and anti-commutes) with its argument."""
-    algebra = load_algebra_arg(algebra_path)
-    phi = load_map_arg(algebra, map_token, seed)
     ok, pair = is_commuting(algebra, phi)
     anti, anti_pair = is_anti_commuting(algebra, phi)
     payload = {"name": algebra.name, "commuting": ok, "anti_commuting": anti}
@@ -416,11 +429,8 @@ def check_map(algebra_path, map_token, seed):
 
 
 @reader("decompose", idempotent_option, map_option, seed_option)
-def decompose_cmd(algebra_path, idem_token, map_token, seed):
+def decompose_cmd(algebra, e1, phi):
     """Split a commuting map as phi(x) = z x + xi(x) with z central, xi center-valued."""
-    algebra = load_algebra_arg(algebra_path)
-    e1 = parse_element(algebra, idem_token)
-    phi = load_map_arg(algebra, map_token, seed)
     pd = guarded_peirce(algebra, e1)
     try:
         dec = decompose(pd, phi)
@@ -452,11 +462,8 @@ def decompose_cmd(algebra_path, idem_token, map_token, seed):
 
 
 @reader("lemmas", idempotent_option, map_option, seed_option)
-def lemmas_cmd(algebra_path, idem_token, map_token, seed):
+def lemmas_cmd(algebra, e1, phi):
     """Run the nine supporting checks and print a table."""
-    algebra = load_algebra_arg(algebra_path)
-    e1 = parse_element(algebra, idem_token)
-    phi = load_map_arg(algebra, map_token, seed)
     pd = guarded_peirce(algebra, e1)
     reports = run_all(pd, phi)
     marks = {"pass": "✓", "fail": "✗", "not-applicable": "n-a"}
@@ -472,10 +479,8 @@ def lemmas_cmd(algebra_path, idem_token, map_token, seed):
 
 
 @reader("oracle", map_option, seed_option, budget_option)
-def oracle(algebra_path, map_token, seed, budget):
+def oracle(algebra, phi, budget):
     """Check [phi(x), x] = 0 on every element of a finite-field algebra."""
-    algebra = load_algebra_arg(algebra_path)
-    phi = load_map_arg(algebra, map_token, seed)
     try:
         ok, x = exhaustive_commuting_check(algebra, phi, budget=budget)
     except (ValueError, BudgetExceededError) as exc:

@@ -27,7 +27,7 @@ from fractions import Fraction
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 MODULUS_LIMIT = 318665857834031151167461
 
-# Rational scalar text may spell at most this many digits, exponent included.
+# Scalar text may spell at most this many digits, a rational's exponent included.
 SCALAR_DIGIT_LIMIT = 1000
 
 # Plain ASCII integer text, the form of nearly every structure constant.
@@ -189,7 +189,16 @@ class PrimeField:
         return {j: mul(inv, x) for j, x in row.items()}
 
     def parse(self, text: str) -> int:
-        return int(text.strip(), 10) % self.p
+        """A residue from integer text such as "-3"; more than SCALAR_DIGIT_LIMIT digits are refused.
+
+        The limit is checked here rather than left to the interpreter's
+        int_max_str_digits, which Python 3.10.0-3.10.6 lack and which can
+        be switched off: int() of long text takes time quadratic in its length.
+        """
+        text = text.strip()
+        if len(text) > SCALAR_DIGIT_LIMIT and sum(map(str.isdigit, text)) > SCALAR_DIGIT_LIMIT:
+            raise ValueError(f"scalar {text[:40]!r} has more than {SCALAR_DIGIT_LIMIT} digits")
+        return int(text, 10) % self.p
 
     def fmt(self, a: int) -> str:
         return str(a)

@@ -94,6 +94,16 @@ def test_gen_usage_errors(runner, tmp_path, monkeypatch):
                            "--gammas", "0,1"]).exit_code == 2
 
 
+@pytest.mark.parametrize("gen_args", [["matrix", "--n", "2"],
+                                      ["direct-sum", "--left", "m2q.json", "--right", "m2q.json"]])
+def test_unwritable_out_is_a_usage_error(runner, workdir, gen_args):
+    os.mkdir("taken")
+    for out in ("missing/out.json", "taken"):
+        r = invoke(runner, ["gen", *gen_args, "--out", out])
+        assert_usage_error(r)
+        assert "cannot write output file" in r.output, out
+
+
 # ----------------------------------------------------------------------
 # verification and structure reports
 
@@ -306,6 +316,39 @@ def test_bad_element_tokens(runner, workdir):
     assert invoke(runner, ["peirce", "m2q.json", "-e", "1,0,0"]).exit_code == 2
     assert invoke(runner, ["peirce", "m2q.json", "-e", "nosuch"]).exit_code == 2
     assert invoke(runner, ["hypothesis", "m2q.json", "-e", "1,0,oops,0"]).exit_code == 2
+
+
+# Commands taking -e, with the --map they need; the reader refuses their inputs.
+IDEMPOTENT_COMMANDS = {"peirce": [], "hypothesis": [], "decompose": ["--map", "random"],
+                       "lemmas": ["--map", "random"]}
+
+
+@pytest.mark.parametrize("command", sorted(IDEMPOTENT_COMMANDS))
+def test_reader_refuses_unusable_inputs_before_the_body_runs(runner, workdir, monkeypatch,
+                                                             command):
+    from altcomm import cli
+
+    def unreachable(*args):
+        raise AssertionError("the command body ran")
+
+    monkeypatch.setattr(cli, "guarded_peirce", unreachable)
+    monkeypatch.setattr(cli, "hypothesis_check", unreachable)
+    save_algebra(Algebra("null", Q, 2, ["a", "b"], []), "null.json")
+    os.mkdir("mapdir")
+    with open("cut.json", "w") as fh:
+        fh.write('{"dim": 4, "matrix": [')
+    map_args = IDEMPOTENT_COMMANDS[command]
+    cases = [(["m2q.json", "-e", "0,1,0,0", *map_args],
+              "Error: 0,1,0,0 is not a nontrivial idempotent of this algebra"),
+             (["null.json", "-e", "a", *map_args],
+              "Error: idempotent checks need a unital algebra")]
+    if map_args:
+        cases += [(["m2q.json", "-e", "E11", "--map", name], f"Error: bad map file {name}:")
+                  for name in ("cut.json", "mapdir")]
+    for args, message in cases:
+        r = invoke(runner, [command, *args])
+        assert_usage_error(r)
+        assert message in r.output, args
 
 
 # ----------------------------------------------------------------------
