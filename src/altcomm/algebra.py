@@ -16,24 +16,42 @@ from .fields import field_from_dict
 from .linalg import (Matrix, echelon_of_blocks, echelon_rows, express, reduce_against,
                      tagged_echelon)
 
-_UNSET = object()
-
 # Largest dimension accepted (the benchmark's largest algebra, M8, has 64).
 # At dim 128 solving for the unit of CD7(Q) peaks near 5 MB (tracemalloc).
 DIM_LIMIT = 128
 
 
-class Algebra:
+class Memo:
+    """An object that builds each derived value once: cached(key, make, *args).
+
+    The values live in the subclass's _memo dict, which its constructor
+    sets up.  Memoising is sound only because a subclass is not mutated
+    after construction.
+    """
+
+    __slots__ = ()
+
+    def cached(self, key, make, *args):
+        """The value stored under key, made by make(*args) on the first call.
+
+        Passing the builder's arguments, not a closure over them, spares a
+        hit from making a function object: center and express_central are
+        asked dozens of times per lemma-suite run.
+        """
+        if key not in self._memo:
+            self._memo[key] = make(*args)
+        return self._memo[key]
+
+
+class Algebra(Memo):
     """A structure-constant algebra over an exact field.
 
-    Immutable after construction apart from internal memo caches: the
-    unit, the basis elements, the associator tensor, the commutator tensor
-    and its rows grouped by first index (see associator_tensor,
-    commutator_tensor and commutator_rows), and the center, the spans
-    over its basis (one tagged echelon per key, see express_central) and
-    the nucleus, which peirce fills.  Products are read off the sparse
-    structure table: mul_coords over the nonzero coordinates of both
-    factors, and product_sum for a sum of basis products given as terms.
+    Immutable after construction, so every derived object is built once and
+    memoised (Memo.cached): the unit, the basis elements, the associator and
+    commutator tensors, the center, the nucleus, and the tagged echelons of
+    peirce.express_central, whose keys are tuples.  Products are read off
+    the sparse structure table: mul_coords over the nonzero coordinates of
+    both factors, and product_sum for a sum of basis products given as terms.
     The name and every basis label must be strings.  Supplied unit
     coordinates are verified against every basis vector, and a dimension
     above DIM_LIMIT is refused before anything is built.
@@ -89,22 +107,13 @@ class Algebra:
         self._rows = rows
         self._cols = cols
 
-        self._basis_elements = None
         self._basis_coords = [tuple(field.one if t == i else field.zero for t in range(dim))
                               for i in range(dim)]
-        self._associators = None
-        self._commutators = None
-        self._commutator_rows = None
-        self._center = None
-        self._spans = {}
-        self._nucleus = None
-
+        self._memo = {}
         if unit is not None:
             u = Element(self, unit)
             self._check_unit(u)
-            self._unit = u
-        else:
-            self._unit = _UNSET
+            self.cached("unit", lambda: u)
 
     # ------------------------------------------------------------------
     # elements
@@ -113,9 +122,7 @@ class Algebra:
         return Element(self, coords)
 
     def basis_element(self, i: int) -> "Element":
-        if self._basis_elements is None:
-            self._basis_elements = [Element(self, c) for c in self._basis_coords]
-        return self._basis_elements[i]
+        return self.cached("basis", lambda: [Element(self, c) for c in self._basis_coords])[i]
 
     def basis_coords(self, i: int) -> tuple:
         return self._basis_coords[i]
@@ -123,9 +130,7 @@ class Algebra:
     @property
     def unit(self) -> "Element | None":
         """The two-sided unit, solved for lazily and cached; None if absent."""
-        if self._unit is _UNSET:
-            self._unit = self._solve_unit()
-        return self._unit
+        return self.cached("unit", self._solve_unit)
 
     def _check_unit(self, u: "Element") -> None:
         for i in range(self.dim):
@@ -202,26 +207,27 @@ class Algebra:
         Built from the structure constants alone, so its cost follows the
         number of nonzero products.
         """
-        if self._associators is None:
-            f = self.field
-            rows, cols = self._rows, self._cols
-            acc = {}
-            for s, row in enumerate(rows):
-                for t, st in row.items():
-                    for k, c in st:                 # (b_s b_t) b_u = sum_k c b_k b_u
-                        for u, ku in rows[k].items():
-                            vec = acc.setdefault((s, t, u), {})
-                            for l, d in ku:
-                                vec[l] = f.add(vec.get(l, f.zero), f.mul(c, d))
-            for t, row in enumerate(rows):
-                for u, tu in row.items():
-                    for k, c in tu:                 # b_s (b_t b_u) = sum_k c b_s b_k
-                        for s, sk in cols[k].items():
-                            vec = acc.setdefault((s, t, u), {})
-                            for l, d in sk:
-                                vec[l] = f.sub(vec.get(l, f.zero), f.mul(c, d))
-            self._associators = _drop_zeros(acc)
-        return self._associators
+        return self.cached("associator_tensor", self._associator_tensor)
+
+    def _associator_tensor(self) -> dict:
+        f = self.field
+        rows, cols = self._rows, self._cols
+        acc = {}
+        for s, row in enumerate(rows):
+            for t, st in row.items():
+                for k, c in st:                 # (b_s b_t) b_u = sum_k c b_k b_u
+                    for u, ku in rows[k].items():
+                        vec = acc.setdefault((s, t, u), {})
+                        for l, d in ku:
+                            vec[l] = f.add(vec.get(l, f.zero), f.mul(c, d))
+        for t, row in enumerate(rows):
+            for u, tu in row.items():
+                for k, c in tu:                 # b_s (b_t b_u) = sum_k c b_s b_k
+                    for s, sk in cols[k].items():
+                        vec = acc.setdefault((s, t, u), {})
+                        for l, d in sk:
+                            vec[l] = f.sub(vec.get(l, f.zero), f.mul(c, d))
+        return _drop_zeros(acc)
 
     def commutator_tensor(self) -> dict:
         """Cached sparse commutators of basis pairs, {(s, t): {k: c}}.
@@ -230,17 +236,18 @@ class Algebra:
         zero commutators are absent and keys are sorted.  Built once from
         the structure constants, like associator_tensor.
         """
-        if self._commutators is None:
-            f = self.field
-            acc = {}
-            for s, row in enumerate(self._rows):
-                for t, terms in row.items():
-                    st, ts = acc.setdefault((s, t), {}), acc.setdefault((t, s), {})
-                    for k, c in terms:
-                        st[k] = f.add(st.get(k, f.zero), c)
-                        ts[k] = f.sub(ts.get(k, f.zero), c)
-            self._commutators = _drop_zeros(acc)
-        return self._commutators
+        return self.cached("commutator_tensor", self._commutator_tensor)
+
+    def _commutator_tensor(self) -> dict:
+        f = self.field
+        acc = {}
+        for s, row in enumerate(self._rows):
+            for t, terms in row.items():
+                st, ts = acc.setdefault((s, t), {}), acc.setdefault((t, s), {})
+                for k, c in terms:
+                    st[k] = f.add(st.get(k, f.zero), c)
+                    ts[k] = f.sub(ts.get(k, f.zero), c)
+        return _drop_zeros(acc)
 
     def commutator_rows(self) -> list:
         """The commutator tensor grouped by its first index; cached.
@@ -249,12 +256,13 @@ class Algebra:
         the tensor's order, so a caller that walks one vector's nonzero
         coordinates s reads each s's brackets without a dict lookup per t.
         """
-        if self._commutator_rows is None:
-            rows = [[] for _ in range(self.dim)]
-            for (s, t), vec in self.commutator_tensor().items():
-                rows[s].append((t, list(vec.items())))
-            self._commutator_rows = rows
-        return self._commutator_rows
+        return self.cached("commutator_rows", self._bracket_rows)
+
+    def _bracket_rows(self) -> list:
+        rows = [[] for _ in range(self.dim)]
+        for (s, t), vec in self.commutator_tensor().items():
+            rows[s].append((t, list(vec.items())))
+        return rows
 
     def product_sum(self, terms) -> dict:
         """Coordinates {k: c} of sum v b_s b_t over the terms (v, (s, t)), from the table.
@@ -289,8 +297,8 @@ class Algebra:
             "dim": self.dim,
             "basis": list(self.basis_labels),
         }
-        if self._unit is not _UNSET and self._unit is not None:
-            d["unit"] = [f.fmt(c) for c in self._unit.coords]
+        if self._memo.get("unit") is not None:      # supplied, or already solved for
+            d["unit"] = [f.fmt(c) for c in self._memo["unit"].coords]
         d["structure"] = [[i, j, k, f.fmt(c)] for i, j, k, c in self.structure_entries()]
         if self.comment is not None:
             d["comment"] = self.comment

@@ -225,14 +225,22 @@ def default_out(algebra: Algebra) -> str:
 
 
 def write_generated(algebra: Algebra, idem, out: str | None) -> None:
-    """Write the algebra and its idempotent, if any; an unwritable path exits 2."""
+    """Write the algebra and its idempotent, if any; an unwritable path exits 2.
+
+    A refusal removes every file this call created, so a written algebra
+    file does not outlive an idempotent file that could not be written.
+    """
     path = out or default_out(algebra)
     idem_path = None if idem is None else os.path.splitext(path)[0] + ".idem.json"
+    fresh = [p for p in (path, idem_path) if p and not os.path.lexists(p)]
     try:
         save_algebra(algebra, path)
         if idem_path:
             write_json(idem_path, {"coords": idem.to_strings()})
     except OSError as exc:
+        for p in fresh:
+            if os.path.lexists(p):
+                os.remove(p)
         raise click.UsageError(f"cannot write output file: {exc}")
     payload = {"algebra": path, "idempotent": idem_path,
                "dim": algebra.dim, "field": algebra.field.label, "name": algebra.name}

@@ -13,22 +13,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import Algebra, Element, commutator, read_json, write_json
+from .algebra import Algebra, Element, Memo, commutator, read_json, write_json
 from .errors import DecompositionError, HypothesisError, NotCommutingError
 from .linalg import Matrix
 from .peirce import DEFAULT_BUDGET, PeirceData, center, express_central, is_central, scan_guard
 
 
-class LinearMap:
+class LinearMap(Memo):
     """A linear self-map stored as a matrix acting on coordinate columns.
 
     Like its Matrix, a map is never mutated: + and - build new maps.  That
-    is what lets it memoise its commuting and anti-commuting verdicts
-    (_failing_pair), so a map checked by decompose is not checked again by
-    the lemma gate.
+    is what lets it memoise (Memo.cached) its commuting and anti-commuting
+    verdicts (_failing_pair), so a map checked by decompose is not checked
+    again by the lemma gate.
     """
 
-    __slots__ = ("algebra", "matrix", "_verdicts")
+    __slots__ = ("algebra", "matrix", "_memo")
 
     def __init__(self, algebra: Algebra, matrix: Matrix):
         if matrix.rows != algebra.dim or matrix.cols != algebra.dim:
@@ -37,7 +37,7 @@ class LinearMap:
             raise ValueError("map matrix over the wrong field")
         self.algebra = algebra
         self.matrix = matrix
-        self._verdicts = {}             # anti -> _failing_pair's result
+        self._memo = {}
 
     @classmethod
     def identity(cls, algebra: Algebra) -> "LinearMap":
@@ -142,9 +142,7 @@ def _failing_pair(algebra: Algebra, phi: LinearMap, anti: bool):
     """
     if phi.algebra is not algebra:
         raise ValueError("map on a different algebra")
-    if anti not in phi._verdicts:
-        phi._verdicts[anti] = _pair_sums(algebra, phi, anti)
-    return phi._verdicts[anti]
+    return phi.cached(("verdict", anti), _pair_sums, algebra, phi, anti)
 
 
 def _pair_sums(algebra: Algebra, phi: LinearMap, anti: bool):

@@ -189,16 +189,18 @@ class PrimeField:
         return {j: mul(inv, x) for j, x in row.items()}
 
     def parse(self, text: str) -> int:
-        """A residue from integer text such as "-3"; more than SCALAR_DIGIT_LIMIT digits are refused.
+        """A residue from scalar text such as "-3" or "1/2", read by RationalField.parse.
 
-        The limit is checked here rather than left to the interpreter's
-        int_max_str_digits, which Python 3.10.0-3.10.6 lack and which can
-        be switched off: int() of long text takes time quadratic in its length.
+        Both fields thus share one grammar and one SCALAR_DIGIT_LIMIT.  The
+        rational a/b, in lowest terms, is a b^-1 mod p; one whose denominator
+        p divides is refused as having a zero denominator, as "1/0" is over Q.
         """
-        text = text.strip()
-        if len(text) > SCALAR_DIGIT_LIMIT and sum(map(str.isdigit, text)) > SCALAR_DIGIT_LIMIT:
-            raise ValueError(f"scalar {text[:40]!r} has more than {SCALAR_DIGIT_LIMIT} digits")
-        return int(text, 10) % self.p
+        value = RationalField.parse(text)
+        if type(value) is int:          # integral text: nearly every structure constant
+            return value % self.p
+        if value.denominator % self.p == 0:
+            raise ValueError(f"scalar {text.strip()[:40]!r} has a zero denominator")
+        return value.numerator * pow(value.denominator, -1, self.p) % self.p
 
     def fmt(self, a: int) -> str:
         return str(a)

@@ -13,7 +13,7 @@ fails, so a lemma is never asserted outside its hypotheses.
 A run evaluates each thing once: the gate reuses the map's memoised
 commuting verdict, the checks read phi's images and their Peirce
 projections from one table (Images), and L1 and L2, which do not involve
-the map, are cached on the PeirceData once the gate has passed.
+the map, are memoised on the PeirceData once the gate has passed.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 from copy import deepcopy
 from dataclasses import dataclass
 
-from .algebra import Element, commutator, find_unit
+from .algebra import Element, Memo, commutator, find_unit
 from .commuting import LinearMap, is_commuting
 from .errors import PreconditionError
 from .peirce import (PeirceData, center, center_via_peirce, express_central, is_central,
@@ -81,8 +81,8 @@ def run_all(pd: PeirceData, phi: LinearMap) -> list[LemmaReport]:
 def _run(pd: PeirceData, phi: LinearMap, lemma_ids) -> list[LemmaReport]:
     """Reports for lemma_ids in order, behind one gate check shared by all of them.
 
-    The checks share one Images table; L1 and L2 are read from the
-    PeirceData's cache.  Each report gets its own copy of the witness.
+    The checks share one Images table; L1 and L2 are memoised on the
+    PeirceData.  Each report gets its own copy of the witness.
     """
     blocked = _gate(pd, phi)
     if blocked is not None:
@@ -92,15 +92,15 @@ def _run(pd: PeirceData, phi: LinearMap, lemma_ids) -> list[LemmaReport]:
     images = Images(pd, phi)
     reports = []
     for lid in lemma_ids:
-        cache = pd._map_free if lid in ("L1", "L2") else {}
-        if lid not in cache:
-            cache[lid] = _EVALS[lid](pd, images)
-        ok, witness, notes = cache[lid]
+        if lid in ("L1", "L2"):
+            ok, witness, notes = pd.cached(lid, _EVALS[lid], pd, images)
+        else:
+            ok, witness, notes = _EVALS[lid](pd, images)
         reports.append(LemmaReport(lid, "pass" if ok else "fail", deepcopy(witness), notes))
     return reports
 
 
-class Images:
+class Images(Memo):
     """phi's images and their Peirce projections for one suite run, each formed once.
 
     images(x) is phi(x), images.part(i, j, x) is P_ij(phi(x)) and
@@ -112,24 +112,19 @@ class Images:
     """
 
     def __init__(self, pd: PeirceData, phi: LinearMap):
-        self.pd, self.phi, self._seen = pd, phi, {}
-
-    def _once(self, key, make):
-        if key not in self._seen:
-            self._seen[key] = make()
-        return self._seen[key]
+        self.pd, self.phi, self._memo = pd, phi, {}
 
     def __call__(self, x: Element) -> Element:
-        return self._once(("phi", x.coords), lambda: self.phi(x))
+        return self.cached(("phi", x.coords), self.phi, x)
 
     def part(self, i: int, j: int, x: Element) -> Element:
-        return self._once((i, j, x.coords), lambda: self.pd.project(i, j, self(x)))
+        return self.cached((i, j, x.coords), lambda: self.pd.project(i, j, self(x)))
 
     def diag(self, x: Element) -> Element:
-        return self._once(("diag", x.coords), lambda: self.part(1, 1, x) + self.part(2, 2, x))
+        return self.cached(("diag", x.coords), lambda: self.part(1, 1, x) + self.part(2, 2, x))
 
     def lift(self, x: Element, i: int):
-        return self._once(("lift", i, x.coords), lambda: _try_lift(self.pd, x, i))
+        return self.cached(("lift", i, x.coords), _try_lift, self.pd, x, i)
 
 
 # ----------------------------------------------------------------------

@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import defaultdict
 from itertools import combinations, groupby, product
 
-from .algebra import Algebra, Element, Subspace, commutator, find_unit
+from .algebra import Algebra, Element, Memo, Subspace, commutator, find_unit
 from .errors import BudgetExceededError, PreconditionError
 from .linalg import Matrix, common_kernel, express, tagged_echelon
 
@@ -34,20 +34,19 @@ def verify_idempotent(algebra: Algebra, e: Element) -> bool:
             and not e.is_zero() and e != unit)
 
 
-class PeirceData:
+class PeirceData(Memo):
     """The four projectors and components attached to an idempotent pair.
 
-    Carries memo caches for the derived data that gets reused heavily: the
+    Memoises (Memo.cached) the derived data that gets reused heavily: the
     regularity check, the centers of the diagonal components, the center
     recomputed from the split, and the results of lemmas L1 and L2, which
-    do not involve the map (lemmas._run fills that cache after its gate
-    passes).  Each is built on first use, so peirce_decompose pays for
-    none of them; nor does it build a projector's nonzero-column view
-    (linalg.Matrix), which project reads.  The caches are sound because
-    nothing here is mutated after construction: not the idempotents, the
-    projectors, the components nor the algebra.  The spans that answer
-    central lifts are cached on the algebra (express_central), keyed by
-    the idempotent they read.
+    do not involve the map.  Each is built on first use, so
+    peirce_decompose pays for none of them; nor does it build a
+    projector's nonzero-column view (linalg.Matrix), which project reads.
+    The memo is sound because nothing here is mutated after construction:
+    not the idempotents, the projectors, the components nor the algebra.
+    The spans that answer central lifts are memoised on the algebra
+    (express_central), keyed by the idempotent they read.
     """
 
     def __init__(self, algebra, e1, e2, projectors, components):
@@ -56,10 +55,7 @@ class PeirceData:
         self.e2 = e2
         self.projectors = projectors    # {(i, j): Matrix}
         self.components = components    # {(i, j): Subspace}
-        self._hypothesis = None
-        self._diag_center = {}
-        self._center_via_peirce = None
-        self._map_free = {}             # lemma id -> (ok, witness, notes) for L1, L2
+        self._memo = {}
 
     def idempotent(self, i: int) -> Element:
         return self.e1 if i == 1 else self.e2
@@ -74,22 +70,20 @@ class PeirceData:
 
     def hypothesis(self):
         """Cached result of hypothesis_check for this idempotent pair."""
-        if self._hypothesis is None:
-            self._hypothesis = hypothesis_check(self.algebra, self.e1)
-        return self._hypothesis
+        return self.cached("hypothesis", hypothesis_check, self.algebra, self.e1)
 
     def diagonal_center(self, i: int) -> Subspace:
         """The center of the (i, i) component as a subalgebra.
 
         Capped by e_i, the component's unit; see linalg.echelon_of_blocks.
         """
-        if i not in self._diag_center:
-            comp = self.components[(i, i)]
-            kernel = _commutant(self.algebra, comp.basis, comp.basis,
-                                known=[_over(comp, self.idempotent(i))])
-            self._diag_center[i] = Subspace.from_spanning(
-                self.algebra, [comp.combine(gamma) for gamma in kernel])
-        return self._diag_center[i]
+        return self.cached(("diagonal_center", i), self._component_center, i)
+
+    def _component_center(self, i: int) -> Subspace:
+        comp = self.components[(i, i)]
+        kernel = _commutant(self.algebra, comp.basis, comp.basis,
+                            known=[_over(comp, self.idempotent(i))])
+        return Subspace.from_spanning(self.algebra, [comp.combine(gamma) for gamma in kernel])
 
 
 def peirce_decompose(algebra: Algebra, e1: Element) -> PeirceData:
@@ -203,13 +197,15 @@ def center(algebra: Algebra) -> Subspace:
     Capped by the verified unit, if there is one; see
     linalg.echelon_of_blocks.
     """
-    if algebra._center is None:
-        basis = [algebra.basis_element(k) for k in range(algebra.dim)]
-        unit = find_unit(algebra)
-        known = () if unit is None else [unit.coords]
-        algebra._center = Subspace(
-            algebra, [Element(algebra, v) for v in _commutant(algebra, basis, basis, known)])
-    return algebra._center
+    return algebra.cached("center", _whole_commutant, algebra)
+
+
+def _whole_commutant(algebra: Algebra) -> Subspace:
+    basis = [algebra.basis_element(k) for k in range(algebra.dim)]
+    unit = find_unit(algebra)
+    known = () if unit is None else [unit.coords]
+    return Subspace(
+        algebra, [Element(algebra, v) for v in _commutant(algebra, basis, basis, known)])
 
 
 def express_central(algebra: Algebra, key: tuple, words, x, n: int | None = None) -> list | None:
@@ -220,15 +216,18 @@ def express_central(algebra: Algebra, key: tuple, words, x, n: int | None = None
     sparse vector of length n (default dim).  The coefficients are
     linalg.express's free-variables-zero solution, so a generator that
     depends on earlier ones gets coefficient zero.  The tagged echelon of
-    the generators is built on the first call with a key and cached on the
-    algebra next to its center, so the key names the words and the
-    coordinates of every element they read.
+    the generators is built on the first call with a key and memoised on
+    the algebra under that key, a tuple, so the key names the words and
+    the coordinates of every element they read.
     """
     Z, n = center(algebra), n or algebra.dim
-    if key not in algebra._spans:
-        algebra._spans[key] = tagged_echelon(algebra.field, n,
-                                             [w(z) for w in words for z in Z.basis])
-    return express(algebra.field, n, len(words) * Z.dim, algebra._spans[key], x)
+    echelon = algebra.cached(key, _words_echelon, algebra.field, n, words, Z.basis)
+    return express(algebra.field, n, len(words) * Z.dim, echelon, x)
+
+
+def _words_echelon(field, n: int, words, basis) -> dict:
+    """The tagged echelon of the generators w(z), over the words w and then the basis z."""
+    return tagged_echelon(field, n, [w(z) for w in words for z in basis])
 
 
 def _over(sub: Subspace, x: Element) -> list:
@@ -302,13 +301,15 @@ def nucleus(algebra: Algebra) -> Subspace:
     alone reaches the cap, as on CD4(Q) and CD5(Q), the other two are
     never built.
     """
-    if algebra._nucleus is None:
-        unit = find_unit(algebra)
-        kernel = common_kernel(algebra.field, algebra.dim,
-                               _nucleus_blocks(algebra.associator_tensor()),
-                               known=() if unit is None else [unit.coords])
-        algebra._nucleus = Subspace(algebra, [Element(algebra, v) for v in kernel])
-    return algebra._nucleus
+    return algebra.cached("nucleus", _associator_kernel, algebra)
+
+
+def _associator_kernel(algebra: Algebra) -> Subspace:
+    unit = find_unit(algebra)
+    kernel = common_kernel(algebra.field, algebra.dim,
+                           _nucleus_blocks(algebra.associator_tensor()),
+                           known=() if unit is None else [unit.coords])
+    return Subspace(algebra, [Element(algebra, v) for v in kernel])
 
 
 def _nucleus_blocks(A: dict):
@@ -346,15 +347,16 @@ def center_via_peirce(pd: PeirceData) -> Subspace:
         raise PreconditionError(
             "the Peirce characterization of the center needs the regularity "
             "condition for both idempotents")
-    if pd._center_via_peirce is None:
-        comp = pd.components
-        diag = Subspace(pd.algebra, comp[(1, 1)].basis + comp[(2, 2)].basis)
-        unit = _over(comp[(1, 1)], pd.e1) + _over(comp[(2, 2)], pd.e2)  # 1 = e1 + e2, central
-        kernel = _commutant(pd.algebra, diag.basis, comp[(1, 2)].basis + comp[(2, 1)].basis,
-                            known=[unit])
-        pd._center_via_peirce = Subspace.from_spanning(
-            pd.algebra, [diag.combine(gamma) for gamma in kernel])
-    return pd._center_via_peirce
+    return pd.cached("center_via_peirce", _diagonal_commutant, pd)
+
+
+def _diagonal_commutant(pd: PeirceData) -> Subspace:
+    comp = pd.components
+    diag = Subspace(pd.algebra, comp[(1, 1)].basis + comp[(2, 2)].basis)
+    unit = _over(comp[(1, 1)], pd.e1) + _over(comp[(2, 2)], pd.e2)  # 1 = e1 + e2, central
+    kernel = _commutant(pd.algebra, diag.basis, comp[(1, 2)].basis + comp[(2, 1)].basis,
+                        known=[unit])
+    return Subspace.from_spanning(pd.algebra, [diag.combine(gamma) for gamma in kernel])
 
 
 # ----------------------------------------------------------------------

@@ -193,6 +193,49 @@ def test_unit_absent_when_none_exists():
     assert find_unit(a) is None
 
 
+# ----------------------------------------------------------------------
+# the memo: each derived object is built once
+
+
+@pytest.mark.parametrize("builder, read", [
+    ("_solve_unit", lambda a: a.unit),
+    ("_associator_tensor", Algebra.associator_tensor),
+    ("_commutator_tensor", Algebra.commutator_tensor),
+    ("_bracket_rows", Algebra.commutator_rows),
+], ids=["unit", "associator_tensor", "commutator_tensor", "commutator_rows"])
+def test_each_derived_object_is_built_once(monkeypatch, builder, read):
+    from test_lemmas import _counting
+
+    algebra = unitless(matrix_algebra(Q, 2)[0])
+    built = _counting(monkeypatch, Algebra, builder)
+    first = read(algebra)
+    assert read(algebra) is first and len(built) == 1
+    assert algebra.basis_element(1) is algebra.basis_element(1)
+
+
+def test_a_supplied_unit_is_never_solved_for(monkeypatch):
+    from altcomm import peirce_decompose, run_all
+    from altcomm.commuting import random_commuting_map
+    from test_lemmas import _counting
+
+    solved = _counting(monkeypatch, Algebra, "_solve_unit")
+    algebra, e = matrix_algebra(Q, 2)
+    assert find_unit(algebra) is algebra.unit
+    assert all(r.passed for r in run_all(peirce_decompose(algebra, e),
+                                         random_commuting_map(algebra, 1)))
+    assert solved == []
+
+
+def test_to_dict_writes_the_unit_exactly_when_it_is_known():
+    supplied = matrix_algebra(Q, 2)[0]
+    copy = unitless(supplied)
+    assert "unit" not in copy.to_dict()
+    copy.unit
+    assert copy.to_dict()["unit"] == supplied.to_dict()["unit"] == ["1", "0", "0", "1"]
+    null = Algebra("null2", Q, 2, ["a", "b"], [])
+    assert find_unit(null) is None and "unit" not in null.to_dict()
+
+
 UNITAL_BUILTINS = {f"M{n}(Q)": partial(matrix_algebra, Q, n) for n in range(2, 9)}
 UNITAL_BUILTINS.update({f"CD{k}(Q)": partial(cayley_dickson_algebra, Q, [Q.one] * k)
                         for k in range(3, 8)})

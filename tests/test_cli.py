@@ -104,6 +104,36 @@ def test_unwritable_out_is_a_usage_error(runner, workdir, gen_args):
         assert "cannot write output file" in r.output, out
 
 
+def test_a_refused_out_leaves_no_file_it_created(runner, workdir):
+    """The algebra file is written first; an unwritable .idem.json must not leave it behind."""
+    os.mkdir("x.idem.json")
+    r = invoke(runner, ["gen", "matrix", "--n", "2", "--out", "x.json"])
+    assert_usage_error(r)
+    assert "x.idem.json" in r.output and not os.path.exists("x.json")
+    assert os.path.isdir("x.idem.json")
+    with open("y.json", "w") as fh:                   # not created by the command: kept
+        fh.write("{}")
+    os.mkdir("y.idem.json")
+    assert_usage_error(invoke(runner, ["gen", "matrix", "--n", "2", "--out", "y.json"]))
+    assert os.path.exists("y.json")
+
+
+def test_fractions_over_a_prime_field(runner, workdir):
+    """F_p scalar text is rational text: a/b is a b^-1 mod p, and p | b is refused."""
+    for name, entry in (("half.json", "1/2"), ("fifth.json", "1/5")):
+        with open(name, "w") as fh:
+            json.dump({"dim": 4, "matrix": [[entry if i == j else "0" for j in range(4)]
+                                            for i in range(4)]}, fh)
+    r = invoke(runner, ["check-map", "m2f5.json", "--map", "half.json"])
+    assert r.exit_code == 0 and "commuting: yes" in r.output
+    r = invoke(runner, ["check-map", "m2f5.json", "--map", "fifth.json"])
+    assert_usage_error(r)
+    assert "scalar '1/5' has a zero denominator" in r.output
+    r = invoke(runner, ["peirce", "m2f5.json", "-e", "1/1,0,0,0"])
+    assert r.exit_code == 0, r.output
+    assert invoke(runner, ["peirce", "m2f5.json", "-e", "1,0,0,0"]).output == r.output
+
+
 # ----------------------------------------------------------------------
 # verification and structure reports
 

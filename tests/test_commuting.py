@@ -123,7 +123,7 @@ def test_a_map_on_another_algebra_is_refused():
         decompose(peirce_decompose(b, b.element(e1.coords)), LinearMap.identity(a))
     with pytest.raises(ValueError, match="map on a different algebra"):
         run_all(peirce_decompose(b, b.element(e1.coords)), LinearMap.identity(a))
-    assert phi._verdicts == {}, "a refused check memoises nothing"
+    assert phi._memo == {}, "a refused check memoises nothing"
     assert is_commuting(a, phi)[0] is False and is_anti_commuting(a, phi)[0] is False
 
 

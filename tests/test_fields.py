@@ -11,7 +11,7 @@ from altcomm import (Algebra, LinearMap, Matrix, PrimeField, RationalField,
                      field_from_dict, matrix_algebra, nucleus, peirce_decompose,
                      random_commuting_map, run_all, zorn)
 from altcomm.algebra import Element
-from altcomm.fields import MODULUS_LIMIT, _is_prime
+from altcomm.fields import MODULUS_LIMIT, SCALAR_DIGIT_LIMIT, _is_prime
 from altcomm.linalg import echelon_of_blocks
 
 Q = RationalField()
@@ -55,6 +55,31 @@ def test_prime_field_parse_reduces_mod_p():
     assert f.parse("-1") == 4
     assert f.from_int(-3) == 2
     assert f.fmt(3) == "3"
+
+
+def test_prime_field_reads_the_rational_grammar():
+    """F_p text is read as a rational a/b, then a b^-1 mod p; p | b is a zero denominator."""
+    f = PrimeField(5)
+    assert f.parse("1/2") == 3 and f.parse("-3/4") == 3 and f.parse("2.5") == 0
+    assert f.parse("10/5") == 2         # lowest terms: the rational 2
+    for text in ("1/5", "1/0", "3/10", "1e-1"):
+        with pytest.raises(ValueError, match="has a zero denominator"):
+            f.parse(text)
+    for text in ("", "abc", "1/", "0x10"):
+        with pytest.raises(ValueError):
+            f.parse(text)
+
+
+def test_prime_field_integer_texts_keep_their_residue():
+    """Every integral text keeps its residue, and every refusal its message, over F_p."""
+    f = PrimeField(101)
+    for text in PARSE_TEXTS:
+        kind, value = _parse_outcome(text)
+        if kind == "error":
+            with pytest.raises(ValueError, match=re.escape(value)):
+                f.parse(text)
+        else:
+            assert kind is int and f.parse(text) == value % 101, text
 
 
 def test_prime_field_rejects_nonprime_and_small_characteristic():
@@ -126,9 +151,9 @@ def test_rational_parse_refuses_unbounded_scalar_text():
     assert f.parse("1e3") == 1000 and f.parse("-2.5E-1") == Fraction(-1, 4)
     assert f.parse(f"1e{SCALAR_DIGIT_LIMIT - 1}") == 10 ** (SCALAR_DIGIT_LIMIT - 1)
     over = ["1" * (SCALAR_DIGIT_LIMIT + 1), "-" + "7" * 400_000, "1_" * SCALAR_DIGIT_LIMIT + "1"]
-    refused = {f: over + ["1e200000", "1e-200000", f"1e{SCALAR_DIGIT_LIMIT}",
-                          "3/" + "7" * SCALAR_DIGIT_LIMIT, "1e99999999999999999999"],
-               PrimeField(101): over}
+    over += ["1e200000", "1e-200000", f"1e{SCALAR_DIGIT_LIMIT}",
+             "3/" + "7" * SCALAR_DIGIT_LIMIT, "1e99999999999999999999"]
+    refused = {f: over, PrimeField(101): over}      # one grammar, one limit
 
     def check():
         for field, texts in refused.items():
@@ -155,6 +180,12 @@ def test_rational_parse_refuses_unbounded_scalar_text():
             f.parse(text)
 
 
+PARSE_TEXTS = ["+5", " -7 ", "0010", "-0", "\t42\n", "1_000", "\u0663", "1e3", "3/1", "1.0",
+               "5" * SCALAR_DIGIT_LIMIT, "-" + "5" * SCALAR_DIGIT_LIMIT,
+               "5" * (SCALAR_DIGIT_LIMIT + 1), "+" + "5" * (SCALAR_DIGIT_LIMIT + 1),
+               "", "+", "--5", "5 5"]
+
+
 def _parse_outcome(text):
     try:
         value = RationalField.parse(text)
@@ -166,13 +197,9 @@ def _parse_outcome(text):
 def test_integer_fast_path_agrees_with_the_fraction_path(monkeypatch):
     from altcomm import fields
 
-    texts = ["+5", " -7 ", "0010", "-0", "\t42\n", "1_000", "\u0663", "1e3", "3/1", "1.0",
-             "5" * fields.SCALAR_DIGIT_LIMIT, "-" + "5" * fields.SCALAR_DIGIT_LIMIT,
-             "5" * (fields.SCALAR_DIGIT_LIMIT + 1), "+" + "5" * (fields.SCALAR_DIGIT_LIMIT + 1),
-             "", "+", "--5", "5 5"]
-    fast = [_parse_outcome(text) for text in texts]
+    fast = [_parse_outcome(text) for text in PARSE_TEXTS]
     monkeypatch.setattr(fields, "_INTEGER", re.compile(r"(?!)"))     # Fraction path only
-    assert fast == [_parse_outcome(text) for text in texts]
+    assert fast == [_parse_outcome(text) for text in PARSE_TEXTS]
     assert fast[:3] == [(int, 5), (int, -7), (int, 10)]
     assert fast[12][0] == "error" and "digits" in fast[12][1]
 

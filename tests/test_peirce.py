@@ -13,7 +13,7 @@ from altcomm import (Algebra, BudgetExceededError, PreconditionError, PrimeField
                      Subspace, scalar_algebra, verify_idempotent, zorn)
 from altcomm.constructions import cayley_dickson_algebra
 from altcomm.linalg import common_kernel
-from altcomm.peirce import _commutant, _nucleus_blocks, _over
+from altcomm.peirce import _commutant, _nucleus_blocks, _over, express_central
 
 from test_associator import FAMILIES, builtin_over
 from test_linalg import dense_matvec
@@ -297,6 +297,41 @@ def test_center_via_peirce_needs_regularity():
     pd = peirce_decompose(d, d.element([ONE, ZERO]))
     with pytest.raises(PreconditionError):
         center_via_peirce(pd)
+
+
+def _span(pd):
+    """The tagged echelon of one central-lift span, read back through the memo."""
+    key = ("lift", pd.e1.coords)
+    assert express_central(pd.algebra, key, [lambda z: (z * pd.e1).coords], pd.e1.coords)
+    return pd.algebra.cached(key, lambda: pytest.fail("the span was not memoised"))
+
+
+@pytest.mark.parametrize("builder, read", [
+    ("_commutant", lambda pd: center(pd.algebra)),
+    ("_nucleus_blocks", lambda pd: nucleus(pd.algebra)),
+    ("tagged_echelon", _span),
+    ("hypothesis_check", lambda pd: pd.hypothesis()),
+    ("_commutant", center_via_peirce),
+], ids=["center", "nucleus", "express_central", "hypothesis", "center_via_peirce"])
+def test_each_memoised_value_is_built_once(monkeypatch, builder, read):
+    from altcomm import peirce
+    from test_lemmas import _counting
+
+    pd = peirce_decompose(*matrix_algebra(Q, 3))
+    built = _counting(monkeypatch, peirce, builder)
+    first = read(pd)
+    assert read(pd) is first and len(built) == 1
+
+
+def test_each_diagonal_center_is_built_once(monkeypatch):
+    from altcomm import peirce
+    from test_lemmas import _counting
+
+    pd = peirce_decompose(*zorn(Q))
+    built = _counting(monkeypatch, peirce, "_commutant")
+    centers = [pd.diagonal_center(i) for i in (1, 2, 1, 2)]
+    assert centers[0] is centers[2] and centers[1] is centers[3] and len(built) == 2
+    assert centers[0] != centers[1]
 
 
 # ----------------------------------------------------------------------
