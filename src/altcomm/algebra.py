@@ -52,6 +52,9 @@ class Algebra(Memo):
     peirce.express_central, whose keys are tuples.  Products are read off
     the sparse structure table: mul_coords over the nonzero coordinates of
     both factors, and product_sum for a sum of basis products given as terms.
+    The table is filled in one pass over the structure entries merged by
+    (i, j, k) and sorted: repeated entries are summed, zero sums dropped,
+    and each product's terms ascend by k.
     The name and every basis label must be strings.  Supplied unit
     coordinates are verified against every basis vector, and a dimension
     above DIM_LIMIT is refused before anything is built.
@@ -76,36 +79,21 @@ class Algebra(Memo):
         self.basis_labels = tuple(basis_labels)
         self.comment = comment
 
-        # _rows[i][j] and _cols[j][i] both map to the terms of b_i b_j.
-        rows = [dict() for _ in range(dim)]
-        cols = [dict() for _ in range(dim)]
-        merged = {}
-        for entry in structure:
-            i, j, k, c = entry
+        # _rows[i][j] and _cols[j][i] both map to the terms (k, c) of b_i b_j, k ascending.
+        merged = {}                     # (i, j, k) -> the sum of its entries, when nonzero
+        for i, j, k, c in structure:
             for idx in (i, j, k):
                 if type(idx) is not int or not 0 <= idx < dim:
                     raise ValueError(f"structure index {idx!r} must be an integer "
                                      f"from 0 to {dim - 1}")
-            if not c:
-                continue
-            key = (i, j, k)
-            if key in merged:
-                merged[key] = field.add(merged[key], c)
-            else:
-                merged[key] = c
-        for (i, j, k), c in merged.items():
-            if not c:
-                continue
-            rows[i].setdefault(j, []).append((k, c))
-            cols[j].setdefault(i, []).append((k, c))
-        for d in rows:
-            for terms in d.values():
-                terms.sort()
-        for d in cols:
-            for terms in d.values():
-                terms.sort()
-        self._rows = rows
-        self._cols = cols
+            if (i, j, k) in merged:
+                c = field.add(merged.pop((i, j, k)), c)
+            if c:
+                merged[i, j, k] = c
+        self._rows, self._cols = [{} for _ in range(dim)], [{} for _ in range(dim)]
+        for (i, j, k), c in sorted(merged.items()):
+            self._rows[i].setdefault(j, []).append((k, c))
+            self._cols[j].setdefault(i, []).append((k, c))
 
         self._basis_coords = [tuple(field.one if t == i else field.zero for t in range(dim))
                               for i in range(dim)]
@@ -281,13 +269,9 @@ class Algebra(Memo):
     # serialization
 
     def structure_entries(self) -> list[tuple]:
-        entries = []
-        for i, row in enumerate(self._rows):
-            for j, terms in row.items():
-                for k, c in terms:
-                    entries.append((i, j, k, c))
-        entries.sort(key=lambda e: (e[0], e[1], e[2]))
-        return entries
+        """The nonzero entries (i, j, k, c), sorted: the table's own order."""
+        return [(i, j, k, c) for i, row in enumerate(self._rows)
+                for j, terms in row.items() for k, c in terms]
 
     def to_dict(self) -> dict:
         f = self.field

@@ -12,6 +12,7 @@ byte-identical reruns.
 
 from __future__ import annotations
 
+import errno
 import functools
 import json
 import os
@@ -20,7 +21,7 @@ import re
 import click
 
 from .algebra import (Algebra, direct_sum, find_unit, is_alternative, load_algebra,
-                      read_json, save_algebra, write_json)
+                      read_json, write_json)
 from .commuting import (LinearMap, decompose, exhaustive_commuting_check,
                         is_anti_commuting, is_commuting, load_map, random_commuting_map)
 from .constructions import cayley_dickson_algebra, cd_dimension, matrix_algebra, zorn
@@ -227,21 +228,29 @@ def default_out(algebra: Algebra) -> str:
 def write_generated(algebra: Algebra, idem, out: str | None) -> None:
     """Write the algebra and its idempotent, if any; an unwritable path exits 2.
 
-    A refusal removes every file this call created, so a written algebra
-    file does not outlive an idempotent file that could not be written.
+    Each file is written to a temporary sibling (the target's name plus
+    the process id), and a target that is a directory is refused; both
+    files are moved into place only once both writes have succeeded.  A
+    refusal removes the temporary files, so it creates no file and leaves
+    every file that existed before the call as it was.
     """
     path = out or default_out(algebra)
     idem_path = None if idem is None else os.path.splitext(path)[0] + ".idem.json"
-    fresh = [p for p in (path, idem_path) if p and not os.path.lexists(p)]
+    docs = {path: algebra.to_dict()}
+    if idem_path:
+        docs[idem_path] = {"coords": idem.to_strings()}
+    staged = {target: f"{target}.{os.getpid()}.tmp" for target in docs}
     try:
-        save_algebra(algebra, path)
-        if idem_path:
-            write_json(idem_path, {"coords": idem.to_strings()})
+        for target, doc in docs.items():
+            if os.path.isdir(target):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+            write_json(staged[target], doc)
+        for target, tmp in staged.items():
+            os.replace(tmp, target)
     except OSError as exc:
-        for p in fresh:
-            if os.path.lexists(p):
-                os.remove(p)
-        raise click.UsageError(f"cannot write output file: {exc}")
+        for tmp in filter(os.path.lexists, staged.values()):
+            os.remove(tmp)
+        raise click.UsageError(f"cannot write output file {target}: {exc.strerror}")
     payload = {"algebra": path, "idempotent": idem_path,
                "dim": algebra.dim, "field": algebra.field.label, "name": algebra.name}
     lines = [f"wrote {path} ({algebra.name}, dim {algebra.dim})"]

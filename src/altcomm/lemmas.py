@@ -19,7 +19,7 @@ the map, are memoised on the PeirceData once the gate has passed.
 from __future__ import annotations
 
 from copy import deepcopy
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .algebra import Element, Memo, commutator, find_unit
 from .commuting import LinearMap, is_commuting
@@ -42,12 +42,7 @@ class LemmaReport:
         return self.status == "pass"
 
     def to_dict(self) -> dict:
-        return {
-            "lemma_id": self.lemma_id,
-            "status": self.status,
-            "witness": self.witness,
-            "notes": self.notes,
-        }
+        return asdict(self)
 
 
 def _gate(pd: PeirceData, phi: LinearMap):
@@ -118,10 +113,16 @@ class Images(Memo):
         return self.cached(("phi", x.coords), self.phi, x)
 
     def part(self, i: int, j: int, x: Element) -> Element:
-        return self.cached((i, j, x.coords), lambda: self.pd.project(i, j, self(x)))
+        return self.cached((i, j, x.coords), self._project, i, j, x)
 
     def diag(self, x: Element) -> Element:
-        return self.cached(("diag", x.coords), lambda: self.part(1, 1, x) + self.part(2, 2, x))
+        return self.cached(("diag", x.coords), self._diagonal, x)
+
+    def _project(self, i: int, j: int, x: Element) -> Element:
+        return self.pd.project(i, j, self(x))
+
+    def _diagonal(self, x: Element) -> Element:
+        return self.part(1, 1, x) + self.part(2, 2, x)
 
     def lift(self, x: Element, i: int):
         return self.cached(("lift", i, x.coords), _try_lift, self.pd, x, i)

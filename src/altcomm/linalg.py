@@ -5,7 +5,9 @@ has one sparse view, ``nonzero_columns``, built on first use: ``matvec``
 and ``@`` apply the matrix through it, and it is what
 ``PeirceData.project`` (a projector's matvec), ``hypothesis_check`` (the
 columns of R_e), the commuting check and ``decompose_oracle`` read of a
-matrix.
+matrix.  Beyond that it offers only what some caller reads: the
+constructors, ``column``, ``+``, ``-``, ``==``, ``rref`` and ``solve``;
+a caller that wants the dense columns reads ``zip(*m.data)``.
 
 Every elimination goes through ``echelon_of_blocks``, which computes the
 reduced row echelon form: it is unique for a row space, whatever order the
@@ -86,10 +88,6 @@ class Matrix:
     def column(self, j: int) -> list:
         return [row[j] for row in self.data]
 
-    def transpose(self) -> "Matrix":
-        return Matrix(self.field, [list(col) for col in zip(*self.data)], cols=self.rows) \
-            if self.rows else Matrix(self.field, [[] for _ in range(self.cols)], cols=0)
-
     def nonzero_columns(self) -> list[list[tuple]]:
         """For each column, its nonzero entries [(row, entry), ...]; built once, on first use."""
         if self._columns is None:
@@ -138,9 +136,6 @@ class Matrix:
     def _check_shape(self, other: "Matrix") -> None:
         if self.field != other.field or self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape or field mismatch")
-
-    def is_zero(self) -> bool:
-        return not any(any(row) for row in self.data)
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, Matrix) and self.field == other.field

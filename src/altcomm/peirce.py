@@ -112,10 +112,8 @@ def peirce_decompose(algebra: Algebra, e1: Element) -> PeirceData:
             raise PreconditionError(f"Peirce projectors are not orthogonal: {rule} fails")
     projectors = {(1, 1): P11, (1, 2): L1 - P11, (2, 1): R1 - P11,
                   (2, 2): Matrix.identity(algebra.field, algebra.dim) - L1 - R1 + P11}
-    components = {}
-    for key, P in projectors.items():
-        images = [Element(algebra, col) for col in P.transpose().data]
-        components[key] = Subspace.from_spanning(algebra, images)
+    components = {key: Subspace.from_spanning(algebra, [Element(algebra, c) for c in zip(*P.data)])
+                  for key, P in projectors.items()}
     return PeirceData(algebra, e1, e2, projectors, components)
 
 
@@ -340,7 +338,8 @@ def center_via_peirce(pd: PeirceData) -> Subspace:
 
     Takes the diagonal part r11 + r22 and keeps what commutes with both
     off-diagonal components.  Requires the regularity condition; without
-    it the characterization is not valid, so this raises.
+    it the characterization is not valid, so this raises.  The result is
+    the only Subspace built (see _diagonal_commutant).
     """
     (ok1, _), (ok2, _) = pd.hypothesis()
     if not (ok1 and ok2):
@@ -351,12 +350,19 @@ def center_via_peirce(pd: PeirceData) -> Subspace:
 
 
 def _diagonal_commutant(pd: PeirceData) -> Subspace:
+    """The x in r11 + r22 that commute with r12 and r21, as a canonical span.
+
+    The kernel is solved as coefficients over the r11 basis followed by the
+    r22 basis (the sum is direct), and each kernel vector is combined over
+    the two components apart, so no span of r11 + r22 is eliminated.
+    """
     comp = pd.components
-    diag = Subspace(pd.algebra, comp[(1, 1)].basis + comp[(2, 2)].basis)
-    unit = _over(comp[(1, 1)], pd.e1) + _over(comp[(2, 2)], pd.e2)  # 1 = e1 + e2, central
-    kernel = _commutant(pd.algebra, diag.basis, comp[(1, 2)].basis + comp[(2, 1)].basis,
+    r11, r22, d = comp[(1, 1)], comp[(2, 2)], comp[(1, 1)].dim
+    unit = _over(r11, pd.e1) + _over(r22, pd.e2)  # 1 = e1 + e2, central
+    kernel = _commutant(pd.algebra, r11.basis + r22.basis, comp[(1, 2)].basis + comp[(2, 1)].basis,
                         known=[unit])
-    return Subspace.from_spanning(pd.algebra, [diag.combine(gamma) for gamma in kernel])
+    return Subspace.from_spanning(pd.algebra,
+                                  [r11.combine(g[:d]) + r22.combine(g[d:]) for g in kernel])
 
 
 # ----------------------------------------------------------------------

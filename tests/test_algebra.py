@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import random
 import tracemalloc
 from fractions import Fraction
 from functools import cache, partial
@@ -11,7 +12,7 @@ import pytest
 from altcomm import (Algebra, PrimeField, RationalField, Subspace, associator,
                      cayley_dickson_algebra, commutator, direct_sum, find_unit, is_alternative,
                      is_associative, load_algebra, matrix_algebra, save_algebra,
-                     scalar_algebra)
+                     scalar_algebra, zorn)
 
 Q = RationalField()
 F5 = PrimeField(5)
@@ -124,6 +125,30 @@ def test_duplicate_structure_entries_are_merged():
     a = Algebra("m", Q, 1, ["e"], [(0, 0, 0, Fraction(1)), (0, 0, 0, Fraction(2))])
     x = a.element([Fraction(1)])
     assert (x * x).coords == (Fraction(3),)
+    # A shuffled list with split entries, entries that cancel and explicit
+    # zeros gives the table of its merged, sorted form.
+    rng = random.Random(7)
+    for base, _ in (cayley_dickson_algebra(Q, [-1, -1, -1]), zorn(F5)):
+        f, n = base.field, base.dim
+        merged = base.structure_entries()
+        assert merged == sorted(merged) and all(c for *_, c in merged)
+        noisy = []
+        for i, j, k, c in merged:                     # c = (c - 2) + 2, and an explicit zero
+            noisy += [(i, j, k, f.sub(c, f.from_int(2))), (i, j, k, f.from_int(2)),
+                      (i, j, k, f.zero)]
+        for _ in range(3 * n):                        # v - v at any key, present or not
+            i, j, k = (rng.randrange(n) for _ in range(3))
+            v = f.from_int(rng.randrange(1, 5))
+            noisy += [(i, j, k, v), (i, j, k, f.neg(v)), (i, j, k, f.zero)]
+        rng.shuffle(noisy)
+        a = Algebra(base.name, f, n, base.basis_labels, noisy)
+        b = Algebra(base.name, f, n, base.basis_labels, merged)
+        assert a.structure_entries() == b.structure_entries() == merged
+        for i, j in itertools.product(range(n), repeat=2):
+            assert a.mul_coords(a.basis_coords(i), a.basis_coords(j)) == \
+                b.mul_coords(b.basis_coords(i), b.basis_coords(j))
+        assert a.associator_tensor() == b.associator_tensor()
+        assert a.commutator_tensor() == b.commutator_tensor()
 
 
 def test_json_round_trip(tmp_path, m2q, zornf5):

@@ -1,5 +1,6 @@
 """End-to-end CLI coverage: every subcommand, both formats, all exit codes."""
 
+import errno
 import json
 import os
 import time
@@ -9,6 +10,7 @@ from click.testing import CliRunner
 
 from altcomm import (Algebra, RationalField, direct_sum, save_algebra, save_map,
                      scalar_algebra)
+from altcomm import cli
 from altcomm.cli import main
 from altcomm.commuting import LinearMap
 from altcomm.linalg import Matrix
@@ -88,6 +90,9 @@ def test_gen_usage_errors(runner, tmp_path, monkeypatch):
     assert invoke(runner, ["gen", "matrix", "--n", "0"]).exit_code == 2
     assert invoke(runner, ["gen", "matrix", "--field", "p4"]).exit_code == 2
     assert invoke(runner, ["gen", "matrix", "--field", "p2"]).exit_code == 2
+    r = invoke(runner, ["gen", "matrix", "--field", "zz"])
+    assert_usage_error(r)
+    assert "unknown field 'zz'" in r.output
     assert invoke(runner, ["gen", "cayley-dickson", "--steps", "2",
                            "--gammas", "1"]).exit_code == 2
     assert invoke(runner, ["gen", "cayley-dickson", "--steps", "2",
@@ -104,18 +109,44 @@ def test_unwritable_out_is_a_usage_error(runner, workdir, gen_args):
         assert "cannot write output file" in r.output, out
 
 
-def test_a_refused_out_leaves_no_file_it_created(runner, workdir):
-    """The algebra file is written first; an unwritable .idem.json must not leave it behind."""
-    os.mkdir("x.idem.json")
-    r = invoke(runner, ["gen", "matrix", "--n", "2", "--out", "x.json"])
-    assert_usage_error(r)
-    assert "x.idem.json" in r.output and not os.path.exists("x.json")
-    assert os.path.isdir("x.idem.json")
-    with open("y.json", "w") as fh:                   # not created by the command: kept
+def test_a_refused_out_leaves_no_file_it_created(runner, workdir, monkeypatch):
+    """A refused --out creates no file, not even a temporary one, and changes none."""
+    # (--out, directories and then files ("{}") there before the call, the path refused)
+    cases = [("x.json", ["x.idem.json"], [], "x.idem.json"),
+             ("y.json", ["y.idem.json"], ["y.json"], "y.idem.json"),
+             ("z.json", ["z.json"], ["z.idem.json"], "z.json")]
+    for out, dirs, files, refused in cases:
+        for name in dirs:
+            os.mkdir(name)
+        for name in files:
+            with open(name, "w") as fh:
+                fh.write("{}")
+        before = sorted(os.listdir())
+        r = invoke(runner, ["gen", "matrix", "--n", "2", "--out", out])
+        assert_usage_error(r)
+        assert f"cannot write output file {refused}: Is a directory" in r.output, out
+        assert sorted(os.listdir()) == before, out
+        for name in files:
+            with open(name) as fh:
+                assert fh.read() == "{}", (out, name)
+    # The idempotent's write fails after the algebra's has succeeded.
+    write_json = cli.write_json
+
+    def failing(path, doc):
+        if ".idem.json" in path:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        write_json(path, doc)
+
+    monkeypatch.setattr(cli, "write_json", failing)
+    with open("w.json", "w") as fh:
         fh.write("{}")
-    os.mkdir("y.idem.json")
-    assert_usage_error(invoke(runner, ["gen", "matrix", "--n", "2", "--out", "y.json"]))
-    assert os.path.exists("y.json")
+    before = sorted(os.listdir())
+    r = invoke(runner, ["gen", "matrix", "--n", "2", "--out", "w.json"])
+    assert_usage_error(r)
+    assert "cannot write output file w.idem.json: No space left on device" in r.output
+    assert sorted(os.listdir()) == before
+    with open("w.json") as fh:
+        assert fh.read() == "{}"
 
 
 def test_fractions_over_a_prime_field(runner, workdir):
@@ -306,6 +337,16 @@ def test_lemmas_blocked(runner, workdir):
 def test_oracle_command(runner, workdir):
     r = invoke(runner, ["oracle", "m2f5.json", "--map", "random", "--seed", "3"])
     assert r.exit_code == 0, r.output
+    swap = [0, 2, 1, 3]                               # transpose: E12 <-> E21
+    transpose = [["1" if swap[c] == r else "0" for c in range(4)] for r in range(4)]
+    with open("tr5.json", "w") as fh:
+        json.dump({"dim": 4, "matrix": transpose}, fh)
+    r = invoke(runner, ["oracle", "m2f5.json", "--map", "tr5.json",
+                        "--format", "json", "--deterministic"])
+    assert r.exit_code == 1, r.output
+    report = json.loads(r.output)["report"]
+    assert report["commuting_everywhere"] is False
+    assert report["witness"] == ["0", "1", "0", "0"]
     r = invoke(runner, ["oracle", "m2q.json", "--map", "random"])
     assert r.exit_code == 2  # rational fields cannot be enumerated
 

@@ -5,16 +5,17 @@ from fractions import Fraction
 
 import pytest
 
-from altcomm import (Decomposition, DecompositionError, LinearMap, Matrix, NotCommutingError,
-                     PrimeField, RationalField, center, check_decomposition, decompose,
-                     decompose_oracle, direct_sum, exhaustive_commuting_check, find_unit,
-                     is_anti_commuting, is_central, is_commuting, load_map, map_from_dict,
-                     map_to_dict, random_commuting_map, random_map_parts, save_map,
-                     scalar_algebra)
+from altcomm import (Decomposition, DecompositionError, HypothesisError, LinearMap, Matrix,
+                     NotCommutingError, PrimeField, RationalField, center, check_decomposition,
+                     decompose, decompose_oracle, direct_sum, exhaustive_commuting_check,
+                     find_unit, is_anti_commuting, is_central, is_commuting, load_map,
+                     map_from_dict, map_to_dict, peirce_decompose, random_commuting_map,
+                     random_map_parts, save_map, scalar_algebra)
 from altcomm import peirce
 
 from test_associator import BUILTINS, dense_solve
 from test_commutator import maps_for
+from test_peirce import upper_triangular_algebra
 
 Q = RationalField()
 F5 = PrimeField(5)
@@ -205,6 +206,14 @@ def test_decompose_rejects_non_commuting(m2q_pd):
     x, y = exc.value.witness
     assert x.to_strings() == ["1", "0", "0", "0"]
     assert y.to_strings() == ["0", "1", "0", "0"]
+
+
+def test_decompose_refuses_regularity_failing_only_at_e2():
+    algebra = upper_triangular_algebra()
+    pd = peirce_decompose(algebra, algebra.basis_element(2))
+    with pytest.raises(HypothesisError, match="fails at e2") as exc:
+        decompose(pd, LinearMap.identity(algebra))
+    assert exc.value.witness == algebra.basis_element(1)
 
 
 def test_decompose_reports_the_first_residual_that_is_not_central(m3q_pd, monkeypatch):

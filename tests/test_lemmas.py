@@ -15,6 +15,7 @@ from altcomm import lemmas
 from altcomm.algebra import Element
 from altcomm.lemmas import _EVALS, Images
 
+from test_peirce import lift_gap_algebra, upper_triangular_algebra
 from test_peirce_reference import reference_lift
 
 Q = RationalField()
@@ -100,6 +101,31 @@ def test_failed_regularity_blocks_everything():
         assert r.status == "not-applicable"
         assert "regularity" in r.notes
         assert r.witness["kernel_element"] == ["0", "1"]
+    algebra = upper_triangular_algebra()        # regularity holds at e1 = E22, fails at e2
+    pd = peirce_decompose(algebra, algebra.basis_element(2))
+    for r in run_all(pd, LinearMap.identity(algebra)):
+        assert r.status == "not-applicable"
+        assert r.notes == "not applicable: the regularity condition fails at e2"
+        assert r.witness == {"kernel_element": ["0", "1", "0"]}
+
+
+def test_ungated_l2_and_l4_report_lift_failures():
+    """On lift_gap_algebra at e1 = e, t is central in r22 but has no central lift."""
+    algebra = lift_gap_algebra()
+    pd = peirce_decompose(algebra, algebra.basis_element(1))
+    t = ["0", "0", "0", "1", "0"]
+    ok, witness, notes = _EVALS["L2"](pd, Images(pd, LinearMap.identity(algebra)))
+    assert not ok and notes == "lift failed in component (2,2)"
+    assert witness == {"equation": "z . e2 = x for central z", "x": t,
+                       "problem": "no central lift exists"}
+    cols = [[Fraction(int(r == c)) for r in range(5)] for c in range(5)]
+    cols[1][3] = Fraction(1)                          # phi(e) = e + t, identity elsewhere
+    phi = LinearMap(algebra, Matrix.from_columns(Q, cols))
+    assert phi(algebra.basis_element(1)).to_strings() == ["0", "1", "0", "1", "0"]
+    ok, witness, notes = _EVALS["L4"](pd, Images(pd, phi))
+    assert not ok and notes == "the (2,2) part of phi(x), x in r11, does not lift"
+    assert witness["equation"] == "z . e2 = x for central z"
+    assert witness["problem"] == "no central lift exists"
 
 
 def test_ungated_evaluation_exposes_failures(m2q_pd):
@@ -127,6 +153,7 @@ def test_report_to_dict(m2f5_pd):
     d = r.to_dict()
     assert d == {"lemma_id": "L7", "status": "pass",
                  "witness": None, "notes": r.notes}
+    assert list(d) == ["lemma_id", "status", "witness", "notes"]
 
 
 def test_notes_mention_what_was_checked(zornq_pd):

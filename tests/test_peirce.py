@@ -49,6 +49,17 @@ def lift_gap_algebra():
                    unit=[ONE] + [ZERO] * 4)
 
 
+def upper_triangular_algebra():
+    """T2(Q), basis E11, E12, E22: at e1 = E22 regularity holds at e1 and fails at e2.
+
+    (x b_k) e2 = 0 for every b_k exactly when x lies in the span of E12
+    and E22, whose first canonical vector, E12, is the witness; (x b_k) e1
+    = 0 for every b_k forces x = 0.
+    """
+    entries = [(0, 0, 0, ONE), (0, 1, 1, ONE), (1, 2, 1, ONE), (2, 2, 2, ONE)]
+    return Algebra("T2", Q, 3, ["E11", "E12", "E22"], entries)
+
+
 def mixed_identity_violator():
     """Unital 3-dim algebra where e(x e') and (e x)e' disagree."""
     entries = with_unit_row([(1, 1, 1, ONE), (1, 2, 2, ONE), (2, 1, 0, ONE)], 3)

@@ -65,7 +65,7 @@ def reference_peirce_decompose(algebra, e1):
             if projectors[a] @ projectors[b] != expected:
                 raise PreconditionError(f"Peirce projectors {a} and {b} are not orthogonal")
     components = {key: Subspace.from_spanning(
-        algebra, [Element(algebra, col) for col in P.transpose().data])
+        algebra, [Element(algebra, col) for col in zip(*P.data)])
         for key, P in projectors.items()}
     if sum(c.dim for c in components.values()) != n:
         raise PreconditionError("Peirce component dimensions do not sum to the dimension")
