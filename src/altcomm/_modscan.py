@@ -36,8 +36,11 @@ word_type(p, C), the narrowest of int16, int32 and int64 holding C * p**2.
 batched_rank refuses C * p**2 >= 2**63 and an inverse table shorter than p.
 A step makes no temporary the size of the later columns: their update
 goes into the tail of one buffer allocated per call, and the pivot entries
-and the pivot row are taken at one flat index.  Only where the products
-are written changes, so the entry range above is unchanged.
+and the pivot row are taken at one flat index.  The primeness scan writes
+each batch straight into batched_rank's column-by-column memory, and the
+pivot is found by a weighted maximum over rows.  These choose only where
+values are written and read, not which sums are formed, so the entry
+range above holds.
 """
 
 from __future__ import annotations
@@ -155,10 +158,14 @@ def projective_chunks(p: int, n: int, chunk: int = 4096):
     Representatives with leading position 0 come first; within one leading
     position the free coordinates enumerate as in element_chunks.  The
     default chunk keeps the primeness scan's rank batches near the cache:
-    an (8, 8, 4096) int16 stack, Zorn(F5)'s L_a, is 512 KB.  On a 2-core
-    Xeon host a Zorn(F5) primeness scan took 136-157 ms at 4096 and 8192
-    (4096 was the faster in two of three sweeps), 175 ms at 16384 and 187
-    ms at 1024.
+    an (8, 8, 4096) int16 stack, Zorn(F5)'s L_a, is 512 KB.  With the
+    batches written in batched_rank's layout, a Zorn(F5) primeness scan on
+    a 2-core host took 97-132 ms of CPU at 1024, 63-82 ms at 4096, 58-80
+    ms at 8192 (the faster in two of three sweeps) and 102-113 ms at 16384
+    (the median of 12 scans in one process per size).  In the benchmark's
+    scan workload 8192 made 2.6% more ops/s than 4096 (four pairs), but
+    its larger batches raised the process's peak RSS from about 53 to 56
+    MB, so the chunk stays at 4096.
     """
     for lead in range(n):
         for _, block in _chunks(p, n - lead - 1, chunk, [0] * lead + [1]):
@@ -172,12 +179,21 @@ def batched_rank(mats: np.ndarray, p: int, inv_table: np.ndarray) -> np.ndarray:
     there is the pivot, and every row, the pivot row included, has its
     entry eliminated from the columns after c.  That leaves the pivot row
     zero mod p in those columns, so it is never picked again, and each step
-    touches only the columns after c.  The batch is stored column by
-    column, each column as (R, m), so that step is one contiguous slab.
-    The step takes the pivot entries and the pivot row at the flat
-    positions piv * m + batch of the (C, R * m) view, writes the product
-    (pivot row) x (column) into the tail of one buffer allocated per call,
-    and subtracts it in place; the last column only needs a nonzero entry.
+    touches only the columns after c.  The batch is eliminated column by
+    column, each column as (R, m), so that step is one contiguous slab;
+    an input whose memory is already (C, R, m), as _combine writes it, is
+    reduced without a transposed copy.  The pivot search runs row against
+    row with m contiguous: weight[r] = (R - 1 - r) m is largest at the
+    first nonzero row, so last - max_r (col[r] != 0) weight[r], with
+    last = (R - 1) m + batch, is the flat position piv * m + batch of the
+    pivot in the (C, R * m) view.  A column with no nonzero entry pivots
+    at row R - 1, whose zero entry subtracts nothing.  The weights are
+    int32 while R * m < 2**31 (half the traffic of intp) and last is intp,
+    so no position is held in the batch's own word: int16 would wrap once
+    R * m reaches 2**15.  The step takes the pivot entries and the pivot
+    row at those positions, writes the product (pivot row) x (column) into
+    the tail of one buffer allocated per call, and subtracts it in place;
+    the last column only needs a nonzero entry.
     Reduction is lazy, in word_type(p, C): see the module docstring for
     the entry range.  inv_table[0] must be 0: a matrix with no pivot in
     column c then subtracts nothing.  The input is never written: the
@@ -191,12 +207,14 @@ def batched_rank(mats: np.ndarray, p: int, inv_table: np.ndarray) -> np.ndarray:
     inv = inv_table[:p].astype(dtype, copy=False)
     if M.size == 0:
         return np.zeros(m, dtype=np.int64)
-    batch = np.arange(m)
+    pos = np.int32 if R * m < 2 ** 31 else np.intp
+    weight = np.arange((R - 1) * m, -1, -m, dtype=pos)[:, None]   # (R - 1 - r) m at row r
+    last = np.arange((R - 1) * m, R * m, dtype=np.intp)
     flat, buf = M.reshape(C, R * m), np.empty((C - 1, R, m), dtype=dtype)
     leads, col = [], M[0]
     for c in range(C - 1):
         # Flat positions piv * m + batch of the pivots in the (R, m) column, shape (1, m).
-        idx = np.ravel_multi_index(((col != 0).argmax(axis=0, keepdims=True), batch), (R, m))
+        idx = last - ((col != 0) * weight).max(axis=0, keepdims=True)
         leads.append(col.take(idx))
         factor = _mod(_mod(flat[c + 1:].take(idx, axis=1), p) * inv.take(leads[-1]), p)
         rest = M[c + 1:]
@@ -247,9 +265,17 @@ def commutation_scan(C: np.ndarray, F, p: int):
     return None
 
 
-def _combine(A: np.ndarray, tables: np.ndarray, rows: int) -> np.ndarray:
-    """Stacks sum_i a_i tables[i], shape (m, rows, n), by einsum (integer matmul is slower)."""
-    return np.einsum("ai,ij->aj", A, tables).reshape(-1, rows, A.shape[1])
+def _combine(AT: np.ndarray, table: np.ndarray, rows: int) -> np.ndarray:
+    """Stacks sum_i a_i table[:, i] for the columns a of AT, as an (m, rows, C) view.
+
+    table is (C * rows, n), row c * rows + r holding the coefficients of
+    entry (r, c), and AT is the (n, m) candidates, C-contiguous.  One
+    einsum (integer matmul is slower) writes the batch column by column, in
+    the (C, rows, m) memory that batched_rank eliminates in, so the
+    transposed view it returns reaches batched_rank without a copy.
+    """
+    shape = (table.shape[0] // rows, rows, AT.shape[1])
+    return np.einsum("ci,ia->ca", table, AT).reshape(shape).transpose(2, 1, 0)
 
 
 def primeness_scan(C: np.ndarray, p: int, unital: bool):
@@ -262,30 +288,36 @@ def primeness_scan(C: np.ndarray, p: int, unital: bool):
     are skipped without forming T(a) and the rest are ranked on T(a).  For
     unital algebras a also needs a singular left multiplication (x = 1
     forces a b = 0), which is tested first.  Each filter keeps the order,
-    and R affects only how many a reach T(a).
+    and R affects only how many a reach T(a).  Each chunk is held
+    transposed, as the C-contiguous (n, m) array AT, so that _combine
+    writes every batch in batched_rank's layout; a filter compacts AT's
+    surviving columns with compress, which keeps it C-contiguous.
     """
     n = C.shape[0]
     inv_table = inverse_table(p)
-    left = C.reshape(n, n * n)                   # a @ left is the transpose of L_a
-    W = np.einsum("ikq,qjl->iklj", C, C) % p     # T(a) = sum a_i W[i], rows (k, l)
+    # Each table is built as (cols, rows, n), entry (r, c) of a stack being
+    # sum_i a_i table[c, r, i], and read by _combine as (cols * rows, n).
+    W = np.einsum("ikq,qjl->jkli", C, C) % p     # T(a): column j, rows (k, l)
     # A seeded random R: with structured ones, such as R T(a) = the maps
     # b -> (a y) b for two or three fixed y, every Zorn(F5) candidate still
     # had rank S(a) < n.  The standard library draws it: numpy.random
     # would add about 6 MB to the process.
     R = np.array(random.Random(0).choices(range(p), k=2 * n ** 3), dtype=np.int64)
     R = R.reshape(2 * n, n, n)
-    RW = np.einsum("rkl,iklj->irkj", R, W) % p   # R W_i, reduced after each block k
+    RW = np.einsum("rkl,jkli->jrki", R, W) % p   # R W_i, reduced after each block k
     # Every stack has n columns and entries below n p**2, so batched_rank's type holds it.
     dtype = word_type(p, n)
-    left, W, RW = (t.astype(dtype) for t in (left, W.reshape(n, -1), RW.sum(axis=2) % p))
-    RW = RW.reshape(n, -1)
+    # C.transpose(2, 1, 0) has entry (j, k) = the b_k coefficient of a b_j:
+    # the transpose of L_a, which has the same rank.
+    left, RW, W = (np.ascontiguousarray(t, dtype=dtype).reshape(-1, n)
+                   for t in (C.transpose(2, 1, 0), RW.sum(axis=2) % p, W))
     for block in projective_chunks(p, n):
-        block = block.astype(dtype)
+        AT = np.ascontiguousarray(block.T, dtype=dtype)
         if unital:
-            block = block[batched_rank(_combine(block, left, n), p, inv_table) < n]
-        block = block[batched_rank(_combine(block, RW, 2 * n), p, inv_table) < n]
-        if block.shape[0]:
-            bad = np.flatnonzero(batched_rank(_combine(block, W, n * n), p, inv_table) < n)
+            AT = AT.compress(batched_rank(_combine(AT, left, n), p, inv_table) < n, axis=1)
+        AT = AT.compress(batched_rank(_combine(AT, RW, 2 * n), p, inv_table) < n, axis=1)
+        if AT.shape[1]:
+            bad = np.flatnonzero(batched_rank(_combine(AT, W, n * n), p, inv_table) < n)
             if bad.size:
-                return block[bad[0]]
+                return AT[:, bad[0]]
     return None

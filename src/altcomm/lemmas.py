@@ -229,7 +229,7 @@ def _eval_l4(pd: PeirceData, phi: Images):
             z, problem = phi.lift(part, j)
             if z is None:
                 witness = _lift_failure(part, j, problem)
-                witness["x"] = x.to_strings()
+                witness["basis_vector"] = x.to_strings()
                 return False, witness, \
                     f"the ({j},{j}) part of phi(x), x in r{i}{i}, does not lift"
     return True, None, "evaluated " + " and ".join(evaluated)

@@ -124,8 +124,9 @@ def test_ungated_l2_and_l4_report_lift_failures():
     assert phi(algebra.basis_element(1)).to_strings() == ["0", "1", "0", "1", "0"]
     ok, witness, notes = _EVALS["L4"](pd, Images(pd, phi))
     assert not ok and notes == "the (2,2) part of phi(x), x in r11, does not lift"
-    assert witness["equation"] == "z . e2 = x for central z"
-    assert witness["problem"] == "no central lift exists"
+    assert witness == {"equation": "z . e2 = x for central z", "x": t,
+                       "problem": "no central lift exists",
+                       "basis_vector": ["0", "1", "0", "0", "0"]}
 
 
 def test_ungated_evaluation_exposes_failures(m2q_pd):

@@ -310,6 +310,62 @@ def test_batched_rank_refuses_overflow_and_short_inverse_tables():
         _modscan.batched_rank(mats, 5, _modscan.inverse_table(5)[:4])
 
 
+def _late_pivot_members(rng, p, rows, cols):
+    """Distinct (rows, cols) matrices: full rank, rank deficient, and zero but in the last rows."""
+    full = rng.integers(0, p, size=(3, rows, cols))
+    low = np.einsum("mrk,mkc->mrc", rng.integers(0, p, size=(3, rows, 3)),
+                    rng.integers(0, p, size=(3, 3, cols)))
+    late = np.zeros((4, rows, cols), dtype=np.int64)
+    late[:, -2:] = rng.integers(1, p, size=(4, 2, cols))   # every pivot in row rows - 2 or later
+    late[1, -1] = late[1, -2]                              # rank 1
+    late[2, -2] = 0                                        # rank 1, its pivots in the last row
+    late[3, :, 0] = 0                                      # no pivot in column 0
+    return np.concatenate([full, low, late])
+
+
+@pytest.mark.parametrize("m, rows", [(4100, 8), (600, 64)])
+def test_batched_rank_positions_do_not_wrap_in_int16(m, rows):
+    """R * m >= 2^15 in an int16 batch: pivot positions piv * m + batch must not wrap there.
+
+    Every distinct member recurs up to the last batch index, so members whose
+    pivots sit in the last rows are ranked where piv * m + batch passes 2^15.
+    """
+    p, cols = 5, 8
+    assert _modscan.word_type(p, cols) is np.int16 and rows * m >= 2 ** 15
+    distinct = _late_pivot_members(np.random.default_rng(rows), p, rows, cols)
+    want = [reference_rank(d.tolist(), p) for d in distinct]
+    assert min(want) < min(rows, cols) and 0 < min(want)
+    pick = np.arange(m) % len(distinct)
+    got = _modscan.batched_rank(distinct[pick].astype(np.int16), p, _modscan.inverse_table(p))
+    assert [int(v) for v in got] == [want[k] for k in pick]
+
+
+@pytest.mark.parametrize("m", [0, 1, 37])
+def test_combine_writes_the_batch_in_batched_rank_layout(m):
+    """_combine(AT, table, rows)[b] is sum_i AT[i, b] table[:, i] as a (rows, C) matrix.
+
+    Residues up to p - 1 = 60 give sums up to 8 * 60**2 = 28800, just below
+    2^15, in the int16 word; the memory under the result is (C, rows, m).
+    """
+    p, n, rows, cols = 61, 8, 16, 8
+    dtype = _modscan.word_type(p, n)
+    assert dtype is np.int16
+    rng = np.random.default_rng(m)
+    table = rng.integers(0, p, size=(cols * rows, n))
+    table[:rows] = p - 1
+    AT = rng.integers(0, p, size=(n, m))
+    AT[:, :1] = p - 1
+    want = np.zeros((m, rows, cols), dtype=np.int64)
+    for b in range(m):
+        for i in range(n):
+            want[b] += int(AT[i, b]) * table[:, i].reshape(cols, rows).T
+    assert m == 0 or want.max() == n * (p - 1) ** 2
+    got = _modscan._combine(AT.astype(dtype), table.astype(dtype), rows)
+    assert got.shape == (m, rows, cols) and got.dtype == dtype
+    assert np.array_equal(got, want)
+    assert got.transpose(2, 1, 0).flags.c_contiguous
+
+
 # ----------------------------------------------------------------------
 # chunk enumeration against the closed form
 
