@@ -47,11 +47,12 @@ class Algebra(Memo):
     """A structure-constant algebra over an exact field.
 
     Immutable after construction, so every derived object is built once and
-    memoised (Memo.cached): the unit, the basis elements, the associator and
-    commutator tensors, the center, the nucleus, and the tagged echelons of
-    peirce.express_central, whose keys are tuples.  Products are read off
-    the sparse structure table: mul_coords over the nonzero coordinates of
-    both factors, and product_sum for a sum of basis products given as terms.
+    memoised (Memo.cached): the unit, the basis elements, the associator
+    tensor, the bracket table (commutator_rows), the center, the nucleus,
+    and the tagged echelons of peirce.express_central, whose keys are
+    tuples.  Products are read off the sparse structure table: mul_coords
+    over the nonzero coordinates of both factors, and product_sum for a sum
+    of basis products given as terms.
     The table is filled in one pass over the structure entries merged by
     (i, j, k) and sorted: repeated entries are summed, zero sums dropped,
     and each product's terms ascend by k.
@@ -217,40 +218,29 @@ class Algebra(Memo):
                             vec[l] = f.sub(vec.get(l, f.zero), f.mul(c, d))
         return _drop_zeros(acc)
 
-    def commutator_tensor(self) -> dict:
-        """Cached sparse commutators of basis pairs, {(s, t): {k: c}}.
-
-        Entry (s, t) holds the nonzero coordinates of b_s b_t - b_t b_s;
-        zero commutators are absent and keys are sorted.  Built once from
-        the structure constants, like associator_tensor.
-        """
-        return self.cached("commutator_tensor", self._commutator_tensor)
-
-    def _commutator_tensor(self) -> dict:
-        f = self.field
-        acc = {}
-        for s, row in enumerate(self._rows):
-            for t, terms in row.items():
-                st, ts = acc.setdefault((s, t), {}), acc.setdefault((t, s), {})
-                for k, c in terms:
-                    st[k] = f.add(st.get(k, f.zero), c)
-                    ts[k] = f.sub(ts.get(k, f.zero), c)
-        return _drop_zeros(acc)
-
     def commutator_rows(self) -> list:
-        """The commutator tensor grouped by its first index; cached.
+        """Cached sparse commutators of basis pairs, grouped by their first index.
 
-        Entry s lists (t, [(k, c), ...]) for every nonzero [b_s, b_t], in
-        the tensor's order, so a caller that walks one vector's nonzero
-        coordinates s reads each s's brackets without a dict lookup per t.
+        Entry s lists (t, [(k, c), ...]) for every nonzero [b_s, b_t] =
+        b_s b_t - b_t b_s, t ascending, with its nonzero coordinates: the
+        only stored form of the bracket table.  Built once from the
+        structure constants, like associator_tensor; a caller that walks one
+        vector's nonzero coordinates s reads each s's brackets without a
+        dict lookup per t.
         """
         return self.cached("commutator_rows", self._bracket_rows)
 
     def _bracket_rows(self) -> list:
-        rows = [[] for _ in range(self.dim)]
-        for (s, t), vec in self.commutator_tensor().items():
-            rows[s].append((t, list(vec.items())))
-        return rows
+        f = self.field
+        acc = [{} for _ in range(self.dim)]     # acc[s][t] = {k: c} of [b_s, b_t]
+        for s, row in enumerate(self._rows):
+            for t, terms in row.items():
+                st, ts = acc[s].setdefault(t, {}), acc[t].setdefault(s, {})
+                for k, c in terms:
+                    st[k] = f.add(st.get(k, f.zero), c)
+                    ts[k] = f.sub(ts.get(k, f.zero), c)
+        return [[(t, list(vec.items())) for t, vec in _drop_zeros(brackets).items()]
+                for brackets in acc]
 
     def product_sum(self, terms) -> dict:
         """Coordinates {k: c} of sum v b_s b_t over the terms (v, (s, t)), from the table.
@@ -465,7 +455,7 @@ class Subspace:
 
 
 def commutator(a: Element, b: Element) -> Element:
-    """[a, b] = ab - ba, summed as a_s b_t [b_s, b_t] over the commutator tensor's rows."""
+    """[a, b] = ab - ba, summed as a_s b_t [b_s, b_t] over the bracket table's rows."""
     if not isinstance(a, Element):
         raise TypeError(f"expected an Element, got {type(a).__name__}")
     a._require_same(b)

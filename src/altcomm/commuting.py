@@ -102,12 +102,14 @@ def is_commuting(algebra: Algebra, phi: LinearMap):
     """Whether [phi(x), x] = 0 identically, via the polarized basis conditions.
 
     Returns (True, None) or (False, (b_i, b_j)) naming the first basis pair
-    (i <= j, row-major) where [phi(b_i), b_j] + [phi(b_j), b_i] != 0.  Over
-    fields of characteristic not 2 the pair conditions are equivalent to
-    the identity.  All pairs are summed in one pass (see _failing_pair), so
-    there is no early exit; the witness is still the first failing pair in
-    row-major order.  The verdict is memoised on phi, so decompose and the
-    lemma gate share one pass.
+    (i <= j, row-major) whose pair sum is nonzero: [phi(b_i), b_j] +
+    [phi(b_j), b_i] for i < j and [phi(b_i), b_i] on the diagonal.  These
+    sums are exactly the coefficients of x -> [phi(x), x] at x_i x_j and
+    x_i^2, so the test is exact in every characteristic.  All pairs are
+    summed in one pass (see _failing_pair), so there is no early exit; the
+    witness is still the first failing pair in row-major order.  The
+    verdict is memoised on phi, so decompose and the lemma gate share one
+    pass.
     """
     return _failing_pair(algebra, phi, anti=False)
 
@@ -131,8 +133,8 @@ def _failing_pair(algebra: Algebra, phi: LinearMap, anti: bool):
     [b_s, b_t] once, and v [b_s, b_t] is added to the sum of the unordered
     pair (min(i, t), max(i, t)).  For the commuting check that sum is
     [phi(b_i), b_j] + [phi(b_j), b_i], with the diagonal i = j counted
-    once instead of twice, which is nonzero exactly when the doubled sum
-    is (characteristic not 2).  For the anti-commuting
+    once: exactly the coefficient of x_i x_j (or x_i^2) in x -> [phi(x), x],
+    so the check is exact in every characteristic.  For the anti-commuting
     check it is [phi(b_i), b_j] - [phi(b_j), b_i] for i < j: the term is
     negated when i > t and skipped when i = t.  The sums are kept in one
     flat map at key (i n + j) n + k, so the smallest key with a nonzero sum

@@ -101,9 +101,10 @@ class Images(Memo):
     images(x) is phi(x), images.part(i, j, x) is P_ij(phi(x)) and
     images.diag(x) is P11(phi(x)) + P22(phi(x)), each keyed by x's
     coordinates, so e1, e2, 1 and each Peirce basis vector are applied at
-    most once however many checks read them.  images.lift(x, i) is
-    _try_lift's answer, keyed by i and x's coordinates: the parts the
-    checks lift often coincide (zero, or one multiple of e_i).
+    most once however many checks read them.  images.lift_failure(x, i)
+    is _lift_failure's answer, keyed by i and x's coordinates: the parts
+    the checks lift often coincide (zero, or one multiple of e_i).  The
+    witness it returns is shared, so a check that adds to it copies it.
     """
 
     def __init__(self, pd: PeirceData, phi: LinearMap):
@@ -124,8 +125,8 @@ class Images(Memo):
     def _diagonal(self, x: Element) -> Element:
         return self.part(1, 1, x) + self.part(2, 2, x)
 
-    def lift(self, x: Element, i: int):
-        return self.cached(("lift", i, x.coords), _try_lift, self.pd, x, i)
+    def lift_failure(self, x: Element, i: int) -> dict | None:
+        return self.cached(("lift", i, x.coords), _lift_failure, self.pd, x, i)
 
 
 # ----------------------------------------------------------------------
@@ -136,20 +137,18 @@ def _n(count: int, noun: str) -> str:
     return f"{count} {noun}" + ("" if count == 1 else "s")
 
 
-def _try_lift(pd: PeirceData, x: Element, i: int):
-    """lift_central with preconditions reported instead of raised."""
+def _lift_failure(pd: PeirceData, x: Element, i: int) -> dict | None:
+    """The witness that x has no central lift z . e_i = x, or None when lift_central finds one.
+
+    A refused precondition of lift_central is the witness's problem, not raised.
+    """
     try:
-        z = lift_central(pd, x, i)
+        if lift_central(pd, x, i) is not None:
+            return None
+        problem = "no central lift exists"
     except PreconditionError as exc:
-        return None, str(exc)
-    if z is None:
-        return None, "no central lift exists"
-    return z, None
-
-
-def _lift_failure(x: Element, i: int, problem: str) -> dict:
-    return {"equation": f"z . e{i} = x for central z",
-            "x": x.to_strings(), "problem": problem}
+        problem = str(exc)
+    return {"equation": f"z . e{i} = x for central z", "x": x.to_strings(), "problem": problem}
 
 
 def _off_diagonal_zero(phi: Images, y: Element):
@@ -187,10 +186,9 @@ def _eval_l2(pd: PeirceData, phi: Images):
         zc = pd.diagonal_center(i)
         counts.append(_n(zc.dim, "central vector") + f" of r{i}{i}")
         for x in zc.basis:
-            z, problem = phi.lift(x, i)
-            if z is None:
-                return False, _lift_failure(x, i, problem), \
-                    f"lift failed in component ({i},{i})"
+            witness = phi.lift_failure(x, i)
+            if witness is not None:
+                return False, witness, f"lift failed in component ({i},{i})"
     return True, None, "lifted " + " and ".join(counts)
 
 
@@ -204,11 +202,9 @@ def _eval_l3(pd: PeirceData, phi: Images):
                        "projection": part.to_strings()}
             return False, witness, f"phi({name}) has an off-diagonal part"
     for i in (1, 2):
-        x = phi.part(i, i, unit)
-        z, problem = phi.lift(x, i)
-        if z is None:
-            return False, _lift_failure(x, i, problem), \
-                f"the ({i},{i}) part of phi(1) does not lift"
+        witness = phi.lift_failure(phi.part(i, i, unit), i)
+        if witness is not None:
+            return False, witness, f"the ({i},{i}) part of phi(1) does not lift"
     return True, None, "evaluated phi at 1, e1, e2; lifted both diagonal parts of phi(1)"
 
 
@@ -225,12 +221,9 @@ def _eval_l4(pd: PeirceData, phi: Images):
                 witness = {"equation": f"P{key[0]}{key[1]}(phi(x)) = 0 for x in r{i}{i}",
                            "x": x.to_strings(), "projection": part.to_strings()}
                 return False, witness, f"phi of a vector in r{i}{i} leaves the diagonal"
-            part = phi.part(j, j, x)
-            z, problem = phi.lift(part, j)
-            if z is None:
-                witness = _lift_failure(part, j, problem)
-                witness["basis_vector"] = x.to_strings()
-                return False, witness, \
+            witness = phi.lift_failure(phi.part(j, j, x), j)
+            if witness is not None:
+                return False, {**witness, "basis_vector": x.to_strings()}, \
                     f"the ({j},{j}) part of phi(x), x in r{i}{i}, does not lift"
     return True, None, "evaluated " + " and ".join(evaluated)
 
@@ -248,32 +241,25 @@ def _eval_l5(pd: PeirceData, phi: Images):
                 witness = {"equation": f"P{j}{i}(phi(x)) = 0 for x in r{i}{j}",
                            "x": x.to_strings(), "projection": part.to_strings()}
                 return False, witness, "(i) fails"
-            expected = commutator(di, x)
             got = phi.part(i, j, x)
-            if got != expected:
-                witness = {"equation": f"P{i}{j}(phi(x)) = [P{i}{i}(phi(e{i})) + "
-                                       f"P{j}{j}(phi(e{i})), x]",
-                           "x": x.to_strings(), "left": got.to_strings(),
-                           "right": expected.to_strings()}
-                return False, witness, "(ii) fails"
-            if got != -commutator(dj, x):
-                witness = {"equation": f"P{i}{j}(phi(x)) = -[P{j}{j}(phi(e{j})) + "
-                                       f"P{i}{i}(phi(e{j})), x]",
-                           "x": x.to_strings(), "left": got.to_strings(),
-                           "right": (-commutator(dj, x)).to_strings()}
-                return False, witness, "(ii) fails"
+            for sign, k, l, right in (("", i, j, commutator(di, x)),
+                                      ("-", j, i, -commutator(dj, x))):
+                if got != right:
+                    witness = {"equation": f"P{i}{j}(phi(x)) = {sign}[P{k}{k}(phi(e{k})) + "
+                                           f"P{l}{l}(phi(e{k})), x]",
+                               "x": x.to_strings(), "left": got.to_strings(),
+                               "right": right.to_strings()}
+                    return False, witness, "(ii) fails"
             diag = phi.diag(x)
             c = commutator(diag, x)
             if not c.is_zero():
                 witness = {"equation": f"[P{i}{i}(phi(x)) + P{j}{j}(phi(x)), x] = 0",
                            "x": x.to_strings(), "commutator": c.to_strings()}
                 return False, witness, "(iii) fails"
-            for (idx, part) in ((i, phi.part(i, i, x)), (j, phi.part(j, j, x))):
-                z, problem = phi.lift(part, idx)
-                if z is None:
-                    witness = _lift_failure(part, idx, problem)
-                    witness["x"] = x.to_strings()
-                    return False, witness, "(iv) fails"
+            for k in (i, j):
+                witness = phi.lift_failure(phi.part(k, k, x), k)
+                if witness is not None:
+                    return False, {**witness, "basis_vector": x.to_strings()}, "(iv) fails"
     return True, None, "evaluated (i)-(iv) on " + " and ".join(evaluated)
 
 

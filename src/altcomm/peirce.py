@@ -187,7 +187,14 @@ def check_peirce_relations(pd: PeirceData) -> list[dict]:
 
 
 def center(algebra: Algebra) -> Subspace:
-    """Elements commuting with the whole algebra; cached on the algebra.
+    """The commutant {x : [x, A] = 0}, the elements commuting with the whole algebra; cached.
+
+    On an alternative algebra over Q or F_p (p >= 5) this is the paper's
+    center Z(R), the nuclear elements that commute with everything: there
+    [xy, z] - x[y, z] - [x, z]y = 3(x, y, z), so a commuting z is nuclear
+    once 3 is invertible.  On a non-alternative input it can be larger:
+    comm3 (basis 1, x, y with x x = y, x y = y x = x, y y = 0) has a
+    commutant of dimension 3 and a nucleus of dimension 1.
 
     Every centrality question reads this one subspace: is_central asks its
     contains, and spans built from its basis (express_central) answer every
@@ -246,12 +253,13 @@ def _commutant(algebra: Algebra, span, against, known=()):
     """Kernel of gamma -> [sum_s gamma_s span_s, t] for t in against, as coefficients over span.
 
     Row (t, k), entry s is coordinate k of [span_s, t], summed from the
-    commutator tensor.  The span is indexed by coordinate, so each nonzero
-    coordinate v of t meets only the tensor entries (u, v) with u in the
-    support of some span_s.  Only rows that some entry reaches are formed,
-    as {s: entry} maps; no Element is built, and the kernel vectors are
-    coefficients over span.  Blocks are formed one t at a time, so none
-    past the cap that known sets (linalg.echelon_of_blocks) is built.
+    bracket table (Algebra.commutator_rows).  The span is indexed by
+    coordinate, so each nonzero coordinate v of t meets only the brackets
+    [b_u, b_v] with u in the support of some span_s, u ascending.  Only
+    rows that some bracket reaches are formed, as {s: entry} maps; no
+    Element is built, and the kernel vectors are coefficients over span.
+    Blocks are formed one t at a time, so none past the cap that known
+    sets (linalg.echelon_of_blocks) is built.
     """
     f, m = algebra.field, len(span)
     at = {}                         # coordinate u -> [(s, coordinate u of span_s)]
@@ -260,9 +268,10 @@ def _commutant(algebra: Algebra, span, against, known=()):
             if x:
                 at.setdefault(u, []).append((s, x))
     meets = {}                      # v -> [(at[u], nonzero coordinates of [b_u, b_v])]
-    for (u, v), vec in algebra.commutator_tensor().items():
-        if u in at:
-            meets.setdefault(v, []).append((at[u], list(vec.items())))
+    brackets = algebra.commutator_rows()
+    for u in sorted(at):
+        for v, vec in brackets[u]:
+            meets.setdefault(v, []).append((at[u], vec))
 
     def blocks():
         for t in against:
@@ -283,6 +292,7 @@ def _commutant(algebra: Algebra, span, against, known=()):
 
 
 def is_central(algebra: Algebra, x: Element) -> bool:
+    """Whether x lies in center(algebra), the commutant {x : [x, A] = 0}."""
     return center(algebra).contains(x)
 
 

@@ -148,7 +148,7 @@ def test_duplicate_structure_entries_are_merged():
             assert a.mul_coords(a.basis_coords(i), a.basis_coords(j)) == \
                 b.mul_coords(b.basis_coords(i), b.basis_coords(j))
         assert a.associator_tensor() == b.associator_tensor()
-        assert a.commutator_tensor() == b.commutator_tensor()
+        assert a.commutator_rows() == b.commutator_rows()
 
 
 def test_json_round_trip(tmp_path, m2q, zornf5):
@@ -225,9 +225,8 @@ def test_unit_absent_when_none_exists():
 @pytest.mark.parametrize("builder, read", [
     ("_solve_unit", lambda a: a.unit),
     ("_associator_tensor", Algebra.associator_tensor),
-    ("_commutator_tensor", Algebra.commutator_tensor),
     ("_bracket_rows", Algebra.commutator_rows),
-], ids=["unit", "associator_tensor", "commutator_tensor", "commutator_rows"])
+], ids=["unit", "associator_tensor", "commutator_rows"])
 def test_each_derived_object_is_built_once(monkeypatch, builder, read):
     from test_lemmas import _counting
 

@@ -138,16 +138,21 @@ def test_builtins_agree_with_the_reference(name):
 
 
 def test_tensor_entries_are_the_basis_commutators():
+    """Row s of the bracket table lists every nonzero [b_s, b_t], t ascending."""
     algebra = BUILTINS["CD4(Q)"]()
-    tensor = algebra.commutator_tensor()
-    assert tensor is algebra.commutator_tensor(), "built once and cached"
-    assert list(tensor) == sorted(tensor)
+    rows = algebra.commutator_rows()
+    assert rows is algebra.commutator_rows(), "built once and cached"
+    assert len(rows) == algebra.dim
     b = algebra.basis_element
     n = algebra.dim
     for s in range(n):
+        ts = [t for t, _ in rows[s]]
+        assert ts == sorted(set(ts))
+        got = {t: dict(vec) for t, vec in rows[s]}
+        assert all(len(dict(vec)) == len(vec) and all(c for _, c in vec) for _, vec in rows[s])
         for t in range(n):
             coords = reference_commutator(b(s), b(t)).coords
-            assert tensor.get((s, t), {}) == {k: c for k, c in enumerate(coords) if c}
+            assert got.get(t, {}) == {k: c for k, c in enumerate(coords) if c}
 
 
 def test_witness_pairs_are_the_first_failing_pairs(m2q):

@@ -129,6 +129,29 @@ def test_ungated_l2_and_l4_report_lift_failures():
                        "basis_vector": ["0", "1", "0", "0", "0"]}
 
 
+def test_ungated_l5_names_the_part_that_does_not_lift():
+    """On M3(Q) at e1 = E11 with phi = R_E13, P22(phi(E21)) = E23 has no central lift.
+
+    The witness's x is that part, which z . e2 = x names; the r21 basis
+    vector it came from is reported apart, as in L4.
+    """
+    pd = peirce_decompose(*matrix_algebra(Q, 3))
+    a3 = pd.algebra
+    phi = LinearMap(a3, a3.right_mult_matrix(a3.basis_coords(a3.label_index("E13"))))
+    images = Images(pd, phi)
+    ok, witness, notes = _EVALS["L5"](pd, images)
+    e21 = a3.basis_element(a3.label_index("E21"))
+    assert not ok and notes == "(iv) fails"
+    assert witness == {"equation": "z . e2 = x for central z",
+                       "x": ["0", "0", "0", "0", "0", "1", "0", "0", "0"],
+                       "problem": "element to lift is not central in its component",
+                       "basis_vector": ["0", "0", "0", "1", "0", "0", "0", "0", "0"]}
+    assert witness["x"] == a3.basis_element(a3.label_index("E23")).to_strings()
+    assert witness["basis_vector"] == e21.to_strings()
+    shared = images.lift_failure(images.part(2, 2, e21), 2)
+    assert "basis_vector" not in shared, "the memoised witness is not mutated"
+
+
 def test_ungated_evaluation_exposes_failures(m2q_pd):
     """Bypassing the gate shows which equations a bad map actually breaks."""
     algebra = m2q_pd.algebra

@@ -7,8 +7,9 @@ from fractions import Fraction
 import pytest
 
 from altcomm import (Algebra, BudgetExceededError, PreconditionError, PrimeField,
-                     RationalField, center, center_via_peirce, check_peirce_relations,
-                     direct_sum, find_unit, hypothesis_check, is_central, lift_central,
+                     RationalField, associator, center, center_via_peirce,
+                     check_peirce_relations, commutator, direct_sum, find_unit,
+                     hypothesis_check, is_alternative, is_central, lift_central,
                      matrix_algebra, nucleus, peirce_decompose, prime_check_exhaustive,
                      Subspace, scalar_algebra, verify_idempotent, zorn)
 from altcomm.constructions import cayley_dickson_algebra
@@ -65,6 +66,17 @@ def mixed_identity_violator():
     entries = with_unit_row([(1, 1, 1, ONE), (1, 2, 2, ONE), (2, 1, 0, ONE)], 3)
     return Algebra("mixedviol", Q, 3, ["u", "e", "x"], entries,
                    unit=[ONE, ZERO, ZERO])
+
+
+def comm3():
+    """Unital commutative 3-dim algebra 1, x, y with xx = y, xy = yx = x, yy = 0.
+
+    It is not alternative ((x, x, x) = yx - xy = 0 but (x, x, y) = yy - xx
+    = -y), so nothing makes its commutant nuclear: every element commutes,
+    and only the multiples of 1 associate with everything.
+    """
+    entries = with_unit_row([(1, 1, 2, ONE), (1, 2, 1, ONE), (2, 1, 1, ONE)], 3)
+    return Algebra("comm3", Q, 3, ["1", "x", "y"], entries, unit=[ONE, ZERO, ZERO])
 
 
 # ----------------------------------------------------------------------
@@ -265,6 +277,36 @@ def test_nucleus_of_builtins(m2q, m3q, zornq):
     nz = nucleus(az)
     assert nz.dim == 1
     assert nz.contains(find_unit(az))
+
+
+@pytest.mark.parametrize("name, field",
+                         [(name, field) for field in (Q, F5, PrimeField(101))
+                          for name in ("M2", "M3", "Zorn", "CD3")] + [("M2+Zorn", Q)],
+                         ids=lambda v: getattr(v, "label", v))
+def test_the_center_is_nuclear_on_alternative_algebras(name, field):
+    """center is the commutant; on an alternative algebra it lies in the nucleus.
+
+    There [xy, z] - x[y, z] - [x, z]y = 3(x, y, z) for all x, y, z, so a z
+    that commutes with everything has 3(x, y, z) = 0, and 3 is invertible
+    over Q, F5 and F101: the commutant is the paper's center Z(R).
+    """
+    algebra = builtin_over(name, field)[0]
+    assert is_alternative(algebra)[0]
+    basis = [algebra.basis_element(k) for k in range(algebra.dim)]
+    for x, y, z in itertools.product(basis, repeat=3):
+        assert commutator(x * y, z) - x * commutator(y, z) - commutator(x, z) * y == \
+            3 * associator(x, y, z)
+    kept = nucleus(algebra)
+    assert all(kept.contains(z) for z in center(algebra).basis)
+
+
+def test_the_center_of_a_non_alternative_algebra_can_be_larger():
+    """On comm3 the commutant is the whole algebra, but the nucleus is only F 1."""
+    algebra = comm3()
+    assert not is_alternative(algebra)[0]
+    z, kept = center(algebra), nucleus(algebra)
+    assert z.dim == 3 and kept.dim == 1 and kept.contains(find_unit(algebra))
+    assert not all(kept.contains(v) for v in z.basis)
 
 
 def test_coefficients_read_at_the_pivots_are_checked(m3q):
