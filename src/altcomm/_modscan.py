@@ -15,7 +15,9 @@ check_commutator_bound keeps below 2**63.  They are reduced mod p before
 they meet, so a chunk of p**r * k elements is scored in word_type(p, r + 2)
 by one (p**r x r) (r x k*dim) integer einsum for B plus the two tables:
 every value is below r p**2 + 2p < (r + 2) p**2, which is 150 on Zorn(F5),
-int16.  The chunk is reduced once and tested once.
+int16.  The chunk is reduced once, in place, and tested once.  Only the
+high digits v are enumerated, k rows per chunk; the p**r low digits are one
+table built once, so no coordinates of all p**dim elements are ever formed.
 
 The primeness scan ranks stacks T(a) = sum a_i W_i of shape (dim**2, dim)
 and their compressions S(a) = sum a_i R W_i of shape (2 dim, dim); each is
@@ -35,16 +37,31 @@ absolute value.  The batch, and the primeness stacks, are held in
 word_type(p, C), the narrowest of int16, int32 and int64 holding C * p**2.
 batched_rank refuses C * p**2 >= 2**63 and an inverse table shorter than p.
 A step makes no temporary the size of the later columns: their update
-goes into the tail of one buffer allocated per call, and the pivot entries
-and the pivot row are taken at one flat index.  The primeness scan writes
-each batch straight into batched_rank's column-by-column memory, and the
-pivot is found by a weighted maximum over rows.  These choose only where
-values are written and read, not which sums are formed, so the entry
-range above holds.
+goes into the tail of one update buffer, and the pivot entries and the
+pivot row are taken at one flat index.  The primeness scan writes each
+batch straight into batched_rank's column-by-column memory, and the pivot
+is found by a weighted maximum over rows.  These choose only where values
+are written and read, not which sums are formed, so the entry range above
+holds.
+
+Each scan holds one Workspace, a flat byte array grown only when a batch
+needs more room: the commutation scan scores every chunk in it, and the
+primeness scan's batch, reduced copy and update buffer all live in it.
+What a scan still allocates as it goes is smaller: the primeness scan's
+int64 candidate block from projective_chunks (256 KB on Zorn(F5)) and each
+elimination step's column-sized temporaries.  A scan's speed then does not
+depend on what ran before it in the process.  When every batch was
+allocated anew, glibc served those of 0.5 MB from fresh mmap pages until
+some larger free had raised its mmap threshold: a Zorn(F5) primeness scan
+made 9,200-9,900 minor page faults in a fresh process and about 6 after a
+commutation scan, and took about 30% longer in the first state (60
+against 46 ms on a 2-core host).
 """
 
 from __future__ import annotations
 
+import functools
+import math
 import random
 
 import numpy as np
@@ -60,9 +77,8 @@ U_TABLE = 1024
 def check_commutator_bound(p: int, n: int) -> None:
     """Raise ValueError unless n**2 * p**3 < 2**63, so the commutation scan cannot overflow."""
     if n * n * p ** 3 >= INT64_LIMIT:
-        raise ValueError(
-            f"dim^2 p^3 = {n * n * p ** 3} reaches 2^63: the commutation scan's "
-            "int64 sums could overflow")
+        raise ValueError(f"dim^2 p^3 = {n * n * p ** 3} reaches 2^63: "
+                         "the commutation scan's int64 sums could overflow")
 
 
 def check_prime_scan_bound(p: int, n: int) -> None:
@@ -75,8 +91,7 @@ def check_prime_scan_bound(p: int, n: int) -> None:
 
 def structure_tensor(algebra) -> np.ndarray:
     """Dense (n, n, n) int64 tensor C with C[i, j, k] the coefficient of b_k in b_i b_j."""
-    n = algebra.dim
-    C = np.zeros((n, n, n), dtype=np.int64)
+    C = np.zeros((algebra.dim,) * 3, dtype=np.int64)
     for i, j, k, c in algebra.structure_entries():
         C[i, j, k] = int(c)
     return C
@@ -88,15 +103,11 @@ def inverse_table(p: int) -> np.ndarray:
     Entry a is a**(p - 2) mod p, by square-and-multiply over the whole
     table at once; p < TABLE_LIMIT keeps every product below 2**40.
     """
-    base = np.arange(p, dtype=np.int64)
-    table = np.ones(p, dtype=np.int64)
-    e = p - 2
+    base, table, e = np.arange(p, dtype=np.int64), np.ones(p, dtype=np.int64), p - 2
     while e:
         if e & 1:
-            table *= base
-            table %= p
-        base *= base
-        base %= p
+            np.remainder(np.multiply(table, base, out=table), p, out=table)
+        np.remainder(np.multiply(base, base, out=base), p, out=base)
         e >>= 1
     table[0] = 0
     return table
@@ -110,14 +121,24 @@ def word_type(p: int, cols: int):
     return np.int16 if bound < 2 ** 15 else np.int32 if bound < 2 ** 31 else np.int64
 
 
-def _mod(x: np.ndarray, p: int) -> np.ndarray:
-    """x mod p in [0, p), as x - x // p * p: numpy vectorizes // by a scalar but not %."""
-    return x - x // p * p
+def _mod(x: np.ndarray, p: int, out=None, tmp=None) -> np.ndarray:
+    """x mod p in [0, p), as x - x // p * p: numpy vectorizes // by a scalar but not %.
+
+    Given out (which may be x) and tmp (which may be out unless out is x),
+    it is written into out through tmp and allocates nothing.
+    """
+    tmp = x // p if tmp is None else np.floor_divide(x, p, out=tmp)
+    tmp *= p
+    return x - tmp if out is None else np.subtract(x, tmp, out=out)
 
 
-def _digits(idx: np.ndarray, p: int, width: int) -> np.ndarray:
-    """Rows of the width base-p digits of idx, least significant first."""
-    return _mod(idx[:, None] // p ** np.arange(width, dtype=np.int64), p)
+def _low_digits(p: int, width: int, limit: int) -> np.ndarray:
+    """The (p**r, r) int64 table of the digits of 0, ..., p**r - 1, least significant first.
+
+    r is the largest number of digits up to width with p**r <= limit.
+    """
+    r = next(r for r in range(width, -1, -1) if p ** r <= limit)
+    return np.indices((p,) * r).reshape(r, p ** r)[::-1].T
 
 
 def _chunks(p: int, width: int, chunk: int, head: list):
@@ -125,22 +146,24 @@ def _chunks(p: int, width: int, chunk: int, head: list):
 
     The low r digits (p**r <= chunk, U_TABLE) repeat with period s = p**r, so
     a chunk is whole blocks of s rows from their table, cut to the chunk;
-    only the high digits of its blocks are computed.
+    only the high digits of its blocks are computed.  The chunk is filled
+    coordinate by coordinate, each one contiguous run, and rows is its
+    transposed view: the primeness scan's transposed copy of it is then a
+    contiguous cast (2.2 against 4.6 ms per Zorn(F5) scan, rows written
+    row by row).
     """
-    r = 0
-    while r < width and p ** (r + 1) <= min(chunk, U_TABLE):
-        r += 1
-    s, h, total = p ** r, len(head), p ** width
-    low = np.indices((p,) * r).reshape(r, s)[::-1].T   # the digits of 0, ..., s - 1
+    low = _low_digits(p, width, min(chunk, U_TABLE))
+    (s, r), h, total = low.shape, len(head), p ** width
     for start in range(0, total, chunk):
         stop = min(start + chunk, total)
         first, last = start // s, -(-stop // s)
-        rows = np.empty((last - first, s, h + width), dtype=np.int64)
-        rows[:, :, :h] = head
-        rows[:, :, h:h + r] = low
-        if width > r:
-            rows[:, :, h + r:] = _digits(np.arange(first, last, dtype=np.int64), p, width - r)[:, None]
-        yield start, rows.reshape((last - first) * s, h + width)[start - first * s:stop - first * s]
+        cols = np.empty((h + width, last - first, s), dtype=np.int64)
+        cols[:h] = np.reshape(head, (h, 1, 1))
+        cols[h:h + r] = low.T[:, None]
+        high = np.arange(first, last, dtype=np.int64)[:, None] // p ** np.arange(width - r)
+        cols[h + r:] = _mod(high, p).T[:, :, None]     # the digits of the block numbers
+        cols = cols.reshape(h + width, (last - first) * s)
+        yield start, cols[:, start - first * s:stop - first * s].T
 
 
 def element_chunks(p: int, n: int, chunk: int = 65536):
@@ -165,14 +188,34 @@ def projective_chunks(p: int, n: int, chunk: int = 4096):
     (the median of 12 scans in one process per size).  In the benchmark's
     scan workload 8192 made 2.6% more ops/s than 4096 (four pairs), but
     its larger batches raised the process's peak RSS from about 53 to 56
-    MB, so the chunk stays at 4096.
+    MB, so the chunk stays at 4096.  That sweep was taken while every
+    batch was allocated anew, in whatever malloc state the process was in,
+    so its sizes compare page-fault costs as much as compute.  With one
+    workspace per scan, the medians of 45 interleaved scans in one process
+    were 56 ms at 2048, 47 ms at 4096 and 45 ms at 8192 (2-core host).
     """
     for lead in range(n):
-        for _, block in _chunks(p, n - lead - 1, chunk, [0] * lead + [1]):
-            yield block
+        yield from (block for _, block in _chunks(p, n - lead - 1, chunk, [0] * lead + [1]))
 
 
-def batched_rank(mats: np.ndarray, p: int, inv_table: np.ndarray) -> np.ndarray:
+class Workspace:
+    """One flat byte array that a scan reuses from batch to batch, replaced only by a larger one.
+
+    take(at, shape, dtype) views it as an array from byte at, rounded up to
+    a multiple of 8.  A view taken before a growth keeps the array it views.
+    """
+
+    flat = np.empty(0, dtype=np.uint8)
+
+    def take(self, at: int, shape: tuple, dtype) -> np.ndarray:
+        at = -(-at // 8) * 8
+        stop = at + math.prod(shape) * np.dtype(dtype).itemsize
+        if self.flat.size < stop:
+            self.flat = np.empty(stop, dtype=np.uint8)
+        return np.ndarray(shape, dtype, self.flat, at)
+
+
+def batched_rank(mats: np.ndarray, p: int, inv_table: np.ndarray, work=None) -> np.ndarray:
     """Ranks over F_p of a batch of matrices, shape (m, R, C).
 
     Rows are never swapped.  At column c the first row with a nonzero entry
@@ -192,36 +235,42 @@ def batched_rank(mats: np.ndarray, p: int, inv_table: np.ndarray) -> np.ndarray:
     so no position is held in the batch's own word: int16 would wrap once
     R * m reaches 2**15.  The step takes the pivot entries and the pivot
     row at those positions, writes the product (pivot row) x (column) into
-    the tail of one buffer allocated per call, and subtracts it in place;
-    the last column only needs a nonzero entry.
+    the tail of the update buffer, and subtracts it in place; the buffer's
+    first slot, free once subtracted, is the scratch that reduces the next
+    column in place.  The last column only needs a nonzero entry.
     Reduction is lazy, in word_type(p, C): see the module docstring for
     the entry range.  inv_table[0] must be 0: a matrix with no pivot in
     column c then subtracts nothing.  The input is never written: the
-    batch is a reduced copy.
+    batch is a reduced copy.  The copy and the update buffer are taken from
+    work (a new Workspace if None) past the input's own byte size, so they
+    never overlap a batch that _combine wrote at the start of the same
+    workspace.  The copy is formed as x - (x // p) p in the word, through
+    floor_divide into it; each step is exact mod 2**bits and the result
+    lies in [0, p), so an int64 input of any size is reduced exactly.
     """
-    m, R, C = mats.shape
-    dtype = word_type(p, C)
+    (m, R, C), dtype = mats.shape, word_type(p, mats.shape[2])
     if len(inv_table) < p:
         raise ValueError(f"the inverse table has {len(inv_table)} < p = {p} entries")
-    M = np.ascontiguousarray(_mod(mats, p).transpose(2, 1, 0), dtype=dtype)
-    inv = inv_table[:p].astype(dtype, copy=False)
-    if M.size == 0:
+    if mats.size == 0:
         return np.zeros(m, dtype=np.int64)
-    pos = np.int32 if R * m < 2 ** 31 else np.intp
+    work, pos = work or Workspace(), np.int32 if R * m < 2 ** 31 else np.intp
+    # Past the input, which may be the batch _combine wrote at the start of work.
+    copy = work.take(mats.nbytes, (2 * C - 1, R, m), dtype)
+    M, buf = copy[:C], copy[C:]
+    _mod(mats.transpose(2, 1, 0), p, out=M, tmp=M)
+    inv = inv_table[:p].astype(dtype, copy=False)
     weight = np.arange((R - 1) * m, -1, -m, dtype=pos)[:, None]   # (R - 1 - r) m at row r
     last = np.arange((R - 1) * m, R * m, dtype=np.intp)
-    flat, buf = M.reshape(C, R * m), np.empty((C - 1, R, m), dtype=dtype)
-    leads, col = [], M[0]
+    flat, leads, col = M.reshape(C, R * m), [], M[0]
     for c in range(C - 1):
         # Flat positions piv * m + batch of the pivots in the (R, m) column, shape (1, m).
         idx = last - ((col != 0) * weight).max(axis=0, keepdims=True)
         leads.append(col.take(idx))
         factor = _mod(_mod(flat[c + 1:].take(idx, axis=1), p) * inv.take(leads[-1]), p)
-        rest = M[c + 1:]
-        rest -= np.multiply(factor, col, out=buf[c:])
-        col = _mod(rest[0], p)
-    leads.append(col.any(axis=0, keepdims=True))   # the last column has a pivot or not
-    return np.count_nonzero(leads, axis=(0, 1))
+        M[c + 1:] -= np.multiply(factor, col, out=buf[c:])
+        col = _mod(M[c + 1], p, out=M[c + 1], tmp=buf[c])   # buf[c] is free once subtracted
+    # The last column has a pivot or not.
+    return np.count_nonzero(leads + [col.any(axis=0, keepdims=True)], axis=(0, 1))
 
 
 def _quadratic(X: np.ndarray, G: np.ndarray) -> np.ndarray:
@@ -238,44 +287,67 @@ def commutation_scan(C: np.ndarray, F, p: int):
     G[i, j] = sum_l F[l, i] [b_l, b_j], so [phi(x), x] = sum x_i x_j G[i, j].
     Only the tables are int64, below dim**2 p**3; reduced mod p, they score
     each chunk in word_type(p, r + 2), below (r + 2) p**2 (module docstring).
+    The low-digit table U and Q(u), repeated along k high rows, are built
+    once; element_chunks enumerates only the dim - r high digits V, k rows a
+    chunk.  Each chunk is scored (s, k, dim) into the workspace and reduced
+    there through its scratch half with floor_divide, *= and subtract, so
+    it allocates nothing of chunk size.  Score (u, v) is element v s + u,
+    so the witness at flat position t of the (k, s) transposed hits is
+    U[t % s] joined with V[t // s].
     """
-    n = C.shape[0]
-    F = np.asarray(F, dtype=np.int64).reshape(n, n)
+    n, F = C.shape[0], np.asarray(F, dtype=np.int64).reshape(C.shape[0], -1)
     G = np.tensordot(F, C - C.transpose(1, 0, 2), axes=(0, 0)) % p
     H = (G + G.transpose(1, 0, 2)) % p           # B(u, v) = sum u_i v_j H[i, j]
-    r = 0
-    while r < n and p ** (r + 1) <= U_TABLE:
-        r += 1
-    s, dtype = p ** r, word_type(p, r + 2)
-    Guu, Gvv, Hvu = G[:r, :r], G[r:, r:], H[r:, :r].reshape(n - r, r * n)
-    U = None
-    for _, X in element_chunks(p, n, chunk=s * max(1, 65536 // s)):
-        if U is None:                            # U and Q(u) are the same in every chunk
-            Qu = _mod(_quadratic(X[:s, :r], Guu), p).astype(dtype)[:, None, :]
-            U = X[:s, :r].astype(dtype)
-        V = X[::s, r:]
-        k = V.shape[0]
-        VH = _mod(V @ Hvu, p).astype(dtype).reshape(k, r, n).transpose(1, 0, 2).reshape(r, k * n)
-        Q = np.einsum("ui,ij->uj", U, VH).reshape(s, k, n)   # B(u, v), below r p**2
-        Q += Qu
-        Q += _mod(_quadratic(V, Gvv), p).astype(dtype)[None, :, :]
-        Q = _mod(Q, p)
-        if Q.any():
-            return X[np.flatnonzero(Q.any(axis=2).T)[0]]
+    low = _low_digits(p, n, U_TABLE)
+    (s, r), dtype = low.shape, word_type(p, low.shape[1] + 2)
+    # k high-digit rows per chunk of about 16384 elements.
+    U, Hvu, k = low.astype(dtype), H[r:, :r].transpose(1, 0, 2), min(16384 // s, p ** (n - r))
+    # Q(u) repeated along the high digits, so adding it is one contiguous pass.
+    Qu = np.repeat(_mod(_quadratic(low, G[:r, :r]), p).astype(dtype), k, axis=0).reshape(s, k, n)
+    work = Workspace()
+    for _, V in element_chunks(p, n - r, chunk=k):
+        Q, T = work.take(0, (2, s, len(V), n), dtype)         # the score and its scratch
+        # B(u, v) = sum_i u_i (V H)_i, below r p**2; V @ Hvu is (r, len(V), n).
+        np.einsum("ui,ivj->uvj", U, _mod(V @ Hvu, p).astype(dtype), out=Q)
+        Q += Qu[:, :len(V)]
+        Q += _mod(_quadratic(V, G[r:, r:]), p).astype(dtype)
+        if _mod(Q, p, out=Q, tmp=T).any():
+            t = np.flatnonzero(Q.any(axis=2).T)[0]
+            return np.concatenate([low[t % s], V[t // s]])
     return None
 
 
-def _combine(AT: np.ndarray, table: np.ndarray, rows: int) -> np.ndarray:
+def _combine(AT: np.ndarray, table: np.ndarray, rows: int, work=None) -> np.ndarray:
     """Stacks sum_i a_i table[:, i] for the columns a of AT, as an (m, rows, C) view.
 
     table is (C * rows, n), row c * rows + r holding the coefficients of
     entry (r, c), and AT is the (n, m) candidates, C-contiguous.  One
     einsum (integer matmul is slower) writes the batch column by column, in
     the (C, rows, m) memory that batched_rank eliminates in, so the
-    transposed view it returns reaches batched_rank without a copy.
+    transposed view it returns reaches batched_rank without a copy.  The
+    batch is written at the start of work (a new Workspace if None), which
+    is sized in one growth for 3C - 1 columns: the batch, then the reduced
+    copy and update buffer that batched_rank takes past it.
     """
-    shape = (table.shape[0] // rows, rows, AT.shape[1])
-    return np.einsum("ci,ia->ca", table, AT).reshape(shape).transpose(2, 1, 0)
+    C, m = table.shape[0] // rows, AT.shape[1]
+    # Room past the batch for batched_rank's copy and update buffer, so that one growth serves both.
+    out = (work or Workspace()).take(0, (3 * C - 1, rows, m), AT.dtype)[:C]
+    np.einsum("ci,ia->ca", table, AT, out=out.reshape(C * rows, m))
+    return out.transpose(2, 1, 0)
+
+
+@functools.lru_cache(maxsize=16)
+def _compression(p: int, n: int) -> np.ndarray:
+    """The primeness scan's seeded (2n, n, n) compression R, drawn once per (p, n), read-only.
+
+    A random R: with structured ones, such as R T(a) = the maps b -> (a y) b
+    for two or three fixed y, every Zorn(F5) candidate still had rank
+    S(a) < n.  The standard library draws it: numpy.random would add about
+    6 MB to the process.
+    """
+    draw = np.array(random.Random(0).choices(range(p), k=2 * n ** 3), dtype=np.int64)
+    # A view of immutable bytes, so read-only.
+    return np.frombuffer(draw.tobytes(), dtype=np.int64).reshape(2 * n, n, n)
 
 
 def primeness_scan(C: np.ndarray, p: int, unital: bool):
@@ -293,31 +365,28 @@ def primeness_scan(C: np.ndarray, p: int, unital: bool):
     writes every batch in batched_rank's layout; a filter compacts AT's
     surviving columns with compress, which keeps it C-contiguous.
     """
-    n = C.shape[0]
-    inv_table = inverse_table(p)
+    n, inv_table = C.shape[0], inverse_table(p)
     # Each table is built as (cols, rows, n), entry (r, c) of a stack being
     # sum_i a_i table[c, r, i], and read by _combine as (cols * rows, n).
     W = np.einsum("ikq,qjl->jkli", C, C) % p     # T(a): column j, rows (k, l)
-    # A seeded random R: with structured ones, such as R T(a) = the maps
-    # b -> (a y) b for two or three fixed y, every Zorn(F5) candidate still
-    # had rank S(a) < n.  The standard library draws it: numpy.random
-    # would add about 6 MB to the process.
-    R = np.array(random.Random(0).choices(range(p), k=2 * n ** 3), dtype=np.int64)
-    R = R.reshape(2 * n, n, n)
-    RW = np.einsum("rkl,jkli->jrki", R, W) % p   # R W_i, reduced after each block k
+    # R W_i, reduced after each block k.
+    RW = np.einsum("rkl,jkli->jrki", _compression(p, n), W) % p
     # Every stack has n columns and entries below n p**2, so batched_rank's type holds it.
-    dtype = word_type(p, n)
+    dtype, work = word_type(p, n), Workspace()
     # C.transpose(2, 1, 0) has entry (j, k) = the b_k coefficient of a b_j:
     # the transpose of L_a, which has the same rank.
     left, RW, W = (np.ascontiguousarray(t, dtype=dtype).reshape(-1, n)
                    for t in (C.transpose(2, 1, 0), RW.sum(axis=2) % p, W))
+
+    def short(AT, table, rows):                  # rank < n, for each column of AT
+        return batched_rank(_combine(AT, table, rows, work), p, inv_table, work) < n
     for block in projective_chunks(p, n):
         AT = np.ascontiguousarray(block.T, dtype=dtype)
         if unital:
-            AT = AT.compress(batched_rank(_combine(AT, left, n), p, inv_table) < n, axis=1)
-        AT = AT.compress(batched_rank(_combine(AT, RW, 2 * n), p, inv_table) < n, axis=1)
+            AT = AT.compress(short(AT, left, n), axis=1)
+        AT = AT.compress(short(AT, RW, 2 * n), axis=1)
         if AT.shape[1]:
-            bad = np.flatnonzero(batched_rank(_combine(AT, W, n * n), p, inv_table) < n)
+            bad = np.flatnonzero(short(AT, W, n * n))
             if bad.size:
                 return AT[:, bad[0]]
     return None

@@ -1,4 +1,4 @@
-"""The exhaustive F_p scans: frozen witnesses, word types, batched_rank, chunks, inverse table.
+"""The exhaustive F_p scans: frozen witnesses, the old loop, memory, batched_rank, chunks.
 
 scan_witnesses.json records the verdict and the witness of
 exhaustive_commuting_check and prime_check_exhaustive on the cases below, as
@@ -14,6 +14,7 @@ import json
 import os
 import random
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -200,6 +201,140 @@ def test_commutation_scan_on_each_side_of_the_word_type_switches(monkeypatch, p,
 
 
 # ----------------------------------------------------------------------
+# the commutation scan against the loop that enumerated every coordinate
+
+
+def full_chunk_commutation_scan(C, F, p):
+    """commutation_scan as it was before it enumerated only the high digits.
+
+    Every chunk held all n coordinates of p**r * k elements; the first p**r
+    rows gave the low-digit table U and Q(u), every p**r-th row the high
+    digits V, and the witness was the chunk's row at the first nonzero score.
+    """
+    n = C.shape[0]
+    F = np.asarray(F, dtype=np.int64).reshape(n, n)
+    G = np.tensordot(F, C - C.transpose(1, 0, 2), axes=(0, 0)) % p
+    H = (G + G.transpose(1, 0, 2)) % p
+    r = 0
+    while r < n and p ** (r + 1) <= _modscan.U_TABLE:
+        r += 1
+    s, dtype = p ** r, _modscan.word_type(p, r + 2)
+    Guu, Gvv, Hvu = G[:r, :r], G[r:, r:], H[r:, :r].reshape(n - r, r * n)
+    U = None
+    for _, X in closed_form_element_chunks(p, n, chunk=s * max(1, 65536 // s)):
+        if U is None:
+            Qu = (_modscan._quadratic(X[:s, :r], Guu) % p).astype(dtype)[:, None, :]
+            U = X[:s, :r].astype(dtype)
+        V = X[::s, r:]
+        k = V.shape[0]
+        VH = (V @ Hvu % p).astype(dtype).reshape(k, r, n).transpose(1, 0, 2).reshape(r, k * n)
+        Q = np.einsum("ui,ij->uj", U, VH).reshape(s, k, n)
+        Q += Qu
+        Q += (_modscan._quadratic(V, Gvv) % p).astype(dtype)[None, :, :]
+        Q %= p
+        if Q.any():
+            return X[np.flatnonzero(Q.any(axis=2).T)[0]]
+    return None
+
+
+def _scan_pairs():
+    """(label, structure tensor, map matrix, p) for the frozen commuting cases and r = 0.
+
+    The frozen cases hold M2(F5) and CD2(F5), where all n = 4 coordinates
+    are low (n - r = 0), and the M2(F5)+M2(F5) map whose first violating x
+    has index 81250, high-digit row 130.  Over F1031 > U_TABLE no coordinate
+    is low (r = 0).
+    """
+    for label, algebra, phi in _commuting_cases():
+        yield label, _modscan.structure_tensor(algebra), phi.matrix.data, algebra.field.p
+    algebra = _left_unit_algebra(PrimeField(1031))
+    for t, phi in enumerate(_maps(algebra, 1031)):
+        yield f"ea(F1031) {t}", _modscan.structure_tensor(algebra), phi.matrix.data, 1031
+
+
+def _same_witness(got, want):
+    return (got is None and want is None) or (
+        got is not None and want is not None and got.dtype == np.int64
+        and [int(v) for v in got] == [int(v) for v in want])
+
+
+def test_commutation_scan_matches_the_full_chunk_loop():
+    verdicts = set()
+    for label, C, F, p in _scan_pairs():
+        want = full_chunk_commutation_scan(C, F, p)
+        assert _same_witness(_modscan.commutation_scan(C, F, p), want), label
+        verdicts.add(want is None)
+    assert verdicts == {True, False}
+
+
+def test_commutation_witness_past_the_first_high_digit_chunk(monkeypatch):
+    """With 7 high-digit rows per chunk, witnesses many chunks in come back the same."""
+    chunks, starts = _modscan.element_chunks, []
+
+    def small(p, n, chunk=65536):
+        for start, V in chunks(p, n, 7):
+            starts.append(start)
+            yield start, V
+    monkeypatch.setattr(_modscan, "element_chunks", small)
+    late = 0
+    for label, C, F, p in _scan_pairs():
+        if p == 1031:
+            continue                     # r = 0: 7 elements per chunk, 1031**2 elements
+        want = full_chunk_commutation_scan(C, F, p)
+        starts.clear()
+        assert _same_witness(_modscan.commutation_scan(C, F, p), want), label
+        late += want is not None and starts[-1] > 0
+    assert late >= 5
+
+
+# ----------------------------------------------------------------------
+# memory: the scans reuse one workspace
+
+
+def test_scans_on_zorn_f5_hold_little_memory():
+    """tracemalloc peak of one scan of each kind on Zorn(F5), after a first scan.
+
+    The commutation scan once wrote all 390,625 x 8 int64 coordinates (9.0
+    MiB at peak); scoring the high digits into one workspace stays under 1
+    MiB.  The primeness scan stays within the 2.26 MiB it reached when every
+    batch was allocated anew.
+    """
+    algebra = zorn(F5)[0]
+    phi = random_commuting_map(algebra, 11)
+    for scan, bound in ((lambda: exhaustive_commuting_check(algebra, phi), 2 ** 20),
+                        (lambda: prime_check_exhaustive(algebra), 2.26 * 2 ** 20)):
+        scan()
+        tracemalloc.start()
+        try:
+            scan()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
+
+
+def test_workspace_grows_only_when_a_view_needs_more_room():
+    work = _modscan.Workspace()
+    a = work.take(0, (2, 3), np.int16)
+    a[...] = 7
+    flat = work.flat
+    assert np.shares_memory(work.take(0, (3,), np.int16), a) and work.flat is flat
+    b = work.take(13, (4,), np.int64)        # from byte 16, past a's 12 bytes
+    assert work.flat is not flat and work.flat.size == 48
+    assert (a == 7).all()                    # a keeps the array it views
+    flat = work.flat
+    assert np.shares_memory(work.take(16, (4,), np.int64), b) and work.flat is flat
+
+
+def test_compression_matrix_is_drawn_once_and_read_only():
+    R = _modscan._compression(5, 8)
+    assert R is _modscan._compression(5, 8) and R.shape == (16, 8, 8)
+    assert not R.flags.writeable
+    draw = random.Random(0).choices(range(5), k=2 * 8 ** 3)
+    assert R.reshape(-1).tolist() == draw
+
+
+# ----------------------------------------------------------------------
 # batched_rank against elimination in Python integers
 
 
@@ -245,6 +380,17 @@ def test_batched_rank_matches_python_elimination(p):
         got = _modscan.batched_rank(mats, p, table)
         assert got.shape == (mats.shape[0],)
         assert [int(v) for v in got] == [reference_rank(m.tolist(), p) for m in mats]
+
+
+@pytest.mark.parametrize("p", [5, 101])
+def test_batched_rank_reduces_wide_int64_entries(p):
+    """Entries far outside the word, congruent to residues, rank as their residues."""
+    rng = np.random.default_rng(p)
+    table = _modscan.inverse_table(p)
+    for mats in _batches(rng, p):
+        wide = mats.astype(np.int64) + p * rng.integers(-2 ** 40, 2 ** 40, size=mats.shape)
+        want = [reference_rank(m.tolist(), p) for m in mats]
+        assert [int(v) for v in _modscan.batched_rank(wide, p, table)] == want
 
 
 def _worst_growth(p, cols):
