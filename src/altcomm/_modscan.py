@@ -30,32 +30,51 @@ the default budget never admits, before the table of p inverses is built.
 
 batched_rank reduces lazily: after reducing its input once, each step
 reduces only the pivot column and the pivot row's entries and subtracts
-(pivot row) x (column) from the later columns unreduced.  In a batch with
-C columns an entry is lowered at most C - 1 times by a product of two
-residues, so it stays in (-(C - 1)(p - 1)**2, p), below C * p**2 in
-absolute value.  The batch, and the primeness stacks, are held in
-word_type(p, C), the narrowest of int16, int32 and int64 holding C * p**2.
-batched_rank refuses C * p**2 >= 2**63 and an inverse table shorter than p.
-A step makes no temporary the size of the later columns: their update
-goes into the tail of one update buffer, and the pivot entries and the
-pivot row are taken at one flat index.  The primeness scan writes each
-batch straight into batched_rank's column-by-column memory, and the pivot
-is found by a weighted maximum over rows.  These choose only where values
-are written and read, not which sums are formed, so the entry range above
+(pivot row) x (column) from the later columns unreduced.  In a batch
+with C columns an entry is lowered at most C - 1 times by a product of
+two residues, so it stays in the lazy range [-(C - 1)(p - 1)**2, p - 1].
+The input stacks are held in word_type(p, C), the narrowest of int16,
+int32 and int64 holding C * p**2; batched_rank refuses C * p**2 >= 2**63
+and an inverse table shorter than p.  Its reduced copy and update buffer
+are held in the narrowest signed word holding the lazy range: int8 while
+(C - 1)(p - 1)**2 <= 128, which is 112 on Zorn(F5) and exactly 128 on
+M3(F5).  On Zorn(F5)'s L_a slabs an update pass took 37 against 66 us in
+int16, a floor division 6.3 against 7.1 us, and the weighted pivot
+search below 16 against 38 us with int32 weights.  A step makes no
+temporary the size of the later columns: their update goes into the tail
+of one update buffer, and the pivot entries and the pivot row are taken
+at one flat index.  The primeness scan writes each batch straight into
+batched_rank's column-by-column memory, and the pivot is found by a
+maximum over rows weighted by row numbers, in int8 up to 128 rows (int16
+beyond), with positions formed in intp.  These choose only where values
+are written and read, not which sums are formed, so the lazy range
 holds.
+
+The primeness scan ranks L_a chunk by chunk, as projective_chunks yields
+them, and appends the survivors in enumeration order to one pending
+buffer.  S(a) and T(a) rank exact batches of BATCH = 2048 survivors, and
+the remainder at the end; an algebra without a unit sends every
+candidate there.  Ranked chunk by chunk, a Zorn(F5) scan's 19,656 L_a
+survivors took 30 S(a) calls and 21 ms of an 82 ms scan (a loaded 2-core
+host); in batches of 2048 they take 10 calls and 11 ms of 64.  A batch
+of 2048 S(a) stacks, 2 dim rows each, holds the bytes of one
+4096-candidate L_a batch.  The order is kept and every earlier batch
+held no witness, so the first witness is the same; a witness among the
+first candidates waits for a full batch, at most 2048 survivors of L_a.
 
 Each scan holds one Workspace, a flat byte array grown only when a batch
 needs more room: the commutation scan scores every chunk in it, and the
 primeness scan's batch, reduced copy and update buffer all live in it.
-What a scan still allocates as it goes is smaller: the primeness scan's
-int64 candidate block from projective_chunks (256 KB on Zorn(F5)) and each
-elimination step's column-sized temporaries.  A scan's speed then does not
-depend on what ran before it in the process.  When every batch was
-allocated anew, glibc served those of 0.5 MB from fresh mmap pages until
-some larger free had raised its mmap threshold: a Zorn(F5) primeness scan
-made 9,200-9,900 minor page faults in a fresh process and about 6 after a
-commutation scan, and took about 30% longer in the first state (60
-against 46 ms on a 2-core host).
+The primeness scan's pending buffer, dim x 2048 words, is allocated once
+beside it.  What a scan still allocates as it goes is smaller: the
+primeness scan's int64 candidate block from projective_chunks (256 KB on
+Zorn(F5)) and each elimination step's column-sized temporaries.  A
+scan's speed then does not depend on what ran before it in the process.
+When every batch was allocated anew, glibc served those of 0.5 MB from
+fresh mmap pages until some larger free had raised its mmap threshold: a
+Zorn(F5) primeness scan made 9,200-9,900 minor page faults in a fresh
+process and about 6 after a commutation scan, and took about 30% longer
+in the first state (60 against 46 ms on a 2-core host).
 """
 
 from __future__ import annotations
@@ -72,6 +91,8 @@ TABLE_LIMIT = 2 ** 20
 # Largest table of low-coordinate values: Q(u) in the commutation scan, and
 # the low digits from which every chunk of coordinate vectors is filled.
 U_TABLE = 1024
+# Candidates per S(a) and T(a) batch of the primeness scan.
+BATCH = 2048
 
 
 def check_commutator_bound(p: int, n: int) -> None:
@@ -160,8 +181,9 @@ def _chunks(p: int, width: int, chunk: int, head: list):
         cols = np.empty((h + width, last - first, s), dtype=np.int64)
         cols[:h] = np.reshape(head, (h, 1, 1))
         cols[h:h + r] = low.T[:, None]
-        high = np.arange(first, last, dtype=np.int64)[:, None] // p ** np.arange(width - r)
-        cols[h + r:] = _mod(high, p).T[:, :, None]     # the digits of the block numbers
+        if width > r:                                   # the digits of the block numbers
+            high = np.arange(first, last, dtype=np.int64)[:, None] // p ** np.arange(width - r)
+            cols[h + r:] = _mod(high, p).T[:, :, None]
         cols = cols.reshape(h + width, (last - first) * s)
         yield start, cols[:, start - first * s:stop - first * s].T
 
@@ -193,6 +215,8 @@ def projective_chunks(p: int, n: int, chunk: int = 4096):
     so its sizes compare page-fault costs as much as compute.  With one
     workspace per scan, the medians of 45 interleaved scans in one process
     were 56 ms at 2048, 47 ms at 4096 and 45 ms at 8192 (2-core host).
+    This sweep predates S(a) and T(a) ranking batches of 2048 survivors
+    (BATCH): the chunk now sizes only the L_a batches.
     """
     for lead in range(n):
         yield from (block for _, block in _chunks(p, n - lead - 1, chunk, [0] * lead + [1]))
@@ -226,45 +250,52 @@ def batched_rank(mats: np.ndarray, p: int, inv_table: np.ndarray, work=None) -> 
     column, each column as (R, m), so that step is one contiguous slab;
     an input whose memory is already (C, R, m), as _combine writes it, is
     reduced without a transposed copy.  The pivot search runs row against
-    row with m contiguous: weight[r] = (R - 1 - r) m is largest at the
-    first nonzero row, so last - max_r (col[r] != 0) weight[r], with
+    row with m contiguous: weight[r] = R - 1 - r is largest at the first
+    nonzero row, so last - m max_r (col[r] != 0) weight[r], with
     last = (R - 1) m + batch, is the flat position piv * m + batch of the
     pivot in the (C, R * m) view.  A column with no nonzero entry pivots
-    at row R - 1, whose zero entry subtracts nothing.  The weights are
-    int32 while R * m < 2**31 (half the traffic of intp) and last is intp,
-    so no position is held in the batch's own word: int16 would wrap once
-    R * m reaches 2**15.  The step takes the pivot entries and the pivot
-    row at those positions, writes the product (pivot row) x (column) into
-    the tail of the update buffer, and subtracts it in place; the buffer's
-    first slot, free once subtracted, is the scratch that reduces the next
-    column in place.  The last column only needs a nonzero entry.
-    Reduction is lazy, in word_type(p, C): see the module docstring for
-    the entry range.  inv_table[0] must be 0: a matrix with no pivot in
-    column c then subtracts nothing.  The input is never written: the
-    batch is a reduced copy.  The copy and the update buffer are taken from
+    at row R - 1, whose zero entry subtracts nothing.  The weights are row
+    numbers in the narrowest signed word holding R, int8 up to 128 rows,
+    and the positions are formed in intp, so no position is held in the
+    batch's own word: int8 would wrap once R * m reaches 2**7.  The step
+    takes the pivot entries and the pivot row at those positions, writes
+    the product (pivot row) x (column) into the tail of the update buffer,
+    and subtracts it in place; the buffer's first slot, free once
+    subtracted, is the scratch that reduces the next column in place.  The
+    last column only needs a nonzero entry.  Reduction is lazy: the copy
+    and the update buffer are held in the narrowest signed word holding
+    the lazy range [-(C - 1)(p - 1)**2, p - 1], never wider than
+    word_type(p, C) and int8 while (C - 1)(p - 1)**2 <= 128 (see the module
+    docstring).  inv_table[0] must be 0: a matrix with no pivot in column c
+    then subtracts nothing.  The input is never written: the batch is a
+    reduced copy.  The copy and the update buffer are taken from
     work (a new Workspace if None) past the input's own byte size, so they
     never overlap a batch that _combine wrote at the start of the same
     workspace.  The copy is formed as x - (x // p) p in the word, through
     floor_divide into it; each step is exact mod 2**bits and the result
     lies in [0, p), so an int64 input of any size is reduced exactly.
     """
-    (m, R, C), dtype = mats.shape, word_type(p, mats.shape[2])
+    m, R, C = mats.shape
+    word_type(p, C)                              # refuses C p**2 >= 2**63
     if len(inv_table) < p:
         raise ValueError(f"the inverse table has {len(inv_table)} < p = {p} entries")
     if mats.size == 0:
         return np.zeros(m, dtype=np.int64)
-    work, pos = work or Workspace(), np.int32 if R * m < 2 ** 31 else np.intp
+    # The narrowest signed words holding the lazy range and the row numbers.
+    dtype = np.min_scalar_type(-max((C - 1) * (p - 1) ** 2, p))
+    work, rows = work or Workspace(), np.min_scalar_type(-R)
     # Past the input, which may be the batch _combine wrote at the start of work.
     copy = work.take(mats.nbytes, (2 * C - 1, R, m), dtype)
     M, buf = copy[:C], copy[C:]
     _mod(mats.transpose(2, 1, 0), p, out=M, tmp=M)
     inv = inv_table[:p].astype(dtype, copy=False)
-    weight = np.arange((R - 1) * m, -1, -m, dtype=pos)[:, None]   # (R - 1 - r) m at row r
+    weight = np.arange(R - 1, -1, -1, dtype=rows)[:, None]          # R - 1 - r at row r
     last = np.arange((R - 1) * m, R * m, dtype=np.intp)
     flat, leads, col = M.reshape(C, R * m), [], M[0]
     for c in range(C - 1):
         # Flat positions piv * m + batch of the pivots in the (R, m) column, shape (1, m).
-        idx = last - ((col != 0) * weight).max(axis=0, keepdims=True)
+        top = ((col != 0) * weight).max(axis=0, keepdims=True)
+        idx = last - np.multiply(top, m, dtype=np.intp)
         leads.append(col.take(idx))
         factor = _mod(_mod(flat[c + 1:].take(idx, axis=1), p) * inv.take(leads[-1]), p)
         M[c + 1:] -= np.multiply(factor, col, out=buf[c:])
@@ -359,9 +390,13 @@ def primeness_scan(C: np.ndarray, p: int, unital: bool):
     compression only gives a lower bound on rank, so a with rank S(a) = n
     are skipped without forming T(a) and the rest are ranked on T(a).  For
     unital algebras a also needs a singular left multiplication (x = 1
-    forces a b = 0), which is tested first.  Each filter keeps the order,
-    and R affects only how many a reach T(a).  Each chunk is held
-    transposed, as the C-contiguous (n, m) array AT, so that _combine
+    forces a b = 0), which is tested first, on each chunk as it comes.
+    Its survivors, or every candidate without a unit, are appended in
+    order to the (n, BATCH) pending buffer, and S(a) and then T(a) rank
+    each full buffer, and the remainder at the end: batches of exactly
+    BATCH candidates but the last (module docstring).  Each filter keeps
+    the order, and R affects only how many a reach T(a).  Each chunk is
+    held transposed, as the C-contiguous (n, m) array AT, so that _combine
     writes every batch in batched_rank's layout; a filter compacts AT's
     surviving columns with compress, which keeps it C-contiguous.
     """
@@ -371,7 +406,7 @@ def primeness_scan(C: np.ndarray, p: int, unital: bool):
     W = np.einsum("ikq,qjl->jkli", C, C) % p     # T(a): column j, rows (k, l)
     # R W_i, reduced after each block k.
     RW = np.einsum("rkl,jkli->jrki", _compression(p, n), W) % p
-    # Every stack has n columns and entries below n p**2, so batched_rank's type holds it.
+    # Every stack has n columns and entries below n p**2, which word_type(p, n) holds.
     dtype, work = word_type(p, n), Workspace()
     # C.transpose(2, 1, 0) has entry (j, k) = the b_k coefficient of a b_j:
     # the transpose of L_a, which has the same rank.
@@ -380,13 +415,22 @@ def primeness_scan(C: np.ndarray, p: int, unital: bool):
 
     def short(AT, table, rows):                  # rank < n, for each column of AT
         return batched_rank(_combine(AT, table, rows, work), p, inv_table, work) < n
+
+    def first(AT):                               # the first column of AT with rank T(a) < n
+        AT = AT.compress(short(AT, RW, 2 * n), axis=1)
+        bad = np.flatnonzero(short(AT, W, n * n)) if AT.shape[1] else ()
+        return AT[:, bad[0]] if len(bad) else None
+    pending, filled = np.empty((n, BATCH), dtype=dtype), 0
     for block in projective_chunks(p, n):
         AT = np.ascontiguousarray(block.T, dtype=dtype)
         if unital:
             AT = AT.compress(short(AT, left, n), axis=1)
-        AT = AT.compress(short(AT, RW, 2 * n), axis=1)
-        if AT.shape[1]:
-            bad = np.flatnonzero(short(AT, W, n * n))
-            if bad.size:
-                return AT[:, bad[0]]
-    return None
+        while AT.shape[1]:
+            take = min(BATCH - filled, AT.shape[1])
+            pending[:, filled:filled + take] = AT[:, :take]
+            AT, filled = AT[:, take:], filled + take
+            if filled == BATCH:
+                a, filled = first(pending), 0
+                if a is not None:
+                    return a
+    return first(np.ascontiguousarray(pending[:, :filled])) if filled else None

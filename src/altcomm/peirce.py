@@ -487,8 +487,11 @@ def prime_check_exhaustive(algebra: Algebra, budget: int = DEFAULT_BUDGET):
     x = 1 forces a b = 0).  Then a fixed (2 dim, dim^2) compression
     S(a) = R T(a) is ranked; the compression only gives a lower bound on
     rank, so a with rank S(a) = dim are skipped and the others are ranked
-    on T(a) itself.  Each entry of L_a, S(a) and T(a) is a sum of dim
-    products of residues, below dim p^2.
+    on T(a) itself.  L_a is ranked a chunk of candidates at a time; S(a)
+    and T(a) rank the survivors in order, in batches of 2048.  Each entry
+    of L_a, S(a) and T(a) is a sum of dim products of residues, below
+    dim p^2; elimination runs in the narrowest signed word holding
+    [-(dim - 1)(p - 1)^2, p - 1], int8 while (dim - 1)(p - 1)^2 <= 128.
     """
     p, n = scan_guard(algebra, budget, "primeness scan")
     from . import _modscan

@@ -145,6 +145,103 @@ def test_prime_witness_does_not_depend_on_the_chunk(monkeypatch, chunk):
 
 
 # ----------------------------------------------------------------------
+# the primeness scan against the loop that ranked each chunk's survivors
+
+
+def per_chunk_primeness_scan(C, p, unital):
+    """primeness_scan as it was before S(a) and T(a) ranked batches of BATCH survivors.
+
+    Each chunk's L_a survivors were ranked on S(a) at once, and theirs on T(a).
+    """
+    n, inv_table = C.shape[0], _modscan.inverse_table(p)
+    W = np.einsum("ikq,qjl->jkli", C, C) % p
+    RW = np.einsum("rkl,jkli->jrki", _modscan._compression(p, n), W) % p
+    dtype, work = _modscan.word_type(p, n), _modscan.Workspace()
+    left, RW, W = (np.ascontiguousarray(t, dtype=dtype).reshape(-1, n)
+                   for t in (C.transpose(2, 1, 0), RW.sum(axis=2) % p, W))
+
+    def short(AT, table, rows):
+        mats = _modscan._combine(AT, table, rows, work)
+        return _modscan.batched_rank(mats, p, inv_table, work) < n
+    for block in _modscan.projective_chunks(p, n):
+        AT = np.ascontiguousarray(block.T, dtype=dtype)
+        if unital:
+            AT = AT.compress(short(AT, left, n), axis=1)
+        AT = AT.compress(short(AT, RW, 2 * n), axis=1)
+        if AT.shape[1]:
+            bad = np.flatnonzero(short(AT, W, n * n))
+            if bad.size:
+                return AT[:, bad[0]]
+    return None
+
+
+def _skewed_sum(left, right):
+    """left + right on the basis u_i = (l_i, r_{n-1-i}) for i < dim left, then u_j = b_j.
+
+    A projective a whose first coordinate is 1 has a nonzero left part, so
+    the first witness, the first a with zero right part, needs x_{n-1} = 4:
+    index 4 * 5**(n - 2) among those a.
+    """
+    s, k = direct_sum(left, right), left.dim
+    n, f = s.dim, s.field
+    u = [[int(a == i or (i < k and a == n - 1 - i)) for a in range(n)] for i in range(n)]
+    entries = []
+    for i in range(n):
+        for j in range(n):
+            y = s.mul_coords(u[i], u[j])
+            # b_t = u_t - u_{n-1-t} for t < k, and b_t = u_t from k on.
+            z = [y[t] - (y[n - 1 - t] if n - 1 - t < k else 0) for t in range(n)]
+            entries += [(i, j, t, f.from_int(c)) for t, c in enumerate(z) if c % f.p]
+    return Algebra("skewed", f, n, [f"u{i}" for i in range(n)], entries)
+
+
+def _batching_cases():
+    """(label, algebra): early and late witnesses, the prime Zorn(F5), and a non-unital sum.
+
+    ea(F5) has a left unit only, so the last sum is not unital.
+    """
+    s, m2 = scalar_algebra(F5), matrix_algebra(F5, 2)[0]
+    return [("M2(F5)+M2(F5)", direct_sum(m2, m2)),
+            ("M2(F5)+M2(F5) skewed", _skewed_sum(m2, m2)),
+            ("F5+M2(F5) skewed", _skewed_sum(s, m2)),
+            ("Zorn(F5)", zorn(F5)[0]),
+            ("ea(F5)+M2(F5) skewed", _skewed_sum(_left_unit_algebra(F5), m2))]
+
+
+@pytest.mark.parametrize("chunk", [7, 64])
+def test_primeness_scan_ranks_full_batches_and_matches_the_per_chunk_loop(monkeypatch, chunk):
+    """Witnesses as the per-chunk loop finds them; every S(a) batch but the last holds BATCH.
+
+    With 7 or 64 candidates per chunk a batch merges the survivors of many
+    chunks, and the late witnesses come after whole batches.  Zorn(F5) and
+    the skewed M2(F5)+M2(F5) run at 64 only: at 7 they took 20.7 of 20.9 s.
+    """
+    chunks, rank = _modscan.projective_chunks, _modscan.batched_rank
+    monkeypatch.setattr(_modscan, "projective_chunks", lambda p, n: chunks(p, n, chunk))
+    late = unital_cases = 0
+    for label, algebra in _batching_cases():
+        if chunk == 7 and label in ("Zorn(F5)", "M2(F5)+M2(F5) skewed"):
+            continue
+        C, unital = _modscan.structure_tensor(algebra), algebra.unit is not None
+        want = per_chunk_primeness_scan(C, 5, unital)
+        sizes = []
+
+        def spy(mats, *args):
+            if mats.shape[1:] == (2 * C.shape[0], C.shape[0]):
+                sizes.append(mats.shape[0])
+            return rank(mats, *args)
+        monkeypatch.setattr(_modscan, "batched_rank", spy)
+        got = _modscan.primeness_scan(C, 5, unital)
+        monkeypatch.setattr(_modscan, "batched_rank", rank)
+        assert (got is None and want is None) or got.tolist() == want.tolist(), label
+        assert sizes and set(sizes[:-1]) <= {_modscan.BATCH} and 0 < sizes[-1] <= _modscan.BATCH
+        late += len(sizes) > 1 and want is not None
+        unital_cases += unital
+    # Past whole batches: the non-unital case at both sizes, M2(F5)+M2(F5) skewed at 64.
+    assert late == (1 if chunk == 7 else 2) and unital_cases == (2 if chunk == 7 else 4)
+
+
+# ----------------------------------------------------------------------
 # the commutation scan's word type against exact arithmetic
 
 
@@ -441,6 +538,42 @@ def test_batched_rank_on_each_side_of_the_word_type_switches(p, word):
         got = _modscan.batched_rank(mats, p, table)
         assert [int(v) for v in got] == [reference_rank(m.tolist(), p) for m in mats]
     assert [int(v) for v in _modscan.batched_rank(batches[-1], p, table)] == [cols - 1] * 2
+
+
+class _Recording(_modscan.Workspace):
+    """A workspace that records the word of every view taken from it."""
+
+    def __init__(self):
+        self.words = []
+
+    def take(self, at, shape, dtype):
+        self.words.append(np.dtype(dtype))
+        return super().take(at, shape, dtype)
+
+
+@pytest.mark.parametrize("p, cols, word", [(5, 8, np.int8), (5, 9, np.int8),
+                                           (5, 10, np.int16), (7, 8, np.int16)])
+def test_batched_rank_on_each_side_of_the_int8_switch(p, cols, word):
+    """The copy is int8 while its lazy range [-(cols - 1)(p - 1)^2, p - 1] fits.
+
+    (cols - 1)(p - 1)^2 is 112 and 128 at p = 5 with 8 and 9 columns, 144
+    with 10, and 252 at p = 7; _worst_growth reaches -110, -125, -140 and
+    -252.  The late-pivot batch has 144 rows, past int8 row numbers.
+    """
+    assert _modscan.word_type(p, cols) is np.int16
+    rng = np.random.default_rng(cols * p)
+    table = _modscan.inverse_table(p)
+    batches = [rng.integers(0, p, size=(12, cols, cols)),
+               rng.integers(0, p, size=(6, cols * cols, cols)),
+               np.full((3, cols, cols), p - 1, dtype=np.int64),
+               np.stack([_worst_growth(p, cols)] * 2),
+               _late_pivot_members(rng, p, 144, cols)]
+    for mats in batches:
+        work = _Recording()
+        got = _modscan.batched_rank(mats, p, table, work)
+        assert work.words == [np.dtype(word)]
+        assert [int(v) for v in got] == [reference_rank(m.tolist(), p) for m in mats]
+    assert [int(v) for v in _modscan.batched_rank(batches[3], p, table)] == [cols - 1] * 2
 
 
 def test_batched_rank_refuses_overflow_and_short_inverse_tables():
