@@ -51,8 +51,9 @@ class Algebra(Memo):
     tensor, the bracket table (commutator_rows), the center, the nucleus,
     and the tagged echelons of peirce.express_central, whose keys are
     tuples.  Products are read off the sparse structure table: mul_coords
-    over the nonzero coordinates of both factors, and product_sum for a sum
-    of basis products given as terms.
+    over the nonzero coordinates of both factors, product_sum for a sum
+    of basis products given as terms, and mult_columns for the nonzero
+    entries of each column of L_a or R_a.
     The table is filled in one pass over the structure entries merged by
     (i, j, k) and sorted: repeated entries are summed, zero sums dropped,
     and each product's terms ascend by k.
@@ -168,25 +169,35 @@ class Algebra(Memo):
                     out[k] = f.add(out[k], f.mul(s, c))
         return out
 
-    def _mult_matrix(self, coords, table) -> Matrix:
-        # table[i][j] holds b_i b_j (_rows, for L_a) or b_j b_i (_cols, for R_a)
+    def mult_columns(self, coords, side: str) -> list[dict]:
+        """The nonzero entries {k: c} of each column j of L_a ("left", a b_j) or R_a
+        ("right", b_j a), read off the table over the nonzero coordinates of a.
+
+        left_mult_matrix walks the table the same way but fills a dense
+        Matrix directly, which costs about half as much as filling one from
+        these maps."""
+        f = self.field
+        columns = [{} for _ in range(self.dim)]
+        table = self._rows if side == "left" else self._cols    # b_i b_j, or b_j b_i, at [i][j]
+        for i, ai in enumerate(coords):
+            if ai:
+                for j, terms in table[i].items():
+                    col = columns[j]
+                    for k, c in terms:
+                        col[k] = f.add(col[k], f.mul(ai, c)) if k in col else f.mul(ai, c)
+        return [{k: c for k, c in col.items() if c} for col in columns]
+
+    def left_mult_matrix(self, coords) -> Matrix:
+        """Matrix of x -> a . x in the chosen basis."""
         f = self.field
         m = [[f.zero] * self.dim for _ in range(self.dim)]
         for i, ai in enumerate(coords):
             if not ai:
                 continue
-            for j, terms in table[i].items():
+            for j, terms in self._rows[i].items():     # b_i b_j
                 for k, c in terms:
                     m[k][j] = f.add(m[k][j], f.mul(ai, c))
         return Matrix(f, m, cols=self.dim)
-
-    def left_mult_matrix(self, coords) -> Matrix:
-        """Matrix of x -> a . x in the chosen basis."""
-        return self._mult_matrix(coords, self._rows)
-
-    def right_mult_matrix(self, coords) -> Matrix:
-        """Matrix of x -> x . a in the chosen basis."""
-        return self._mult_matrix(coords, self._cols)
 
     def associator_tensor(self) -> dict:
         """Cached sparse associators of basis triples, {(s, t, u): {k: c}}.
@@ -247,12 +258,11 @@ class Algebra(Memo):
 
         Coordinates that no term reaches are absent; the others may be zero.
         """
-        f = self.field
-        rows = self._rows
+        add, mul, rows = self.field.add, self.field.mul, self._rows
         acc = {}
         for v, (s, t) in terms:
             for k, c in rows[s].get(t, ()):
-                acc[k] = f.add(acc.get(k, f.zero), f.mul(v, c))
+                acc[k] = add(acc[k], mul(v, c)) if k in acc else mul(v, c)
         return acc
 
     # ------------------------------------------------------------------
@@ -407,9 +417,11 @@ class Subspace:
 
     @classmethod
     def from_spanning(cls, algebra: Algebra, elements) -> "Subspace":
-        """The span of arbitrary elements, with a canonical echelon basis."""
+        """The span of arbitrary elements, or of coordinate vectors (dense or
+        {k: c}), with a canonical echelon basis."""
         f, n = algebra.field, algebra.dim
-        echelon = echelon_of_blocks(f, n, [[el.coords for el in elements]])
+        rows = [el.coords if isinstance(el, Element) else el for el in elements]
+        echelon = echelon_of_blocks(f, n, [rows])
         return cls(algebra, [Element(algebra, r) for r in echelon_rows(f, n, echelon)],
                    _echelon=echelon)
 

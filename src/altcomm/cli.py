@@ -363,7 +363,11 @@ def subspace_report(word: str, subspace_of, algebra: Algebra) -> None:
 
 @reader("center")
 def center(algebra):
-    """Print a basis of the center."""
+    """Print a basis of the commutant {x : [x, A] = 0}.
+
+    On alternative inputs over Q and F_p (p >= 5) the commutant is the
+    center; on other inputs it can be larger.
+    """
     subspace_report("center", center_of, algebra)
 
 

@@ -3,11 +3,13 @@
 A ``Matrix`` copies its rows and is not mutated after construction.  It
 has one sparse view, ``nonzero_columns``, built on first use: ``matvec``
 and ``@`` apply the matrix through it, and it is what
-``PeirceData.project`` (a projector's matvec), ``hypothesis_check`` (the
-columns of R_e), the commuting check and ``decompose_oracle`` read of a
-matrix.  Beyond that it offers only what some caller reads: the
-constructors, ``column``, ``+``, ``-``, ``==``, ``rref`` and ``solve``;
-a caller that wants the dense columns reads ``zip(*m.data)``.
+``PeirceData.project`` (a projector's matvec), the commuting check and
+``decompose_oracle`` read of a matrix.  A matrix computed as sparse
+columns, a multiplication matrix or a Peirce projector, is filled from
+them by ``from_sparse_columns``.  Beyond that it offers only what some
+caller reads: the constructors, ``column``, ``+``, ``-``, ``==``, and
+``@``, ``rref`` and ``solve``, which no module of the package calls but
+the benchmark's tracer hooks by name.
 
 Every elimination goes through ``echelon_of_blocks``, which computes the
 reduced row echelon form: it is unique for a row space, whatever order the
@@ -64,13 +66,11 @@ class Matrix:
 
     @classmethod
     def zeros(cls, field, rows: int, cols: int) -> "Matrix":
-        z = field.zero
-        return cls(field, [[z] * cols for _ in range(rows)], cols=cols)
+        return cls.from_sparse_columns(field, rows, [{}] * cols)
 
     @classmethod
     def identity(cls, field, n: int) -> "Matrix":
-        z, o = field.zero, field.one
-        return cls(field, [[o if i == j else z for j in range(n)] for i in range(n)])
+        return cls.from_sparse_columns(field, n, [{j: field.one} for j in range(n)])
 
     @classmethod
     def from_columns(cls, field, columns, rows: int | None = None) -> "Matrix":
@@ -80,6 +80,15 @@ class Matrix:
         elif rows is None:
             raise ValueError("from_columns with no columns needs an explicit row count")
         data = zip(*columns, strict=True) if columns else [()] * rows
+        return cls(field, data, cols=len(columns))
+
+    @classmethod
+    def from_sparse_columns(cls, field, rows: int, columns) -> "Matrix":
+        """The matrix whose column j holds the entries {row: entry} of columns[j]."""
+        data = [[field.zero] * len(columns) for _ in range(rows)]
+        for j, col in enumerate(columns):
+            for r, a in col.items():
+                data[r][j] = a
         return cls(field, data, cols=len(columns))
 
     # ------------------------------------------------------------------

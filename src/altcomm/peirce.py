@@ -9,6 +9,13 @@ to I.  All four e_i (x e_j) = (e_i x) e_j iff L_e1 R_e1 = R_e1 L_e1, and
 then the P_ij are orthogonal iff L_e1 and R_e1 are idempotent
 (L_e1 = P11 + P12, R_e1 = P11 + P21).  The component multiplication
 rules are verified relation by relation, with witnesses on failure.
+
+Both cost what the structure table holds, not n^2.  The split reads the
+columns of L_e1, R_e1 and L_e2 off the table as {row: entry} maps
+(Algebra.mult_columns), checks and composes them there and builds each
+component's echelon from its projector's sparse columns.  The relation
+check indexes each right-hand component by coordinate and forms only the
+basis products whose factors' supports meet a nonzero table entry.
 """
 
 from __future__ import annotations
@@ -41,8 +48,10 @@ class PeirceData(Memo):
     regularity check, the centers of the diagonal components, the center
     recomputed from the split, and the results of lemmas L1 and L2, which
     do not involve the map.  Each is built on first use, so
-    peirce_decompose pays for none of them; nor does it build a
-    projector's nonzero-column view (linalg.Matrix), which project reads.
+    peirce_decompose pays for none of them.  The projectors are Matrix
+    objects filled from the sparse columns the split computes
+    (Matrix.from_sparse_columns); peirce_decompose builds no projector's
+    nonzero-column view (linalg.Matrix), which project reads.
     The memo is sound because nothing here is mutated after construction:
     not the idempotents, the projectors, the components nor the algebra.
     The spans that answer central lifts are memoised on the algebra
@@ -89,6 +98,15 @@ class PeirceData(Memo):
 def peirce_decompose(algebra: Algebra, e1: Element) -> PeirceData:
     """Split the algebra along a verified nontrivial idempotent.
 
+    The columns of L_e1 and R_e1 are read off the structure table as their
+    nonzero entries, and the three checks run on them in this order:
+    P11 = L1 R1 = R1 L1, then L1^2 = L1, then R1^2 = R1 (_compose).  The
+    projectors' columns follow there: P12 = L1 - P11, P21 = R1 - P11 and
+    P22 = L_e2 - P21, with L_e2 read off the table too (the unit is
+    verified, so L_e2 = I - L1).  Each component's echelon is built from
+    its projector's sparse columns: no Element is made per column, and no
+    dense column reaches the elimination.
+
     Raises PreconditionError if the algebra is not unital, e1 is not a
     nontrivial idempotent, the two bracketings e_i (x e_j) and
     (e_i x) e_j disagree (which flags a non-alternative input), or
@@ -100,21 +118,52 @@ def peirce_decompose(algebra: Algebra, e1: Element) -> PeirceData:
     if not verify_idempotent(algebra, e1):
         raise PreconditionError("e1 is not a nontrivial idempotent", witness=e1)
     e2 = unit - e1
-    L1 = algebra.left_mult_matrix(e1.coords)
-    R1 = algebra.right_mult_matrix(e1.coords)
-    P11 = L1 @ R1
-    if P11 != R1 @ L1:
+    f = algebra.field
+    L1, R1 = algebra.mult_columns(e1.coords, "left"), algebra.mult_columns(e1.coords, "right")
+    P11 = _compose(f, L1, R1)
+    if P11 != _compose(f, R1, L1):
         raise PreconditionError(
             "e_i (x e_j) and (e_i x) e_j disagree; "
             "the algebra is not alternative enough to split")
     for M, rule in ((L1, "e1 (e1 x) = e1 x"), (R1, "(x e1) e1 = x e1")):
-        if M @ M != M:
+        if _compose(f, M, M) != M:
             raise PreconditionError(f"Peirce projectors are not orthogonal: {rule} fails")
-    projectors = {(1, 1): P11, (1, 2): L1 - P11, (2, 1): R1 - P11,
-                  (2, 2): Matrix.identity(algebra.field, algebra.dim) - L1 - R1 + P11}
-    components = {key: Subspace.from_spanning(algebra, [Element(algebra, c) for c in zip(*P.data)])
-                  for key, P in projectors.items()}
+    P21 = _minus(f, R1, P11)
+    columns = {(1, 1): P11, (1, 2): _minus(f, L1, P11), (2, 1): P21,
+               (2, 2): _minus(f, algebra.mult_columns(e2.coords, "left"), P21)}
+    projectors = {key: Matrix.from_sparse_columns(f, algebra.dim, cols)
+                  for key, cols in columns.items()}
+    components = {key: Subspace.from_spanning(algebra, cols) for key, cols in columns.items()}
     return PeirceData(algebra, e1, e2, projectors, components)
+
+
+def _compose(f, A, B) -> list[dict]:
+    """The columns of A B as {row: entry} maps without zeros, from those of A and B:
+    column j sums x times column r of A over the entries (r, x) of column j of B."""
+    out = []
+    for col in B:
+        acc = {}
+        for r, x in col.items():
+            for k, a in A[r].items():
+                acc[k] = f.add(acc[k], f.mul(a, x)) if k in acc else f.mul(a, x)
+        out.append({k: a for k, a in acc.items() if a})
+    return out
+
+
+def _minus(f, A, B) -> list[dict]:
+    """The columns of A - B, without zeros."""
+    z = f.zero
+    return [{k: c for k in a.keys() | b.keys() if (c := f.sub(a.get(k, z), b.get(k, z)))}
+            for a, b in zip(A, B)]
+
+
+def _by_coordinate(vectors) -> dict:
+    """u -> [(s, x)] for each nonzero coordinate (u, x) of each vector s, s ascending."""
+    at = defaultdict(list)
+    for s, xs in enumerate(vectors):
+        for u, x in xs:
+            at[u].append((s, x))
+    return at
 
 
 def check_peirce_relations(pd: PeirceData) -> list[dict]:
@@ -124,9 +173,17 @@ def check_peirce_relations(pd: PeirceData) -> list[dict]:
     r_ij r_ij inside r_ji, (iii) r_ij r_kl = 0 when j != k and
     (i, j) != (k, l), and (iv) squares vanish in the off-diagonal
     components, via x^2 = 0 on basis vectors plus the linearized form
-    xy + yx = 0 on basis pairs.  Each basis product is summed from the
-    structure table over the nonzero coordinates of both factors, found
-    once per component, and tested for membership sparsely; Elements are
+    xy + yx = 0 on basis pairs.
+
+    Each component is indexed by coordinate.  A left basis vector x
+    reaches, through the coordinates v where its table rows b_u b_. and a
+    right-hand component's support meet, only the basis vectors y whose
+    supports meet a nonzero table entry with its own; each such x y
+    is summed from the table (Algebra.product_sum), y ascending, and
+    reduced against the target's echelon.  Every other product is zero and
+    lies in every target, so the first failing (x, y) of an entry, and its
+    witness, are those of the loop over all pairs; (iv) forms each square
+    and anticommutator whose factors meet the table.  Elements are
     multiplied only to report the first failure of an entry.
     """
     algebra = pd.algebra
@@ -135,20 +192,27 @@ def check_peirce_relations(pd: PeirceData) -> list[dict]:
     zero = Subspace(algebra, [])
     nonzero = {key: [[(u, x) for u, x in enumerate(el.coords) if x] for el in sub.basis]
                for key, sub in comp.items()}
+    at = {key: _by_coordinate(rows) for key, rows in nonzero.items()}
 
-    def prod(*pairs):
-        """Coordinates of the sum of x y over pairs (xs, ys) of nonzero coordinates."""
-        return algebra.product_sum((f.mul(x, y), (u, v)) for xs, ys in pairs
-                                   for u, x in xs for v, y in ys)
+    def reach(xs, b):
+        """{t: the terms (x_u y_v, (u, v)) of x y_t} for the basis vectors y_t of b
+        that x meets in the table."""
+        terms, mul = defaultdict(list), f.mul
+        for u, x in xs:
+            for v in algebra._rows[u].keys() & at[b].keys():
+                for t, y in at[b][v]:
+                    terms[t].append((mul(x, y), (u, v)))
+        return terms
 
     def products(name, a, b, target):
         """The entry for name, failing at the first basis product x y of a, b outside target."""
         for x, xs in zip(comp[a].basis, nonzero[a]):
-            for y, ys in zip(comp[b].basis, nonzero[b]):
-                if target.reduce(prod((xs, ys))):
+            terms = reach(xs, b)
+            for t in sorted(terms):
+                if target.reduce(algebra.product_sum(terms[t])):
+                    y = comp[b].basis[t]
                     return {"check": name, "pass": False, "witness": {
-                        "x": x.to_strings(), "y": y.to_strings(),
-                        "product": (x * y).to_strings()}}
+                        "x": x.to_strings(), "y": y.to_strings(), "product": (x * y).to_strings()}}
         return {"check": name, "pass": True}
 
     first = {(i, j, l): products(f"(i) r{i}{j}.r{j}{l} in r{i}{l}", (i, j), (j, l), comp[(i, l)])
@@ -161,24 +225,25 @@ def check_peirce_relations(pd: PeirceData) -> list[dict]:
     report += [products(f"(iii) r{i}{j}.r{k}{l} = 0", (i, j), (k, l), zero)
                for i, j, k, l in product((1, 2), repeat=4) if j != k and (i, j) != (k, l)]
 
-    def squares_witness(basis, sparse):
-        """The first nonzero square x^2, then anticommutator xy + yx, as a witness, or None."""
-        for x, xs in zip(basis, sparse):
-            if any(prod((xs, xs)).values()):
-                return {"x": x.to_strings(), "square": (x * x).to_strings()}
-        for (x, xs), (y, ys) in combinations(zip(basis, sparse), 2):
-            if any(prod((xs, ys), (ys, xs)).values()):
-                return {"x": x.to_strings(), "y": y.to_strings(),
-                        "anticommutator": (x * y + y * x).to_strings()}
-        return None
+    def squares(i, j):
+        """The entry (iv) for r_ij, failing at the first nonzero square x^2, then
+        anticommutator xy + yx, of its basis vectors."""
+        name, basis = f"(iv) squares vanish in r{i}{j}", comp[(i, j)].basis
+        terms = [reach(xs, (i, j)) for xs in nonzero[(i, j)]]
+        for s, x in enumerate(basis):
+            if s in terms[s] and any(algebra.product_sum(terms[s][s]).values()):
+                return {"check": name, "pass": False,
+                        "witness": {"x": x.to_strings(), "square": (x * x).to_strings()}}
+        for s, t in combinations(range(len(basis)), 2):
+            both = terms[s].get(t, []) + terms[t].get(s, [])
+            if both and any(algebra.product_sum(both).values()):
+                x, y = basis[s], basis[t]
+                return {"check": name, "pass": False, "witness": {
+                    "x": x.to_strings(), "y": y.to_strings(),
+                    "anticommutator": (x * y + y * x).to_strings()}}
+        return {"check": name, "pass": True}
 
-    for (i, j) in ((1, 2), (2, 1)):
-        entry = {"check": f"(iv) squares vanish in r{i}{j}", "pass": True}
-        witness = squares_witness(comp[(i, j)].basis, nonzero[(i, j)])
-        if witness is not None:
-            entry["pass"] = False
-            entry["witness"] = witness
-        report.append(entry)
+    report += [squares(1, 2), squares(2, 1)]
     return report
 
 
@@ -262,11 +327,8 @@ def _commutant(algebra: Algebra, span, against, known=()):
     sets (linalg.echelon_of_blocks) is built.
     """
     f, m = algebra.field, len(span)
-    at = {}                         # coordinate u -> [(s, coordinate u of span_s)]
-    for s, el in enumerate(span):
-        for u, x in enumerate(el.coords):
-            if x:
-                at.setdefault(u, []).append((s, x))
+    # coordinate u -> [(s, coordinate u of span_s)]
+    at = _by_coordinate([(u, x) for u, x in enumerate(el.coords) if x] for el in span)
     meets = {}                      # v -> [(at[u], nonzero coordinates of [b_u, b_v])]
     brackets = algebra.commutator_rows()
     for u in sorted(at):
@@ -387,7 +449,8 @@ def hypothesis_check(algebra: Algebra, e1: Element):
     ((ok1, witness1), (ok2, witness2)), where the witness is a nonzero
     kernel element when the check fails: the first vector of the kernel's
     canonical basis.  The system is read off the structure table and the
-    nonzero columns of R_e, one block per b_k (see _regularity_block).
+    columns of R_e, themselves read off the table as {row: entry} maps
+    (Algebra.mult_columns), one block per b_k (see _regularity_block).
     """
     unit = find_unit(algebra)
     if unit is None:
@@ -398,7 +461,7 @@ def hypothesis_check(algebra: Algebra, e1: Element):
     n = algebra.dim
     results = []
     for e in (e1, unit - e1):
-        images = algebra.right_mult_matrix(e.coords).nonzero_columns()
+        images = algebra.mult_columns(e.coords, "right")
         # Blocks are built only until the rank is full.
         kernel = common_kernel(f, n, (_regularity_block(algebra, images, k) for k in range(n)))
         results.append((False, Element(algebra, kernel[0])) if kernel else (True, None))
@@ -408,7 +471,7 @@ def hypothesis_check(algebra: Algebra, e1: Element):
 def _regularity_block(algebra: Algebra, images, k: int):
     """Block k of the regularity system: row l, column u is coordinate l of (b_u b_k) e.
 
-    images[m] holds the nonzero coordinates of b_m e, and (b_u b_k) e =
+    images[m] holds the nonzero coordinates {l: entry} of b_m e, and (b_u b_k) e =
     sum_m C[u, k, m] (b_m e) is summed over the table's products b_u b_k;
     only rows that some product reaches are formed, as {u: entry} maps.
     """
@@ -416,7 +479,7 @@ def _regularity_block(algebra: Algebra, images, k: int):
     rows = defaultdict(dict)
     for u, terms in algebra._cols[k].items():
         for m, c in terms:
-            for l, r in images[m]:
+            for l, r in images[m].items():
                 row = rows[l]
                 row[u] = f.add(row[u], f.mul(c, r)) if u in row else f.mul(c, r)
     return rows.values()

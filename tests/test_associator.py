@@ -125,6 +125,13 @@ def dense_rref(f, data, n_cols):
     return m, pivots
 
 
+def mult_matrix(algebra, a, side):
+    """L_a or R_a with column j formed by mul_coords, not read off the table's columns."""
+    basis = [algebra.basis_coords(j) for j in range(algebra.dim)]
+    return Matrix.from_columns(algebra.field, [
+        algebra.mul_coords(a, b) if side == "left" else algebra.mul_coords(b, a) for b in basis])
+
+
 def dense_solve(f, data, n_cols, rhs):
     """One solution x of data @ x = rhs read off the dense rref of [data | rhs].
 

@@ -615,3 +615,13 @@ def test_help_describes_idempotent_and_map_options(runner, command):
         assert "Idempotent: coords file, basis label, or inline scalars." in text
     if "map_token" in params:
         assert "Map file, or 'random' for a seeded commuting map." in text
+
+
+def test_center_help_says_it_prints_the_commutant(runner):
+    r = invoke(runner, ["center", "--help"])
+    assert r.exit_code == 0, r.output
+    text = " ".join(r.output.split())
+    assert "Print a basis of the commutant {x : [x, A] = 0}." in text
+    assert "On alternative inputs over Q and F_p (p >= 5) the commutant is the center" in text
+    listing = " ".join(invoke(runner, ["--help"]).output.split())
+    assert "center Print a basis of the commutant" in listing

@@ -24,7 +24,7 @@ from altcomm.algebra import Element
 from altcomm.linalg import reduce_against
 
 from test_associator import (BUILTINS, F5, FAMILIES, Q, SMALL, builtin_over, dense_kernel,
-                             dense_rref, small_algebras)
+                             dense_rref, mult_matrix, small_algebras)
 
 F101 = PrimeField(101)
 
@@ -66,8 +66,8 @@ def reference_center(algebra):
     f = algebra.field
     n = algebra.dim
     stack = [row for t in range(n)
-             for row in (algebra.right_mult_matrix(algebra.basis_coords(t))
-                         - algebra.left_mult_matrix(algebra.basis_coords(t))).data]
+             for row in (mult_matrix(algebra, algebra.basis_coords(t), "right")
+                         - mult_matrix(algebra, algebra.basis_coords(t), "left")).data]
     reduced, pivots = dense_rref(f, stack, n)
     return [Element(algebra, v) for v in dense_kernel(f, reduced, pivots, n)]
 
@@ -394,7 +394,7 @@ def assert_peirce_centers_agree(pd, via_peirce=True):
         comp = pd.components[(i, i)]
         B = Matrix.from_columns(f, [el.coords for el in comp.basis], rows=algebra.dim)
         stack = [row for t in comp.basis for row in
-                 ((algebra.right_mult_matrix(t.coords) - algebra.left_mult_matrix(t.coords))
+                 ((mult_matrix(algebra, t.coords, "right") - mult_matrix(algebra, t.coords, "left"))
                   @ B).data]
         reduced, pivots = dense_rref(f, stack, comp.dim)
         kernel = dense_kernel(f, reduced, pivots, comp.dim)

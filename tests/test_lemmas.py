@@ -15,6 +15,7 @@ from altcomm import lemmas
 from altcomm.algebra import Element
 from altcomm.lemmas import _EVALS, Images
 
+from test_associator import mult_matrix
 from test_peirce import lift_gap_algebra, upper_triangular_algebra
 from test_peirce_reference import reference_lift
 
@@ -137,7 +138,7 @@ def test_ungated_l5_names_the_part_that_does_not_lift():
     """
     pd = peirce_decompose(*matrix_algebra(Q, 3))
     a3 = pd.algebra
-    phi = LinearMap(a3, a3.right_mult_matrix(a3.basis_coords(a3.label_index("E13"))))
+    phi = LinearMap(a3, mult_matrix(a3, a3.basis_coords(a3.label_index("E13")), "right"))
     images = Images(pd, phi)
     ok, witness, notes = _EVALS["L5"](pd, images)
     e21 = a3.basis_element(a3.label_index("E21"))
@@ -214,7 +215,7 @@ def _frozen_cases():
     a3 = m3.algebra
     for k, label in enumerate(a3.basis_labels):
         cases.append((f"M3(Q) right {label}", m3,
-                      LinearMap(a3, a3.right_mult_matrix(a3.basis_coords(k)))))
+                      LinearMap(a3, mult_matrix(a3, a3.basis_coords(k), "right"))))
     for label in ("E22", "E23"):
         cases.append((f"M3(Q) left {label}", m3, LinearMap.left_multiplication(
             a3, a3.basis_element(a3.label_index(label)))))

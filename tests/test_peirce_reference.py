@@ -1,15 +1,19 @@
 """The Peirce split and central lifts against their direct forms.
 
-``peirce_decompose`` checks the split through three identities of L_e1 and
-R_e1, and ``lift_central`` expresses x over one tagged echelon per
-idempotent e_i, cached on the algebra (``express_central``).
-The references below are the direct forms they replace: the four
-projectors L_i R_j formed from both idempotents, with every bracketing,
-the identity sum, all sixteen orthogonality products and the dimension
-sum checked; and one dense solve per lift on the columns z_c . e_i, read off
+``peirce_decompose`` checks the split through three identities of the
+sparse columns of L_e1 and R_e1, read off the structure table, and forms
+the projectors' columns and the components' echelons from them; and
+``lift_central`` expresses x over one tagged echelon per idempotent e_i,
+cached on the algebra (``express_central``).  The references below are
+the direct forms they replace: the four projectors L_i R_j formed as dense
+``Matrix`` products from both idempotents, with L and R built column by
+column from ``mul_coords`` (``mult_matrix``), with every bracketing, the
+identity sum, all sixteen orthogonality products and the dimension sum
+checked; and one dense solve per lift on the columns z_c . e_i, read off
 the Gauss-Jordan form of the augmented matrix (test_associator.dense_solve).
-Verdicts, the class of each refusal, projectors, components and lifts
-(None included) must agree exactly.
+Verdicts, the class of each refusal (the split's exact messages and their
+order are checked apart), projectors, components and lifts (None included)
+must agree exactly.
 """
 
 import random
@@ -26,12 +30,13 @@ from altcomm import (Algebra, PreconditionError, PrimeField, RationalField, Subs
 from altcomm.algebra import Element
 from altcomm.linalg import Matrix
 
-from test_associator import dense_solve
-from test_peirce import lift_gap_algebra, with_unit_row
+from test_associator import FAMILIES, builtin_over, dense_solve, mult_matrix
+from test_peirce import lift_gap_algebra, mixed_identity_violator, with_unit_row
 
 Q = RationalField()
 F5 = PrimeField(5)
 F7 = PrimeField(7)
+F101 = PrimeField(101)
 ONE = Fraction(1)
 ZERO = Fraction(0)
 
@@ -47,8 +52,8 @@ def reference_peirce_decompose(algebra, e1):
     unit = find_unit(algebra)
     e2 = unit - e1
     f, n = algebra.field, algebra.dim
-    L = {1: algebra.left_mult_matrix(e1.coords), 2: algebra.left_mult_matrix(e2.coords)}
-    R = {1: algebra.right_mult_matrix(e1.coords), 2: algebra.right_mult_matrix(e2.coords)}
+    L = {i: mult_matrix(algebra, e.coords, "left") for i, e in ((1, e1), (2, e2))}
+    R = {i: mult_matrix(algebra, e.coords, "right") for i, e in ((1, e1), (2, e2))}
     projectors = {}
     for i in (1, 2):
         for j in (1, 2):
@@ -151,11 +156,55 @@ def orthogonality_violator():
 def test_orthogonality_refusal():
     algebra = orthogonality_violator()
     e = algebra.basis_element(1)
-    L, R = algebra.left_mult_matrix(e.coords), algebra.right_mult_matrix(e.coords)
+    L, R = mult_matrix(algebra, e.coords, "left"), mult_matrix(algebra, e.coords, "right")
     assert L @ R == R @ L and R @ R == R and L @ L != L
     with pytest.raises(PreconditionError, match="not orthogonal"):
         peirce_decompose(algebra, e)
     assert assert_split_agrees(algebra, e) == ("refused", "orthogonal")
+
+
+def opposite(algebra):
+    """The opposite algebra, x . y read as y x, with the same unit."""
+    entries = [(j, i, k, c) for i, j, k, c in algebra.structure_entries()]
+    return Algebra(algebra.name + "op", algebra.field, algebra.dim, algebra.basis_labels,
+                   entries, unit=algebra.unit.coords)
+
+
+def at_b1(algebra):
+    return algebra, algebra.basis_element(1)
+
+
+def joined(left, right):
+    """left (+) right, split at the sum of their second basis vectors."""
+    algebra = direct_sum(left, right)
+    return algebra, algebra.basis_element(1) + algebra.basis_element(left.dim + 1)
+
+
+DISAGREE = ("e_i (x e_j) and (e_i x) e_j disagree; "
+            "the algebra is not alternative enough to split")
+LEFT = "Peirce projectors are not orthogonal: e1 (e1 x) = e1 x fails"
+RIGHT = "Peirce projectors are not orthogonal: (x e1) e1 = x e1 fails"
+REFUSALS = {
+    "disagree": (lambda: at_b1(mixed_identity_violator()), DISAGREE),
+    "left": (lambda: at_b1(orthogonality_violator()), LEFT),
+    "right": (lambda: at_b1(opposite(orthogonality_violator())), RIGHT),
+    "disagree before left": (lambda: joined(mixed_identity_violator(), orthogonality_violator()),
+                             DISAGREE),
+    "left before right": (lambda: joined(orthogonality_violator(),
+                                         opposite(orthogonality_violator())), LEFT),
+}
+
+
+@pytest.mark.parametrize("case", list(REFUSALS))
+def test_the_three_refusals_keep_their_messages_and_order(case):
+    """P11 = L1 R1 = R1 L1 is checked first, then L1^2 = L1, then R1^2 = R1."""
+    build, message = REFUSALS[case]
+    algebra, e1 = build()
+    with pytest.raises(PreconditionError) as info:
+        peirce_decompose(algebra, e1)
+    assert str(info.value) == message
+    want = "disagree" if message == DISAGREE else "orthogonal"
+    assert assert_split_agrees(algebra, e1) == ("refused", want)
 
 
 # ----------------------------------------------------------------------
@@ -205,6 +254,15 @@ LIFT_CASES.update({
 @pytest.mark.parametrize("name", ["M3(F7)", "Zorn(Q)", "CD3(F5)", "M2(Q)+Zorn(Q)", "T3(Q)"])
 def test_builtin_splits_agree_with_the_reference(name):
     algebra, e1 = LIFT_CASES[name]()
+    assert assert_split_agrees(algebra, e1)[0] == "ok"
+
+
+@pytest.mark.parametrize("field", [Q, F5, F101], ids=lambda f: f.label)
+@pytest.mark.parametrize("name", FAMILIES)
+def test_builtin_splits_over_three_fields_agree_with_the_reference(name, field):
+    """Projectors equal as matrices and components with the same echelon, over Q,
+    F5 and F101; CD3 and CD4 split at (1 + i)/2, whose projectors have dense columns."""
+    algebra, e1 = builtin_over(name, field)
     assert assert_split_agrees(algebra, e1)[0] == "ok"
 
 

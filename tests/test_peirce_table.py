@@ -1,14 +1,16 @@
 """Peirce-layer products read off the structure table, against per-Element references.
 
-``check_peirce_relations`` sums each basis product from the table and tests
-membership sparsely, ``hypothesis_check`` builds its blocks from the table
-and the nonzero columns of R_e, ``Subspace`` reduces against the nonzero
-entries of its echelon rows, and ``Matrix.__matmul__`` applies its left
-factor to each column of its right one through their nonzero-column
-views.  The references below are
-the direct forms: products of basis Elements, blocks of ``mul_coords``
-columns, the dense reduction loop and the dense triple loop.  Reports,
-verdicts, witnesses and remainders must agree exactly.
+``check_peirce_relations`` indexes each right-hand component by coordinate,
+forms only the basis products whose factors' supports meet a nonzero table
+entry and sums each from the table; ``hypothesis_check`` builds its blocks
+from the table and the columns of R_e read off it; ``Subspace`` reduces
+against the nonzero entries of its echelon rows; and ``Matrix.__matmul__``
+applies its left factor to each column of its right one through their
+nonzero-column views.  The references below are the direct forms: products
+of basis Elements over every pair, blocks of ``mul_coords`` columns, the
+dense reduction loop and the dense triple loop.  Reports, verdicts,
+witnesses and remainders must agree exactly, and ``product_sum`` must run
+once per product whose factors meet the table, no more.
 """
 
 import random
@@ -214,6 +216,106 @@ def test_peirce_fixtures_agree_with_the_reference(fixture, request):
     pd = request.getfixturevalue(fixture)
     assert check_peirce_relations(pd) == reference_check_peirce_relations(pd)
     assert hypothesis_check(pd.algebra, pd.e1) == reference_hypothesis_check(pd.algebra, pd.e1)
+
+
+def _m3q_plus_cd4q():
+    (m3, e11), (cd4, half) = matrix_algebra(Q, 3), CASES["CD4(Q)"]()
+    return _sum_idempotent(m3, cd4, e11, half)
+
+
+def meets_table(algebra, x, y):
+    """Whether some b_u b_v with x_u, y_v nonzero is nonzero, by mul_coords."""
+    return any(any(algebra.mul_coords(algebra.basis_coords(u), algebra.basis_coords(v)))
+               for u, a in enumerate(x.coords) if a for v, b in enumerate(y.coords) if b)
+
+
+def reference_products(pd):
+    """(product, whether its factors' supports meet the table) for every product the
+    full loop forms, each entry stopped at its first failure as the check stops.
+
+    The entries run in report order; (ii) at i = j is (i) at i = j = l and forms
+    nothing.  Entry (iv) forms the squares, then the anticommutators xy + yx.
+    """
+    algebra, comp = pd.algebra, pd.components
+    zero = Subspace(algebra, [])
+
+    def walk(a, b, target):
+        for x in comp[a].basis:
+            for y in comp[b].basis:
+                yield x * y, meets_table(algebra, x, y)
+                if not target.contains(x * y):
+                    return
+
+    def squares(key):
+        basis = comp[key].basis
+        for x in basis:
+            yield x * x, meets_table(algebra, x, x)
+            if not (x * x).is_zero():
+                return
+        for a in range(len(basis)):
+            for b in range(a + 1, len(basis)):
+                x, y = basis[a], basis[b]
+                yield x * y + y * x, meets_table(algebra, x, y) or meets_table(algebra, y, x)
+                if not (x * y + y * x).is_zero():
+                    return
+
+    out = []
+    for i, j, l in product((1, 2), repeat=3):
+        out += walk((i, j), (j, l), comp[(i, l)])
+    for i, j in ((1, 2), (2, 1)):
+        out += walk((i, j), (i, j), comp[(j, i)])
+    for i, j, k, l in product((1, 2), repeat=4):
+        if j != k and (i, j) != (k, l):
+            out += walk((i, j), (k, l), zero)
+    for key in ((1, 2), (2, 1)):
+        out += squares(key)
+    return out
+
+
+def test_first_failure_after_skipped_zero_products_matches_the_reference():
+    """M3(Q) (+) CD4(Q) at e11 (+) (1 + i)/2: the first failure of (i) r12.r21 in r11
+    has x in the CD4 summand, after the zero products of the M3 summand's r12
+    with r21 and of its cross terms, which the check never forms."""
+    algebra, e1 = _m3q_plus_cd4q()
+    pd = peirce_decompose(algebra, e1)
+    report = check_peirce_relations(pd)
+    assert report == reference_check_peirce_relations(pd)
+    failing = [entry for entry in report if not entry["pass"]]
+    assert failing[0]["check"] == "(i) r12.r21 in r11"
+    x = failing[0]["witness"]["x"]
+    assert set(x[:9]) == {"0"} and set(x[9:]) != {"0"}, "x lies in the CD4 summand"
+    r12, r21 = pd.components[(1, 2)].basis, pd.components[(2, 1)].basis
+    s = [el.to_strings() for el in r12].index(x)
+    assert any((a * b).is_zero() for a in r12[:s] for b in r21)
+
+
+@pytest.mark.parametrize("case", ["M4(Q)", "M3(Q)+CD4(Q)"])
+def test_the_check_forms_only_products_that_meet_the_table(case, monkeypatch):
+    """One product_sum per product whose factors' supports meet a nonzero table entry.
+
+    On M4(Q) every component is spanned by matrix units, so those are exactly the
+    nonzero products.  In the CD4 summand every basis product is nonzero, so
+    its zero products there (squares and anticommutators of r12 and r21 among
+    them) are formed too."""
+    algebra, e1 = matrix_algebra(Q, 4) if case == "M4(Q)" else _m3q_plus_cd4q()
+    pd = peirce_decompose(algebra, e1)
+    calls = []
+    original = Algebra.product_sum
+
+    def counted(self, terms):
+        calls.append(1)
+        return original(self, terms)
+
+    monkeypatch.setattr(Algebra, "product_sum", counted)
+    check_peirce_relations(pd)
+    monkeypatch.undo()
+    full = reference_products(pd)
+    nonzero = sum(not p.is_zero() for p, _ in full)
+    assert len(calls) == sum(meets for _, meets in full)
+    if case == "M4(Q)":
+        assert len(calls) == nonzero
+    else:
+        assert nonzero < len(calls) < len(full)
 
 
 # ----------------------------------------------------------------------
