@@ -49,17 +49,18 @@ class Algebra(Memo):
     Immutable after construction, so every derived object is built once and
     memoised (Memo.cached): the unit, the basis elements, the associator
     tensor, the bracket table (commutator_rows), the center, the nucleus,
-    and the tagged echelons of peirce.express_central, whose keys are
-    tuples.  Products are read off the sparse structure table: mul_coords
-    over the nonzero coordinates of both factors, product_sum for a sum
-    of basis products given as terms, and mult_columns for the nonzero
-    entries of each column of L_a or R_a.
+    and, under tuple keys, the tagged echelons of peirce.express_central
+    and the regularity verdicts of peirce.hypothesis_check, keyed
+    ("hypothesis", e1.coords).  Products are read off the sparse structure
+    table: mul_coords over the nonzero coordinates of both factors,
+    product_sum for a sum of basis products given as terms, and
+    mult_columns for the nonzero entries of each column of L_a or R_a.
     The table is filled in one pass over the structure entries merged by
     (i, j, k) and sorted: repeated entries are summed, zero sums dropped,
     and each product's terms ascend by k.
     The name and every basis label must be strings.  Supplied unit
-    coordinates are verified against every basis vector, and a dimension
-    above DIM_LIMIT is refused before anything is built.
+    coordinates are verified against every basis vector (_check_unit), and
+    a dimension above DIM_LIMIT is refused before anything is built.
     """
 
     def __init__(self, name, field, dim, basis_labels, structure,
@@ -123,11 +124,17 @@ class Algebra(Memo):
         return self.cached("unit", self._solve_unit)
 
     def _check_unit(self, u: "Element") -> None:
-        for i in range(self.dim):
-            b = self.basis_element(i)
-            if u * b != b or b * u != b:
-                raise ValueError(
-                    f"claimed unit fails on basis vector {self.basis_labels[i]}")
+        """Raise ValueError unless L_u and R_u are the identity.
+
+        Column j of each (mult_columns) must be {j: one}; the first j where
+        u b_j or b_j u differs from b_j is named, as checking the products
+        basis vector by basis vector would name it.
+        """
+        one = self.field.one
+        left, right = self.mult_columns(u.coords, "left"), self.mult_columns(u.coords, "right")
+        for j, (lc, rc) in enumerate(zip(left, right)):
+            if lc != {j: one} or rc != {j: one}:
+                raise ValueError(f"claimed unit fails on basis vector {self.basis_labels[j]}")
 
     def _solve_unit(self) -> "Element | None":
         """The u = sum u_i b_i with u b_j = b_j = b_j u for every j, or None.
@@ -290,6 +297,12 @@ class Algebra(Memo):
 
     @classmethod
     def from_dict(cls, d: dict) -> "Algebra":
+        """The algebra a to_dict mapping describes; ValueError on a malformed one.
+
+        Each distinct scalar text, in the structure or the unit, is parsed
+        once (structure constants repeat a handful of texts), in file
+        order, so the first bad text is the one refused.
+        """
         for key in ("name", "field", "dim", "basis", "structure"):
             if key not in d:
                 raise ValueError(f"algebra file is missing {key!r}")
@@ -297,15 +310,23 @@ class Algebra(Memo):
         dim = d["dim"]
         if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
             raise ValueError(f"bad dimension {dim!r}")
+        parsed = {}                     # scalar text -> its value
+
+        def scalar(c):
+            text = str(c)
+            if text not in parsed:
+                parsed[text] = field.parse(text)
+            return parsed[text]
+
         structure = []
         for entry in d["structure"]:
             if len(entry) != 4:
                 raise ValueError(f"bad structure entry {entry!r}")
             i, j, k, c = entry
-            structure.append((i, j, k, field.parse(str(c))))
+            structure.append((i, j, k, scalar(c)))
         unit = None
         if "unit" in d and d["unit"] is not None:
-            unit = [field.parse(str(s)) for s in d["unit"]]
+            unit = [scalar(s) for s in d["unit"]]
         return cls(d["name"], field, dim, d["basis"], structure,
                    unit=unit, comment=d.get("comment"))
 

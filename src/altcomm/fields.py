@@ -20,6 +20,7 @@ from __future__ import annotations
 import operator
 import re
 from fractions import Fraction
+from math import lcm
 
 
 # Miller-Rabin on the first twelve primes is exact below their smallest common
@@ -106,6 +107,17 @@ class RationalField:
         return {j: _integral(x * inv) for j, x in row.items()}
 
     @staticmethod
+    def integral_multiple(coords) -> tuple:
+        """(d, d * coords) for d the lcm of the coordinates' denominators.
+
+        The scaled entries are exact and integral, so they come back as ints
+        and products of them stay native; a kernel or span read off them is
+        the one read off coords.  With d = 1, coords come back unchanged.
+        """
+        d = lcm(*(c.denominator for c in coords))
+        return (1, coords) if d == 1 else (d, [_integral(c * d) for c in coords])
+
+    @staticmethod
     def parse(text: str) -> int | Fraction:
         """A rational from text such as "-3", "2/7", "1.5" or "1e-3".
 
@@ -187,6 +199,11 @@ class PrimeField:
         """row / a entrywise, {column: entry}."""
         inv, mul = self.inv(a), self.mul
         return {j: mul(inv, x) for j, x in row.items()}
+
+    @staticmethod
+    def integral_multiple(coords) -> tuple:
+        """(1, coords): residues need no scaling (see RationalField.integral_multiple)."""
+        return 1, coords
 
     def parse(self, text: str) -> int:
         """A residue from scalar text such as "-3" or "1/2", read by RationalField.parse.

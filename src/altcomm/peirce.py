@@ -12,8 +12,9 @@ rules are verified relation by relation, with witnesses on failure.
 
 Both cost what the structure table holds, not n^2.  The split reads the
 columns of L_e1, R_e1 and L_e2 off the table as {row: entry} maps
-(Algebra.mult_columns), checks and composes them there and builds each
-component's echelon from its projector's sparse columns.  The relation
+(Algebra.mult_columns), at an integral multiple of the idempotents so that
+integral input stays in ints, checks and composes them there and builds
+each component's echelon from its projector's sparse columns.  The relation
 check indexes each right-hand component by coordinate and forms only the
 basis products whose factors' supports meet a nonzero table entry.
 """
@@ -45,13 +46,15 @@ class PeirceData(Memo):
     """The four projectors and components attached to an idempotent pair.
 
     Memoises (Memo.cached) the derived data that gets reused heavily: the
-    regularity check, the centers of the diagonal components, the center
-    recomputed from the split, and the results of lemmas L1 and L2, which
-    do not involve the map.  Each is built on first use, so
-    peirce_decompose pays for none of them.  The projectors are Matrix
-    objects filled from the sparse columns the split computes
-    (Matrix.from_sparse_columns); peirce_decompose builds no projector's
-    nonzero-column view (linalg.Matrix), which project reads.
+    centers of the diagonal components, the center recomputed from the
+    split, and the results of lemmas L1 and L2, which do not involve the
+    map.  Each is built on first use, so peirce_decompose pays for none of
+    them.  The regularity check (hypothesis) is memoised on the algebra,
+    keyed by e1, so hypothesis_check and every split at e1 share one
+    solve.  The projectors are Matrix objects filled from the sparse
+    columns the split computes (Matrix.from_sparse_columns);
+    peirce_decompose builds no projector's nonzero-column view
+    (linalg.Matrix), which project reads.
     The memo is sound because nothing here is mutated after construction:
     not the idempotents, the projectors, the components nor the algebra.
     The spans that answer central lifts are memoised on the algebra
@@ -78,8 +81,11 @@ class PeirceData(Memo):
         return (c[(1, 1)].dim, c[(1, 2)].dim, c[(2, 1)].dim, c[(2, 2)].dim)
 
     def hypothesis(self):
-        """Cached result of hypothesis_check for this idempotent pair."""
-        return self.cached("hypothesis", hypothesis_check, self.algebra, self.e1)
+        """hypothesis_check's result for this idempotent pair, from the algebra's memo.
+
+        e1 was verified by the split, so it is not verified again here.
+        """
+        return _regularity(self.algebra, self.e1)
 
     def diagonal_center(self, i: int) -> Subspace:
         """The center of the (i, i) component as a subalgebra.
@@ -98,14 +104,21 @@ class PeirceData(Memo):
 def peirce_decompose(algebra: Algebra, e1: Element) -> PeirceData:
     """Split the algebra along a verified nontrivial idempotent.
 
-    The columns of L_e1 and R_e1 are read off the structure table as their
+    The split is read off d e1 and d e2, with d the field's
+    integral_multiple of both idempotents' coordinates (one d, since the
+    unit may have denominators), so over Q with integral structure
+    constants every entry composed is an int; d = 1 on F_p and for
+    integral idempotents, and then nothing is scaled.  The columns of
+    L = L_{d e1} and R = R_{d e1} are read off the structure table as their
     nonzero entries, and the three checks run on them in this order:
-    P11 = L1 R1 = R1 L1, then L1^2 = L1, then R1^2 = R1 (_compose).  The
-    projectors' columns follow there: P12 = L1 - P11, P21 = R1 - P11 and
-    P22 = L_e2 - P21, with L_e2 read off the table too (the unit is
-    verified, so L_e2 = I - L1).  Each component's echelon is built from
-    its projector's sparse columns: no Element is made per column, and no
-    dense column reaches the elimination.
+    L R = R L (d^2 P11), then L^2 = d L, then R^2 = d R (_compose).  The
+    projectors' columns follow there at scale d^2: d^2 P12 = d L - d^2 P11,
+    d^2 P21 = d R - d^2 P11 and d^2 P22 = d L_{d e2} - d^2 P21, with
+    L_{d e2} read off the table too (the unit is verified, so
+    L_e2 = I - L_e1).  Each component's echelon is built from its scaled
+    projector's sparse columns, which span the same space: no Element is
+    made per column, and no dense column reaches the elimination.  The
+    projectors are divided by d^2 once, as they are filled.
 
     Raises PreconditionError if the algebra is not unital, e1 is not a
     nontrivial idempotent, the two bracketings e_i (x e_j) and
@@ -118,23 +131,31 @@ def peirce_decompose(algebra: Algebra, e1: Element) -> PeirceData:
     if not verify_idempotent(algebra, e1):
         raise PreconditionError("e1 is not a nontrivial idempotent", witness=e1)
     e2 = unit - e1
-    f = algebra.field
-    L1, R1 = algebra.mult_columns(e1.coords, "left"), algebra.mult_columns(e1.coords, "right")
+    f, n = algebra.field, algebra.dim
+    d, scaled = f.integral_multiple(e1.coords + e2.coords)
+    L1, R1 = (algebra.mult_columns(scaled[:n], side) for side in ("left", "right"))
     P11 = _compose(f, L1, R1)
     if P11 != _compose(f, R1, L1):
         raise PreconditionError(
             "e_i (x e_j) and (e_i x) e_j disagree; "
             "the algebra is not alternative enough to split")
-    for M, rule in ((L1, "e1 (e1 x) = e1 x"), (R1, "(x e1) e1 = x e1")):
-        if _compose(f, M, M) != M:
+    dL1, dR1 = _scale(f, d, L1), _scale(f, d, R1)
+    for M, dM, rule in ((L1, dL1, "e1 (e1 x) = e1 x"), (R1, dR1, "(x e1) e1 = x e1")):
+        if _compose(f, M, M) != dM:
             raise PreconditionError(f"Peirce projectors are not orthogonal: {rule} fails")
-    P21 = _minus(f, R1, P11)
-    columns = {(1, 1): P11, (1, 2): _minus(f, L1, P11), (2, 1): P21,
-               (2, 2): _minus(f, algebra.mult_columns(e2.coords, "left"), P21)}
-    projectors = {key: Matrix.from_sparse_columns(f, algebra.dim, cols)
-                  for key, cols in columns.items()}
+    P21 = _minus(f, dR1, P11)
+    columns = {(1, 1): P11, (1, 2): _minus(f, dL1, P11), (2, 1): P21,
+               (2, 2): _minus(f, _scale(f, d, algebra.mult_columns(scaled[n:], "left")), P21)}
     components = {key: Subspace.from_spanning(algebra, cols) for key, cols in columns.items()}
+    inv = f.inv(f.mul(d, d))
+    projectors = {key: Matrix.from_sparse_columns(f, n, _scale(f, inv, cols))
+                  for key, cols in columns.items()}
     return PeirceData(algebra, e1, e2, projectors, components)
+
+
+def _scale(f, d, A) -> list[dict]:
+    """The columns of d A, for a nonzero scalar d; A itself when d is one."""
+    return A if d == f.one else [{k: f.mul(d, a) for k, a in col.items()} for col in A]
 
 
 def _compose(f, A, B) -> list[dict]:
@@ -448,20 +469,39 @@ def hypothesis_check(algebra: Algebra, e1: Element):
     {x : (x . b_k) . e_i = 0 for every basis vector b_k} and reports
     ((ok1, witness1), (ok2, witness2)), where the witness is a nonzero
     kernel element when the check fails: the first vector of the kernel's
-    canonical basis.  The system is read off the structure table and the
-    columns of R_e, themselves read off the table as {row: entry} maps
-    (Algebra.mult_columns), one block per b_k (see _regularity_block).
+    canonical basis.  The two refusals (a non-unital algebra, e1 not a
+    nontrivial idempotent) are raised on every call; the kernels are then
+    solved once per algebra and idempotent and memoised on the algebra
+    under ("hypothesis", e1.coords), which PeirceData.hypothesis reads too.
     """
     unit = find_unit(algebra)
     if unit is None:
         raise PreconditionError("the regularity check needs a unital algebra")
     if not verify_idempotent(algebra, e1):
         raise PreconditionError("e1 is not a nontrivial idempotent", witness=e1)
-    f = algebra.field
-    n = algebra.dim
+    return _regularity(algebra, e1)
+
+
+def _regularity(algebra: Algebra, e1: Element):
+    """The memoised regularity verdicts at a verified nontrivial idempotent e1."""
+    return algebra.cached(("hypothesis", e1.coords), _solve_regularity, algebra, e1)
+
+
+def _solve_regularity(algebra: Algebra, e1: Element):
+    """hypothesis_check's two kernels, one block per b_k (see _regularity_block).
+
+    The system is read off the structure table and the columns of R_{d e},
+    themselves read off the table as {row: entry} maps
+    (Algebra.mult_columns), with d the field's integral_multiple of e1 and
+    e2.  Each row is d times that of R_e, so the echelon, the kernel and
+    its first vector are the same, and over Q they are reached in ints
+    when the structure constants are integral.
+    """
+    f, n = algebra.field, algebra.dim
+    _, scaled = f.integral_multiple(e1.coords + (find_unit(algebra) - e1).coords)
     results = []
-    for e in (e1, unit - e1):
-        images = algebra.mult_columns(e.coords, "right")
+    for e in (scaled[:n], scaled[n:]):
+        images = algebra.mult_columns(e, "right")
         # Blocks are built only until the rank is full.
         kernel = common_kernel(f, n, (_regularity_block(algebra, images, k) for k in range(n)))
         results.append((False, Element(algebra, kernel[0])) if kernel else (True, None))

@@ -182,6 +182,76 @@ def test_load_rejects_malformed_files(tmp_path):
         load_algebra(path)
 
 
+def test_each_distinct_scalar_text_is_parsed_once(monkeypatch):
+    from test_lemmas import _counting
+
+    d = matrix_algebra(PrimeField(101), 8)[0].to_dict()
+    texts = [str(c) for *_, c in d["structure"]] + [str(c) for c in d["unit"]]
+    parsed = _counting(monkeypatch, PrimeField, "parse")
+    loaded = Algebra.from_dict(d)
+    assert sorted(text for _, text in parsed) == sorted(set(texts)) and len(set(texts)) == 2
+    assert loaded.structure_entries() == matrix_algebra(PrimeField(101), 8)[0].structure_entries()
+
+
+@pytest.mark.parametrize("structure, unit, message", [
+    ([[0, 0, 0, "1"], [0, 1, 1, "2/0"], [1, 0, 1, "x"], [1, 1, 1, "2/0"]], None,
+     "scalar '2/0' has a zero denominator"),
+    ([[0, 0, 0, "1"], [0, 1, 1, "x"], [1, 0, 1, "2/0"]], None,
+     "Invalid literal for Fraction: 'x'"),
+    ([[0, 0, 0, "1"], [0, 1, 1, "1"], [1, 0, 1, "1"]], ["1", "1e2000"],
+     "scalar '1e2000' has more than 1000 digits"),
+], ids=["zero denominator", "malformed", "in the unit"])
+def test_the_first_bad_scalar_text_is_the_one_refused(structure, unit, message):
+    d = {"name": "x", "field": {"kind": "rational"}, "dim": 2, "basis": ["e", "x"],
+         "structure": structure, "unit": unit}
+    with pytest.raises(ValueError) as err:
+        Algebra.from_dict(d)
+    assert str(err.value) == message
+
+
+def first_unit_failure(algebra, coords):
+    """The label of the first b with u b != b or b u != b, from 2 dim element products."""
+    u = algebra.element(coords)
+    for i in range(algebra.dim):
+        b = algebra.basis_element(i)
+        if u * b != b or b * u != b:
+            return algebra.basis_labels[i]
+    return None
+
+
+def _one_sided(side):
+    """Basis e, x with e e = e and e x = x ("left") or x e = x ("right"), the other zero."""
+    j, k = (0, 1) if side == "left" else (1, 0)
+    return Algebra(f"{side}-unit", Q, 2, ["e", "x"], [(0, 0, 0, 1), (j, k, 1, 1)])
+
+
+@pytest.mark.parametrize("algebra, coords, label", [
+    (_one_sided("right"), [1, 0], "x"),             # x e = x, but e x = 0: fails on the left
+    (_one_sided("left"), [1, 0], "x"),              # e x = x, but x e = 0: fails on the right
+    (matrix_algebra(Q, 3)[0], [1, 0, 0, 0, 1, 0, 0, 0, 0], "E13"),
+], ids=["left only", "right only", "later vector"])
+def test_a_failing_claimed_unit_is_refused_at_its_first_basis_vector(algebra, coords, label):
+    assert first_unit_failure(algebra, coords) == label
+    with pytest.raises(ValueError, match=f"^claimed unit fails on basis vector {label}$"):
+        Algebra(algebra.name, algebra.field, algebra.dim, algebra.basis_labels,
+                algebra.structure_entries(), unit=coords)
+
+
+@pytest.mark.parametrize("build", [partial(matrix_algebra, Q, 3), partial(zorn, F5),
+                                   partial(cayley_dickson_algebra, Q, [Q.one] * 3)],
+                         ids=["M3(Q)", "Zorn(F5)", "CD3(Q)"])
+def test_unit_checks_name_the_vector_the_element_products_name(build):
+    algebra = build()[0]
+    f, unit = algebra.field, algebra.unit.coords
+    for k in range(algebra.dim):
+        coords = list(unit)
+        coords[k] = f.add(coords[k], f.from_int(k % 3 + 1))
+        label = first_unit_failure(algebra, coords)
+        with pytest.raises(ValueError, match=f"^claimed unit fails on basis vector {label}$"):
+            Algebra(algebra.name, f, algebra.dim, algebra.basis_labels,
+                    algebra.structure_entries(), unit=coords)
+
+
 def test_elements_reject_foreign_algebras(m2q, m3q):
     a, _ = m2q
     b, _ = m3q

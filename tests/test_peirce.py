@@ -363,7 +363,7 @@ def _span(pd):
     ("_commutant", lambda pd: center(pd.algebra)),
     ("_nucleus_blocks", lambda pd: nucleus(pd.algebra)),
     ("tagged_echelon", _span),
-    ("hypothesis_check", lambda pd: pd.hypothesis()),
+    ("_solve_regularity", lambda pd: pd.hypothesis()),
     ("_commutant", center_via_peirce),
 ], ids=["center", "nucleus", "express_central", "hypothesis", "center_via_peirce"])
 def test_each_memoised_value_is_built_once(monkeypatch, builder, read):
@@ -385,6 +385,43 @@ def test_each_diagonal_center_is_built_once(monkeypatch):
     centers = [pd.diagonal_center(i) for i in (1, 2, 1, 2)]
     assert centers[0] is centers[2] and centers[1] is centers[3] and len(built) == 2
     assert centers[0] != centers[1]
+
+
+def test_one_regularity_solve_per_algebra_and_idempotent(monkeypatch):
+    """hypothesis_check, every split at e1 and every reader of PeirceData.hypothesis
+    share one solve, memoised on the algebra; another idempotent gets its own."""
+    from altcomm import decompose, peirce, random_commuting_map, run_all
+    from test_lemmas import _counting
+
+    algebra, e1 = matrix_algebra(Q, 3)
+    built = _counting(monkeypatch, peirce, "_solve_regularity")
+    first = hypothesis_check(algebra, e1)
+    pd = peirce_decompose(algebra, e1)
+    phi = random_commuting_map(algebra, 1)
+    assert pd.hypothesis() is first and center_via_peirce(pd) == center(algebra)
+    assert decompose(pd, phi).verified and all(r.passed for r in run_all(pd, phi))
+    assert hypothesis_check(algebra, e1) is first and len(built) == 1
+    assert peirce_decompose(algebra, e1).hypothesis() is first and len(built) == 1
+    e22 = algebra.basis_element(algebra.label_index("E22"))
+    assert peirce_decompose(algebra, e22).hypothesis() == first and len(built) == 2
+    assert hypothesis_check(algebra, e22) is not first and len(built) == 2
+
+
+def test_regularity_refusals_are_raised_on_every_call(monkeypatch):
+    from altcomm import peirce
+    from test_lemmas import _counting
+
+    algebra, e1 = matrix_algebra(Q, 2)
+    null = Algebra("null2", Q, 2, ["a", "b"], [])
+    hypothesis_check(algebra, e1)
+    built = _counting(monkeypatch, peirce, "_solve_regularity")
+    for _ in range(2):
+        for x in (find_unit(algebra), e1.scale(2), e1.scale(0)):
+            with pytest.raises(PreconditionError, match="not a nontrivial idempotent"):
+                hypothesis_check(algebra, x)
+        with pytest.raises(PreconditionError, match="needs a unital algebra"):
+            hypothesis_check(null, null.basis_element(0))
+    assert built == []
 
 
 # ----------------------------------------------------------------------

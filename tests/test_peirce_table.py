@@ -10,11 +10,14 @@ nonzero-column views.  The references below are the direct forms: products
 of basis Elements over every pair, blocks of ``mul_coords`` columns, the
 dense reduction loop and the dense triple loop.  Reports, verdicts,
 witnesses and remainders must agree exactly, and ``product_sum`` must run
-once per product whose factors meet the table, no more.
+once per product whose factors meet the table, no more.  The split and the
+regularity system read an integral multiple d e1 of the idempotent; their
+projectors, echelons and witnesses must equal those read off e1 itself.
 """
 
 import random
 from fractions import Fraction
+from functools import partial
 from itertools import product
 
 import pytest
@@ -22,10 +25,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from altcomm import (Algebra, Matrix, PreconditionError, Subspace, cayley_dickson_algebra,
-                     check_peirce_relations, direct_sum, hypothesis_check, matrix_algebra,
-                     peirce_decompose, zorn)
+                     check_peirce_relations, direct_sum, find_unit, hypothesis_check,
+                     matrix_algebra, peirce_decompose, zorn)
 from altcomm.algebra import Element
 from altcomm.linalg import common_kernel
+from altcomm.peirce import _compose, _minus, _regularity_block
 
 from test_associator import F5, F7, Q, SMALL
 from test_commutator import assert_peirce_centers_agree, scalar
@@ -510,3 +514,89 @@ def test_passing_checks_multiply_no_elements(monkeypatch):
     assert all(entry["pass"] for entry in check_peirce_relations(pd))
     assert hypothesis_check(algebra, e1) == ((True, None), (True, None))
     assert not calls
+
+
+# ----------------------------------------------------------------------
+# the split and the regularity system at an integral multiple of e1
+
+
+def fraction_split(algebra, e1):
+    """Projectors and components read off L_e1, R_e1 and L_e2 themselves, unscaled."""
+    f, n = algebra.field, algebra.dim
+    L1, R1 = algebra.mult_columns(e1.coords, "left"), algebra.mult_columns(e1.coords, "right")
+    P11 = _compose(f, L1, R1)
+    assert P11 == _compose(f, R1, L1)
+    assert _compose(f, L1, L1) == L1 and _compose(f, R1, R1) == R1
+    P21 = _minus(f, R1, P11)
+    e2 = find_unit(algebra) - e1
+    columns = {(1, 1): P11, (1, 2): _minus(f, L1, P11), (2, 1): P21,
+               (2, 2): _minus(f, algebra.mult_columns(e2.coords, "left"), P21)}
+    return ({key: Matrix.from_sparse_columns(f, n, cols) for key, cols in columns.items()},
+            {key: Subspace.from_spanning(algebra, cols) for key, cols in columns.items()})
+
+
+def fraction_regularity(algebra, e1):
+    """The regularity verdicts read off the columns of R_e1 and R_e2 themselves."""
+    f, n = algebra.field, algebra.dim
+    results = []
+    for e in (e1, find_unit(algebra) - e1):
+        images = algebra.mult_columns(e.coords, "right")
+        kernel = common_kernel(f, n, (_regularity_block(algebra, images, k) for k in range(n)))
+        results.append((False, Element(algebra, kernel[0])) if kernel else (True, None))
+    return tuple(results)
+
+
+def _m2q_at_2e11(label):
+    """M2(Q) in the basis 2E11, E12, E21, E22 (c'_ijk = s_i s_j c_ijk / s_k), at E11 or E22.
+
+    The unit is 1/2 b0 + b3, and E12 E21 = 1/2 b0 puts a denominator in the
+    table.  At e1 = E11 = 1/2 b0 the idempotent has it; at e1 = E22 = b3
+    only e2 = 1/2 b0 does, so e2 needs the same factor as e1."""
+    m2, _ = matrix_algebra(Q, 2)
+    s = (2, 1, 1, 1)
+    entries = [(i, j, k, Fraction(s[i] * s[j] * c, s[k])) for i, j, k, c in m2.structure_entries()]
+    half = Fraction(1, 2)
+    algebra = Algebra("M2(Q) at 2E11", Q, 4, ["2E11", "E12", "E21", "E22"], entries,
+                      unit=[half, 0, 0, 1])
+    return algebra, algebra.element([half, 0, 0, 0] if label == "E11" else [0, 0, 0, 1])
+
+
+INTEGRAL_CASES = {
+    "CD3(Q)": lambda: cayley_dickson_algebra(Q, [Q.one] * 3),
+    "CD4(Q)": lambda: cayley_dickson_algebra(Q, [Q.one] * 4),
+    "CD5(Q)": lambda: cayley_dickson_algebra(Q, [Q.one] * 5),
+    "M3(Q)+CD4(Q)": _m3q_plus_cd4q,
+    "M2(Q) at 2E11, E11": partial(_m2q_at_2e11, "E11"),
+    "M2(Q) at 2E11, E22": partial(_m2q_at_2e11, "E22"),
+}
+
+
+@pytest.mark.parametrize("name", list(INTEGRAL_CASES))
+def test_the_integral_multiple_splits_and_solves_like_the_fractions(name, monkeypatch):
+    """Projectors, component echelons and regularity witnesses equal those read off
+    e1 itself; on the Cayley-Dickson rungs, at (1 + i)/2, _compose reads only ints."""
+    from altcomm import peirce
+    from test_lemmas import _counting
+
+    algebra, e1 = INTEGRAL_CASES[name]()
+    d, _ = Q.integral_multiple(e1.coords + (find_unit(algebra) - e1).coords)
+    assert d == 2
+    projectors, components = fraction_split(algebra, e1)
+    composed = _counting(monkeypatch, peirce, "_compose")
+    pd = peirce_decompose(algebra, e1)
+    assert pd.projectors == projectors
+    for key, sub in components.items():
+        assert pd.components[key]._echelon == sub._echelon
+        assert pd.components[key].basis == sub.basis
+    assert hypothesis_check(algebra, e1) == fraction_regularity(algebra, e1)
+    if name.startswith("CD"):
+        assert len(composed) == 4
+        assert all(type(x) is int for _, A, B in composed for col in A + B for x in col.values())
+
+
+def test_the_integral_multiple_of_integral_or_prime_field_coordinates_is_themselves():
+    coords = (1, 0, -3, 0)
+    assert Q.integral_multiple(coords) == (1, coords)
+    assert F5.integral_multiple(coords) == (1, coords)
+    d, scaled = Q.integral_multiple((Fraction(1, 2), Fraction(-2, 3), 1, Fraction(4, 2)))
+    assert (d, scaled) == (6, [3, -4, 6, 12]) and all(type(x) is int for x in scaled)
