@@ -13,8 +13,7 @@ from __future__ import annotations
 import json
 
 from .fields import field_from_dict
-from .linalg import (Matrix, echelon_of_blocks, echelon_rows, express, reduce_against,
-                     tagged_echelon)
+from .linalg import echelon_of_blocks, echelon_rows, express, reduce_against, tagged_echelon
 
 # Largest dimension accepted (the benchmark's largest algebra, M8, has 64).
 # At dim 128 solving for the unit of CD7(Q) peaks near 5 MB (tracemalloc).
@@ -180,9 +179,8 @@ class Algebra(Memo):
         """The nonzero entries {k: c} of each column j of L_a ("left", a b_j) or R_a
         ("right", b_j a), read off the table over the nonzero coordinates of a.
 
-        left_mult_matrix walks the table the same way but fills a dense
-        Matrix directly, which costs about half as much as filling one from
-        these maps."""
+        These are the columns of a linalg.Matrix (Matrix.from_sparse_columns):
+        every L_a the package builds is read here."""
         f = self.field
         columns = [{} for _ in range(self.dim)]
         table = self._rows if side == "left" else self._cols    # b_i b_j, or b_j b_i, at [i][j]
@@ -193,18 +191,6 @@ class Algebra(Memo):
                     for k, c in terms:
                         col[k] = f.add(col[k], f.mul(ai, c)) if k in col else f.mul(ai, c)
         return [{k: c for k, c in col.items() if c} for col in columns]
-
-    def left_mult_matrix(self, coords) -> Matrix:
-        """Matrix of x -> a . x in the chosen basis."""
-        f = self.field
-        m = [[f.zero] * self.dim for _ in range(self.dim)]
-        for i, ai in enumerate(coords):
-            if not ai:
-                continue
-            for j, terms in self._rows[i].items():     # b_i b_j
-                for k, c in terms:
-                    m[k][j] = f.add(m[k][j], f.mul(ai, c))
-        return Matrix(f, m, cols=self.dim)
 
     def associator_tensor(self) -> dict:
         """Cached sparse associators of basis triples, {(s, t, u): {k: c}}.

@@ -20,7 +20,8 @@ from .peirce import DEFAULT_BUDGET, PeirceData, center, express_central, is_cent
 
 
 class LinearMap(Memo):
-    """A linear self-map stored as a matrix acting on coordinate columns.
+    """A linear self-map stored as a Matrix: column j holds the nonzero
+    coordinates {r: entry} of the image of b_j.
 
     Like its Matrix, a map is never mutated: + and - build new maps.  That
     is what lets it memoise (Memo.cached) its commuting and anti-commuting
@@ -49,7 +50,9 @@ class LinearMap(Memo):
 
     @classmethod
     def left_multiplication(cls, algebra: Algebra, z: Element) -> "LinearMap":
-        return cls(algebra, algebra.left_mult_matrix(z.coords))
+        """L_z, its columns read off the table (Algebra.mult_columns)."""
+        return cls(algebra, Matrix.from_sparse_columns(algebra.field, algebra.dim,
+                                                       algebra.mult_columns(z.coords, "left")))
 
     def __call__(self, x: Element) -> Element:
         if x.algebra is not self.algebra:
@@ -129,7 +132,7 @@ def _failing_pair(algebra: Algebra, phi: LinearMap, anti: bool):
     """The first basis pair i <= j whose polarized bracket sum is nonzero, in one pass.
 
     Each nonzero matrix entry v = phi[s][i] (coordinate s of phi(b_i)),
-    read off phi's nonzero-column view, meets each nonzero commutator
+    read off phi's matrix column by column, meets each nonzero commutator
     [b_s, b_t] once, and v [b_s, b_t] is added to the sum of the unordered
     pair (min(i, t), max(i, t)).  For the commuting check that sum is
     [phi(b_i), b_j] + [phi(b_j), b_i], with the diagonal i = j counted
@@ -152,8 +155,8 @@ def _pair_sums(algebra: Algebra, phi: LinearMap, anti: bool):
     add, mul, neg, zero = f.add, f.mul, f.neg, f.zero
     brackets = algebra.commutator_rows()
     acc = {}
-    for i, column in enumerate(phi.matrix.nonzero_columns()):
-        for s, v in column:
+    for i, column in enumerate(phi.matrix.columns):
+        for s, v in column.items():
             w = neg(v) if anti else v
             for t, vec in brackets[s]:
                 if t > i:
@@ -178,7 +181,7 @@ def check_decomposition(algebra: Algebra, phi: LinearMap, z: Element,
                         xi: LinearMap) -> bool:
     """Independent verification that phi(x) = z x + xi(x) with the right ranges."""
     return (_range_failure(algebra, z, xi) is None
-            and phi.matrix - xi.matrix == algebra.left_mult_matrix(z.coords))
+            and phi.matrix - xi.matrix == LinearMap.left_multiplication(algebra, z).matrix)
 
 
 def _range_failure(algebra: Algebra, z: Element, xi: LinearMap):
@@ -242,8 +245,8 @@ def decompose_oracle(algebra: Algebra, phi: LinearMap) -> Decomposition | None:
     The maps L_z + xi with z central and xi center-valued form the standard
     space S, spanned by the center-valued maps b_k -> z_c (all other basis
     vectors to 0), for each k, then the L_{z_c}, over the central basis z_c.
-    phi, flattened so that its entry (r, k) sits at End(A) coordinate
-    k n + r, is expressed over S (express_central, cached under
+    phi, its columns laid end to end so that entry (r, k) sits at End(A)
+    coordinate k n + r, is expressed over S (express_central, cached under
     ("standard",)), and the last dim Z coefficients give z.  The
     center-valued words come first, so a z_c whose L_{z_c} is center-valued
     modulo the others gets coefficient zero.  Returns a verified
@@ -257,12 +260,12 @@ def decompose_oracle(algebra: Algebra, phi: LinearMap) -> Decomposition | None:
         return None
     n = algebra.dim
 
-    def flat(matrix):
-        return {k * n + r: x for k, col in enumerate(matrix.nonzero_columns()) for r, x in col}
+    def flat(columns):
+        return {k * n + r: x for k, col in enumerate(columns) for r, x in col.items()}
 
     words = [lambda z, k=k: {k * n + r: x for r, x in enumerate(z.coords) if x} for k in range(n)]
-    words.append(lambda z: flat(algebra.left_mult_matrix(z.coords)))
-    alpha = express_central(algebra, ("standard",), words, flat(phi.matrix), n * n)
+    words.append(lambda z: flat(algebra.mult_columns(z.coords, "left")))
+    alpha = express_central(algebra, ("standard",), words, flat(phi.matrix.columns), n * n)
     if alpha is None:
         return None
     z = Z.combine(alpha[-Z.dim:])

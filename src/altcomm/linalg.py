@@ -1,15 +1,16 @@
-"""Dense exact matrices and deterministic Gaussian elimination.
+"""Exact matrices stored as sparse columns, and deterministic Gaussian elimination.
 
-A ``Matrix`` copies its rows and is not mutated after construction.  It
-has one sparse view, ``nonzero_columns``, built on first use: ``matvec``
-and ``@`` apply the matrix through it, and it is what
-``PeirceData.project`` (a projector's matvec), the commuting check and
-``decompose_oracle`` read of a matrix.  A matrix computed as sparse
-columns, a multiplication matrix or a Peirce projector, is filled from
-them by ``from_sparse_columns``.  Beyond that it offers only what some
-caller reads: the constructors, ``column``, ``+``, ``-``, ``==``, and
-``@``, ``rref`` and ``solve``, which no module of the package calls but
-the benchmark's tracer hooks by name.
+A ``Matrix`` stores one thing, ``columns``: one {row: entry} map per
+column, holding no zero entry, so equal matrices store equal maps.  Every
+constructor builds that form, and it is not mutated afterwards.  Every
+operation reads it: ``+``, ``-`` and ``scale`` combine columns key by
+key, ``@`` accumulates column j of the product from the columns of self
+that column j of other names, and ``matvec`` accumulates into a dense
+list.  These are the linear maps of the package: a ``LinearMap``, each
+L_a (``Algebra.mult_columns``) and the Peirce projectors.  ``data`` and
+``column`` spell the matrix out densely, for readers that print, scan or
+rank it.  ``rref`` and ``solve`` have no caller in the package; the
+benchmark's tracer hooks them, ``matvec`` and ``@`` by name.
 
 Every elimination goes through ``echelon_of_blocks``, which computes the
 reduced row echelon form: it is unique for a row space, whatever order the
@@ -40,26 +41,26 @@ from itertools import chain
 
 
 class Matrix:
-    """A rows x cols matrix of exact scalars over a shared field.
+    """A rows x cols matrix of exact scalars over a shared field, as its sparse columns.
 
-    The rows are copied in and never changed afterwards, so the view of
-    nonzero columns, cached in one slot on first use, stays valid.
+    columns[j] maps each row r where column j is nonzero to its entry.
+    The constructor takes dense rows; from_columns takes dense columns and
+    from_sparse_columns {row: entry} maps.  Each copies its input and
+    drops its zeros.
     """
 
-    __slots__ = ("field", "rows", "cols", "data", "_columns")
+    __slots__ = ("field", "rows", "cols", "columns")
 
     def __init__(self, field, data, cols: int | None = None):
-        self.field = field
-        self.data = [list(row) for row in data]
-        self.rows = len(self.data)
-        self._columns = None
-        if self.rows:
-            self.cols = len(self.data[0])
-            for row in self.data:
-                if len(row) != self.cols:
-                    raise ValueError("ragged rows")
-        else:
-            self.cols = 0 if cols is None else cols
+        data = [list(row) for row in data]
+        if data:
+            cols = len(data[0])
+            if any(len(row) != cols for row in data):
+                raise ValueError("ragged rows")
+        elif cols is None:
+            cols = 0
+        self.field, self.rows, self.cols = field, len(data), cols
+        self.columns = [{r: row[j] for r, row in enumerate(data) if row[j]} for j in range(cols)]
 
     # ------------------------------------------------------------------
     # constructors
@@ -79,79 +80,109 @@ class Matrix:
             rows = len(columns[0])
         elif rows is None:
             raise ValueError("from_columns with no columns needs an explicit row count")
-        data = zip(*columns, strict=True) if columns else [()] * rows
-        return cls(field, data, cols=len(columns))
+        if any(len(col) != rows for col in columns):
+            raise ValueError("ragged columns")
+        return cls._of(field, rows, [{r: a for r, a in enumerate(col) if a} for col in columns])
 
     @classmethod
     def from_sparse_columns(cls, field, rows: int, columns) -> "Matrix":
-        """The matrix whose column j holds the entries {row: entry} of columns[j]."""
-        data = [[field.zero] * len(columns) for _ in range(rows)]
-        for j, col in enumerate(columns):
-            for r, a in col.items():
-                data[r][j] = a
-        return cls(field, data, cols=len(columns))
+        """The matrix whose column j holds the nonzero entries {row: entry} of columns[j]."""
+        return cls._of(field, rows, [{r: a for r, a in col.items() if a} for col in columns])
+
+    @classmethod
+    def _of(cls, field, rows: int, columns: list[dict]) -> "Matrix":
+        """The matrix with these columns, which hold no zero, taken without a copy."""
+        m = cls.__new__(cls)
+        m.field, m.rows, m.cols, m.columns = field, rows, len(columns), columns
+        return m
 
     # ------------------------------------------------------------------
-    # basic operations
+    # dense readers
+
+    @property
+    def data(self) -> list[list]:
+        """The dense rows."""
+        z = self.field.zero
+        return [[col.get(r, z) for col in self.columns] for r in range(self.rows)]
 
     def column(self, j: int) -> list:
-        return [row[j] for row in self.data]
+        """Column j as a dense list."""
+        out = [self.field.zero] * self.rows
+        for r, a in self.columns[j].items():
+            out[r] = a
+        return out
 
-    def nonzero_columns(self) -> list[list[tuple]]:
-        """For each column, its nonzero entries [(row, entry), ...]; built once, on first use."""
-        if self._columns is None:
-            self._columns = [[(r, a) for r, a in enumerate(col) if a] for col in zip(*self.data)] \
-                if self.rows else [[] for _ in range(self.cols)]
-        return self._columns
+    # ------------------------------------------------------------------
+    # operations
 
-    def _apply(self, terms) -> list:
-        """sum_j x_j (column j) over the (j, x_j) terms, as a dense list; zero x_j are skipped."""
+    def matvec(self, v) -> list:
+        """sum_j v_j (column j), accumulated into a dense list; zero v_j are skipped."""
+        if len(v) != self.cols:
+            raise ValueError("dimension mismatch in matvec")
         f = self.field
         add, mul = f.add, f.mul
-        columns = self.nonzero_columns()
         out = [f.zero] * self.rows
-        for j, x in terms:
+        for col, x in zip(self.columns, v):
             if x:
-                for r, a in columns[j]:
+                for r, a in col.items():
                     out[r] = add(out[r], mul(a, x))
         return out
 
-    def matvec(self, v) -> list:
-        if len(v) != self.cols:
-            raise ValueError("dimension mismatch in matvec")
-        return self._apply(enumerate(v))
-
     def __matmul__(self, other: "Matrix") -> "Matrix":
-        """Column j of the product is self applied to column j of other."""
+        """Column j of the product sums x times column r of self over the
+        entries (r, x) of column j of other."""
         if self.field != other.field:
             raise ValueError("field mismatch in matrix product")
         if self.cols != other.rows:
             raise ValueError("dimension mismatch in matrix product")
-        return Matrix.from_columns(self.field, map(self._apply, other.nonzero_columns()),
-                                   rows=self.rows)
+        f = self.field
+        add, mul = f.add, f.mul
+        out = []
+        for col in other.columns:
+            acc = {}
+            for r, x in col.items():
+                for k, a in self.columns[r].items():
+                    acc[k] = add(acc[k], mul(a, x)) if k in acc else mul(a, x)
+            out.append({k: a for k, a in acc.items() if a})
+        return Matrix._of(f, self.rows, out)
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        self._check_shape(other)
-        f = self.field
-        return Matrix(f, [[f.add(a, b) if b else a for a, b in zip(r1, r2)]
-                          for r1, r2 in zip(self.data, other.data)], cols=self.cols)
+        return self._combine(other, self.field.add)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        self._check_shape(other)
-        f = self.field
-        return Matrix(f, [[f.sub(a, b) if b else a for a, b in zip(r1, r2)]
-                          for r1, r2 in zip(self.data, other.data)], cols=self.cols)
+        return self._combine(other, self.field.sub)
 
-    def _check_shape(self, other: "Matrix") -> None:
+    def _combine(self, other: "Matrix", op) -> "Matrix":
+        """op(self, other) entry by entry: each column of self, changed at the
+        entries of the matching column of other.  op(0, y) is y or -y, never
+        zero, so an entry that comes out zero was in the column."""
         if self.field != other.field or self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape or field mismatch")
+        z = self.field.zero
+        out = []
+        for a, b in zip(self.columns, other.columns):
+            col = dict(a)
+            for k, y in b.items():
+                if c := op(col.get(k, z), y):
+                    col[k] = c
+                else:
+                    del col[k]
+            out.append(col)
+        return Matrix._of(self.field, self.rows, out)
+
+    def scale(self, c) -> "Matrix":
+        """c times the matrix; the matrix itself when c is one."""
+        f = self.field
+        if c == f.one:
+            return self
+        return Matrix.from_sparse_columns(f, self.rows, [{k: f.mul(c, a) for k, a in col.items()}
+                                                         for col in self.columns])
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, Matrix) and self.field == other.field
-                and self.rows == other.rows and self.cols == other.cols
-                and self.data == other.data)
+                and self.rows == other.rows and self.columns == other.columns)
 
-    __hash__ = None  # compared by value; the rows are lists
+    __hash__ = None  # compared by value; the columns are dicts
 
     def __repr__(self) -> str:
         f = self.field
@@ -174,8 +205,7 @@ class Matrix:
         if len(rhs) != self.rows:
             raise ValueError("dimension mismatch in solve")
         return express(self.field, self.rows, self.cols,
-                       tagged_echelon(self.field, self.rows,
-                                      [self.column(j) for j in range(self.cols)]), rhs)
+                       tagged_echelon(self.field, self.rows, self.columns), rhs)
 
 
 def echelon_of_blocks(field, n: int, blocks, known=()) -> dict[int, dict]:

@@ -10,11 +10,12 @@ then the P_ij are orthogonal iff L_e1 and R_e1 are idempotent
 (L_e1 = P11 + P12, R_e1 = P11 + P21).  The component multiplication
 rules are verified relation by relation, with witnesses on failure.
 
-Both cost what the structure table holds, not n^2.  The split reads the
-columns of L_e1, R_e1 and L_e2 off the table as {row: entry} maps
+Both cost what the structure table holds, not n^2.  The split reads
+L_e1, R_e1 and L_e2 off the table as sparse-column Matrix objects
 (Algebra.mult_columns), at an integral multiple of the idempotents so that
-integral input stays in ints, checks and composes them there and builds
-each component's echelon from its projector's sparse columns.  The relation
+integral input stays in ints, checks and composes them there with the
+Matrix operations and builds each component's echelon from its
+projector's columns.  The relation
 check indexes each right-hand component by coordinate and forms only the
 basis products whose factors' supports meet a nonzero table entry.
 """
@@ -51,10 +52,8 @@ class PeirceData(Memo):
     map.  Each is built on first use, so peirce_decompose pays for none of
     them.  The regularity check (hypothesis) is memoised on the algebra,
     keyed by e1, so hypothesis_check and every split at e1 share one
-    solve.  The projectors are Matrix objects filled from the sparse
-    columns the split computes (Matrix.from_sparse_columns);
-    peirce_decompose builds no projector's nonzero-column view
-    (linalg.Matrix), which project reads.
+    solve.  The projectors are the sparse-column Matrix objects the split
+    computes; project applies one (Matrix.matvec).
     The memo is sound because nothing here is mutated after construction:
     not the idempotents, the projectors, the components nor the algebra.
     The spans that answer central lifts are memoised on the algebra
@@ -73,7 +72,7 @@ class PeirceData(Memo):
         return self.e1 if i == 1 else self.e2
 
     def project(self, i: int, j: int, x: Element) -> Element:
-        """P_ij x, applied through the projector's nonzero columns (Matrix.matvec)."""
+        """P_ij x, the projector's matvec."""
         return Element(self.algebra, self.projectors[(i, j)].matvec(x.coords))
 
     def dims(self) -> tuple[int, int, int, int]:
@@ -108,17 +107,16 @@ def peirce_decompose(algebra: Algebra, e1: Element) -> PeirceData:
     integral_multiple of both idempotents' coordinates (one d, since the
     unit may have denominators), so over Q with integral structure
     constants every entry composed is an int; d = 1 on F_p and for
-    integral idempotents, and then nothing is scaled.  The columns of
-    L = L_{d e1} and R = R_{d e1} are read off the structure table as their
-    nonzero entries, and the three checks run on them in this order:
-    L R = R L (d^2 P11), then L^2 = d L, then R^2 = d R (_compose).  The
-    projectors' columns follow there at scale d^2: d^2 P12 = d L - d^2 P11,
-    d^2 P21 = d R - d^2 P11 and d^2 P22 = d L_{d e2} - d^2 P21, with
-    L_{d e2} read off the table too (the unit is verified, so
-    L_e2 = I - L_e1).  Each component's echelon is built from its scaled
-    projector's sparse columns, which span the same space: no Element is
-    made per column, and no dense column reaches the elimination.  The
-    projectors are divided by d^2 once, as they are filled.
+    integral idempotents, and then nothing is scaled.  L = L_{d e1} and
+    R = R_{d e1} are read off the structure table as sparse columns, and
+    the three checks run on them in this order: L R = R L (d^2 P11), then
+    L^2 = d L, then R^2 = d R (Matrix @).  The projectors follow at scale
+    d^2: d^2 P12 = d L - d^2 P11, d^2 P21 = d R - d^2 P11 and
+    d^2 P22 = d L_{d e2} - d^2 P21, with L_{d e2} read off the table too
+    (the unit is verified, so L_e2 = I - L_e1).  Each component's echelon
+    is built from its scaled projector's columns, which span the same
+    space: no Element is made per column, and no dense column reaches the
+    elimination.  The projectors are then divided by d^2 once (scale).
 
     Raises PreconditionError if the algebra is not unital, e1 is not a
     nontrivial idempotent, the two bracketings e_i (x e_j) and
@@ -133,49 +131,30 @@ def peirce_decompose(algebra: Algebra, e1: Element) -> PeirceData:
     e2 = unit - e1
     f, n = algebra.field, algebra.dim
     d, scaled = f.integral_multiple(e1.coords + e2.coords)
-    L1, R1 = (algebra.mult_columns(scaled[:n], side) for side in ("left", "right"))
-    P11 = _compose(f, L1, R1)
-    if P11 != _compose(f, R1, L1):
+    L1, R1 = _mult_matrix(algebra, scaled[:n], "left"), _mult_matrix(algebra, scaled[:n], "right")
+    P11 = L1 @ R1
+    if P11 != R1 @ L1:
         raise PreconditionError(
             "e_i (x e_j) and (e_i x) e_j disagree; "
             "the algebra is not alternative enough to split")
-    dL1, dR1 = _scale(f, d, L1), _scale(f, d, R1)
+    dL1, dR1 = L1.scale(d), R1.scale(d)
     for M, dM, rule in ((L1, dL1, "e1 (e1 x) = e1 x"), (R1, dR1, "(x e1) e1 = x e1")):
-        if _compose(f, M, M) != dM:
+        if M @ M != dM:
             raise PreconditionError(f"Peirce projectors are not orthogonal: {rule} fails")
-    P21 = _minus(f, dR1, P11)
-    columns = {(1, 1): P11, (1, 2): _minus(f, dL1, P11), (2, 1): P21,
-               (2, 2): _minus(f, _scale(f, d, algebra.mult_columns(scaled[n:], "left")), P21)}
-    components = {key: Subspace.from_spanning(algebra, cols) for key, cols in columns.items()}
+    P21 = dR1 - P11
+    scaled_projectors = {(1, 1): P11, (1, 2): dL1 - P11, (2, 1): P21,
+                         (2, 2): _mult_matrix(algebra, scaled[n:], "left").scale(d) - P21}
+    components = {key: Subspace.from_spanning(algebra, M.columns)
+                  for key, M in scaled_projectors.items()}
     inv = f.inv(f.mul(d, d))
-    projectors = {key: Matrix.from_sparse_columns(f, n, _scale(f, inv, cols))
-                  for key, cols in columns.items()}
+    projectors = {key: M.scale(inv) for key, M in scaled_projectors.items()}
     return PeirceData(algebra, e1, e2, projectors, components)
 
 
-def _scale(f, d, A) -> list[dict]:
-    """The columns of d A, for a nonzero scalar d; A itself when d is one."""
-    return A if d == f.one else [{k: f.mul(d, a) for k, a in col.items()} for col in A]
-
-
-def _compose(f, A, B) -> list[dict]:
-    """The columns of A B as {row: entry} maps without zeros, from those of A and B:
-    column j sums x times column r of A over the entries (r, x) of column j of B."""
-    out = []
-    for col in B:
-        acc = {}
-        for r, x in col.items():
-            for k, a in A[r].items():
-                acc[k] = f.add(acc[k], f.mul(a, x)) if k in acc else f.mul(a, x)
-        out.append({k: a for k, a in acc.items() if a})
-    return out
-
-
-def _minus(f, A, B) -> list[dict]:
-    """The columns of A - B, without zeros."""
-    z = f.zero
-    return [{k: c for k in a.keys() | b.keys() if (c := f.sub(a.get(k, z), b.get(k, z)))}
-            for a, b in zip(A, B)]
+def _mult_matrix(algebra: Algebra, coords, side: str) -> Matrix:
+    """L_a ("left") or R_a ("right"), its columns read off the table (Algebra.mult_columns)."""
+    return Matrix.from_sparse_columns(algebra.field, algebra.dim,
+                                      algebra.mult_columns(coords, side))
 
 
 def _by_coordinate(vectors) -> dict:
@@ -605,8 +584,8 @@ def prime_check_exhaustive(algebra: Algebra, budget: int = DEFAULT_BUDGET):
     if coords is None:
         return True, None
     a = algebra.element([int(v) for v in coords])
-    blocks = (algebra.left_mult_matrix(
-        algebra.mul_coords(a.coords, algebra.basis_coords(k))).data for k in range(n))
+    blocks = (_mult_matrix(algebra, algebra.mul_coords(a.coords, algebra.basis_coords(k)),
+                           "left").data for k in range(n))
     b = Element(algebra, common_kernel(algebra.field, n, blocks)[0])
     for k in range(n):
         prod = algebra.mul_coords(a.coords, algebra.basis_coords(k))

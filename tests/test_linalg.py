@@ -158,7 +158,7 @@ def test_dimension_mismatch_raises():
 
 
 # ----------------------------------------------------------------------
-# the nonzero-column view behind matvec and @
+# the sparse columns behind every operation
 
 F101 = PrimeField(101)
 
@@ -212,31 +212,61 @@ def test_matmul_keeps_empty_shapes():
     assert Matrix.zeros(F5, 0, 3).matvec([1, 2, 3]) == []
 
 
-def test_the_view_lists_nonzero_entries_by_column():
-    m = Matrix(F5, [[0, 2, 0], [3, 0, 0]], cols=3)
-    assert m.nonzero_columns() == [[(1, 3)], [(0, 2)], []]
-    assert Matrix.zeros(F5, 0, 2).nonzero_columns() == [[], []]
-    assert Matrix.zeros(F5, 2, 0).nonzero_columns() == []
+def stored_without_zeros(m):
+    """One map per column, its rows in range, no zero entry."""
+    return len(m.columns) == m.cols and all(
+        0 <= r < m.rows and a for col in m.columns for r, a in col.items())
 
 
-def test_the_view_is_built_once_on_first_use():
-    m = Matrix(F5, [[1, 2], [0, 4]], cols=2)
-    assert m._columns is None
-    m.matvec([1, 1])
-    view = m._columns
-    assert view == [[(0, 1)], [(0, 2), (1, 4)]]
-    m.matvec([2, 3])
-    m @ Matrix.identity(F5, 2)
-    Matrix.identity(F5, 2) @ m
-    assert m._columns is view and m.nonzero_columns() is view
+@pytest.mark.parametrize("field", [Q, F5, F101], ids=lambda f: f.label)
+def test_no_stored_column_holds_a_zero(field):
+    """After every constructor and operation, including from_sparse_columns given
+    explicit zeros and sums that cancel."""
+    rng = random.Random(29)
+    minus_one = field.neg(field.one)
+    for _ in range(100):
+        r, k, c = rng.randint(0, 5), rng.randint(0, 5), rng.randint(0, 5)
+        a, b = (seeded_matrix(rng, field, r, k, rng.choice([0.0, 0.3, 1.0])) for _ in "ab")
+        other = seeded_matrix(rng, field, k, c, rng.choice([0.0, 0.3, 1.0]))
+        unit = field.from_int(rng.choice([-3, -1, 2, 4]))
+        dense_columns = [a.column(j) for j in range(k)]
+        with_zeros = [dict(enumerate(col)) for col in dense_columns]
+        built = [a, Matrix.from_columns(field, dense_columns, rows=r),
+                 Matrix.from_sparse_columns(field, r, with_zeros),
+                 Matrix.zeros(field, r, k), Matrix.identity(field, k),
+                 a + b, a - b, a - a, a + a.scale(minus_one), a @ other,
+                 a.scale(unit), a.scale(field.one), a.scale(field.zero), a.rref()[0]]
+        assert all(stored_without_zeros(m) for m in built)
+        assert built[1] == built[2] == a
 
 
-def test_results_of_add_sub_and_matmul_have_no_view():
-    a = Matrix(F101, [[1, 2], [3, 4]], cols=2)
-    b = Matrix(F101, [[0, 5], [6, 0]], cols=2)
-    a.nonzero_columns(), b.nonzero_columns()
-    for result in (a + b, a - b, a @ b):
-        assert result._columns is None
+@pytest.mark.parametrize("field", [Q, F5, F101], ids=lambda f: f.label)
+def test_add_sub_and_scale_obey_the_module_laws(field):
+    rng = random.Random(31)
+    for _ in range(100):
+        r, k = rng.randint(0, 5), rng.randint(0, 5)
+        a, b = (seeded_matrix(rng, field, r, k, rng.choice([0.0, 0.3, 1.0])) for _ in "ab")
+        assert a - a == Matrix.zeros(field, r, k)
+        assert (a + b) - b == a and (a - b) + b == a
+        assert (a + b).data == [[field.add(x, y) for x, y in zip(u, v)]
+                                for u, v in zip(a.data, b.data)]
+        unit = field.from_int(rng.choice([-3, -1, 2, 4]))
+        assert a.scale(unit).data == [[field.mul(unit, x) for x in row] for row in a.data]
+        assert a.scale(unit).scale(field.inv(unit)) == a
+        assert a.scale(field.one) == a
+        assert a.scale(field.zero) == Matrix.zeros(field, r, k)
+
+
+@pytest.mark.parametrize("field", [Q, F5, F101], ids=lambda f: f.label)
+def test_the_dense_rows_read_back_as_given(field):
+    rng = random.Random(37)
+    for _ in range(100):
+        r, k = rng.randint(1, 5), rng.randint(0, 5)
+        rows = [[seeded_entry(rng, field, rng.choice([0.0, 0.3, 1.0])) for _ in range(k)]
+                for _ in range(r)]
+        m = Matrix(field, rows)
+        assert m.data == rows and (m.rows, m.cols) == (r, k)
+        assert [m.column(j) for j in range(k)] == [list(col) for col in zip(*rows)]
 
 
 def test_the_rows_are_copied_in():
@@ -246,7 +276,6 @@ def test_the_rows_are_copied_in():
     rows.append([Fraction(1), Fraction(1)])
     assert m.data == [[1, 0], [0, 2]] and m.rows == 2
     assert m.matvec([Fraction(1), Fraction(1)]) == [1, 2]
-    assert m.nonzero_columns() == [[(0, 1)], [(1, 2)]]
 
 
 def test_matvec_and_matmul_mismatches_raise():
@@ -258,7 +287,6 @@ def test_matvec_and_matmul_mismatches_raise():
         m @ Matrix.identity(F5, 2)
     with pytest.raises(ValueError, match="field mismatch in matrix product"):
         m @ Matrix.identity(F7, 3)
-    assert m._columns is None, "a refused product builds no view"
 
 
 # ----------------------------------------------------------------------

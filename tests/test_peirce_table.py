@@ -5,10 +5,10 @@ forms only the basis products whose factors' supports meet a nonzero table
 entry and sums each from the table; ``hypothesis_check`` builds its blocks
 from the table and the columns of R_e read off it; ``Subspace`` reduces
 against the nonzero entries of its echelon rows; and ``Matrix.__matmul__``
-applies its left factor to each column of its right one through their
-nonzero-column views.  The references below are the direct forms: products
-of basis Elements over every pair, blocks of ``mul_coords`` columns, the
-dense reduction loop and the dense triple loop.  Reports, verdicts,
+sums each column of the product from the sparse columns of both factors.
+The references below are the direct forms: products of basis Elements
+over every pair, blocks of ``mul_coords`` columns, the dense reduction
+loop and the dense triple loop.  Reports, verdicts,
 witnesses and remainders must agree exactly, and ``product_sum`` must run
 once per product whose factors meet the table, no more.  The split and the
 regularity system read an integral multiple d e1 of the idempotent; their
@@ -29,9 +29,9 @@ from altcomm import (Algebra, Matrix, PreconditionError, Subspace, cayley_dickso
                      matrix_algebra, peirce_decompose, zorn)
 from altcomm.algebra import Element
 from altcomm.linalg import common_kernel
-from altcomm.peirce import _compose, _minus, _regularity_block
+from altcomm.peirce import _regularity_block
 
-from test_associator import F5, F7, Q, SMALL
+from test_associator import F5, F7, Q, SMALL, mult_matrix
 from test_commutator import assert_peirce_centers_agree, scalar
 
 
@@ -521,18 +521,24 @@ def test_passing_checks_multiply_no_elements(monkeypatch):
 
 
 def fraction_split(algebra, e1):
-    """Projectors and components read off L_e1, R_e1 and L_e2 themselves, unscaled."""
+    """Projectors and components read off L_e1, R_e1 and L_e2 themselves, unscaled,
+    as dense rows composed by the dense triple loop, not by the Matrix operations."""
     f, n = algebra.field, algebra.dim
-    L1, R1 = algebra.mult_columns(e1.coords, "left"), algebra.mult_columns(e1.coords, "right")
-    P11 = _compose(f, L1, R1)
-    assert P11 == _compose(f, R1, L1)
-    assert _compose(f, L1, L1) == L1 and _compose(f, R1, R1) == R1
-    P21 = _minus(f, R1, P11)
     e2 = find_unit(algebra) - e1
-    columns = {(1, 1): P11, (1, 2): _minus(f, L1, P11), (2, 1): P21,
-               (2, 2): _minus(f, algebra.mult_columns(e2.coords, "left"), P21)}
-    return ({key: Matrix.from_sparse_columns(f, n, cols) for key, cols in columns.items()},
-            {key: Subspace.from_spanning(algebra, cols) for key, cols in columns.items()})
+    L1, R1 = mult_matrix(algebra, e1.coords, "left"), mult_matrix(algebra, e1.coords, "right")
+    P11 = reference_matmul(L1, R1)
+    assert P11 == reference_matmul(R1, L1)
+    assert reference_matmul(L1, L1) == L1.data and reference_matmul(R1, R1) == R1.data
+    P21 = _dense_minus(f, R1.data, P11)
+    rows = {(1, 1): P11, (1, 2): _dense_minus(f, L1.data, P11), (2, 1): P21,
+            (2, 2): _dense_minus(f, mult_matrix(algebra, e2.coords, "left").data, P21)}
+    return ({key: Matrix(f, r, cols=n) for key, r in rows.items()},
+            {key: Subspace.from_spanning(algebra, [list(col) for col in zip(*r)])
+             for key, r in rows.items()})
+
+
+def _dense_minus(f, a, b):
+    return [[f.sub(x, y) for x, y in zip(u, v)] for u, v in zip(a, b)]
 
 
 def fraction_regularity(algebra, e1):
@@ -574,15 +580,15 @@ INTEGRAL_CASES = {
 @pytest.mark.parametrize("name", list(INTEGRAL_CASES))
 def test_the_integral_multiple_splits_and_solves_like_the_fractions(name, monkeypatch):
     """Projectors, component echelons and regularity witnesses equal those read off
-    e1 itself; on the Cayley-Dickson rungs, at (1 + i)/2, _compose reads only ints."""
-    from altcomm import peirce
+    e1 itself; on the Cayley-Dickson rungs, at (1 + i)/2, the split's 4 products
+    (Matrix @) read only ints."""
     from test_lemmas import _counting
 
     algebra, e1 = INTEGRAL_CASES[name]()
     d, _ = Q.integral_multiple(e1.coords + (find_unit(algebra) - e1).coords)
     assert d == 2
     projectors, components = fraction_split(algebra, e1)
-    composed = _counting(monkeypatch, peirce, "_compose")
+    composed = _counting(monkeypatch, Matrix, "__matmul__")
     pd = peirce_decompose(algebra, e1)
     assert pd.projectors == projectors
     for key, sub in components.items():
@@ -591,7 +597,8 @@ def test_the_integral_multiple_splits_and_solves_like_the_fractions(name, monkey
     assert hypothesis_check(algebra, e1) == fraction_regularity(algebra, e1)
     if name.startswith("CD"):
         assert len(composed) == 4
-        assert all(type(x) is int for _, A, B in composed for col in A + B for x in col.values())
+        assert all(type(x) is int for factors in composed for M in factors
+                   for col in M.columns for x in col.values())
 
 
 def test_the_integral_multiple_of_integral_or_prime_field_coordinates_is_themselves():
