@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 
 from .fields import field_from_dict
-from .linalg import echelon_of_blocks, echelon_rows, express, reduce_against, tagged_echelon
+from .linalg import Matrix, echelon_of_blocks, echelon_rows, express, reduce_against, tagged_echelon
 
 # Largest dimension accepted (the benchmark's largest algebra, M8, has 64).
 # At dim 128 solving for the unit of CD7(Q) peaks near 5 MB (tracemalloc).
@@ -47,13 +47,14 @@ class Algebra(Memo):
 
     Immutable after construction, so every derived object is built once and
     memoised (Memo.cached): the unit, the basis elements, the associator
-    tensor, the bracket table (commutator_rows), the center, the nucleus,
+    tensor, the bracket table (commutator_rows, built only by commutator
+    and the map checks of commuting), the center, the nucleus,
     and, under tuple keys, the tagged echelons of peirce.express_central
     and the regularity verdicts of peirce.hypothesis_check, keyed
     ("hypothesis", e1.coords).  Products are read off the sparse structure
     table: mul_coords over the nonzero coordinates of both factors,
     product_sum for a sum of basis products given as terms, and
-    mult_columns for the nonzero entries of each column of L_a or R_a.
+    mult_columns for L_a or R_a as a Matrix of its nonzero columns.
     The table is filled in one pass over the structure entries merged by
     (i, j, k) and sorted: repeated entries are summed, zero sums dropped,
     and each product's terms ascend by k.
@@ -131,7 +132,7 @@ class Algebra(Memo):
         """
         one = self.field.one
         left, right = self.mult_columns(u.coords, "left"), self.mult_columns(u.coords, "right")
-        for j, (lc, rc) in enumerate(zip(left, right)):
+        for j, (lc, rc) in enumerate(zip(left.columns, right.columns)):
             if lc != {j: one} or rc != {j: one}:
                 raise ValueError(f"claimed unit fails on basis vector {self.basis_labels[j]}")
 
@@ -175,12 +176,13 @@ class Algebra(Memo):
                     out[k] = f.add(out[k], f.mul(s, c))
         return out
 
-    def mult_columns(self, coords, side: str) -> list[dict]:
-        """The nonzero entries {k: c} of each column j of L_a ("left", a b_j) or R_a
-        ("right", b_j a), read off the table over the nonzero coordinates of a.
+    def mult_columns(self, coords, side: str) -> Matrix:
+        """L_a ("left", column j is a b_j) or R_a ("right", b_j a), read off the table
+        over the nonzero coordinates of a.
 
-        These are the columns of a linalg.Matrix (Matrix.from_sparse_columns):
-        every L_a the package builds is read here."""
+        Each column is summed as its nonzero entries {k: c}, so the Matrix
+        takes the columns as they are (Matrix._of): every L_a the package
+        builds is read here."""
         f = self.field
         columns = [{} for _ in range(self.dim)]
         table = self._rows if side == "left" else self._cols    # b_i b_j, or b_j b_i, at [i][j]
@@ -190,7 +192,7 @@ class Algebra(Memo):
                     col = columns[j]
                     for k, c in terms:
                         col[k] = f.add(col[k], f.mul(ai, c)) if k in col else f.mul(ai, c)
-        return [{k: c for k, c in col.items() if c} for col in columns]
+        return Matrix._of(f, self.dim, [{k: c for k, c in col.items() if c} for col in columns])
 
     def associator_tensor(self) -> dict:
         """Cached sparse associators of basis triples, {(s, t, u): {k: c}}.
@@ -228,9 +230,12 @@ class Algebra(Memo):
         Entry s lists (t, [(k, c), ...]) for every nonzero [b_s, b_t] =
         b_s b_t - b_t b_s, t ascending, with its nonzero coordinates: the
         only stored form of the bracket table.  Built once from the
-        structure constants, like associator_tensor; a caller that walks one
+        structure constants, like associator_tensor, and only for callers
+        that read all of it: commutator and the map checks is_commuting and
+        is_anti_commuting (commuting._pair_sums).  A caller that walks one
         vector's nonzero coordinates s reads each s's brackets without a
-        dict lookup per t.
+        dict lookup per t.  The commutants (peirce.center and the diagonal
+        centers) read the structure table instead.
         """
         return self.cached("commutator_rows", self._bracket_rows)
 
@@ -501,14 +506,21 @@ def is_alternative(algebra: Algebra):
 
     With A the associator tensor, (x,x,y) = sum_i x_i^2 A(i,i,y) +
     sum_{i<j} x_i x_j (A(i,j,y) + A(j,i,y)), and likewise for (y,x,x).  The
-    scan reads these coefficients off A at x = b_i, then at x = b_i + b_j
-    (four basis triples summed), against each y = b_k.  Read as "A is skew
-    in its first two slots and in its last two", the test would need the
-    characteristic to differ from 2 (skewness gives only 2 A(i,i,y) = 0);
-    the field types guarantee that, and reading the square terms directly
-    keeps each witness in the law's own shape.  Returns (True, None) or
-    (False, (x, y, z)), the first triple in scan order with a nonzero
-    associator of shape (x, x, y) or (y, x, x).
+    scan reads these coefficients off A at x = b_i, then at x = b_i + b_j,
+    against each y = b_k.  Read as "A is skew in its first two slots and
+    in its last two", the test would need the characteristic to differ
+    from 2 (skewness gives only 2 A(i,i,y) = 0); the field types guarantee
+    that, and reading the square terms directly keeps each witness in the
+    law's own shape.  Returns (True, None) or (False, (x, y, z)), the
+    first triple in scan order with a nonzero associator of shape
+    (x, x, y) or (y, x, x).
+
+    Once the first loop has passed, every A(i,i,.) and A(.,i,i) is
+    absent, so (x,x,b_k) = A(i,j,k) + A(j,i,k) and
+    (b_k,x,x) = A(k,i,j) + A(k,j,i) exactly: two keys each.  A present
+    entry is a nonzero vector, so when one key is absent the sum is
+    nonzero exactly when the other is present; coordinates are added only
+    when both are.
     """
     A = algebra.associator_tensor()
     if not A:
@@ -521,22 +533,23 @@ def is_alternative(algebra: Algebra):
                 return False, (b(i), b(i), b(j))
             if (j, i, i) in A:
                 return False, (b(j), b(i), b(i))
-    f = algebra.field
+    add = algebra.field.add
 
-    def nonzero_sum(keys):
-        total = {}
-        for key in keys:
-            for k, c in A.get(key, {}).items():
-                total[k] = f.add(total.get(k, f.zero), c)
-        return any(total.values())
+    def sum_is_nonzero(p, q):
+        """Whether A(p) + A(q) is nonzero; a present entry is a nonzero vector."""
+        if p not in A or q not in A:
+            return p in A or q in A
+        a, c = A[p], A[q]
+        return a.keys() != c.keys() or any(add(v, c[l]) for l, v in a.items())
 
     for i in range(n):
         for j in range(i + 1, n):
-            x = b(i) + b(j)
             for k in range(n):
-                if nonzero_sum(((i, i, k), (i, j, k), (j, i, k), (j, j, k))):
+                if sum_is_nonzero((i, j, k), (j, i, k)):
+                    x = b(i) + b(j)
                     return False, (x, x, b(k))
-                if nonzero_sum(((k, i, i), (k, i, j), (k, j, i), (k, j, j))):
+                if sum_is_nonzero((k, i, j), (k, j, i)):
+                    x = b(i) + b(j)
                     return False, (b(k), x, x)
     return True, None
 

@@ -51,8 +51,7 @@ class LinearMap(Memo):
     @classmethod
     def left_multiplication(cls, algebra: Algebra, z: Element) -> "LinearMap":
         """L_z, its columns read off the table (Algebra.mult_columns)."""
-        return cls(algebra, Matrix.from_sparse_columns(algebra.field, algebra.dim,
-                                                       algebra.mult_columns(z.coords, "left")))
+        return cls(algebra, algebra.mult_columns(z.coords, "left"))
 
     def __call__(self, x: Element) -> Element:
         if x.algebra is not self.algebra:
@@ -264,7 +263,7 @@ def decompose_oracle(algebra: Algebra, phi: LinearMap) -> Decomposition | None:
         return {k * n + r: x for k, col in enumerate(columns) for r, x in col.items()}
 
     words = [lambda z, k=k: {k * n + r: x for r, x in enumerate(z.coords) if x} for k in range(n)]
-    words.append(lambda z: flat(algebra.mult_columns(z.coords, "left")))
+    words.append(lambda z: flat(algebra.mult_columns(z.coords, "left").columns))
     alpha = express_central(algebra, ("standard",), words, flat(phi.matrix.columns), n * n)
     if alpha is None:
         return None

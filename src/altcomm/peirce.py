@@ -27,7 +27,7 @@ from itertools import combinations, groupby, product
 
 from .algebra import Algebra, Element, Memo, Subspace, commutator, find_unit
 from .errors import BudgetExceededError, PreconditionError
-from .linalg import Matrix, common_kernel, express, tagged_echelon
+from .linalg import common_kernel, express, tagged_echelon
 
 DEFAULT_BUDGET = 10 ** 6
 
@@ -89,7 +89,9 @@ class PeirceData(Memo):
     def diagonal_center(self, i: int) -> Subspace:
         """The center of the (i, i) component as a subalgebra.
 
-        Capped by e_i, the component's unit; see linalg.echelon_of_blocks.
+        The commutant of the component within itself, summed from the
+        structure table (_commutant).  Capped by e_i, the component's unit;
+        see linalg.echelon_of_blocks.
         """
         return self.cached(("diagonal_center", i), self._component_center, i)
 
@@ -131,7 +133,7 @@ def peirce_decompose(algebra: Algebra, e1: Element) -> PeirceData:
     e2 = unit - e1
     f, n = algebra.field, algebra.dim
     d, scaled = f.integral_multiple(e1.coords + e2.coords)
-    L1, R1 = _mult_matrix(algebra, scaled[:n], "left"), _mult_matrix(algebra, scaled[:n], "right")
+    L1, R1 = algebra.mult_columns(scaled[:n], "left"), algebra.mult_columns(scaled[:n], "right")
     P11 = L1 @ R1
     if P11 != R1 @ L1:
         raise PreconditionError(
@@ -143,18 +145,12 @@ def peirce_decompose(algebra: Algebra, e1: Element) -> PeirceData:
             raise PreconditionError(f"Peirce projectors are not orthogonal: {rule} fails")
     P21 = dR1 - P11
     scaled_projectors = {(1, 1): P11, (1, 2): dL1 - P11, (2, 1): P21,
-                         (2, 2): _mult_matrix(algebra, scaled[n:], "left").scale(d) - P21}
+                         (2, 2): algebra.mult_columns(scaled[n:], "left").scale(d) - P21}
     components = {key: Subspace.from_spanning(algebra, M.columns)
                   for key, M in scaled_projectors.items()}
     inv = f.inv(f.mul(d, d))
     projectors = {key: M.scale(inv) for key, M in scaled_projectors.items()}
     return PeirceData(algebra, e1, e2, projectors, components)
-
-
-def _mult_matrix(algebra: Algebra, coords, side: str) -> Matrix:
-    """L_a ("left") or R_a ("right"), its columns read off the table (Algebra.mult_columns)."""
-    return Matrix.from_sparse_columns(algebra.field, algebra.dim,
-                                      algebra.mult_columns(coords, side))
 
 
 def _by_coordinate(vectors) -> dict:
@@ -264,8 +260,9 @@ def center(algebra: Algebra) -> Subspace:
     Every centrality question reads this one subspace: is_central asks its
     contains, and spans built from its basis (express_central) answer every
     existence question: central lifts, the oracle and the lemma suite.
-    Capped by the verified unit, if there is one; see
-    linalg.echelon_of_blocks.
+    Its rows are summed from the structure table (_commutant), so no
+    bracket table is built.  Capped by the verified unit, if there is one;
+    see linalg.echelon_of_blocks.
     """
     return algebra.cached("center", _whole_commutant, algebra)
 
@@ -317,23 +314,20 @@ def _over(sub: Subspace, x: Element) -> list:
 def _commutant(algebra: Algebra, span, against, known=()):
     """Kernel of gamma -> [sum_s gamma_s span_s, t] for t in against, as coefficients over span.
 
-    Row (t, k), entry s is coordinate k of [span_s, t], summed from the
-    bracket table (Algebra.commutator_rows).  The span is indexed by
-    coordinate, so each nonzero coordinate v of t meets only the brackets
-    [b_u, b_v] with u in the support of some span_s, u ascending.  Only
-    rows that some bracket reaches are formed, as {s: entry} maps; no
-    Element is built, and the kernel vectors are coefficients over span.
-    Blocks are formed one t at a time, so none past the cap that known
-    sets (linalg.echelon_of_blocks) is built.
+    Row (t, k), entry s is coordinate k of [span_s, t]: the sum, over the
+    nonzero coordinates y_v of t and the coordinates x_{s,u} of span_s, of
+    x_{s,u} y_v ((b_u b_v)_k - (b_v b_u)_k), read off the structure table
+    (Algebra._cols[v] lists the products b_u b_v, Algebra._rows[v] the
+    products b_v b_u).  The span is indexed by coordinate once, so a table
+    product whose u lies outside every span_s's support is skipped.  Only
+    rows that some product reaches are formed, as {s: entry} maps; no
+    Element and no bracket table is built, and the kernel vectors are
+    coefficients over span.  Blocks are formed one t at a time, so none
+    past the cap that known sets (linalg.echelon_of_blocks) is built.
     """
     f, m = algebra.field, len(span)
     # coordinate u -> [(s, coordinate u of span_s)]
     at = _by_coordinate([(u, x) for u, x in enumerate(el.coords) if x] for el in span)
-    meets = {}                      # v -> [(at[u], nonzero coordinates of [b_u, b_v])]
-    brackets = algebra.commutator_rows()
-    for u in sorted(at):
-        for v, vec in brackets[u]:
-            meets.setdefault(v, []).append((at[u], vec))
 
     def blocks():
         for t in against:
@@ -341,13 +335,15 @@ def _commutant(algebra: Algebra, span, against, known=()):
             for v, y in enumerate(t.coords):
                 if not y:
                     continue
-                for xs, vec in meets.get(v, ()):
-                    for s, x in xs:
-                        xy = f.mul(x, y)
-                        for k, c in vec:
-                            c = f.mul(xy, c)
-                            row = rows[k]
-                            row[s] = f.add(row[s], c) if s in row else c
+                # b_u b_v with weight y, then b_v b_u with weight -y
+                for products, w in ((algebra._cols[v], y), (algebra._rows[v], f.neg(y))):
+                    for u, terms in products.items():
+                        for s, x in at.get(u, ()):
+                            xw = f.mul(x, w)
+                            for k, c in terms:
+                                c = f.mul(xw, c)
+                                row = rows[k]
+                                row[s] = f.add(row[s], c) if s in row else c
             yield rows.values()
 
     return common_kernel(f, m, blocks(), known)
@@ -425,7 +421,8 @@ def _diagonal_commutant(pd: PeirceData) -> Subspace:
     """The x in r11 + r22 that commute with r12 and r21, as a canonical span.
 
     The kernel is solved as coefficients over the r11 basis followed by the
-    r22 basis (the sum is direct), and each kernel vector is combined over
+    r22 basis (the sum is direct), with each block summed from the
+    structure table (_commutant), and each kernel vector is combined over
     the two components apart, so no span of r11 + r22 is eliminated.
     """
     comp = pd.components
@@ -480,7 +477,7 @@ def _solve_regularity(algebra: Algebra, e1: Element):
     _, scaled = f.integral_multiple(e1.coords + (find_unit(algebra) - e1).coords)
     results = []
     for e in (scaled[:n], scaled[n:]):
-        images = algebra.mult_columns(e, "right")
+        images = algebra.mult_columns(e, "right").columns
         # Blocks are built only until the rank is full.
         kernel = common_kernel(f, n, (_regularity_block(algebra, images, k) for k in range(n)))
         results.append((False, Element(algebra, kernel[0])) if kernel else (True, None))
@@ -584,8 +581,8 @@ def prime_check_exhaustive(algebra: Algebra, budget: int = DEFAULT_BUDGET):
     if coords is None:
         return True, None
     a = algebra.element([int(v) for v in coords])
-    blocks = (_mult_matrix(algebra, algebra.mul_coords(a.coords, algebra.basis_coords(k)),
-                           "left").data for k in range(n))
+    blocks = (algebra.mult_columns(algebra.mul_coords(a.coords, algebra.basis_coords(k)),
+                                   "left").data for k in range(n))
     b = Element(algebra, common_kernel(algebra.field, n, blocks)[0])
     for k in range(n):
         prod = algebra.mul_coords(a.coords, algebra.basis_coords(k))

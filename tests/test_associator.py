@@ -248,6 +248,30 @@ def test_tensor_entries_are_the_basis_associators():
                 assert tensor.get((s, t, u), {}) == {k: c for k, c in enumerate(coords) if c}
 
 
+@pytest.mark.parametrize("field", [Q, F5, F7], ids=lambda f: f.label)
+def test_the_pair_scan_sums_the_two_keys_that_can_be_present(field):
+    """Chains b_s b_t = b_m, b_m b_u = v give one associator each, (b_s, b_t, b_u) = v.
+
+    b2 b0 = b3, b3 b1 = b4 alone fails only at (b2, x, x), x = b0 + b1, with one key
+    present, and its mirror b0 b2 = b3, b1 b3 = b4 only at (x, x, b2).  With (b0, b1, b2) = b5 and
+    (b1, b0, b2) = b5, or -b5 + b6, both keys are present: the sum 2 b5 has their
+    support, and b6 lies outside the first's.  Either way (x, x, b2) fails first."""
+    one, minus = field.one, field.neg(field.one)
+    right = [(2, 0, 3, one), (3, 1, 4, one)]
+    left = [(0, 2, 3, one), (1, 3, 4, one)]
+    pair = [(0, 1, 3, one), (3, 2, 5, one), (1, 0, 4, one)]
+    cases = [(right, "y,x,x"), (left, "x,x,y"), (pair + [(4, 2, 5, one)], "x,x,y"),
+             (pair + [(4, 2, 5, minus), (4, 2, 6, one)], "x,x,y")]
+    for entries, shape in cases:
+        dim = 1 + max(k for _, _, k, _ in entries)
+        algebra = Algebra("chains", field, dim, [f"b{i}" for i in range(dim)], entries)
+        b = algebra.basis_element
+        x = b(0) + b(1)
+        assert len(algebra.associator_tensor()) == (1 if len(entries) == 2 else 2)
+        want = (False, (b(2), x, x) if shape == "y,x,x" else (x, x, b(2)))
+        assert is_alternative(algebra) == reference_is_alternative(algebra) == want
+
+
 # ----------------------------------------------------------------------
 # random structure constants
 

@@ -1,7 +1,9 @@
-"""The commutator tensor against per-element references.
+"""The bracket table and the commutants against per-element references.
 
-``commutator``, ``is_commuting``, ``is_anti_commuting``, ``center`` and
-``PeirceData.diagonal_center`` read the cached commutator tensor, and
+``commutator``, ``is_commuting`` and ``is_anti_commuting`` read the cached
+bracket table (``Algebra.commutator_rows``); ``center``,
+``center_via_peirce`` and ``PeirceData.diagonal_center`` sum their
+commutant rows from the structure table and never build it; and
 ``Subspace.combine`` forms every combination over a subspace basis.  The
 references below are the direct forms: ``a * b - b * a`` on Elements, the
 pair scans built from it, the center stacked from multiplication matrices,
@@ -17,10 +19,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from altcomm import (Algebra, LinearMap, Matrix, PrimeField, Subspace, center,
-                     center_via_peirce, commutator, is_anti_commuting, is_central,
-                     is_commuting, random_commuting_map)
+from altcomm import (Algebra, LinearMap, Matrix, PrimeField, Subspace, cayley_dickson_algebra,
+                     center, center_via_peirce, commutator, is_anti_commuting, is_central,
+                     is_commuting, matrix_algebra, peirce_decompose, random_commuting_map,
+                     zorn)
 from altcomm.algebra import Element
+from altcomm.peirce import _commutant, _over
 from altcomm.linalg import reduce_against
 
 from test_associator import (BUILTINS, F5, FAMILIES, Q, SMALL, builtin_over, dense_kernel,
@@ -431,3 +435,57 @@ def test_the_indexed_elimination_of_the_map_systems_matches_the_row_scan(name, a
     echelon = echelon_of_blocks(Q, n * n, blocks)
     assert echelon == scan_echelon(Q, n * n, blocks)
     assert n * n - len(echelon) == (n + 1 if not anti else n)      # dim C = dim S, dim Z = 1
+
+
+# ----------------------------------------------------------------------
+# the commutants read the structure table, not the bracket table
+
+
+@pytest.mark.parametrize("build", [
+    lambda: cayley_dickson_algebra(Q, [Q.one] * 5),
+    lambda: matrix_algebra(F101, 8),
+    lambda: zorn(F5),
+], ids=["CD5(Q)", "M8(F101)", "Zorn(F5)"])
+def test_the_centers_build_no_bracket_table(build):
+    algebra, e = build()
+    pd = peirce_decompose(algebra, e)
+    center(algebra)
+    center_via_peirce(pd)
+    pd.diagonal_center(1)
+    pd.diagonal_center(2)
+    assert "commutator_rows" not in algebra._memo
+    assert is_commuting(algebra, LinearMap.identity(algebra))[0]
+    assert "commutator_rows" in algebra._memo
+
+
+def reference_commutant(algebra, span, against):
+    """The kernel over span of the stacked dense rows [span_s, t], from Element commutators."""
+    f = algebra.field
+    stack = [row for t in against for row in
+             Matrix.from_columns(f, [reference_commutator(x, t).coords for x in span],
+                                 rows=algebra.dim).data]
+    reduced, pivots = dense_rref(f, stack, len(span))
+    return dense_kernel(f, reduced, pivots, len(span))
+
+
+@pytest.mark.parametrize("name, field", [("M3", Q), ("Zorn", F5), ("CD3", Q), ("CD4", Q),
+                                         ("M3", F101)], ids=lambda v: getattr(v, "label", v))
+def test_the_commutant_is_the_dense_kernel_over_general_spans(name, field):
+    """r11 + r22 against r12 + r21, each r_ii against itself, and a seeded span
+    against the basis: the same kernel vectors with and without the cap."""
+    algebra, e1 = builtin_over(name, field)
+    pd = peirce_decompose(algebra, e1)
+    comp = pd.components
+    diagonal = list(comp[(1, 1)].basis + comp[(2, 2)].basis)
+    cases = [(diagonal, list(comp[(1, 2)].basis + comp[(2, 1)].basis),
+              [_over(comp[(1, 1)], pd.e1) + _over(comp[(2, 2)], pd.e2)])]
+    cases += [(list(comp[(i, i)].basis), list(comp[(i, i)].basis),
+               [_over(comp[(i, i)], pd.idempotent(i))]) for i in (1, 2)]
+    rng = random.Random(len(name) + algebra.dim)
+    seeded = [Element(algebra, [scalar(rng, field) for _ in range(algebra.dim)]) for _ in range(3)]
+    cases.append((seeded, [algebra.basis_element(k) for k in range(algebra.dim)], []))
+    for span, against, known in cases:
+        want = reference_commutant(algebra, span, against)
+        assert _commutant(algebra, span, against) == want
+        if known:
+            assert _commutant(algebra, span, against, known=known) == want

@@ -8,11 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from altcomm import PrimeField, RationalField
+from altcomm import Algebra, LinearMap, PrimeField, RationalField
 from altcomm import linalg
 from altcomm.linalg import Matrix, common_kernel, echelon_of_blocks, reduce_against
 
-from test_associator import dense_kernel, dense_rref, dense_solve
+from test_associator import builtin_over, dense_kernel, dense_rref, dense_solve, mult_matrix
 from test_peirce_table import reference_matmul
 
 Q = RationalField()
@@ -238,6 +238,30 @@ def test_no_stored_column_holds_a_zero(field):
                  a.scale(unit), a.scale(field.one), a.scale(field.zero), a.rref()[0]]
         assert all(stored_without_zeros(m) for m in built)
         assert built[1] == built[2] == a
+
+
+@pytest.mark.parametrize("field", [Q, F5, F101], ids=lambda f: f.label)
+def test_l_a_and_r_a_store_no_zero_where_their_terms_cancel(field):
+    """b0 b0 = b0 + b1 and b0 b1 = b1 b0 = b1 b1 = b0, at a = b0 - b1: column 0 of L_a
+    (a b0) and of R_a (b0 a) is b1, its b0 terms cancelling, and column 1 cancels whole.
+    Then seeded elements of builtins against L_a and R_a formed by mul_coords."""
+    one = field.one
+    algebra = Algebra("cancel", field, 2, ["b0", "b1"],
+                      [(0, 0, 0, one), (0, 0, 1, one), (0, 1, 0, one), (1, 0, 0, one),
+                       (1, 1, 0, one)])
+    a = algebra.element([one, field.neg(one)])
+    for side in ("left", "right"):
+        m = algebra.mult_columns(a.coords, side)
+        assert m.columns == [{1: one}, {}] and stored_without_zeros(m)
+    assert LinearMap.left_multiplication(algebra, a).matrix.columns == [{1: one}, {}]
+    rng = random.Random(37)
+    for name in ("M3", "Zorn", "CD3"):
+        built = builtin_over(name, field)[0]
+        for _ in range(5):
+            coords = [seeded_entry(rng, field, 0.4) for _ in range(built.dim)]
+            for side in ("left", "right"):
+                m = built.mult_columns(coords, side)
+                assert stored_without_zeros(m) and m == mult_matrix(built, coords, side)
 
 
 @pytest.mark.parametrize("field", [Q, F5, F101], ids=lambda f: f.label)

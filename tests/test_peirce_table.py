@@ -546,7 +546,7 @@ def fraction_regularity(algebra, e1):
     f, n = algebra.field, algebra.dim
     results = []
     for e in (e1, find_unit(algebra) - e1):
-        images = algebra.mult_columns(e.coords, "right")
+        images = algebra.mult_columns(e.coords, "right").columns
         kernel = common_kernel(f, n, (_regularity_block(algebra, images, k) for k in range(n)))
         results.append((False, Element(algebra, kernel[0])) if kernel else (True, None))
     return tuple(results)
