@@ -209,6 +209,15 @@ def test_the_first_bad_scalar_text_is_the_one_refused(structure, unit, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("unit", ["1001", {"0": "1"}, 1], ids=["string", "object", "number"])
+def test_a_unit_that_is_not_a_list_is_refused(unit):
+    """The string "1001" would otherwise be read as the unit 1, 0, 0, 1 of M2(Q)."""
+    d = matrix_algebra(Q, 2)[0].to_dict()
+    d["unit"] = unit
+    with pytest.raises(ValueError, match="unit must be a list of scalars"):
+        Algebra.from_dict(d)
+
+
 def first_unit_failure(algebra, coords):
     """The label of the first b with u b != b or b u != b, from 2 dim element products."""
     u = algebra.element(coords)

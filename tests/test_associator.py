@@ -234,11 +234,13 @@ def test_builtins_agree_with_the_reference(name):
     assert_agrees(BUILTINS[name]())
 
 
-def test_tensor_entries_are_the_basis_associators():
-    algebra = cayley_dickson_algebra(Q, [Q.one] * 4)[0]
+def assert_tensor_is_the_associators(algebra):
+    """associator_tensor is cached, its keys sorted, and each entry the nonzero
+    coordinates of its basis associator; zero associators are absent."""
     tensor = algebra.associator_tensor()
     assert tensor is algebra.associator_tensor(), "built once and cached"
     assert list(tensor) == sorted(tensor)
+    assert all(vec and all(vec.values()) for vec in tensor.values())
     b = algebra.basis_element
     n = algebra.dim
     for s in range(n):
@@ -246,6 +248,58 @@ def test_tensor_entries_are_the_basis_associators():
             for u in range(n):
                 coords = associator(b(s), b(t), b(u)).coords
                 assert tensor.get((s, t, u), {}) == {k: c for k, c in enumerate(coords) if c}
+
+
+TENSOR_CASES = {
+    "CD4(Q)": lambda: cayley_dickson_algebra(Q, [Q.one] * 4)[0],
+    "Zorn(F5)": lambda: zorn(F5)[0],
+    "M3(F101)": lambda: matrix_algebra(PrimeField(101), 3)[0],
+    "CD3(Q)": lambda: cayley_dickson_algebra(Q, [Q.one, Q.from_int(-1), Q.one])[0],
+    "M2(Q)+Zorn(Q)": lambda: direct_sum(matrix_algebra(Q, 2)[0], zorn(Q)[0]),
+    "CD3(Q;1/2,-2/3,3)": lambda: cayley_dickson_algebra(
+        Q, [Fraction(1, 2), Fraction(-2, 3), Q.from_int(3)])[0],
+}
+
+
+@pytest.mark.parametrize("name", list(TENSOR_CASES))
+def test_tensor_entries_are_the_basis_associators(name):
+    assert_tensor_is_the_associators(TENSOR_CASES[name]())
+
+
+@pytest.mark.parametrize("field", [Q, F5], ids=lambda f: f.label)
+def test_tensor_drops_a_triple_whose_two_halves_cancel(field):
+    """b0 b0 = b1 and b0 b1 = b1 b0 = b2: (b0 b0) b0 = b2 = b0 (b0 b0), so
+    (b0, b0, b0) is absent though both halves reach it; b1 b1 = b2 makes
+    (b0, b0, b1) = b2 and (b1, b0, b0) = -b2 present.  The entry (0, 0, 1) is
+    given three times and summed, and b2 b2 is given as c and -c, which cancel."""
+    one, two = field.one, field.from_int(2)
+    entries = [(0, 0, 1, one), (0, 1, 2, one), (1, 0, 2, one), (1, 1, 2, one),
+               (0, 0, 1, two), (0, 0, 1, field.neg(two)), (2, 2, 0, two), (2, 2, 0, field.neg(two))]
+    algebra = Algebra("cancel", field, 3, ["b0", "b1", "b2"], entries)
+    assert algebra.structure_entries()[0] == (0, 0, 1, one)
+    tensor = algebra.associator_tensor()
+    assert (0, 0, 0) not in tensor
+    assert tensor[0, 0, 1] == {2: one} and tensor[1, 0, 0] == {2: field.neg(one)}
+    assert_tensor_is_the_associators(algebra)
+
+
+def test_the_first_key_is_the_first_triple_though_only_the_second_half_reaches_it():
+    """b0 b2 = b2, b1 b1 = b2, b2 b0 = b1.  (b0, b2, b0) = b1 comes from the
+    (b_s b_t) b_u half and is reached first in table order; (b0, b0, b2) = -b2
+    and (b0, b1, b1) = -b2 come only from b_s (b_t b_u).  The tensor's keys
+    are sorted, so is_associative names (b0, b0, b2), and the nucleus, whose
+    blocks group the keys by their first index, agrees with the reference."""
+    one = Q.one
+    algebra = Algebra("late", Q, 3, ["b0", "b1", "b2"],
+                      [(0, 2, 2, one), (1, 1, 2, one), (2, 0, 1, one)])
+    tensor = algebra.associator_tensor()
+    assert tensor[0, 2, 0] == {1: one}
+    assert tensor[0, 0, 2] == tensor[0, 1, 1] == {2: -one}
+    b = algebra.basis_element
+    assert is_associative(algebra) == reference_is_associative(algebra) == (
+        False, (b(0), b(0), b(2)))
+    assert_tensor_is_the_associators(algebra)
+    assert_agrees(algebra)
 
 
 @pytest.mark.parametrize("field", [Q, F5, F7], ids=lambda f: f.label)
@@ -298,6 +352,7 @@ def small_algebras(draw):
 @given(small_algebras())
 def test_random_algebras_agree_with_the_reference(algebra):
     assert_agrees(algebra)
+    assert_tensor_is_the_associators(algebra)
 
 
 # ----------------------------------------------------------------------

@@ -530,6 +530,18 @@ def test_zero_denominators_and_non_object_maps_are_usage_errors(runner, workdir)
         assert_usage_error(invoke(runner, args))
 
 
+def test_a_string_unit_is_a_usage_error(runner, workdir):
+    d = json.load(open("m2q.json"))
+    assert d["unit"] == ["1", "0", "0", "1"]
+    d["unit"] = "1001"
+    with open("m2q-string-unit.json", "w") as fh:
+        json.dump(d, fh)
+    for command in ("verify", "center"):
+        r = invoke(runner, [command, "m2q-string-unit.json"])
+        assert_usage_error(r)
+        assert "unit must be a list of scalars" in r.output
+
+
 def test_booleans_are_not_dimensions_or_structure_indices(runner, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     base = {"name": "two", "field": {"kind": "rational"}, "dim": 2, "basis": ["a", "b"],
