@@ -98,8 +98,6 @@ class Algebra(Memo):
             self._rows[i].setdefault(j, []).append((k, c))
             self._cols[j].setdefault(i, []).append((k, c))
 
-        self._basis_coords = [tuple(field.one if t == i else field.zero for t in range(dim))
-                              for i in range(dim)]
         self._memo = {}
         if unit is not None:
             u = Element(self, unit)
@@ -113,10 +111,14 @@ class Algebra(Memo):
         return Element(self, coords)
 
     def basis_element(self, i: int) -> "Element":
-        return self.cached("basis", lambda: [Element(self, c) for c in self._basis_coords])[i]
+        return self.cached("basis", self._basis)[i]
 
     def basis_coords(self, i: int) -> tuple:
-        return self._basis_coords[i]
+        return self.basis_element(i).coords
+
+    def _basis(self) -> list["Element"]:
+        f, n = self.field, self.dim
+        return [Element(self, [f.one if t == i else f.zero for t in range(n)]) for i in range(n)]
 
     @property
     def unit(self) -> "Element | None":

@@ -321,7 +321,7 @@ def gen_cd(steps, gammas, field):
 def gen_direct_sum(left, right):
     algebra = direct_sum(left, right)
     idem = None
-    if left.unit is not None:
+    if algebra.unit is not None:        # 1 (+) 0 is accepted by -e only in a unital sum
         idem = algebra.element(list(left.unit.coords) + [right.field.zero] * right.dim)
     return algebra, idem
 

@@ -23,6 +23,10 @@ class LinearMap(Memo):
     """A linear self-map stored as a Matrix: column j holds the nonzero
     coordinates {r: entry} of the image of b_j.
 
+    The theorem needs three kinds: L_z (left_multiplication), a map read
+    from a file (map_from_dict) and a seeded random one (random_map_parts);
+    sums and differences of maps give the rest.
+
     Like its Matrix, a map is never mutated: + and - build new maps.  That
     is what lets it memoise (Memo.cached) its commuting and anti-commuting
     verdicts (_failing_pair), so a map checked by decompose is not checked
@@ -39,14 +43,6 @@ class LinearMap(Memo):
         self.algebra = algebra
         self.matrix = matrix
         self._memo = {}
-
-    @classmethod
-    def identity(cls, algebra: Algebra) -> "LinearMap":
-        return cls(algebra, Matrix.identity(algebra.field, algebra.dim))
-
-    @classmethod
-    def zero(cls, algebra: Algebra) -> "LinearMap":
-        return cls(algebra, Matrix.zeros(algebra.field, algebra.dim, algebra.dim))
 
     @classmethod
     def left_multiplication(cls, algebra: Algebra, z: Element) -> "LinearMap":
@@ -293,8 +289,8 @@ def random_map_parts(algebra: Algebra, seed: int):
         return Z.combine([f.from_int(rng.randint(-3, 3)) for _ in Z.basis])
 
     z = combo()
-    xi_cols = [combo().coords for _ in range(n)]
-    xi = LinearMap(algebra, Matrix.from_columns(f, xi_cols, rows=n))
+    xi_cols = [{r: a for r, a in enumerate(combo().coords) if a} for _ in range(n)]
+    xi = LinearMap(algebra, Matrix._of(f, n, xi_cols))      # filtered once, as in mult_columns
     phi = LinearMap.left_multiplication(algebra, z) + xi
     return phi, z, xi
 
@@ -345,8 +341,8 @@ def map_to_dict(phi: LinearMap) -> dict:
 def map_from_dict(algebra: Algebra, d: dict) -> LinearMap:
     if not isinstance(d, dict):
         raise ValueError("a map must be a JSON object with dim and matrix")
-    if d.get("dim") != algebra.dim:
-        raise ValueError("map dimension does not match the algebra")
+    if type(dim := d.get("dim")) is not int or dim != algebra.dim:     # no bool, no 4.0
+        raise ValueError(f"bad dimension {dim!r}: the algebra has dimension {algebra.dim}")
     raw = d.get("matrix")
     if not isinstance(raw, list) or len(raw) != algebra.dim:
         raise ValueError("map matrix must have one row per dimension")

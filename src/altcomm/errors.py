@@ -30,7 +30,8 @@ class NotCommutingError(DecompositionError):
 
 
 class HypothesisError(DecompositionError):
-    """The idempotent regularity condition fails; `witness` is a nonzero
+    """The idempotent regularity condition fails at some e_i.
 
-    element x with (x . b_k) . e_i = 0 for every basis vector b_k.
+    `witness` is a nonzero element x with (x . b_k) . e_i = 0 for every
+    basis vector b_k.
     """

@@ -1,16 +1,18 @@
 """Exact matrices stored as sparse columns, and deterministic Gaussian elimination.
 
 A ``Matrix`` stores one thing, ``columns``: one {row: entry} map per
-column, holding no zero entry, so equal matrices store equal maps.  Every
-constructor builds that form, and it is not mutated afterwards.  Every
-operation reads it: ``+``, ``-`` and ``scale`` combine columns key by
-key, ``@`` accumulates column j of the product from the columns of self
-that column j of other names, and ``matvec`` accumulates into a dense
-list.  These are the linear maps of the package: a ``LinearMap``, each
-L_a (``Algebra.mult_columns``) and the Peirce projectors.  ``data`` and
-``column`` spell the matrix out densely, for readers that print, scan or
-rank it.  ``rref`` and ``solve`` have no caller in the package; the
-benchmark's tracer hooks them, ``matvec`` and ``@`` by name.
+column, holding no zero entry, so equal matrices store equal maps.  It is
+built from dense rows (a map file) or from sparse columns (each L_a, a
+random map's residual), and not mutated afterwards.  Every
+operation reads the columns: ``+``, ``-`` and ``scale`` combine them key
+by key, ``@`` accumulates column j of the product from the columns of
+self that column j of other names, and ``matvec`` accumulates into a
+dense list.  These are the linear maps of the package: a ``LinearMap``,
+each L_a (``Algebra.mult_columns``) and the Peirce projectors.  ``data``
+and ``column`` spell the matrix out densely, for readers that print, scan
+or check it.  ``rref`` and ``solve`` have no caller in the package; the
+benchmark's tracer hooks them, ``matvec`` and ``@`` by name, and its
+``maps`` workload builds a map from dense rows.
 
 Every elimination goes through ``echelon_of_blocks``, which computes the
 reduced row echelon form: it is unique for a row space, whatever order the
@@ -44,9 +46,8 @@ class Matrix:
     """A rows x cols matrix of exact scalars over a shared field, as its sparse columns.
 
     columns[j] maps each row r where column j is nonzero to its entry.
-    The constructor takes dense rows; from_columns takes dense columns and
-    from_sparse_columns {row: entry} maps.  Each copies its input and
-    drops its zeros.
+    The constructor takes dense rows and from_sparse_columns {row: entry}
+    maps; both copy their input and drop its zeros.
     """
 
     __slots__ = ("field", "rows", "cols", "columns")
@@ -64,25 +65,6 @@ class Matrix:
 
     # ------------------------------------------------------------------
     # constructors
-
-    @classmethod
-    def zeros(cls, field, rows: int, cols: int) -> "Matrix":
-        return cls.from_sparse_columns(field, rows, [{}] * cols)
-
-    @classmethod
-    def identity(cls, field, n: int) -> "Matrix":
-        return cls.from_sparse_columns(field, n, [{j: field.one} for j in range(n)])
-
-    @classmethod
-    def from_columns(cls, field, columns, rows: int | None = None) -> "Matrix":
-        columns = list(columns)
-        if columns:
-            rows = len(columns[0])
-        elif rows is None:
-            raise ValueError("from_columns with no columns needs an explicit row count")
-        if any(len(col) != rows for col in columns):
-            raise ValueError("ragged columns")
-        return cls._of(field, rows, [{r: a for r, a in enumerate(col) if a} for col in columns])
 
     @classmethod
     def from_sparse_columns(cls, field, rows: int, columns) -> "Matrix":

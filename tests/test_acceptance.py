@@ -23,6 +23,8 @@ from altcomm import (LEMMA_IDS, LinearMap, Matrix, PrimeField, RationalField,
 from altcomm.cli import main
 from altcomm.constructions import cayley_dickson_algebra
 
+from test_associator import columns_matrix
+
 Q = RationalField()
 F5 = PrimeField(5)
 
@@ -197,7 +199,7 @@ def test_criterion_8_negative_controls(tmp_path, monkeypatch):
             c = [Fraction(0)] * 4
             c[j * 2 + i] = Fraction(1)
             cols.append(c)
-    transpose = LinearMap(alg, Matrix.from_columns(Q, cols))
+    transpose = LinearMap(alg, columns_matrix(Q, cols))
     ok_flag, witness = is_commuting(alg, transpose)
     ok = not ok_flag and witness is not None
     ok = ok and decompose_oracle(alg, transpose) is None
@@ -276,7 +278,7 @@ def test_criterion_10_cli_determinism(tmp_path, monkeypatch):
             c = [Fraction(0)] * 4
             c[j * 2 + i] = Fraction(1)
             cols.append(c)
-    save_map(LinearMap(alg, Matrix.from_columns(Q, cols)), "tr.json")
+    save_map(LinearMap(alg, columns_matrix(Q, cols)), "tr.json")
 
     ok = True
     for args, want_code in CLI_RUNS:

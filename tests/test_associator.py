@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from altcomm import (Algebra, PrimeField, RationalField, Subspace, associator,
+from altcomm import (Algebra, LinearMap, PrimeField, RationalField, Subspace, associator,
                      cayley_dickson_algebra, direct_sum, is_alternative, is_associative,
                      matrix_algebra, nucleus, scalar_algebra, zorn)
 from altcomm.algebra import Element
@@ -125,10 +125,25 @@ def dense_rref(f, data, n_cols):
     return m, pivots
 
 
+def columns_matrix(field, columns, rows=None):
+    """The Matrix whose column j is the dense list columns[j]; rows, read off the
+    first column, is needed only when there is none."""
+    columns = list(columns)
+    rows = len(columns[0]) if columns else rows
+    return Matrix.from_sparse_columns(field, rows, [dict(enumerate(col)) for col in columns])
+
+
+def scalar_map(algebra, c=1):
+    """x -> c x on the algebra: the identity map, and the zero map at c = 0."""
+    f, n = algebra.field, algebra.dim
+    columns = [{j: f.from_int(c)} for j in range(n)]
+    return LinearMap(algebra, Matrix.from_sparse_columns(f, n, columns))
+
+
 def mult_matrix(algebra, a, side):
     """L_a or R_a with column j formed by mul_coords, not read off the table's columns."""
     basis = [algebra.basis_coords(j) for j in range(algebra.dim)]
-    return Matrix.from_columns(algebra.field, [
+    return columns_matrix(algebra.field, [
         algebra.mul_coords(a, b) if side == "left" else algebra.mul_coords(b, a) for b in basis])
 
 

@@ -12,9 +12,8 @@ from altcomm import (Algebra, RationalField, direct_sum, save_algebra, save_map,
                      scalar_algebra)
 from altcomm import cli
 from altcomm.cli import main
-from altcomm.commuting import LinearMap
-from altcomm.linalg import Matrix
 
+from test_associator import scalar_map
 from test_commuting import transpose_map
 from test_peirce_reference import orthogonality_violator
 
@@ -83,6 +82,13 @@ def test_gen_direct_sum(runner, workdir):
     assert os.path.exists("m2m2.idem.json")
     r = invoke(runner, ["verify", "m2m2.json"])
     assert r.exit_code == 0, r.output
+    # M2(Q) (+) the 2-dimensional algebra with zero product has no unit, so no -e accepts 1 (+) 0
+    save_algebra(Algebra("zero2", Q, 2, ["a", "b"], []), "zero2.json")
+    r = invoke(runner, ["gen", "direct-sum", "--left", "m2q.json", "--right", "zero2.json",
+                        "--out", "sum.json", "--format", "json", "--deterministic"])
+    assert r.exit_code == 0, r.output
+    assert json.loads(r.output)["report"]["idempotent"] is None
+    assert os.path.exists("sum.json") and not os.path.exists("sum.idem.json")
 
 
 def test_gen_usage_errors(runner, tmp_path, monkeypatch):
@@ -278,7 +284,7 @@ def test_check_map(runner, workdir):
 def test_decompose_identity(runner, workdir):
     from altcomm import load_algebra
     algebra = load_algebra("m2q.json")
-    make_map_file("id.json", LinearMap.identity(algebra))
+    make_map_file("id.json", scalar_map(algebra))
     r = invoke(runner, ["decompose", "m2q.json", "-e", "m2q.idem.json",
                         "--map", "id.json"])
     assert r.exit_code == 0, r.output
@@ -308,7 +314,7 @@ def test_decompose_non_commuting_witness(runner, workdir):
 def test_decompose_blocked_by_regularity(runner, workdir):
     from altcomm import load_algebra
     algebra = load_algebra("qq.json")
-    make_map_file("qqid.json", LinearMap.identity(algebra))
+    make_map_file("qqid.json", scalar_map(algebra))
     r = invoke(runner, ["decompose", "qq.json", "-e", "1,0", "--map", "qqid.json"])
     assert r.exit_code == 1
     assert "FAIL" in r.output
@@ -556,6 +562,13 @@ def test_booleans_are_not_dimensions_or_structure_indices(runner, tmp_path, monk
         assert "dimension" in r.output or "must be an integer" in r.output
     with pytest.raises(ValueError, match="dimension"):
         Algebra.from_dict({**base, "dim": True, "basis": ["a"]})
+    save_algebra(scalar_algebra(Q), "q.json")
+    for dim in (True, 1.0):                     # a map file's dimension is refused the same way
+        with open("map.json", "w") as fh:
+            json.dump({"dim": dim, "matrix": [["1"]]}, fh)
+        r = invoke(runner, ["check-map", "q.json", "--map", "map.json"])
+        assert_usage_error(r)
+        assert f"bad dimension {dim!r}" in r.output
     with pytest.raises(ValueError, match="structure index"):
         Algebra("two", Q, 2, ["a", "b"], [(0, True, 1, Q.one)])
 

@@ -27,8 +27,8 @@ from altcomm.algebra import Element
 from altcomm.peirce import _commutant, _over
 from altcomm.linalg import reduce_against
 
-from test_associator import (BUILTINS, F5, FAMILIES, Q, SMALL, builtin_over, dense_kernel,
-                             dense_rref, mult_matrix, small_algebras)
+from test_associator import (BUILTINS, F5, FAMILIES, Q, SMALL, builtin_over, columns_matrix,
+                             dense_kernel, dense_rref, mult_matrix, scalar_map, small_algebras)
 
 F101 = PrimeField(101)
 
@@ -396,7 +396,7 @@ def assert_peirce_centers_agree(pd, via_peirce=True):
     f = algebra.field
     for i in (1, 2):
         comp = pd.components[(i, i)]
-        B = Matrix.from_columns(f, [el.coords for el in comp.basis], rows=algebra.dim)
+        B = columns_matrix(f, [el.coords for el in comp.basis], rows=algebra.dim)
         stack = [row for t in comp.basis for row in
                  ((mult_matrix(algebra, t.coords, "right") - mult_matrix(algebra, t.coords, "left"))
                   @ B).data]
@@ -410,7 +410,7 @@ def assert_peirce_centers_agree(pd, via_peirce=True):
     diag = list(pd.components[(1, 1)].basis) + list(pd.components[(2, 2)].basis)
     off = list(pd.components[(1, 2)].basis) + list(pd.components[(2, 1)].basis)
     stack = [row for u in off for row in
-             Matrix.from_columns(f, [reference_commutator(t, u).coords for t in diag]).data]
+             columns_matrix(f, [reference_commutator(t, u).coords for t in diag]).data]
     reduced, pivots = dense_rref(f, stack, len(diag))
     kernel = dense_kernel(f, reduced, pivots, len(diag))
     want = Subspace.from_spanning(algebra, [reference_combine(algebra, g, diag) for g in kernel])
@@ -454,7 +454,7 @@ def test_the_centers_build_no_bracket_table(build):
     pd.diagonal_center(1)
     pd.diagonal_center(2)
     assert "commutator_rows" not in algebra._memo
-    assert is_commuting(algebra, LinearMap.identity(algebra))[0]
+    assert is_commuting(algebra, scalar_map(algebra))[0]
     assert "commutator_rows" in algebra._memo
 
 
@@ -462,7 +462,7 @@ def reference_commutant(algebra, span, against):
     """The kernel over span of the stacked dense rows [span_s, t], from Element commutators."""
     f = algebra.field
     stack = [row for t in against for row in
-             Matrix.from_columns(f, [reference_commutator(x, t).coords for x in span],
+             columns_matrix(f, [reference_commutator(x, t).coords for x in span],
                                  rows=algebra.dim).data]
     reduced, pivots = dense_rref(f, stack, len(span))
     return dense_kernel(f, reduced, pivots, len(span))

@@ -1,6 +1,7 @@
 """Commuting maps: detection, decomposition, the solver oracle, serialization."""
 
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,7 @@ from altcomm import (Decomposition, DecompositionError, HypothesisError, LinearM
                      random_map_parts, save_map, scalar_algebra)
 from altcomm import peirce
 
-from test_associator import BUILTINS, dense_solve
+from test_associator import BUILTINS, columns_matrix, dense_solve, scalar_map
 from test_commutator import maps_for
 from test_peirce import upper_triangular_algebra
 
@@ -34,7 +35,7 @@ def trace_map(algebra):
         for j in range(n):
             cols.append(list(unit.coords) if i == j
                         else [ZERO] * algebra.dim)
-    return LinearMap(algebra, Matrix.from_columns(Q, cols))
+    return LinearMap(algebra, columns_matrix(Q, cols))
 
 
 def transpose_map(algebra):
@@ -46,7 +47,7 @@ def transpose_map(algebra):
             c = [ZERO] * algebra.dim
             c[j * n + i] = ONE
             cols.append(c)
-    return LinearMap(algebra, Matrix.from_columns(algebra.field, cols))
+    return LinearMap(algebra, columns_matrix(algebra.field, cols))
 
 
 # ----------------------------------------------------------------------
@@ -55,8 +56,8 @@ def transpose_map(algebra):
 
 def test_linear_map_arithmetic(m2q):
     algebra, e11 = m2q
-    ident = LinearMap.identity(algebra)
-    zero = LinearMap.zero(algebra)
+    ident = scalar_map(algebra)
+    zero = scalar_map(algebra, 0)
     assert ident + zero == ident
     assert ident - ident == zero
     assert ident(e11) == e11
@@ -69,13 +70,13 @@ def test_linear_map_validation(m2q, zornq):
     algebra, e11 = m2q
     other, _ = zornq
     with pytest.raises(ValueError):
-        LinearMap(algebra, Matrix.identity(Q, 3))
+        LinearMap(algebra, Matrix(Q, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
     with pytest.raises(ValueError):
-        LinearMap(algebra, Matrix.identity(F5, 4))
+        LinearMap(algebra, Matrix(F5, [[int(r == c) for c in range(4)] for r in range(4)]))
     with pytest.raises(ValueError):
-        LinearMap.identity(algebra) + LinearMap.identity(other)
+        scalar_map(algebra) + scalar_map(other)
     with pytest.raises(ValueError):
-        LinearMap.identity(algebra)(find_unit(other))
+        scalar_map(algebra)(find_unit(other))
 
 
 # ----------------------------------------------------------------------
@@ -84,8 +85,8 @@ def test_linear_map_validation(m2q, zornq):
 
 def test_identity_and_trace_commute(m2q):
     algebra, _ = m2q
-    for phi in (LinearMap.identity(algebra), trace_map(algebra),
-                LinearMap.zero(algebra)):
+    for phi in (scalar_map(algebra), trace_map(algebra),
+                scalar_map(algebra, 0)):
         ok, witness = is_commuting(algebra, phi)
         assert ok and witness is None
 
@@ -103,10 +104,10 @@ def test_transpose_does_not_commute(m2q):
 
 def test_anti_commuting_detection(m2q):
     algebra, _ = m2q
-    zero = LinearMap.zero(algebra)
+    zero = scalar_map(algebra, 0)
     ok, witness = is_anti_commuting(algebra, zero)
     assert ok and witness is None
-    ok, witness = is_anti_commuting(algebra, LinearMap.identity(algebra))
+    ok, witness = is_anti_commuting(algebra, scalar_map(algebra))
     assert not ok and witness is not None
 
 
@@ -121,9 +122,9 @@ def test_a_map_on_another_algebra_is_refused():
         with pytest.raises(ValueError, match="map on a different algebra"):
             check(b, phi)
     with pytest.raises(ValueError, match="map on a different algebra"):
-        decompose(peirce_decompose(b, b.element(e1.coords)), LinearMap.identity(a))
+        decompose(peirce_decompose(b, b.element(e1.coords)), scalar_map(a))
     with pytest.raises(ValueError, match="map on a different algebra"):
-        run_all(peirce_decompose(b, b.element(e1.coords)), LinearMap.identity(a))
+        run_all(peirce_decompose(b, b.element(e1.coords)), scalar_map(a))
     assert phi._memo == {}, "a refused check memoises nothing"
     assert is_commuting(a, phi)[0] is False and is_anti_commuting(a, phi)[0] is False
 
@@ -147,7 +148,7 @@ def test_each_verdict_is_computed_once_per_map(m3q, monkeypatch):
     anti = is_anti_commuting(algebra, phi)
     assert is_anti_commuting(algebra, phi) is anti and calls == [False, True]
     assert first == pair_sums(algebra, phi, False) and anti == pair_sums(algebra, phi, True)
-    psi = phi + LinearMap.zero(algebra)
+    psi = phi + scalar_map(algebra, 0)
     assert is_commuting(algebra, psi) == first and calls == [False, True, False]
 
 
@@ -165,12 +166,12 @@ def test_left_multiplication_by_central_commutes(zornq):
 def test_decompose_identity(m2q_pd):
     pd = m2q_pd
     algebra = pd.algebra
-    dec = decompose(pd, LinearMap.identity(algebra))
+    dec = decompose(pd, scalar_map(algebra))
     assert dec.verified
     assert dec.z == find_unit(algebra)
     assert dec.z.to_strings() == ["1", "0", "0", "1"]
     assert dec.z1.is_zero() and dec.z2.is_zero()
-    assert dec.xi == LinearMap.zero(algebra)
+    assert dec.xi == scalar_map(algebra, 0)
 
 
 def test_decompose_trace(m2q_pd):
@@ -189,7 +190,7 @@ def test_decompose_identity_plus_trace(m2q_pd):
     pd = m2q_pd
     algebra = pd.algebra
     tr = trace_map(algebra)
-    phi = LinearMap.identity(algebra) + LinearMap.identity(algebra) + tr
+    phi = scalar_map(algebra) + scalar_map(algebra) + tr
     dec = decompose(pd, phi)
     assert dec.verified
     assert dec.z.to_strings() == ["2", "0", "0", "2"]
@@ -212,7 +213,7 @@ def test_decompose_refuses_regularity_failing_only_at_e2():
     algebra = upper_triangular_algebra()
     pd = peirce_decompose(algebra, algebra.basis_element(2))
     with pytest.raises(HypothesisError, match="fails at e2") as exc:
-        decompose(pd, LinearMap.identity(algebra))
+        decompose(pd, scalar_map(algebra))
     assert exc.value.witness == algebra.basis_element(1)
 
 
@@ -252,7 +253,7 @@ def test_check_decomposition(m2q):
     assert not check_decomposition(algebra, phi, unit, tr)  # wrong z
     assert not check_decomposition(algebra, phi, e11.scale(2), tr)  # non-central z
     assert not check_decomposition(
-        algebra, phi, unit.scale(2), LinearMap.identity(algebra))  # non-central range
+        algebra, phi, unit.scale(2), scalar_map(algebra))  # non-central range
 
 
 # ----------------------------------------------------------------------
@@ -300,7 +301,7 @@ def test_construction_agrees_with_oracle(m2q_pd, m3q_pd, zornq_pd, m2f5_pd, zorn
 
 
 def test_decomposition_to_dict(m2q_pd):
-    dec = decompose(m2q_pd, LinearMap.identity(m2q_pd.algebra))
+    dec = decompose(m2q_pd, scalar_map(m2q_pd.algebra))
     d = dec.to_dict()
     assert d["verified"] is True
     assert d["z"] == ["1", "0", "0", "1"]
@@ -315,7 +316,7 @@ def test_decomposition_to_dict(m2q_pd):
 def test_exhaustive_agrees_with_bilinear_check(m2f5):
     algebra, e11 = m2f5
     maps = [random_commuting_map(algebra, s) for s in range(4)]
-    maps += [LinearMap.identity(algebra), transpose_map(algebra),
+    maps += [scalar_map(algebra), transpose_map(algebra),
              LinearMap.left_multiplication(algebra, e11)]
     for phi in maps:
         fast, _ = is_commuting(algebra, phi)
@@ -329,10 +330,10 @@ def test_exhaustive_budget_and_field_guards(zornf5, zornq):
     algebra, _ = zornf5
     from altcomm import BudgetExceededError
     with pytest.raises(BudgetExceededError):
-        exhaustive_commuting_check(algebra, LinearMap.identity(algebra), budget=100)
+        exhaustive_commuting_check(algebra, scalar_map(algebra), budget=100)
     rational, _ = zornq
     with pytest.raises(ValueError):
-        exhaustive_commuting_check(rational, LinearMap.identity(rational))
+        exhaustive_commuting_check(rational, scalar_map(rational))
 
 
 # ----------------------------------------------------------------------
@@ -364,6 +365,11 @@ def test_map_from_dict_validation(m2q):
         map_from_dict(algebra, {"dim": 4, "matrix": [["1"] * 4] * 3})
     with pytest.raises(ValueError):
         map_from_dict(algebra, {"dim": 4})
+    # True == 1 and 4.0 == 4, yet neither is a dimension, as in Algebra.from_dict
+    for target, dim in ((scalar_algebra(Q), True), (algebra, 4.0)):
+        n = target.dim
+        with pytest.raises(ValueError, match=re.escape(f"bad dimension {dim!r}")):
+            map_from_dict(target, {"dim": dim, "matrix": [["1"] * n] * n})
 
 
 def test_exhaustive_check_refuses_int64_overflow_at_the_boundary(monkeypatch):
@@ -382,11 +388,11 @@ def test_exhaustive_check_refuses_int64_overflow_at_the_boundary(monkeypatch):
     monkeypatch.setattr(_modscan, "element_chunks", no_enumeration)
     below, above = 2097143, 2097169                          # the primes around 2^21
     algebra = scalar_algebra(PrimeField(below))
-    phi = LinearMap.identity(algebra)
+    phi = scalar_map(algebra)
     assert exhaustive_commuting_check(algebra, phi, budget=below) == (True, None)
     algebra = scalar_algebra(PrimeField(above))
     with pytest.raises(ValueError, match="overflow"):
-        exhaustive_commuting_check(algebra, LinearMap.identity(algebra), budget=above)
+        exhaustive_commuting_check(algebra, scalar_map(algebra), budget=above)
     _modscan.check_commutator_bound(5, 8)                    # Zorn(F5), the scan workload
 
 

@@ -15,7 +15,7 @@ from altcomm import lemmas
 from altcomm.algebra import Element
 from altcomm.lemmas import _EVALS, Images
 
-from test_associator import mult_matrix
+from test_associator import columns_matrix, mult_matrix, scalar_map
 from test_peirce import lift_gap_algebra, upper_triangular_algebra
 from test_peirce_reference import reference_lift
 
@@ -30,7 +30,7 @@ def transpose_map(algebra):
             c = [Fraction(0)] * algebra.dim
             c[j * n + i] = Fraction(1)
             cols.append(c)
-    return LinearMap(algebra, Matrix.from_columns(Q, cols))
+    return LinearMap(algebra, columns_matrix(Q, cols))
 
 
 def test_lemma_ids_are_ordered():
@@ -50,7 +50,7 @@ def test_all_pass_on_builtins(m2q_pd, m3q_pd, zornq_pd, m2f5_pd, zornf5_pd):
 
 
 def test_identity_map_passes(zornq_pd):
-    reports = run_all(zornq_pd, LinearMap.identity(zornq_pd.algebra))
+    reports = run_all(zornq_pd, scalar_map(zornq_pd.algebra))
     assert all(r.passed for r in reports)
 
 
@@ -67,7 +67,7 @@ def test_single_lemma_is_gated_like_run_all(m2q_pd):
     """run_lemma reports not-applicable with run_all's reason and witness, for either gate."""
     d = direct_sum(scalar_algebra(Q), scalar_algebra(Q))
     cases = [(m2q_pd, transpose_map(m2q_pd.algebra)),
-             (peirce_decompose(d, d.element([Fraction(1), Fraction(0)])), LinearMap.identity(d))]
+             (peirce_decompose(d, d.element([Fraction(1), Fraction(0)])), scalar_map(d))]
     for pd, phi in cases:
         full = run_all(pd, phi)
         assert [run_lemma(lid, pd, phi).to_dict() for lid in LEMMA_IDS] == \
@@ -77,9 +77,9 @@ def test_single_lemma_is_gated_like_run_all(m2q_pd):
 
 def test_unknown_lemma_id(m2q_pd):
     with pytest.raises(ValueError):
-        run_lemma("L10", m2q_pd, LinearMap.identity(m2q_pd.algebra))
+        run_lemma("L10", m2q_pd, scalar_map(m2q_pd.algebra))
     with pytest.raises(ValueError):
-        run_lemma("l1", m2q_pd, LinearMap.identity(m2q_pd.algebra))
+        run_lemma("l1", m2q_pd, scalar_map(m2q_pd.algebra))
 
 
 def test_non_commuting_map_blocks_everything(m2q_pd):
@@ -97,14 +97,14 @@ def test_failed_regularity_blocks_everything():
     from altcomm import direct_sum, peirce_decompose, scalar_algebra
     d = direct_sum(scalar_algebra(Q), scalar_algebra(Q))
     pd = peirce_decompose(d, d.element([Fraction(1), Fraction(0)]))
-    reports = run_all(pd, LinearMap.identity(d))
+    reports = run_all(pd, scalar_map(d))
     for r in reports:
         assert r.status == "not-applicable"
         assert "regularity" in r.notes
         assert r.witness["kernel_element"] == ["0", "1"]
     algebra = upper_triangular_algebra()        # regularity holds at e1 = E22, fails at e2
     pd = peirce_decompose(algebra, algebra.basis_element(2))
-    for r in run_all(pd, LinearMap.identity(algebra)):
+    for r in run_all(pd, scalar_map(algebra)):
         assert r.status == "not-applicable"
         assert r.notes == "not applicable: the regularity condition fails at e2"
         assert r.witness == {"kernel_element": ["0", "1", "0"]}
@@ -115,13 +115,13 @@ def test_ungated_l2_and_l4_report_lift_failures():
     algebra = lift_gap_algebra()
     pd = peirce_decompose(algebra, algebra.basis_element(1))
     t = ["0", "0", "0", "1", "0"]
-    ok, witness, notes = _EVALS["L2"](pd, Images(pd, LinearMap.identity(algebra)))
+    ok, witness, notes = _EVALS["L2"](pd, Images(pd, scalar_map(algebra)))
     assert not ok and notes == "lift failed in component (2,2)"
     assert witness == {"equation": "z . e2 = x for central z", "x": t,
                        "problem": "no central lift exists"}
     cols = [[Fraction(int(r == c)) for r in range(5)] for c in range(5)]
     cols[1][3] = Fraction(1)                          # phi(e) = e + t, identity elsewhere
-    phi = LinearMap(algebra, Matrix.from_columns(Q, cols))
+    phi = LinearMap(algebra, columns_matrix(Q, cols))
     assert phi(algebra.basis_element(1)).to_strings() == ["0", "1", "0", "1", "0"]
     ok, witness, notes = _EVALS["L4"](pd, Images(pd, phi))
     assert not ok and notes == "the (2,2) part of phi(x), x in r11, does not lift"
@@ -368,7 +368,7 @@ def test_one_run_applies_phi_once_per_input(m3q_pd, zornq_pd, m2f5_pd, monkeypat
     for pd in (m3q_pd, zornq_pd, m2f5_pd):
         inputs = {x.coords for comp in pd.components.values() for x in comp.basis}
         inputs |= {pd.e1.coords, pd.e2.coords, find_unit(pd.algebra).coords}
-        for phi in (random_commuting_map(pd.algebra, 4), LinearMap.identity(pd.algebra)):
+        for phi in (random_commuting_map(pd.algebra, 4), scalar_map(pd.algebra)):
             applied.clear()
             projected.clear()
             lifted.clear()
@@ -430,7 +430,7 @@ def test_a_cached_report_gets_its_own_witness(monkeypatch):
     pd = peirce_decompose(*matrix_algebra(Q, 2))
     witness = {"equation": "forced", "direct_basis": [["1", "0", "0", "1"]]}
     monkeypatch.setitem(lemmas._EVALS, "L1", lambda pd, images: (False, witness, "forced"))
-    phi = LinearMap.identity(pd.algebra)
+    phi = scalar_map(pd.algebra)
     first, second = run_all(pd, phi)[0], run_all(pd, phi)[0]
     assert first.status == second.status == "fail" and first.witness == second.witness == witness
     assert witness is not first.witness is not second.witness is not witness

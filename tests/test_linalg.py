@@ -12,7 +12,8 @@ from altcomm import Algebra, LinearMap, PrimeField, RationalField
 from altcomm import linalg
 from altcomm.linalg import Matrix, common_kernel, echelon_of_blocks, reduce_against
 
-from test_associator import builtin_over, dense_kernel, dense_rref, dense_solve, mult_matrix
+from test_associator import (builtin_over, columns_matrix, dense_kernel, dense_rref, dense_solve,
+                             mult_matrix)
 from test_peirce_table import reference_matmul
 
 Q = RationalField()
@@ -32,7 +33,7 @@ def test_rref_frozen_example():
 
 
 def test_rref_identity_is_fixed():
-    m = Matrix.identity(Q, 3)
+    m = qmat([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     reduced, pivots = m.rref()
     assert reduced == m and pivots == [0, 1, 2]
 
@@ -135,13 +136,6 @@ def test_matmul_and_matvec_agree():
         assert ab.column(j) == a.matvec(b.column(j))
 
 
-def test_from_columns():
-    c = Matrix.from_columns(Q, [[Fraction(1), Fraction(2)], [Fraction(3), Fraction(4)]])
-    assert c.data == [[Fraction(1), Fraction(3)], [Fraction(2), Fraction(4)]]
-    with pytest.raises(ValueError):
-        Matrix.from_columns(Q, [[Fraction(1), Fraction(2)], [Fraction(3)]])
-
-
 def test_common_kernel_matches_the_dense_kernel_reader():
     m = Matrix(F5, [[1, 2, 3], [2, 4, 1]], cols=3)
     reduced, pivots = dense_rref(F5, m.data, 3)
@@ -205,11 +199,14 @@ def test_matvec_and_matmul_match_the_dense_reference(field):
 
 
 def test_matmul_keeps_empty_shapes():
+    def zeros(rows, cols):
+        return columns_matrix(F5, [[0] * rows] * cols, rows=rows)
+
     for r, k, c in ((0, 3, 2), (2, 0, 3), (3, 2, 0), (0, 0, 0), (2, 0, 0)):
-        ab = Matrix.zeros(F5, r, k) @ Matrix.zeros(F5, k, c)
+        ab = zeros(r, k) @ zeros(k, c)
         assert (ab.rows, ab.cols, ab.data) == (r, c, [[0] * c for _ in range(r)])
-    assert Matrix.zeros(F5, 3, 0).matvec([]) == [0, 0, 0]
-    assert Matrix.zeros(F5, 0, 3).matvec([1, 2, 3]) == []
+    assert zeros(3, 0).matvec([]) == [0, 0, 0]
+    assert zeros(0, 3).matvec([1, 2, 3]) == []
 
 
 def stored_without_zeros(m):
@@ -229,15 +226,12 @@ def test_no_stored_column_holds_a_zero(field):
         a, b = (seeded_matrix(rng, field, r, k, rng.choice([0.0, 0.3, 1.0])) for _ in "ab")
         other = seeded_matrix(rng, field, k, c, rng.choice([0.0, 0.3, 1.0]))
         unit = field.from_int(rng.choice([-3, -1, 2, 4]))
-        dense_columns = [a.column(j) for j in range(k)]
-        with_zeros = [dict(enumerate(col)) for col in dense_columns]
-        built = [a, Matrix.from_columns(field, dense_columns, rows=r),
-                 Matrix.from_sparse_columns(field, r, with_zeros),
-                 Matrix.zeros(field, r, k), Matrix.identity(field, k),
+        with_zeros = [dict(enumerate(a.column(j))) for j in range(k)]
+        built = [a, Matrix.from_sparse_columns(field, r, with_zeros),
                  a + b, a - b, a - a, a + a.scale(minus_one), a @ other,
                  a.scale(unit), a.scale(field.one), a.scale(field.zero), a.rref()[0]]
         assert all(stored_without_zeros(m) for m in built)
-        assert built[1] == built[2] == a
+        assert built[1] == a
 
 
 @pytest.mark.parametrize("field", [Q, F5, F101], ids=lambda f: f.label)
@@ -270,7 +264,8 @@ def test_add_sub_and_scale_obey_the_module_laws(field):
     for _ in range(100):
         r, k = rng.randint(0, 5), rng.randint(0, 5)
         a, b = (seeded_matrix(rng, field, r, k, rng.choice([0.0, 0.3, 1.0])) for _ in "ab")
-        assert a - a == Matrix.zeros(field, r, k)
+        zero = columns_matrix(field, [[field.zero] * r] * k, rows=r)
+        assert a - a == zero
         assert (a + b) - b == a and (a - b) + b == a
         assert (a + b).data == [[field.add(x, y) for x, y in zip(u, v)]
                                 for u, v in zip(a.data, b.data)]
@@ -278,7 +273,7 @@ def test_add_sub_and_scale_obey_the_module_laws(field):
         assert a.scale(unit).data == [[field.mul(unit, x) for x in row] for row in a.data]
         assert a.scale(unit).scale(field.inv(unit)) == a
         assert a.scale(field.one) == a
-        assert a.scale(field.zero) == Matrix.zeros(field, r, k)
+        assert a.scale(field.zero) == zero
 
 
 @pytest.mark.parametrize("field", [Q, F5, F101], ids=lambda f: f.label)
@@ -308,9 +303,9 @@ def test_matvec_and_matmul_mismatches_raise():
         with pytest.raises(ValueError, match="dimension mismatch in matvec"):
             m.matvec(v)
     with pytest.raises(ValueError, match="dimension mismatch in matrix product"):
-        m @ Matrix.identity(F5, 2)
+        m @ Matrix(F5, [[1, 0], [0, 1]])
     with pytest.raises(ValueError, match="field mismatch in matrix product"):
-        m @ Matrix.identity(F7, 3)
+        m @ Matrix(F7, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
 
 
 # ----------------------------------------------------------------------

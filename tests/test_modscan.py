@@ -25,6 +25,8 @@ from altcomm import (LinearMap, Matrix, PrimeField, cayley_dickson_algebra, comm
 from altcomm import _modscan
 from altcomm.algebra import Algebra
 
+from test_associator import scalar_map
+
 F5 = PrimeField(5)
 F7 = PrimeField(7)
 FROZEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "scan_witnesses.json")
@@ -258,7 +260,7 @@ def _maps(algebra, seed):
         if t % 2 and n == 2:
             data[1][0] = f.zero
         yield LinearMap(algebra, Matrix(f, data, cols=n))
-    yield LinearMap.zero(algebra) - LinearMap.identity(algebra)
+    yield scalar_map(algebra, 0) - scalar_map(algebra)
 
 
 def _exact_first_witness(algebra, phi):

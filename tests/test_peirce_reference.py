@@ -30,7 +30,8 @@ from altcomm import (Algebra, PreconditionError, PrimeField, RationalField, Subs
 from altcomm.algebra import Element
 from altcomm.linalg import Matrix
 
-from test_associator import FAMILIES, builtin_over, dense_solve, mult_matrix
+from test_associator import (FAMILIES, builtin_over, columns_matrix, dense_solve, mult_matrix,
+                             scalar_map)
 from test_peirce import lift_gap_algebra, mixed_identity_violator, with_unit_row
 
 Q = RationalField()
@@ -62,11 +63,11 @@ def reference_peirce_decompose(algebra, e1):
                 raise PreconditionError("e_i (x e_j) and (e_i x) e_j disagree")
             projectors[(i, j)] = P
     total = projectors[(1, 1)] + projectors[(1, 2)] + projectors[(2, 1)] + projectors[(2, 2)]
-    if total != Matrix.identity(f, n):
+    if total != scalar_map(algebra).matrix:
         raise PreconditionError("Peirce projectors do not sum to the identity")
     for a in projectors:
         for b in projectors:
-            expected = projectors[a] if a == b else Matrix.zeros(f, n, n)
+            expected = projectors[a] if a == b else scalar_map(algebra, 0).matrix
             if projectors[a] @ projectors[b] != expected:
                 raise PreconditionError(f"Peirce projectors {a} and {b} are not orthogonal")
     components = {key: Subspace.from_spanning(
@@ -84,7 +85,7 @@ def reference_lift(pd, x, i):
     if not Z.basis:
         return None
     cols = [list((z * pd.idempotent(i)).coords) for z in Z.basis]
-    alpha = dense_solve(algebra.field, Matrix.from_columns(algebra.field, cols).data,
+    alpha = dense_solve(algebra.field, columns_matrix(algebra.field, cols).data,
                         len(cols), x.coords)
     return None if alpha is None else Z.combine(alpha)
 

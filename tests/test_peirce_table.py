@@ -31,7 +31,7 @@ from altcomm.algebra import Element
 from altcomm.linalg import common_kernel
 from altcomm.peirce import _regularity_block
 
-from test_associator import F5, F7, Q, SMALL, mult_matrix
+from test_associator import F5, F7, Q, SMALL, columns_matrix, mult_matrix
 from test_commutator import assert_peirce_centers_agree, scalar
 
 
@@ -87,7 +87,7 @@ def reference_hypothesis_check(algebra, e1):
     n = algebra.dim
     results = []
     for e in (e1, algebra.unit - e1):
-        blocks = (Matrix.from_columns(
+        blocks = (columns_matrix(
             f, [algebra.mul_coords(tuple(algebra.mul_coords(algebra.basis_coords(u),
                                                             algebra.basis_coords(k))),
                                    e.coords) for u in range(n)]).data
