@@ -183,12 +183,14 @@ def _range_failure(algebra: Algebra, z: Element, xi: LinearMap):
     """The first failed range check of z and xi as (message, witness), or None.
 
     In order: the first non-central residual xi(b_k), column k of xi's
-    matrix, then a non-central z.
+    matrix, then a non-central z.  Each residual is reduced as the sparse
+    column xi stores against center(algebra)'s echelon; only the witness
+    column is spelled out as a dense Element.
     """
-    for k in range(algebra.dim):
-        xk = Element(algebra, xi.matrix.column(k))
-        if not is_central(algebra, xk):
-            return "the residual map is not center-valued", xk
+    Z = center(algebra)
+    for k, column in enumerate(xi.matrix.columns):
+        if Z.reduce(column):
+            return "the residual map is not center-valued", Element(algebra, xi.matrix.column(k))
     if not is_central(algebra, z):
         return "the combined multiplier is not central", z
     return None
@@ -215,10 +217,10 @@ def decompose(pd: PeirceData, phi: LinearMap) -> Decomposition:
     if not ok2:
         raise HypothesisError("the regularity condition fails at e2", witness=w2)
 
-    f1, f2 = phi(pd.e1), phi(pd.e2)
-    z1 = _lift_or_fail(pd, pd.project(2, 2, f1), 2, "the (2,2) projection of phi(e1)")
-    z2 = _lift_or_fail(pd, pd.project(1, 1, f2), 1, "the (1,1) projection of phi(e2)")
-    z = pd.project(1, 1, f1) + pd.project(2, 2, f2) - (z1 * pd.e1 + z2 * pd.e2)
+    f1, f2 = pd.split(phi(pd.e1)), pd.split(phi(pd.e2))
+    z1 = _lift_or_fail(pd, f1[(2, 2)], 2, "the (2,2) projection of phi(e1)")
+    z2 = _lift_or_fail(pd, f2[(1, 1)], 1, "the (1,1) projection of phi(e2)")
+    z = f1[(1, 1)] + f2[(2, 2)] - (z1 * pd.e1 + z2 * pd.e2)
     xi = phi - LinearMap.left_multiplication(algebra, z)     # phi = L_z + xi by construction
     failure = _range_failure(algebra, z, xi)
     if failure is not None:
@@ -282,15 +284,22 @@ def random_map_parts(algebra: Algebra, seed: int):
 
     rng = random.Random(seed)
     f = algebra.field
-    n = algebra.dim
-    Z = center(algebra)
+    add, mul, n = f.add, f.mul, algebra.dim
+    supports = [[(k, c) for k, c in enumerate(el.coords) if c] for el in center(algebra).basis]
 
-    def combo():
-        return Z.combine([f.from_int(rng.randint(-3, 3)) for _ in Z.basis])
+    def combo() -> dict:
+        """The nonzero coordinates {k: c} of one draw, summed over the central basis supports."""
+        acc = {}
+        for terms in supports:
+            a = f.from_int(rng.randint(-3, 3))
+            if a:
+                for k, c in terms:
+                    acc[k] = add(acc[k], mul(a, c)) if k in acc else mul(a, c)
+        return {k: c for k, c in acc.items() if c}
 
-    z = combo()
-    xi_cols = [{r: a for r, a in enumerate(combo().coords) if a} for _ in range(n)]
-    xi = LinearMap(algebra, Matrix._of(f, n, xi_cols))      # filtered once, as in mult_columns
+    z_terms = combo()
+    z = Element(algebra, [z_terms.get(k, f.zero) for k in range(n)])
+    xi = LinearMap(algebra, Matrix._of(f, n, [combo() for _ in range(n)]))
     phi = LinearMap.left_multiplication(algebra, z) + xi
     return phi, z, xi
 

@@ -48,8 +48,7 @@ def matrix_algebra(field, n: int) -> tuple[Algebra, Element]:
         unit[idx(i, i)] = one
     alg = Algebra(f"M{n}({field.label})", field, n * n, labels, entries, unit=unit,
                   comment=f"full {n}x{n} matrix algebra; E_ij E_kl = delta_jk E_il")
-    e11 = alg.basis_element(idx(0, 0))
-    return alg, e11
+    return alg, Element(alg, [one] + [field.zero] * (n * n - 1))     # E11; no basis memo filled
 
 
 _EPS = {(0, 1, 2): 1, (1, 2, 0): 1, (2, 0, 1): 1,
@@ -93,7 +92,7 @@ def zorn(field) -> tuple[Algebra, Element]:
     alg = Algebra(f"Zorn({field.label})", field, 8, labels, entries, unit=unit,
                   comment="Zorn vector matrices [[a,u],[v,b]]; "
                           "product uses dot and cross products as documented")
-    return alg, alg.basis_element(0)
+    return alg, Element(alg, [one] + [field.zero] * 7)      # e11; no basis memo filled
 
 
 def scalar_algebra(field) -> Algebra:

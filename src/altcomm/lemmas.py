@@ -12,8 +12,9 @@ fails, so a lemma is never asserted outside its hypotheses.
 
 A run evaluates each thing once: the gate reuses the map's memoised
 commuting verdict, the checks read phi's images and their Peirce
-projections from one table (Images), and L1 and L2, which do not involve
-the map, are memoised on the PeirceData once the gate has passed.
+projections from one table (Images), which splits each image into its
+four parts in one pass (PeirceData.split), and L1 and L2, which do not
+involve the map, are memoised on the PeirceData once the gate has passed.
 """
 
 from __future__ import annotations
@@ -101,7 +102,9 @@ class Images(Memo):
     images(x) is phi(x), images.part(i, j, x) is P_ij(phi(x)) and
     images.diag(x) is P11(phi(x)) + P22(phi(x)), each keyed by x's
     coordinates, so e1, e2, 1 and each Peirce basis vector are applied at
-    most once however many checks read them.  images.lift_failure(x, i)
+    most once however many checks read them.  The four parts of phi(x) are
+    formed together by one PeirceData.split and kept under one key, so
+    phi(x) is split at most once.  images.lift_failure(x, i)
     is _lift_failure's answer, keyed by i and x's coordinates: the parts
     the checks lift often coincide (zero, or one multiple of e_i).  The
     witness it returns is shared, so a check that adds to it copies it.
@@ -114,13 +117,13 @@ class Images(Memo):
         return self.cached(("phi", x.coords), self.phi, x)
 
     def part(self, i: int, j: int, x: Element) -> Element:
-        return self.cached((i, j, x.coords), self._project, i, j, x)
+        return self.cached(("split", x.coords), self._split, x)[(i, j)]
 
     def diag(self, x: Element) -> Element:
         return self.cached(("diag", x.coords), self._diagonal, x)
 
-    def _project(self, i: int, j: int, x: Element) -> Element:
-        return self.pd.project(i, j, self(x))
+    def _split(self, x: Element) -> dict:
+        return self.pd.split(self(x))
 
     def _diagonal(self, x: Element) -> Element:
         return self.part(1, 1, x) + self.part(2, 2, x)

@@ -153,12 +153,15 @@ class Matrix:
         return Matrix._of(self.field, self.rows, out)
 
     def scale(self, c) -> "Matrix":
-        """c times the matrix; the matrix itself when c is one."""
+        """c times the matrix; the matrix itself when c is one.  A nonzero c times
+        a nonzero entry is nonzero, so the products need no second filter."""
         f = self.field
         if c == f.one:
             return self
-        return Matrix.from_sparse_columns(f, self.rows, [{k: f.mul(c, a) for k, a in col.items()}
-                                                         for col in self.columns])
+        if not c:
+            return Matrix._of(f, self.rows, [{} for _ in self.columns])
+        return Matrix._of(f, self.rows, [{k: f.mul(c, a) for k, a in col.items()}
+                                         for col in self.columns])
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, Matrix) and self.field == other.field

@@ -53,7 +53,10 @@ class PeirceData(Memo):
     them.  The regularity check (hypothesis) is memoised on the algebra,
     keyed by e1, so hypothesis_check and every split at e1 share one
     solve.  The projectors are the sparse-column Matrix objects the split
-    computes; project applies one (Matrix.matvec).
+    computes.  split(x) gives all four parts of x in one pass over x's
+    nonzero coordinates, reading a table built on first use: for each
+    coordinate u, the nonzero entries of column u of the four projectors
+    at once.  project reads one part of it.
     The memo is sound because nothing here is mutated after construction:
     not the idempotents, the projectors, the components nor the algebra.
     The spans that answer central lifts are memoised on the algebra
@@ -72,8 +75,27 @@ class PeirceData(Memo):
         return self.e1 if i == 1 else self.e2
 
     def project(self, i: int, j: int, x: Element) -> Element:
-        """P_ij x, the projector's matvec."""
-        return Element(self.algebra, self.projectors[(i, j)].matvec(x.coords))
+        """P_ij x, read off split(x)."""
+        return self.split(x)[(i, j)]
+
+    def split(self, x: Element) -> dict:
+        """{(i, j): P_ij x} for the four parts, summed in one pass over x's nonzero coordinates."""
+        f, n = self.algebra.field, self.algebra.dim
+        add, mul = f.add, f.mul
+        out = [f.zero] * (4 * n)            # part p of the split at offsets p n .. p n + n - 1
+        for x_u, terms in zip(x.coords, self.cached("split_table", self._split_table)):
+            if x_u:
+                for k, a in terms:
+                    out[k] = add(out[k], mul(a, x_u))
+        return {key: Element(self.algebra, out[p * n:p * n + n])
+                for p, key in enumerate(self.projectors)}
+
+    def _split_table(self) -> list:
+        """Per coordinate u, the entries (p n + r, a) of column u of the p-th projector."""
+        n = self.algebra.dim
+        columns = [P.columns for P in self.projectors.values()]
+        return [[(p * n + r, a) for p, cols in enumerate(columns) for r, a in cols[u].items()]
+                for u in range(n)]
 
     def dims(self) -> tuple[int, int, int, int]:
         c = self.components

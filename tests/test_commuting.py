@@ -11,12 +11,14 @@ from altcomm import (Decomposition, DecompositionError, HypothesisError, LinearM
                      decompose, decompose_oracle, direct_sum, exhaustive_commuting_check,
                      find_unit, is_anti_commuting, is_central, is_commuting, load_map,
                      map_from_dict, map_to_dict, peirce_decompose, random_commuting_map,
-                     random_map_parts, save_map, scalar_algebra)
+                     matrix_algebra, random_map_parts, save_map, scalar_algebra, zorn)
 from altcomm import peirce
+from altcomm.commuting import _range_failure
 
 from test_associator import BUILTINS, columns_matrix, dense_solve, scalar_map
 from test_commutator import maps_for
 from test_peirce import upper_triangular_algebra
+from test_peirce_table import rebased
 
 Q = RationalField()
 F5 = PrimeField(5)
@@ -452,3 +454,88 @@ def test_oracle_drops_the_pivot_rows_and_agrees_with_the_full_system(name, monke
     size, generators = handed[0]
     assert size == n * n and len(generators) == dim_z * (n + 1)
     assert all(isinstance(v, dict) and v and all(v.values()) for v in generators)
+
+
+def dense_random_map_parts(algebra, seed):
+    """The reference recipe: each combination formed densely through
+    Subspace.combine, then filtered to its nonzero coordinates."""
+    import random
+
+    rng = random.Random(seed)
+    f, n, Z = algebra.field, algebra.dim, center(algebra)
+
+    def combo():
+        return Z.combine([f.from_int(rng.randint(-3, 3)) for _ in Z.basis])
+
+    z = combo()
+    xi_cols = [{r: a for r, a in enumerate(combo().coords) if a} for _ in range(n)]
+    xi = LinearMap(algebra, Matrix.from_sparse_columns(f, n, xi_cols))
+    return LinearMap.left_multiplication(algebra, z) + xi, z, xi
+
+
+def _m2q_twice():
+    m2q = matrix_algebra(Q, 2)[0]
+    return direct_sum(m2q, m2q)
+
+
+def _m2q_twice_rebased():
+    """M2(Q)+M2(Q) in the basis c0 = b0 + b4, c_k = b_k: the center's two basis
+    vectors share coordinates 0 and 3, so a draw can cancel there."""
+    algebra = _m2q_twice()
+    T = [[Q.one if i == j else Q.zero for j in range(8)] for i in range(8)]
+    T[0][4] = Q.one
+    return rebased(algebra, find_unit(algebra), T)[0]
+
+
+@pytest.mark.parametrize("build, dim_z", [(lambda: matrix_algebra(Q, 4)[0], 1),
+                                          (lambda: zorn(F5)[0], 1), (_m2q_twice, 2),
+                                          (_m2q_twice_rebased, 2)],
+                         ids=["M4(Q)", "Zorn(F5)", "M2(Q)+M2(Q)", "M2(Q)+M2(Q) rebased"])
+def test_random_map_parts_draws_the_dense_recipe_map(build, dim_z):
+    """Same seed, same map, entry types and serialized text included; on M2(Q)+M2(Q)
+    each draw sums two central supports, and rebased those supports overlap."""
+    algebra = build()
+    assert center(algebra).dim == dim_z
+    for seed in range(20):
+        got, want = random_map_parts(algebra, seed), dense_random_map_parts(algebra, seed)
+        assert got == want
+        assert [type(c) for c in got[1].coords] == [type(c) for c in want[1].coords]
+        assert all(a for col in got[2].matrix.columns for a in col.values())
+        assert json.dumps(map_to_dict(got[0])) == json.dumps(map_to_dict(want[0]))
+
+
+def dense_range_failure(algebra, z, xi):
+    """_range_failure as a loop over dense residual Elements, each asked is_central."""
+    for k in range(algebra.dim):
+        xk = algebra.element(xi.matrix.column(k))
+        if not is_central(algebra, xk):
+            return "the residual map is not center-valued", xk
+    if not is_central(algebra, z):
+        return "the combined multiplier is not central", z
+    return None
+
+
+@pytest.mark.parametrize("build", [lambda: matrix_algebra(Q, 3)[0], lambda: zorn(F5)[0],
+                                   _m2q_twice], ids=["M3(Q)", "Zorn(F5)", "M2(Q)+M2(Q)"])
+def test_the_sparse_range_check_names_the_dense_loop_witness(build):
+    """Column k of a center-valued xi made non-central, then a later column too, and
+    a non-central z: the message and witness are the dense loop's."""
+    algebra = build()
+    f, n = algebra.field, algebra.dim
+    _, z, xi = random_map_parts(algebra, 7)
+    assert _range_failure(algebra, z, xi) is None is dense_range_failure(algebra, z, xi)
+    b1 = algebra.basis_element(1)
+    assert not is_central(algebra, b1)
+    for k in (0, n // 2, n - 1):
+        for later in sorted({k, n - 1}):
+            cols = [dict(col) for col in xi.matrix.columns]
+            for j in {k, later}:
+                cols[j][1] = f.add(cols[j].get(1, f.zero), f.one)
+            bad = LinearMap(algebra, Matrix.from_sparse_columns(f, n, cols))
+            got = _range_failure(algebra, z, bad)
+            assert got == dense_range_failure(algebra, z, bad)
+            assert got[0] == "the residual map is not center-valued"
+            assert got[1].coords == tuple(bad.matrix.column(k))
+    got = _range_failure(algebra, b1, xi)
+    assert got == dense_range_failure(algebra, b1, xi)
+    assert got == ("the combined multiplier is not central", b1)

@@ -203,3 +203,15 @@ def test_each_doubling_follows_the_pair_rule(field):
             for y in range(algebra.dim):
                 got = algebra.mul_coords(algebra.basis_coords(x), algebra.basis_coords(y))
                 assert got == doubled_product(base, gammas[-1], x, y), (ints, x, y)
+
+
+@pytest.mark.parametrize("build", [lambda: matrix_algebra(Q, 3), lambda: matrix_algebra(F5, 11),
+                                   lambda: zorn(Q), lambda: zorn(F5)],
+                         ids=["M3(Q)", "M11(F5)", "Zorn(Q)", "Zorn(F5)"])
+def test_the_idempotent_is_built_without_the_basis_memo(build):
+    """The returned idempotent is b0, E11 or e11, built alone: no basis memo is filled."""
+    algebra, e = build()
+    assert "basis" not in algebra._memo
+    b0 = algebra.basis_element(0)
+    assert e == b0 and [type(c) for c in e.coords] == [type(c) for c in b0.coords]
+    assert algebra.basis_labels[0] in ("E11", "E1,1", "e11")

@@ -360,22 +360,28 @@ def _counting(monkeypatch, owner, name):
 
 
 def test_one_run_applies_phi_once_per_input(m3q_pd, zornq_pd, m2f5_pd, monkeypatch):
-    """phi meets each of 1, e1, e2 and the Peirce basis vectors at most once, each of
-    the four projections of an image is formed at most once, and so is each lift."""
+    """phi meets each of 1, e1, e2 and the Peirce basis vectors at most once, each
+    image is split into its four Peirce parts at most once, and each lift is formed
+    at most once."""
     applied = _counting(monkeypatch, LinearMap, "__call__")
-    projected = _counting(monkeypatch, type(m3q_pd), "project")
+    split = _counting(monkeypatch, type(m3q_pd), "split")
     lifted = _counting(monkeypatch, lemmas, "lift_central")
     for pd in (m3q_pd, zornq_pd, m2f5_pd):
         inputs = {x.coords for comp in pd.components.values() for x in comp.basis}
         inputs |= {pd.e1.coords, pd.e2.coords, find_unit(pd.algebra).coords}
         for phi in (random_commuting_map(pd.algebra, 4), scalar_map(pd.algebra)):
             applied.clear()
-            projected.clear()
+            split.clear()
             lifted.clear()
             assert all(r.passed for r in run_all(pd, phi))
             seen = [x.coords for _, x in applied]
             assert seen and len(seen) == len(set(seen)) and set(seen) <= inputs
-            assert 0 < len(projected) <= 4 * len(seen)
+            # Each input's image is one memoised Element, so no object split twice
+            # means no input split twice; the records keep every image alive.
+            images = [id(image) for _, image in split]
+            assert 0 < len(images) <= len(seen) and len(images) == len(set(images))
+            assert {image.coords for _, image in split} <= \
+                {phi(pd.algebra.element(x)).coords for x in seen}
             lifts = [(x.coords, i) for _, x, i in lifted]
             assert lifts and len(lifts) == len(set(lifts))
     applied.clear()

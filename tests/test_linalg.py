@@ -234,6 +234,22 @@ def test_no_stored_column_holds_a_zero(field):
         assert built[1] == a
 
 
+@pytest.mark.parametrize("field", [Q, F5], ids=lambda f: f.label)
+def test_scale_stores_the_entrywise_products(field):
+    """By 0, by 1 and by non-units (2/3 over Q): no stored zero, every entry c a."""
+    rng = random.Random(31)
+    scalars = [field.zero, field.one, field.from_int(3), field.from_int(-2)]
+    if field is Q:
+        scalars.append(Fraction(2, 3))
+    for _ in range(40):
+        m = seeded_matrix(rng, field, rng.randint(0, 5), rng.randint(0, 5), rng.choice([0.3, 1.0]))
+        for c in scalars:
+            s = m.scale(c)
+            assert stored_without_zeros(s) and (s.rows, s.cols) == (m.rows, m.cols)
+            assert s.data == [[field.mul(c, a) for a in row] for row in m.data]
+    assert m.scale(field.one) is m
+
+
 @pytest.mark.parametrize("field", [Q, F5, F101], ids=lambda f: f.label)
 def test_l_a_and_r_a_store_no_zero_where_their_terms_cancel(field):
     """b0 b0 = b0 + b1 and b0 b1 = b1 b0 = b1 b1 = b0, at a = b0 - b1: column 0 of L_a

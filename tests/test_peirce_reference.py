@@ -32,6 +32,7 @@ from altcomm.linalg import Matrix
 
 from test_associator import (FAMILIES, builtin_over, columns_matrix, dense_solve, mult_matrix,
                              scalar_map)
+from test_linalg import dense_matvec
 from test_peirce import lift_gap_algebra, mixed_identity_violator, with_unit_row
 
 Q = RationalField()
@@ -265,6 +266,47 @@ def test_builtin_splits_over_three_fields_agree_with_the_reference(name, field):
     F5 and F101; CD3 and CD4 split at (1 + i)/2, whose projectors have dense columns."""
     algebra, e1 = builtin_over(name, field)
     assert assert_split_agrees(algebra, e1)[0] == "ok"
+
+
+def _m2q_twice_at_e11_twice():
+    m2q, e11 = matrix_algebra(Q, 2)
+    algebra = direct_sum(m2q, m2q)
+    return algebra, algebra.element(list(e11.coords) * 2)
+
+
+SPLIT_CASES = {"M3(Q)": lambda: matrix_algebra(Q, 3), "Zorn(F5)": lambda: zorn(F5),
+               "M3(F101)": lambda: matrix_algebra(F101, 3),
+               "M2(Q)+M2(Q)": _m2q_twice_at_e11_twice, "CD3(Q)": lambda: builtin_over("CD3", Q)}
+
+
+@pytest.mark.parametrize("name", list(SPLIT_CASES))
+def test_the_one_pass_split_is_the_four_dense_projections(name):
+    """split(x) and project(i, j, x) against each reference projector applied row
+    by row, on the basis, e1, e2, 1 and seeded sparse and dense elements (with
+    Fraction entries over Q).  CD3(Q) splits at (1 + i)/2: there the projectors
+    have dense columns with Fraction entries."""
+    algebra, e1 = SPLIT_CASES[name]()
+    pd = peirce_decompose(algebra, e1)
+    projectors, _ = reference_peirce_decompose(algebra, e1)
+    f, n = algebra.field, algebra.dim
+    rng = random.Random(n)
+    elements = [algebra.basis_element(k) for k in range(n)] + [pd.e1, pd.e2, find_unit(algebra)]
+    for density in (0.2, 1.0):
+        elements += [algebra.element([f.from_int(rng.randint(-4, 4)) if rng.random() < density
+                                      else f.zero for _ in range(n)]) for _ in range(4)]
+    if f is Q:
+        elements.append(algebra.element([Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                                         for _ in range(n)]))
+    for x in elements:
+        parts = pd.split(x)
+        assert list(parts) == list(projectors)
+        for key, P in projectors.items():
+            assert list(parts[key].coords) == dense_matvec(f, P.data, x.coords), (key, x)
+            assert pd.project(*key, x) == parts[key]
+    if name == "CD3(Q)":
+        entries = [a for P in pd.projectors.values() for col in P.columns for a in col.values()]
+        assert any(isinstance(a, Fraction) for a in entries)
+        assert any(len(col) > 1 for P in pd.projectors.values() for col in P.columns)
 
 
 # ----------------------------------------------------------------------
