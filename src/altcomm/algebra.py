@@ -41,6 +41,10 @@ class Memo:
             self._memo[key] = make(*args)
         return self._memo[key]
 
+    def held(self, key):
+        """The value stored under key if it has been made, else None; never makes it."""
+        return self._memo.get(key)
+
 
 class Algebra(Memo):
     """A structure-constant algebra over an exact field.

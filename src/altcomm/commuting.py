@@ -30,7 +30,8 @@ class LinearMap(Memo):
     Like its Matrix, a map is never mutated: + and - build new maps.  That
     is what lets it memoise (Memo.cached) its commuting and anti-commuting
     verdicts (_failing_pair), so a map checked by decompose is not checked
-    again by the lemma gate.
+    again by the lemma gate, and its columns reduced modulo the center
+    (_noncentral_columns), which both verdicts read.
     """
 
     __slots__ = ("algebra", "matrix", "_memo")
@@ -105,7 +106,10 @@ def is_commuting(algebra: Algebra, phi: LinearMap):
     sums are exactly the coefficients of x -> [phi(x), x] at x_i x_j and
     x_i^2, so the test is exact in every characteristic.  All pairs are
     summed in one pass (see _failing_pair), so there is no early exit; the
-    witness is still the first failing pair in row-major order.  The
+    witness is still the first failing pair in row-major order.  Once the
+    algebra holds its center, the pass brackets only phi's part outside
+    it: a central summand of phi(b_i) brackets to zero, so on a map
+    L_z + xi with z central the center-valued xi costs nothing.  The
     verdict is memoised on phi, so decompose and the lemma gate share one
     pass.
     """
@@ -118,7 +122,9 @@ def is_anti_commuting(algebra: Algebra, phi: LinearMap):
     The failing pair, if any, is the first (b_i, b_j) in row-major order
     with [phi(b_i), b_j] + [b_i, phi(b_j)] != 0.  That sum changes sign when
     i and j swap and vanishes at i = j, so the first failing pair has
-    i < j; like is_commuting, every pair is summed in one pass.
+    i < j; like is_commuting, every pair is summed in one pass, over phi's
+    columns reduced modulo a center already made, which the two checks
+    share.
     """
     return _failing_pair(algebra, phi, anti=True)
 
@@ -126,8 +132,13 @@ def is_anti_commuting(algebra: Algebra, phi: LinearMap):
 def _failing_pair(algebra: Algebra, phi: LinearMap, anti: bool):
     """The first basis pair i <= j whose polarized bracket sum is nonzero, in one pass.
 
-    Each nonzero matrix entry v = phi[s][i] (coordinate s of phi(b_i)),
-    read off phi's matrix column by column, meets each nonzero commutator
+    Column i of phi's matrix is first reduced against center(algebra)'s
+    echelon (_noncentral_columns, which keeps the stored column when the
+    center has not been made).  The center is the commutant, so
+    [z, b_t] = 0 for every central z: the remainder has the same bracket
+    with every b_t as phi(b_i), and every pair sum, the verdict and the
+    witness are those of phi itself.  Each nonzero entry v at row s of
+    the reduced column i meets each nonzero commutator
     [b_s, b_t] once, and v [b_s, b_t] is added to the sum of the unordered
     pair (min(i, t), max(i, t)).  For the commuting check that sum is
     [phi(b_i), b_j] + [phi(b_j), b_i], with the diagonal i = j counted
@@ -145,12 +156,30 @@ def _failing_pair(algebra: Algebra, phi: LinearMap, anti: bool):
     return phi.cached(("verdict", anti), _pair_sums, algebra, phi, anti)
 
 
+def _noncentral_columns(algebra: Algebra, phi: LinearMap) -> list:
+    """phi's stored columns, each reduced modulo the center if the algebra holds it.
+
+    Each column becomes its nonzero remainder {row: entry} against
+    center(algebra)'s echelon.  The center is read only once it has been
+    made (decompose's lifts, the oracle and random_commuting_map make it):
+    solving for it here could cost more than the reduction saves, as on
+    the Cayley-Dickson algebras, whose center is spanned by b_0 = 1, which
+    brackets to zero.  Without it the stored columns are read as they are,
+    with the same sums.
+    """
+    Z = algebra.held("center")
+    if Z is None:
+        return phi.matrix.columns
+    return [Z.reduce(column) for column in phi.matrix.columns]
+
+
 def _pair_sums(algebra: Algebra, phi: LinearMap, anti: bool):
     f, n = algebra.field, algebra.dim
     add, mul, neg, zero = f.add, f.mul, f.neg, f.zero
     brackets = algebra.commutator_rows()
     acc = {}
-    for i, column in enumerate(phi.matrix.columns):
+    columns = phi.cached("noncentral_columns", _noncentral_columns, algebra, phi)
+    for i, column in enumerate(columns):
         for s, v in column.items():
             w = neg(v) if anti else v
             for t, vec in brackets[s]:

@@ -12,9 +12,12 @@ fails, so a lemma is never asserted outside its hypotheses.
 
 A run evaluates each thing once: the gate reuses the map's memoised
 commuting verdict, the checks read phi's images and their Peirce
-projections from one table (Images), which splits each image into its
-four parts in one pass (PeirceData.split), and L1 and L2, which do not
-involve the map, are memoised on the PeirceData once the gate has passed.
+projections from one table (Images), which splits phi's columns into
+their four parts once and reads each image's parts off them, and L1 and
+L2, which do not involve the map, are memoised on the PeirceData once the
+gate has passed.  A bracket [P11(phi(x)) + P22(phi(x)), y] whose first
+argument is central is the zero vector, by the definition of the center,
+so L5 and L8 form it only when that argument is not central.
 """
 
 from __future__ import annotations
@@ -101,12 +104,15 @@ class Images(Memo):
 
     images(x) is phi(x), images.part(i, j, x) is P_ij(phi(x)) and
     images.diag(x) is P11(phi(x)) + P22(phi(x)), each keyed by x's
-    coordinates, so e1, e2, 1 and each Peirce basis vector are applied at
-    most once however many checks read them.  The four parts of phi(x) are
-    formed together by one PeirceData.split and kept under one key, so
-    phi(x) is split at most once.  images.lift_failure(x, i)
-    is _lift_failure's answer, keyed by i and x's coordinates: the parts
-    the checks lift often coincide (zero, or one multiple of e_i).  The
+    coordinates.  phi's n columns are split into their four Peirce parts
+    once per run (_column_parts), so the four parts of phi(x) are the
+    combination of those split columns by x's coordinates, formed together
+    and kept under one key: no input is applied and split on its own.
+    images.central(x) says whether diag(x) is central, and
+    images.bracket(y, x) is [diag(y), x], the zero vector with no product
+    formed when diag(y) is central.  images.lift_failure(x, i) is
+    _lift_failure's answer, keyed by i and x's coordinates: the parts the
+    checks lift often coincide (zero, or one multiple of e_i).  The
     witness it returns is shared, so a check that adds to it copies it.
     """
 
@@ -122,14 +128,48 @@ class Images(Memo):
     def diag(self, x: Element) -> Element:
         return self.cached(("diag", x.coords), self._diagonal, x)
 
+    def central(self, x: Element) -> bool:
+        return self.cached(("central", x.coords), self._central, x)
+
+    def bracket(self, y: Element, x: Element) -> Element:
+        if self.central(y):
+            return Element(x.algebra, (x.algebra.field.zero,) * x.algebra.dim)
+        return commutator(self.diag(y), x)
+
     def _split(self, x: Element) -> dict:
-        return self.pd.split(self(x))
+        """{(i, j): P_ij(phi(x))}: the split columns of phi combined by x's coordinates."""
+        columns = self.cached("columns", _column_parts, self.pd, self.phi)
+        return self.pd.combine(columns, x.coords)
 
     def _diagonal(self, x: Element) -> Element:
         return self.part(1, 1, x) + self.part(2, 2, x)
 
+    def _central(self, x: Element) -> bool:
+        return is_central(self.pd.algebra, self.diag(x))
+
     def lift_failure(self, x: Element, i: int) -> dict | None:
         return self.cached(("lift", i, x.coords), _lift_failure, self.pd, x, i)
+
+
+def _column_parts(pd: PeirceData, phi: LinearMap) -> list:
+    """Per coordinate u, the nonzero entries (k, a) of the four Peirce parts of phi(b_u).
+
+    One sparse pass: each entry v at row s of phi's column u meets the
+    entries of column s of the four projectors, row s of
+    PeirceData.split_table, so the result is a table in its layout, which
+    PeirceData.combine reads.
+    """
+    f = pd.algebra.field
+    add, mul = f.add, f.mul
+    table = pd.split_table()
+    out = []
+    for column in phi.matrix.columns:
+        acc = {}
+        for s, v in column.items():
+            for k, a in table[s]:
+                acc[k] = add(acc[k], mul(a, v)) if k in acc else mul(a, v)
+        out.append([(k, a) for k, a in acc.items() if a])
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -237,7 +277,7 @@ def _eval_l5(pd: PeirceData, phi: Images):
     for (i, j) in ((1, 2), (2, 1)):
         basis = pd.components[(i, j)].basis
         evaluated.append(_n(len(basis), "basis vector") + f" of r{i}{j}")
-        di, dj = phi.diag(pd.idempotent(i)), phi.diag(pd.idempotent(j))
+        ei, ej = pd.idempotent(i), pd.idempotent(j)
         for x in basis:
             part = phi.part(j, i, x)
             if not part.is_zero():
@@ -245,16 +285,15 @@ def _eval_l5(pd: PeirceData, phi: Images):
                            "x": x.to_strings(), "projection": part.to_strings()}
                 return False, witness, "(i) fails"
             got = phi.part(i, j, x)
-            for sign, k, l, right in (("", i, j, commutator(di, x)),
-                                      ("-", j, i, -commutator(dj, x))):
+            for sign, k, l, right in (("", i, j, phi.bracket(ei, x)),
+                                      ("-", j, i, -phi.bracket(ej, x))):
                 if got != right:
                     witness = {"equation": f"P{i}{j}(phi(x)) = {sign}[P{k}{k}(phi(e{k})) + "
                                            f"P{l}{l}(phi(e{k})), x]",
                                "x": x.to_strings(), "left": got.to_strings(),
                                "right": right.to_strings()}
                     return False, witness, "(ii) fails"
-            diag = phi.diag(x)
-            c = commutator(diag, x)
+            c = phi.bracket(x, x)
             if not c.is_zero():
                 witness = {"equation": f"[P{i}{i}(phi(x)) + P{j}{j}(phi(x)), x] = 0",
                            "x": x.to_strings(), "commutator": c.to_strings()}
@@ -297,10 +336,13 @@ def _eval_l8(pd: PeirceData, phi: Images):
     """Diagonal parts of phi on r_ij commute with the opposite component."""
     pairs = 0
     for (i, j) in ((1, 2), (2, 1)):
+        opposite = pd.components[(j, i)].basis
         for x in pd.components[(i, j)].basis:
+            pairs += len(opposite)
+            if phi.central(x):
+                continue
             diag = phi.diag(x)
-            for y in pd.components[(j, i)].basis:
-                pairs += 1
+            for y in opposite:
                 c = commutator(diag, y)
                 if not c.is_zero():
                     witness = {"equation": f"[P11(phi(x)) + P22(phi(x)), y] = 0, "
@@ -324,9 +366,9 @@ def _eval_l9(pd: PeirceData, phi: Images):
         basis = pd.components[(i, j)].basis
         instances.append(_n(len(basis), "vector") + f" of r{i}{j}")
         for x in basis:
-            diag = phi.diag(x)
-            if is_central(algebra, diag):
+            if phi.central(x):
                 continue
+            diag = phi.diag(x)
             for r in range(algebra.dim):
                 br = algebra.basis_element(r)
                 c = commutator(diag, br)

@@ -2,17 +2,17 @@
 
 A ``Matrix`` stores one thing, ``columns``: one {row: entry} map per
 column, holding no zero entry, so equal matrices store equal maps.  It is
-built from dense rows (a map file) or from sparse columns (each L_a, a
-random map's residual), and not mutated afterwards.  Every
-operation reads the columns: ``+``, ``-`` and ``scale`` combine them key
-by key, ``@`` accumulates column j of the product from the columns of
-self that column j of other names, and ``matvec`` accumulates into a
-dense list.  These are the linear maps of the package: a ``LinearMap``,
-each L_a (``Algebra.mult_columns``) and the Peirce projectors.  ``data``
-and ``column`` spell the matrix out densely, for readers that print, scan
-or check it.  ``rref`` and ``solve`` have no caller in the package; the
-benchmark's tracer hooks them, ``matvec`` and ``@`` by name, and its
-``maps`` workload builds a map from dense rows.
+built from dense rows (a map file), or without a copy from sparse
+columns that hold no zero (each L_a, a random map's residual), and not
+mutated afterwards.  Every operation reads the columns: ``+``, ``-`` and
+``scale`` combine them key by key, ``@`` accumulates column j of the
+product from the columns of self that column j of other names, and
+``matvec`` accumulates into a dense list.  These are the linear maps of
+the package: a ``LinearMap``, each L_a (``Algebra.mult_columns``) and the
+Peirce projectors.  ``data`` and ``column`` spell the matrix out densely,
+for readers that print, scan or check it.  ``rref`` and ``solve`` have
+no caller in the package; the benchmark's tracer hooks them, ``matvec``
+and ``@`` by name, and its ``maps`` workload builds a map from dense rows.
 
 Every elimination goes through ``echelon_of_blocks``, which computes the
 reduced row echelon form: it is unique for a row space, whatever order the
@@ -46,8 +46,8 @@ class Matrix:
     """A rows x cols matrix of exact scalars over a shared field, as its sparse columns.
 
     columns[j] maps each row r where column j is nonzero to its entry.
-    The constructor takes dense rows and from_sparse_columns {row: entry}
-    maps; both copy their input and drop its zeros.
+    The constructor takes dense rows, copies them and drops their zeros;
+    _of takes {row: entry} maps that hold no zero, as they are.
     """
 
     __slots__ = ("field", "rows", "cols", "columns")
@@ -65,11 +65,6 @@ class Matrix:
 
     # ------------------------------------------------------------------
     # constructors
-
-    @classmethod
-    def from_sparse_columns(cls, field, rows: int, columns) -> "Matrix":
-        """The matrix whose column j holds the nonzero entries {row: entry} of columns[j]."""
-        return cls._of(field, rows, [{r: a for r, a in col.items() if a} for col in columns])
 
     @classmethod
     def _of(cls, field, rows: int, columns: list[dict]) -> "Matrix":

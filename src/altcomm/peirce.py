@@ -80,18 +80,25 @@ class PeirceData(Memo):
 
     def split(self, x: Element) -> dict:
         """{(i, j): P_ij x} for the four parts, summed in one pass over x's nonzero coordinates."""
+        return self.combine(self.split_table(), x.coords)
+
+    def combine(self, table: list, coords) -> dict:
+        """The four parts of sum_u coords[u] table[u], each row (k, a) laid out as in split_table."""
         f, n = self.algebra.field, self.algebra.dim
         add, mul = f.add, f.mul
         out = [f.zero] * (4 * n)            # part p of the split at offsets p n .. p n + n - 1
-        for x_u, terms in zip(x.coords, self.cached("split_table", self._split_table)):
+        for x_u, terms in zip(coords, table):
             if x_u:
                 for k, a in terms:
                     out[k] = add(out[k], mul(a, x_u))
         return {key: Element(self.algebra, out[p * n:p * n + n])
                 for p, key in enumerate(self.projectors)}
 
+    def split_table(self) -> list:
+        """Per coordinate u, the entries (p n + r, a) of column u of the p-th projector; cached."""
+        return self.cached("split_table", self._split_table)
+
     def _split_table(self) -> list:
-        """Per coordinate u, the entries (p n + r, a) of column u of the p-th projector."""
         n = self.algebra.dim
         columns = [P.columns for P in self.projectors.values()]
         return [[(p * n + r, a) for p, cols in enumerate(columns) for r, a in cols[u].items()]

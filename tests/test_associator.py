@@ -125,19 +125,24 @@ def dense_rref(f, data, n_cols):
     return m, pivots
 
 
+def sparse_matrix(field, rows, columns):
+    """The Matrix whose column j holds the nonzero entries of the {row: entry} map columns[j]."""
+    return Matrix._of(field, rows, [{r: a for r, a in col.items() if a} for col in columns])
+
+
 def columns_matrix(field, columns, rows=None):
     """The Matrix whose column j is the dense list columns[j]; rows, read off the
     first column, is needed only when there is none."""
     columns = list(columns)
     rows = len(columns[0]) if columns else rows
-    return Matrix.from_sparse_columns(field, rows, [dict(enumerate(col)) for col in columns])
+    return sparse_matrix(field, rows, [dict(enumerate(col)) for col in columns])
 
 
 def scalar_map(algebra, c=1):
     """x -> c x on the algebra: the identity map, and the zero map at c = 0."""
     f, n = algebra.field, algebra.dim
     columns = [{j: f.from_int(c)} for j in range(n)]
-    return LinearMap(algebra, Matrix.from_sparse_columns(f, n, columns))
+    return LinearMap(algebra, sparse_matrix(f, n, columns))
 
 
 def mult_matrix(algebra, a, side):

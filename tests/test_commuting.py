@@ -1,23 +1,25 @@
 """Commuting maps: detection, decomposition, the solver oracle, serialization."""
 
 import json
+import random
 import re
 from fractions import Fraction
 
 import pytest
 
-from altcomm import (Decomposition, DecompositionError, HypothesisError, LinearMap, Matrix,
-                     NotCommutingError, PrimeField, RationalField, center, check_decomposition,
+from altcomm import (Algebra, Decomposition, DecompositionError, HypothesisError, LinearMap,
+                     Matrix, NotCommutingError, PrimeField, RationalField, cayley_dickson_algebra,
+                     center, check_decomposition, commutator,
                      decompose, decompose_oracle, direct_sum, exhaustive_commuting_check,
                      find_unit, is_anti_commuting, is_central, is_commuting, load_map,
                      map_from_dict, map_to_dict, peirce_decompose, random_commuting_map,
                      matrix_algebra, random_map_parts, save_map, scalar_algebra, zorn)
-from altcomm import peirce
+from altcomm import commuting, peirce
 from altcomm.commuting import _range_failure
 
-from test_associator import BUILTINS, columns_matrix, dense_solve, scalar_map
+from test_associator import BUILTINS, columns_matrix, dense_solve, scalar_map, sparse_matrix
 from test_commutator import maps_for
-from test_peirce import upper_triangular_algebra
+from test_peirce import comm3, upper_triangular_algebra
 from test_peirce_table import rebased
 
 Q = RationalField()
@@ -469,7 +471,7 @@ def dense_random_map_parts(algebra, seed):
 
     z = combo()
     xi_cols = [{r: a for r, a in enumerate(combo().coords) if a} for _ in range(n)]
-    xi = LinearMap(algebra, Matrix.from_sparse_columns(f, n, xi_cols))
+    xi = LinearMap(algebra, sparse_matrix(f, n, xi_cols))
     return LinearMap.left_multiplication(algebra, z) + xi, z, xi
 
 
@@ -531,7 +533,7 @@ def test_the_sparse_range_check_names_the_dense_loop_witness(build):
             cols = [dict(col) for col in xi.matrix.columns]
             for j in {k, later}:
                 cols[j][1] = f.add(cols[j].get(1, f.zero), f.one)
-            bad = LinearMap(algebra, Matrix.from_sparse_columns(f, n, cols))
+            bad = LinearMap(algebra, sparse_matrix(f, n, cols))
             got = _range_failure(algebra, z, bad)
             assert got == dense_range_failure(algebra, z, bad)
             assert got[0] == "the residual map is not center-valued"
@@ -539,3 +541,101 @@ def test_the_sparse_range_check_names_the_dense_loop_witness(build):
     got = _range_failure(algebra, b1, xi)
     assert got == dense_range_failure(algebra, b1, xi)
     assert got == ("the combined multiplier is not central", b1)
+
+
+# ----------------------------------------------------------------------
+# the commuting pass brackets phi modulo the center
+
+
+def strictly_upper_triangular(n):
+    """N_n(Q), strictly upper triangular n x n matrices: not unital, center spanned by E_1n."""
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    index = {p: k for k, p in enumerate(pairs)}
+    entries = [(index[i, j], index[j, l], index[i, l], ONE)
+               for i, j in pairs for l in range(j + 1, n)]
+    return Algebra(f"N{n}(Q)", Q, len(pairs), [f"E{i + 1}{j + 1}" for i, j in pairs], entries)
+
+
+def pairwise_verdict(algebra, phi, anti):
+    """The first pair i <= j, row-major, whose bracket sum is nonzero, summed pair by
+    pair with commutator: [phi(b_i), b_j] + [phi(b_j), b_i] ([phi(b_i), b_i] once on
+    the diagonal), or [phi(b_i), b_j] + [b_i, phi(b_j)] when anti."""
+    b, n = algebra.basis_element, algebra.dim
+    images = [phi(b(i)) for i in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            s = commutator(images[i], b(j))
+            if anti:
+                s = s + commutator(b(i), images[j])
+            elif j != i:
+                s = s + commutator(images[j], b(i))
+            if not s.is_zero():
+                return False, (b(i), b(j))
+    return True, None
+
+
+def sparse_map(algebra, rng, entries=3):
+    """A map with a few seeded nonzero entries."""
+    f, n = algebra.field, algebra.dim
+    columns = [{} for _ in range(n)]
+    for _ in range(entries):
+        columns[rng.randrange(n)][rng.randrange(n)] = f.from_int(rng.choice([-2, -1, 1, 3]))
+    return LinearMap(algebra, sparse_matrix(f, n, columns))
+
+
+VERDICT_ALGEBRAS = {
+    "M3(Q)": lambda: matrix_algebra(Q, 3)[0],
+    "Zorn(F5)": lambda: zorn(F5)[0],
+    "CD3(Q)": lambda: cayley_dickson_algebra(Q, [Q.one, Q.from_int(-1), Q.one])[0],
+    "M2(Q)+M2(Q)": _m2q_twice,
+    "comm3": comm3,
+    "N4(Q)": lambda: strictly_upper_triangular(4),
+}
+
+
+def _by_coords(verdict):
+    ok, pair = verdict
+    return ok, None if pair is None else tuple(x.coords for x in pair)
+
+
+@pytest.mark.parametrize("name", list(VERDICT_ALGEBRAS))
+def test_verdicts_modulo_the_center_are_the_pairwise_verdicts(name, monkeypatch):
+    """Seeded commuting maps, sparse maps and their sums: both checks give the pairwise
+    reference's verdict and witness.  Once the algebra holds its center they read phi's
+    columns reduced modulo it, reduced once per map; before, the stored columns."""
+    algebra, fresh = VERDICT_ALGEBRAS[name](), VERDICT_ALGEBRAS[name]()
+    Z = center(algebra)
+    assert Z.dim == {"M2(Q)+M2(Q)": 2, "comm3": 3}.get(name, 1)
+    reduced = []
+    original = commuting._noncentral_columns
+
+    def recorded(algebra, phi):
+        reduced.append(phi)
+        return original(algebra, phi)
+
+    monkeypatch.setattr(commuting, "_noncentral_columns", recorded)
+    failing = 0
+    for seed in range(3):
+        rng = random.Random(seed)
+        standard = random_commuting_map(algebra, seed)
+        for phi in (standard, sparse_map(algebra, rng), standard + sparse_map(algebra, rng)):
+            cold = LinearMap(fresh, phi.matrix)
+            for anti, check in ((False, is_commuting), (True, is_anti_commuting)):
+                got = check(algebra, phi)
+                assert got == pairwise_verdict(algebra, phi, anti), (name, seed, anti)
+                assert _by_coords(check(fresh, cold)) == _by_coords(got), (name, seed, anti)
+                failing += not got[0]
+            assert len(reduced) == 2 and reduced[0] is phi and reduced[1] is cold
+            reduced.clear()
+            # Each column read is phi's column minus a central part, and reduced: it
+            # holds no entry at a pivot of the center's echelon.
+            rest = phi._memo["noncentral_columns"]
+            central = phi.matrix - sparse_matrix(algebra.field, algebra.dim, rest)
+            assert not any(Z.reduce(col) for col in central.columns)
+            assert all(all(col.values()) and Z.reduce(col) == col for col in rest)
+            assert cold._memo["noncentral_columns"] is cold.matrix.columns
+    assert fresh.held("center") is None, "the checks never make the center"
+    if name == "comm3":
+        assert failing == 0, "every map on a commutative algebra commutes"
+    else:
+        assert failing > 0

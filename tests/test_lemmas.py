@@ -8,8 +8,9 @@ from fractions import Fraction
 import pytest
 
 from altcomm import (LEMMA_IDS, LinearMap, Matrix, PreconditionError, PrimeField,
-                     RationalField, Subspace, center, decompose, decompose_oracle, direct_sum,
-                     find_unit, lift_central, matrix_algebra, peirce, peirce_decompose,
+                     RationalField, Subspace, cayley_dickson_algebra, center, commutator,
+                     decompose, decompose_oracle, direct_sum, find_unit, is_central,
+                     lift_central, matrix_algebra, peirce, peirce_decompose,
                      random_commuting_map, run_all, run_lemma, scalar_algebra, zorn)
 from altcomm import lemmas
 from altcomm.algebra import Element
@@ -360,33 +361,141 @@ def _counting(monkeypatch, owner, name):
 
 
 def test_one_run_applies_phi_once_per_input(m3q_pd, zornq_pd, m2f5_pd, monkeypatch):
-    """phi meets each of 1, e1, e2 and the Peirce basis vectors at most once, each
-    image is split into its four Peirce parts at most once, and each lift is formed
-    at most once."""
+    """phi meets each of 1, e1, e2 and the Peirce basis vectors at most once, phi's
+    columns are split into their Peirce parts exactly once per run, no image goes
+    through PeirceData.split, each input's parts are formed at most once, and each
+    lift is formed at most once."""
     applied = _counting(monkeypatch, LinearMap, "__call__")
     split = _counting(monkeypatch, type(m3q_pd), "split")
+    columns = _counting(monkeypatch, lemmas, "_column_parts")
+    parted = _counting(monkeypatch, Images, "_split")
     lifted = _counting(monkeypatch, lemmas, "lift_central")
     for pd in (m3q_pd, zornq_pd, m2f5_pd):
         inputs = {x.coords for comp in pd.components.values() for x in comp.basis}
         inputs |= {pd.e1.coords, pd.e2.coords, find_unit(pd.algebra).coords}
         for phi in (random_commuting_map(pd.algebra, 4), scalar_map(pd.algebra)):
-            applied.clear()
-            split.clear()
-            lifted.clear()
+            for record in (applied, split, columns, parted, lifted):
+                record.clear()
             assert all(r.passed for r in run_all(pd, phi))
             seen = [x.coords for _, x in applied]
             assert seen and len(seen) == len(set(seen)) and set(seen) <= inputs
-            # Each input's image is one memoised Element, so no object split twice
-            # means no input split twice; the records keep every image alive.
-            images = [id(image) for _, image in split]
-            assert 0 < len(images) <= len(seen) and len(images) == len(set(images))
-            assert {image.coords for _, image in split} <= \
-                {phi(pd.algebra.element(x)).coords for x in seen}
+            assert split == []
+            assert len(columns) == 1 and columns[0][0] is pd and columns[0][1] is phi
+            parts = [x.coords for _, x in parted]
+            assert parts and len(parts) == len(set(parts)) and set(parts) <= inputs
             lifts = [(x.coords, i) for _, x, i in lifted]
             assert lifts and len(lifts) == len(set(lifts))
     applied.clear()
+    columns.clear()
     assert {r.status for r in run_all(m3q_pd, _perturbed(m3q_pd.algebra, 2))} == \
-        {"not-applicable"} and applied == []
+        {"not-applicable"} and applied == [] and columns == []
+
+
+SPLIT_CASES = ["M3(Q)", "Zorn(F5)", "M2(Q)+M2(Q)", "CD3(Q)"]
+
+
+def _split_cases():
+    """(label, PeirceData) for SPLIT_CASES: CD3(Q) at (1 + i)/2 has Fraction entries
+    in its projectors."""
+    m2 = matrix_algebra(Q, 2)[0]
+    mm = direct_sum(m2, m2)
+    e11 = [Q.one] + [Q.zero] * 3
+    cd3, half = cayley_dickson_algebra(Q, [Q.one, Q.from_int(-1), Q.one])
+    return [("M3(Q)", peirce_decompose(*matrix_algebra(Q, 3))),
+            ("Zorn(F5)", peirce_decompose(*zorn(PrimeField(5)))),
+            ("M2(Q)+M2(Q)", peirce_decompose(mm, mm.element(e11 + e11))),
+            ("CD3(Q)", peirce_decompose(cd3, half))]
+
+
+@pytest.mark.parametrize("label", SPLIT_CASES)
+def test_image_parts_are_the_split_of_each_image(label):
+    """For each input the suite reads, every part Images forms from the split columns is
+    pd.split(phi(x)), text included; central(x) is is_central of the diagonal part, and
+    bracket(x, y) is commutator(diag(x), y) for every basis vector y."""
+    pd = dict(_split_cases())[label]
+    algebra = pd.algebra
+    inputs = [x for comp in pd.components.values() for x in comp.basis]
+    inputs += [pd.e1, pd.e2, find_unit(algebra)]
+    if label == "CD3(Q)":
+        assert any(isinstance(a, Fraction) for P in pd.projectors.values()
+                   for col in P.columns for a in col.values())
+    basis = [algebra.basis_element(k) for k in range(algebra.dim)]
+    central_seen = set()
+    for phi in (random_commuting_map(algebra, 3), _perturbed(algebra, 5),
+                LinearMap(algebra, mult_matrix(algebra, algebra.basis_coords(1), "right"))):
+        images = Images(pd, phi)
+        for x in inputs:
+            want = pd.split(phi(x))
+            for (i, j), part in want.items():
+                got = images.part(i, j, x)
+                assert got == part and got.to_strings() == part.to_strings(), (label, x, i, j)
+            diag = want[(1, 1)] + want[(2, 2)]
+            assert images.diag(x) == diag
+            assert images.central(x) is is_central(algebra, diag)
+            central_seen.add(images.central(x))
+            for y in basis:
+                got = images.bracket(x, y)
+                want_bracket = commutator(diag, y)
+                assert got == want_bracket and got.to_strings() == want_bracket.to_strings()
+    assert central_seen == {True, False}
+
+
+class DenseImages(Images):
+    """Images read the way the suite read them before: each image applied and split
+    by pd.split, centrality asked afresh and every bracket formed."""
+
+    def part(self, i, j, x):
+        return self.pd.split(self.phi(x))[(i, j)]
+
+    def central(self, x):
+        return is_central(self.pd.algebra, self.diag(x))
+
+    def bracket(self, y, x):
+        return commutator(self.diag(y), x)
+
+
+def _checked_cases():
+    """(PeirceData, map): the frozen maps, then a seeded and a perturbed map per split case."""
+    cases = [(pd, phi) for _, pd, phi in _frozen_cases()]
+    for _, pd in _split_cases():
+        cases += [(pd, random_commuting_map(pd.algebra, 2)), (pd, _perturbed(pd.algebra, 3))]
+    return cases
+
+
+@pytest.mark.parametrize("lid", LEMMA_IDS[2:])
+def test_the_checks_read_what_dense_images_read(lid):
+    """L3-L9 give the same (ok, witness, notes) from the split columns, with central
+    brackets skipped, as from DenseImages, on the frozen maps and on seeded and
+    perturbed maps over the split cases."""
+    cases = _checked_cases()
+    got = [_EVALS[lid](pd, Images(pd, phi)) for pd, phi in cases]
+    assert got == [_EVALS[lid](pd, DenseImages(pd, phi)) for pd, phi in cases]
+    assert {ok for ok, _, _ in got} == {True, False}
+
+
+def reference_l8(pd, phi):
+    """L8's verdict and first failing (x, y, [diag(x), y]), every pair bracketed densely."""
+    for (i, j) in ((1, 2), (2, 1)):
+        for x in pd.components[(i, j)].basis:
+            parts = pd.split(phi(x))
+            diag = parts[(1, 1)] + parts[(2, 2)]
+            for y in pd.components[(j, i)].basis:
+                c = commutator(diag, y)
+                if not c.is_zero():
+                    return False, [x.to_strings(), y.to_strings(), c.to_strings()]
+    return True, None
+
+
+def test_l8_brackets_every_pair_whose_diagonal_part_is_not_central():
+    """L8, which skips each x whose diagonal part is central, fails exactly where the
+    dense pair-by-pair reference does, at the same pair."""
+    verdicts = []
+    for pd, phi in _checked_cases():
+        ok, witness, _ = _EVALS["L8"](pd, Images(pd, phi))
+        got = (ok, None if ok else [witness["x"], witness["y"], witness["commutator"]])
+        assert got == reference_l8(pd, phi)
+        verdicts.append(ok)
+    assert set(verdicts) == {True, False}
 
 
 def test_the_commuting_check_runs_once_per_map(m3q_pd, monkeypatch):

