@@ -11,19 +11,22 @@ run_lemma and run_all verify both and report not-applicable when either
 fails, so a lemma is never asserted outside its hypotheses.
 
 A run evaluates each thing once: the gate reuses the map's memoised
-commuting verdict, the checks read phi's images and their Peirce
+commuting verdict, and the checks read phi's images and their Peirce
 projections from one table (Images), which splits phi's columns into
-their four parts once and reads each image's parts off them, and L1 and
-L2, which do not involve the map, are memoised on the PeirceData once the
-gate has passed.  A bracket [P11(phi(x)) + P22(phi(x)), y] whose first
-argument is central is the zero vector, by the definition of the center,
-so L5 and L8 form it only when that argument is not central.
+their four parts once, with the PeirceData's stacked projectors, and
+reads each image's parts off them.  What does not involve the map is
+memoised on the PeirceData and shared by every run on it: L1 and L2, once
+the gate has passed, and each central lift's verdict.  A bracket
+[P11(phi(x)) + P22(phi(x)), y] whose first argument is central is the
+zero vector, by the definition of the center, so L5 and L8 form it only
+when that argument is not central.
 """
 
 from __future__ import annotations
 
 from copy import deepcopy
 from dataclasses import asdict, dataclass
+from operator import matmul
 
 from .algebra import Element, Memo, commutator, find_unit
 from .commuting import LinearMap, is_commuting
@@ -80,8 +83,9 @@ def run_all(pd: PeirceData, phi: LinearMap) -> list[LemmaReport]:
 def _run(pd: PeirceData, phi: LinearMap, lemma_ids) -> list[LemmaReport]:
     """Reports for lemma_ids in order, behind one gate check shared by all of them.
 
-    The checks share one Images table; L1 and L2 are memoised on the
-    PeirceData.  Each report gets its own copy of the witness.
+    The checks share one Images table; L1 and L2 and the lift verdicts
+    are memoised on the PeirceData.  Each report gets its own copy of the
+    witness, so a cached one is never handed out.
     """
     blocked = _gate(pd, phi)
     if blocked is not None:
@@ -104,16 +108,13 @@ class Images(Memo):
 
     images(x) is phi(x), images.part(i, j, x) is P_ij(phi(x)) and
     images.diag(x) is P11(phi(x)) + P22(phi(x)), each keyed by x's
-    coordinates.  phi's n columns are split into their four Peirce parts
-    once per run (_column_parts), so the four parts of phi(x) are the
-    combination of those split columns by x's coordinates, formed together
-    and kept under one key: no input is applied and split on its own.
-    images.central(x) says whether diag(x) is central, and
+    coordinates.  phi's columns are split into their four Peirce parts
+    once per run, as the product pd.stacked() @ phi, so the four parts of
+    phi(x) are that product's matvec on x's coordinates, cut by pd.parts,
+    formed together and kept under one key: no input is applied and split
+    on its own.  images.central(x) says whether diag(x) is central, and
     images.bracket(y, x) is [diag(y), x], the zero vector with no product
-    formed when diag(y) is central.  images.lift_failure(x, i) is
-    _lift_failure's answer, keyed by i and x's coordinates: the parts the
-    checks lift often coincide (zero, or one multiple of e_i).  The
-    witness it returns is shared, so a check that adds to it copies it.
+    formed when diag(y) is central.
     """
 
     def __init__(self, pd: PeirceData, phi: LinearMap):
@@ -137,39 +138,15 @@ class Images(Memo):
         return commutator(self.diag(y), x)
 
     def _split(self, x: Element) -> dict:
-        """{(i, j): P_ij(phi(x))}: the split columns of phi combined by x's coordinates."""
-        columns = self.cached("columns", _column_parts, self.pd, self.phi)
-        return self.pd.combine(columns, x.coords)
+        """{(i, j): P_ij(phi(x))}: phi's split columns applied to x's coordinates."""
+        columns = self.cached("columns", matmul, self.pd.stacked(), self.phi.matrix)
+        return self.pd.parts(columns.matvec(x.coords))
 
     def _diagonal(self, x: Element) -> Element:
         return self.part(1, 1, x) + self.part(2, 2, x)
 
     def _central(self, x: Element) -> bool:
         return is_central(self.pd.algebra, self.diag(x))
-
-    def lift_failure(self, x: Element, i: int) -> dict | None:
-        return self.cached(("lift", i, x.coords), _lift_failure, self.pd, x, i)
-
-
-def _column_parts(pd: PeirceData, phi: LinearMap) -> list:
-    """Per coordinate u, the nonzero entries (k, a) of the four Peirce parts of phi(b_u).
-
-    One sparse pass: each entry v at row s of phi's column u meets the
-    entries of column s of the four projectors, row s of
-    PeirceData.split_table, so the result is a table in its layout, which
-    PeirceData.combine reads.
-    """
-    f = pd.algebra.field
-    add, mul = f.add, f.mul
-    table = pd.split_table()
-    out = []
-    for column in phi.matrix.columns:
-        acc = {}
-        for s, v in column.items():
-            for k, a in table[s]:
-                acc[k] = add(acc[k], mul(a, v)) if k in acc else mul(a, v)
-        out.append([(k, a) for k, a in acc.items() if a])
-    return out
 
 
 # ----------------------------------------------------------------------
@@ -183,15 +160,35 @@ def _n(count: int, noun: str) -> str:
 def _lift_failure(pd: PeirceData, x: Element, i: int) -> dict | None:
     """The witness that x has no central lift z . e_i = x, or None when lift_central finds one.
 
-    A refused precondition of lift_central is the witness's problem, not raised.
+    The verdict depends on the split and on x's direction only: z lifts x
+    iff c z lifts c x, for a nonzero scalar c, and lift_central's two
+    preconditions are memberships in subspaces.  So the verdict, None or
+    the problem, is memoised on the PeirceData under ("lift_failure", i,
+    d), d the nonzero coordinates of x scaled so the first is one (empty
+    for x = 0), and shared by every run on the split: the parts the
+    checks lift are mostly multiples of a few vectors, so the memo holds
+    an entry per direction, not per part.  The witness is built from x
+    itself on every call.
+    """
+    f = pd.algebra.field
+    nonzero = [(u, a) for u, a in enumerate(x.coords) if a]
+    lead = nonzero[0][1] if nonzero else f.one
+    # An entry equal to the lead needs no division; most parts are a multiple of one vector.
+    d = tuple((u, f.one if a == lead else f.mul(a, f.inv(lead))) for u, a in nonzero)
+    problem = pd.cached(("lift_failure", i, d), _lift_problem, pd, x, i)
+    return None if problem is None else {"equation": f"z . e{i} = x for central z",
+                                         "x": x.to_strings(), "problem": problem}
+
+
+def _lift_problem(pd: PeirceData, x: Element, i: int) -> str | None:
+    """Why x has no central lift, or None when lift_central finds one.
+
+    A refused precondition of lift_central is the problem, not raised.
     """
     try:
-        if lift_central(pd, x, i) is not None:
-            return None
-        problem = "no central lift exists"
+        return None if lift_central(pd, x, i) is not None else "no central lift exists"
     except PreconditionError as exc:
-        problem = str(exc)
-    return {"equation": f"z . e{i} = x for central z", "x": x.to_strings(), "problem": problem}
+        return str(exc)
 
 
 def _off_diagonal_zero(phi: Images, y: Element):
@@ -229,7 +226,7 @@ def _eval_l2(pd: PeirceData, phi: Images):
         zc = pd.diagonal_center(i)
         counts.append(_n(zc.dim, "central vector") + f" of r{i}{i}")
         for x in zc.basis:
-            witness = phi.lift_failure(x, i)
+            witness = _lift_failure(pd, x, i)
             if witness is not None:
                 return False, witness, f"lift failed in component ({i},{i})"
     return True, None, "lifted " + " and ".join(counts)
@@ -245,7 +242,7 @@ def _eval_l3(pd: PeirceData, phi: Images):
                        "projection": part.to_strings()}
             return False, witness, f"phi({name}) has an off-diagonal part"
     for i in (1, 2):
-        witness = phi.lift_failure(phi.part(i, i, unit), i)
+        witness = _lift_failure(pd, phi.part(i, i, unit), i)
         if witness is not None:
             return False, witness, f"the ({i},{i}) part of phi(1) does not lift"
     return True, None, "evaluated phi at 1, e1, e2; lifted both diagonal parts of phi(1)"
@@ -264,7 +261,7 @@ def _eval_l4(pd: PeirceData, phi: Images):
                 witness = {"equation": f"P{key[0]}{key[1]}(phi(x)) = 0 for x in r{i}{i}",
                            "x": x.to_strings(), "projection": part.to_strings()}
                 return False, witness, f"phi of a vector in r{i}{i} leaves the diagonal"
-            witness = phi.lift_failure(phi.part(j, j, x), j)
+            witness = _lift_failure(pd, phi.part(j, j, x), j)
             if witness is not None:
                 return False, {**witness, "basis_vector": x.to_strings()}, \
                     f"the ({j},{j}) part of phi(x), x in r{i}{i}, does not lift"
@@ -299,7 +296,7 @@ def _eval_l5(pd: PeirceData, phi: Images):
                            "x": x.to_strings(), "commutator": c.to_strings()}
                 return False, witness, "(iii) fails"
             for k in (i, j):
-                witness = phi.lift_failure(phi.part(k, k, x), k)
+                witness = _lift_failure(pd, phi.part(k, k, x), k)
                 if witness is not None:
                     return False, {**witness, "basis_vector": x.to_strings()}, "(iv) fails"
     return True, None, "evaluated (i)-(iv) on " + " and ".join(evaluated)

@@ -15,9 +15,11 @@ L_e1, R_e1 and L_e2 off the table as sparse-column Matrix objects
 (Algebra.mult_columns), at an integral multiple of the idempotents so that
 integral input stays in ints, checks and composes them there with the
 Matrix operations and builds each component's echelon from its
-projector's columns.  The relation
-check indexes each right-hand component by coordinate and forms only the
-basis products whose factors' supports meet a nonzero table entry.
+projector's columns.  Stacked, the four projectors are one Matrix, the
+linear map x -> (P11 x, P12 x, P21 x, P22 x): it splits a vector with
+matvec and a map's columns with @.  The relation check indexes each
+right-hand component by coordinate and forms only the basis products
+whose factors' supports meet a nonzero table entry.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from itertools import combinations, groupby, product
 
 from .algebra import Algebra, Element, Memo, Subspace, commutator, find_unit
 from .errors import BudgetExceededError, PreconditionError
-from .linalg import common_kernel, express, tagged_echelon
+from .linalg import Matrix, common_kernel, express, tagged_echelon
 
 DEFAULT_BUDGET = 10 ** 6
 
@@ -48,15 +50,21 @@ class PeirceData(Memo):
 
     Memoises (Memo.cached) the derived data that gets reused heavily: the
     centers of the diagonal components, the center recomputed from the
-    split, and the results of lemmas L1 and L2, which do not involve the
-    map.  Each is built on first use, so peirce_decompose pays for none of
-    them.  The regularity check (hypothesis) is memoised on the algebra,
-    keyed by e1, so hypothesis_check and every split at e1 share one
-    solve.  The projectors are the sparse-column Matrix objects the split
-    computes.  split(x) gives all four parts of x in one pass over x's
-    nonzero coordinates, reading a table built on first use: for each
-    coordinate u, the nonzero entries of column u of the four projectors
-    at once.  project reads one part of it.
+    split, the results of lemmas L1 and L2, which do not involve the map,
+    and the lemma suite's lift verdicts, one per direction lifted (see
+    lemmas._lift_failure).  Each is built on first use, so
+    peirce_decompose pays for none of them.  The regularity check
+    (hypothesis) is memoised on the algebra, keyed by e1, so
+    hypothesis_check and every split at e1 share one solve.
+
+    The projectors are the sparse-column Matrix objects the split
+    computes.  Stacked block by block they are one 4n x n Matrix, the map
+    x -> (P11 x, P12 x, P21 x, P22 x), built on first use (stacked).
+    split(x) is its matvec on x's coordinates, cut into the four parts by
+    parts, and project reads one part of it.  The lemma suite splits a
+    map's columns with the same matrix (stacked @ phi) and cuts its
+    matvecs with parts, so the 4n layout is known here only.
+
     The memo is sound because nothing here is mutated after construction:
     not the idempotents, the projectors, the components nor the algebra.
     The spans that answer central lifts are memoised on the algebra
@@ -79,30 +87,25 @@ class PeirceData(Memo):
         return self.split(x)[(i, j)]
 
     def split(self, x: Element) -> dict:
-        """{(i, j): P_ij x} for the four parts, summed in one pass over x's nonzero coordinates."""
-        return self.combine(self.split_table(), x.coords)
+        """{(i, j): P_ij x}: the stacked projectors applied to x's coordinates (Matrix.matvec)."""
+        return self.parts(self.stacked().matvec(x.coords))
 
-    def combine(self, table: list, coords) -> dict:
-        """The four parts of sum_u coords[u] table[u], each row (k, a) laid out as in split_table."""
-        f, n = self.algebra.field, self.algebra.dim
-        add, mul = f.add, f.mul
-        out = [f.zero] * (4 * n)            # part p of the split at offsets p n .. p n + n - 1
-        for x_u, terms in zip(coords, table):
-            if x_u:
-                for k, a in terms:
-                    out[k] = add(out[k], mul(a, x_u))
-        return {key: Element(self.algebra, out[p * n:p * n + n])
+    def parts(self, coords) -> dict:
+        """{(i, j): block p of a length-4n vector}, p the projector's place in projectors."""
+        n = self.algebra.dim
+        return {key: Element(self.algebra, coords[p * n:p * n + n])
                 for p, key in enumerate(self.projectors)}
 
-    def split_table(self) -> list:
-        """Per coordinate u, the entries (p n + r, a) of column u of the p-th projector; cached."""
-        return self.cached("split_table", self._split_table)
+    def stacked(self) -> Matrix:
+        """The 4n x n Matrix whose p-th block of n rows is the p-th projector; cached."""
+        return self.cached("stacked", self._stacked)
 
-    def _split_table(self) -> list:
+    def _stacked(self) -> Matrix:
         n = self.algebra.dim
-        columns = [P.columns for P in self.projectors.values()]
-        return [[(p * n + r, a) for p, cols in enumerate(columns) for r, a in cols[u].items()]
-                for u in range(n)]
+        blocks = [P.columns for P in self.projectors.values()]
+        return Matrix._of(self.algebra.field, 4 * n, [
+            {p * n + r: a for p, cols in enumerate(blocks) for r, a in cols[u].items()}
+            for u in range(n)])
 
     def dims(self) -> tuple[int, int, int, int]:
         c = self.components

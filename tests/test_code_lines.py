@@ -46,3 +46,12 @@ def test_docstrings_comments_and_blank_lines_are_not_counted():
 def test_an_empty_source_has_no_code_lines():
     assert load_tool().code_lines("") == 0
     assert load_tool().code_lines('"""Only a docstring."""\n# and a comment\n') == 0
+
+
+def test_tokens_leave_out_comments_and_blank_line_tokens():
+    tool = load_tool()
+    # x = 1 NEWLINE, if x : NEWLINE, INDENT, y = ( x + 2 ) NEWLINE, DEDENT, ENDMARKER
+    assert tool.tokens("x = 1  # c\n\nif x:\n    y = (x +\n         2)\n") == 19
+    # a docstring is one token: STRING NEWLINE ENDMARKER
+    assert tool.tokens('"""A docstring\nover two lines."""\n# a comment\n\n') == 3
+    assert tool.tokens(SOURCE) == tool.tokens(SOURCE.replace("# a comment on its own line\n", ""))

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from altcomm import (LEMMA_IDS, LinearMap, Matrix, PreconditionError, PrimeField,
+from altcomm import (LEMMA_IDS, Algebra, LinearMap, Matrix, PreconditionError, PrimeField,
                      RationalField, Subspace, cayley_dickson_algebra, center, commutator,
                      decompose, decompose_oracle, direct_sum, find_unit, is_central,
                      lift_central, matrix_algebra, peirce, peirce_decompose,
@@ -15,6 +15,7 @@ from altcomm import (LEMMA_IDS, LinearMap, Matrix, PreconditionError, PrimeField
 from altcomm import lemmas
 from altcomm.algebra import Element
 from altcomm.lemmas import _EVALS, Images
+from altcomm.peirce import PeirceData
 
 from test_associator import columns_matrix, mult_matrix, scalar_map
 from test_peirce import lift_gap_algebra, upper_triangular_algebra
@@ -150,8 +151,8 @@ def test_ungated_l5_names_the_part_that_does_not_lift():
                        "basis_vector": ["0", "0", "0", "1", "0", "0", "0", "0", "0"]}
     assert witness["x"] == a3.basis_element(a3.label_index("E23")).to_strings()
     assert witness["basis_vector"] == e21.to_strings()
-    shared = images.lift_failure(images.part(2, 2, e21), 2)
-    assert "basis_vector" not in shared, "the memoised witness is not mutated"
+    shared = lemmas._lift_failure(pd, images.part(2, 2, e21), 2)
+    assert "basis_vector" not in shared, "L5 added to its own witness only"
 
 
 def test_ungated_evaluation_exposes_failures(m2q_pd):
@@ -300,7 +301,11 @@ SPAN_LEMMAS = ("L2", "L3", "L4", "L5", "L7", "L9")
 @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
 @pytest.mark.parametrize("case", range(2))
 def test_central_spans_agree_with_a_reference_at_two_idempotents(case, order, monkeypatch):
-    """Two PeirceData on one algebra share its span cache; every key must name its e_i."""
+    """Two PeirceData on one algebra share its span cache; every key must name its e_i.
+
+    The reference runs on a fresh split at the same idempotent, since lift
+    verdicts are memoised on the split, and it must lift at least once.
+    """
     label, algebra, *idempotents = _two_split_cases()[case]
     assert center(algebra).dim == 2
     pds = [peirce_decompose(algebra, algebra.element(idempotents[k])) for k in order]
@@ -309,10 +314,18 @@ def test_central_spans_agree_with_a_reference_at_two_idempotents(case, order, mo
             assert all(r.passed for r in run_all(pd, random_commuting_map(algebra, seed))), label
             phi = _perturbed(algebra, seed)
             got = {lid: _EVALS[lid](pd, Images(pd, phi)) for lid in SPAN_LEMMAS}
+            ref = peirce_decompose(algebra, pd.e1)
+            lifted = []
+
+            def reference(pd, x, i):
+                lifted.append((x, i))
+                return _reference_lift(pd, x, i)
+
             with monkeypatch.context() as patch:
-                patch.setattr(lemmas, "lift_central", _reference_lift)
+                patch.setattr(lemmas, "lift_central", reference)
                 patch.setattr(lemmas, "express_central", _reference_span)
-                want = {lid: _EVALS[lid](pd, Images(pd, phi)) for lid in SPAN_LEMMAS}
+                want = {lid: _EVALS[lid](ref, Images(ref, phi)) for lid in SPAN_LEMMAS}
+            assert lifted, "the reference lift is consulted"
             assert got == want, (label, pd.e1.to_strings(), seed)
 
 
@@ -360,35 +373,42 @@ def _counting(monkeypatch, owner, name):
     return calls
 
 
-def test_one_run_applies_phi_once_per_input(m3q_pd, zornq_pd, m2f5_pd, monkeypatch):
+def test_one_run_applies_phi_once_per_input(monkeypatch):
     """phi meets each of 1, e1, e2 and the Peirce basis vectors at most once, phi's
-    columns are split into their Peirce parts exactly once per run, no image goes
-    through PeirceData.split, each input's parts are formed at most once, and each
-    lift is formed at most once."""
+    columns are split into their Peirce parts exactly once per run, as the split's
+    stacked projectors @ phi and by no other product, no image goes through
+    PeirceData.split, each input's parts are formed at most once, and each lift is
+    formed at most once per split, across all its runs.  The splits are fresh, so no
+    earlier test has formed their lifts."""
     applied = _counting(monkeypatch, LinearMap, "__call__")
-    split = _counting(monkeypatch, type(m3q_pd), "split")
-    columns = _counting(monkeypatch, lemmas, "_column_parts")
+    split = _counting(monkeypatch, PeirceData, "split")
+    products = _counting(monkeypatch, Matrix, "__matmul__")
     parted = _counting(monkeypatch, Images, "_split")
     lifted = _counting(monkeypatch, lemmas, "lift_central")
-    for pd in (m3q_pd, zornq_pd, m2f5_pd):
+    for algebra, e1 in (matrix_algebra(Q, 3), zorn(Q), matrix_algebra(PrimeField(5), 2)):
+        pd = peirce_decompose(algebra, e1)
         inputs = {x.coords for comp in pd.components.values() for x in comp.basis}
         inputs |= {pd.e1.coords, pd.e2.coords, find_unit(pd.algebra).coords}
+        lifted.clear()
         for phi in (random_commuting_map(pd.algebra, 4), scalar_map(pd.algebra)):
-            for record in (applied, split, columns, parted, lifted):
+            for record in (applied, split, products, parted):
                 record.clear()
             assert all(r.passed for r in run_all(pd, phi))
             seen = [x.coords for _, x in applied]
             assert seen and len(seen) == len(set(seen)) and set(seen) <= inputs
             assert split == []
-            assert len(columns) == 1 and columns[0][0] is pd and columns[0][1] is phi
+            assert len(products) == 1
+            assert products[0][0] is pd.stacked() and products[0][1] is phi.matrix
             parts = [x.coords for _, x in parted]
             assert parts and len(parts) == len(set(parts)) and set(parts) <= inputs
-            lifts = [(x.coords, i) for _, x, i in lifted]
-            assert lifts and len(lifts) == len(set(lifts))
+        lifts = [(x.coords, i) for _, x, i in lifted]
+        assert lifts and len(lifts) == len(set(lifts))
+    pd = peirce_decompose(*matrix_algebra(Q, 3))
+    psi = _perturbed(pd.algebra, 2)
     applied.clear()
-    columns.clear()
-    assert {r.status for r in run_all(m3q_pd, _perturbed(m3q_pd.algebra, 2))} == \
-        {"not-applicable"} and applied == [] and columns == []
+    products.clear()
+    assert {r.status for r in run_all(pd, psi)} == {"not-applicable"}
+    assert applied == [] and products == []
 
 
 SPLIT_CASES = ["M3(Q)", "Zorn(F5)", "M2(Q)+M2(Q)", "CD3(Q)"]
@@ -514,30 +534,33 @@ def test_the_commuting_check_runs_once_per_map(m3q_pd, monkeypatch):
 
 
 def test_a_second_run_on_the_same_split_builds_no_l1_or_l2_lift(monkeypatch):
-    """L1 and L2 are evaluated on the first run past the gate, then read from the split."""
+    """L1 and L2 are evaluated on the first run past the gate, then read from the split,
+    and no lift is formed twice on one split: a later run forms only lifts no earlier
+    run formed, and L3-L5 on a map already run form none."""
     pd = peirce_decompose(*matrix_algebra(Q, 3))
     run_all(pd, _perturbed(pd.algebra, 1))
     assert "L1" not in pd._memo and "L2" not in pd._memo, "a gated run caches no lemma"
+    assert not any(key[0] == "lift_failure" for key in pd._memo if isinstance(key, tuple))
+    lifts = _counting(monkeypatch, lemmas, "lift_central")
     phi = random_commuting_map(pd.algebra, 3)
     first = [r.to_dict() for r in run_all(pd, phi)]
-    assert all(r["status"] == "pass" for r in first)
+    assert all(r["status"] == "pass" for r in first) and lifts
 
     def refuse(pd, images):
         raise AssertionError("L1 and L2 are read from the split's cache")
 
     monkeypatch.setitem(lemmas._EVALS, "L1", refuse)
     monkeypatch.setitem(lemmas._EVALS, "L2", refuse)
-    lifts = _counting(monkeypatch, lemmas, "lift_central")
-    for seed in (3, 4):
-        lifts.clear()
+    for seed in (3, 4, 5):
         again = [r.to_dict() for r in run_all(pd, random_commuting_map(pd.algebra, seed))]
         assert again[:2] == first[:2] and all(r["status"] == "pass" for r in again)
-        made = list(lifts)
-        lifts.clear()
+        made = len(lifts)
         images = Images(pd, random_commuting_map(pd.algebra, seed))
         for lid in ("L3", "L4", "L5"):
             assert _EVALS[lid](pd, images)[0]
-        assert made == lifts, "every lift of the second run is one of L3-L5's"
+        assert len(lifts) == made, "L3-L5 read the lifts of a run on this split"
+    formed = [(x.coords, i) for _, x, i in lifts]
+    assert len(formed) == len(set(formed)), "no lift is formed twice on one split"
 
 
 def test_a_cached_report_gets_its_own_witness(monkeypatch):
@@ -553,6 +576,118 @@ def test_a_cached_report_gets_its_own_witness(monkeypatch):
     assert second.witness == witness == {"equation": "forced",
                                          "direct_basis": [["1", "0", "0", "1"]]}
     assert run_all(pd, phi)[0].witness == witness
+
+
+
+# ----------------------------------------------------------------------
+# lift verdicts are memoised on the split and shared by its runs
+
+
+def tri_control():
+    """Tri(Q[eps], Q[eps], Q) split at 1_A, and its commuting map of nonstandard form.
+
+    The triangular algebra [[Q[eps], M], [0, Q]], M = Q[eps], eps^2 = 0, on
+    the basis 1_A, eps, m, eps m, 1_B; the map sends 1_A to eps, 1_B to -eps,
+    m to eps m and the rest to 0 (Cheung's failure mode).  Regularity fails
+    at e1, so run_all is gated; ungated, L2 and L4 name parts with no lift.
+    """
+    one = Q.one
+    entries = [(0, 0, 0, one), (0, 1, 1, one), (1, 0, 1, one), (0, 2, 2, one),
+               (1, 2, 3, one), (0, 3, 3, one), (2, 4, 2, one), (3, 4, 3, one),
+               (4, 4, 4, one)]
+    algebra = Algebra("Tri(Q[eps],Q[eps],Q)", Q, 5, ["1A", "eps", "m", "epsm", "1B"],
+                      entries, unit=[one, 0, 0, 0, one])
+    cols = [[Q.zero] * 5 for _ in range(5)]
+    cols[0][1], cols[2][3], cols[4][1] = one, one, -one
+    return peirce_decompose(algebra, algebra.basis_element(0)), \
+        LinearMap(algebra, columns_matrix(Q, cols))
+
+
+def _lift_memo_cases():
+    """(label, PeirceData, maps): seeded and perturbed maps and every right
+    multiplication on the split cases, and the Tri control with seeded maps."""
+    cases = []
+    for label, pd in _split_cases():
+        algebra = pd.algebra
+        maps = [random_commuting_map(algebra, seed) for seed in (0, 1)]
+        maps += [_perturbed(algebra, seed) for seed in (2, 3)]
+        maps += [LinearMap(algebra, mult_matrix(algebra, algebra.basis_coords(k), "right"))
+                 for k in range(algebra.dim)]
+        cases.append((label, pd, maps))
+    pd, control = tri_control()
+    cases.append(("Tri control", pd, [control, random_commuting_map(pd.algebra, 0),
+                                      scalar_map(pd.algebra)]))
+    return cases
+
+
+def _mutate(witness):
+    """Change a witness in place at every level: each list grows, the dict gains a key."""
+    if witness is not None:
+        for value in witness.values():
+            if isinstance(value, list):
+                value.append("mutated")
+        witness["mutated"] = True
+
+
+@pytest.mark.parametrize("label", SPLIT_CASES + ["Tri control"])
+def test_a_reused_split_answers_lifts_as_a_fresh_one(label):
+    """L2-L5 give the same (ok, witness, notes) on a split whose earlier runs filled
+    its lift memo as on a fresh split of the same algebra, map by map, and again after
+    every witness those runs returned, and every run_all report's witness, was mutated.
+    Some lifts fail on M3(Q), under right multiplications, and on the Tri control."""
+    _, pd, maps = next(case for case in _lift_memo_cases() if case[0] == label)
+    lids = ("L2", "L3", "L4", "L5")
+    wants, reports = [], []
+    for phi in maps:
+        fresh = peirce_decompose(pd.algebra, pd.e1)
+        want = [_EVALS[lid](fresh, Images(fresh, phi)) for lid in lids]
+        got = [_EVALS[lid](pd, Images(pd, phi)) for lid in lids]
+        assert got == want, (label, phi)
+        wants.append(want)
+        for _, witness, _ in got:
+            _mutate(witness)
+        runs = run_all(pd, phi)
+        reports.append([r.to_dict() for r in runs])
+        for r in runs:
+            _mutate(r.witness)
+    assert [[_EVALS[lid](pd, Images(pd, phi)) for lid in lids] for phi in maps] == wants
+    assert [[r.to_dict() for r in run_all(pd, phi)] for phi in maps] == reports
+    lift_fails = any(witness["equation"].startswith("z . e") for want in wants
+                     for _, witness, _ in want if witness)
+    assert lift_fails == (label in ("M3(Q)", "Tri control"))
+    assert any(key[0] == "lift_failure" for key in pd._memo if isinstance(key, tuple))
+
+
+def test_one_lift_verdict_serves_every_multiple(monkeypatch):
+    """A lift verdict is memoised per direction: c x asks lift_central nothing new for
+    any nonzero c, and its witness names c x itself.  Covers a part with no central lift
+    (lift_gap_algebra's t), one refused as not central (2 E22 + E23 in M3(Q), whose
+    entries differ), one that lifts (e2) and zero, which lifts on a split whose lift
+    memo is empty.  A vector with e2's support but another direction is asked anew."""
+    lifts = _counting(monkeypatch, lemmas, "lift_central")
+    gap = lift_gap_algebra()
+    m3 = matrix_algebra(Q, 3)[0]
+    x = m3.basis_element(m3.label_index("E22")).scale(2) + \
+        m3.basis_element(m3.label_index("E23"))
+    cases = [(peirce_decompose(gap, gap.basis_element(1)), gap.basis_element(3),
+              "no central lift exists"),
+             (peirce_decompose(m3, m3.basis_element(0)), x,
+              "element to lift is not central in its component")]
+    for pd, x, problem in cases:
+        zero = x.scale(Q.zero)
+        assert lemmas._lift_failure(pd, zero, 2) is None and len(lifts) == 1
+        for c in (1, 2, Fraction(-1, 3)):
+            witness = lemmas._lift_failure(pd, x.scale(c), 2)
+            assert witness == {"equation": "z . e2 = x for central z",
+                               "x": x.scale(c).to_strings(), "problem": problem}
+            assert lemmas._lift_failure(pd, pd.e2.scale(c), 2) is None
+        assert len(lifts) == 3, "one lift per direction"
+        keys = [key for key in pd._memo if isinstance(key, tuple) and key[0] == "lift_failure"]
+        assert len(keys) == 3
+        lifts.clear()
+    pd, e33 = cases[1][0], m3.basis_element(m3.label_index("E33"))
+    y = pd.e2 + e33                                   # e2's support, another direction
+    assert lemmas._lift_failure(pd, y, 2)["problem"] == cases[1][2] and len(lifts) == 1
 
 
 if __name__ == "__main__":
