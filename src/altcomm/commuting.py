@@ -5,8 +5,10 @@ along a nontrivial idempotent satisfying the regularity condition, every
 commuting additive map phi decomposes as phi(x) = z x + xi(x) with z
 central and xi taking values in the center.  decompose() builds the pair
 constructively from the Peirce projections of phi at the idempotents;
-decompose_oracle() finds it by solving a linear system instead, so the two
-routes check each other.
+decompose_oracle() finds z by solving a linear system instead, so the two
+routes check each other's z.  Both end in the same check of the pair
+(phi, z), memoised on phi, so a map taken by both routes to one z is
+checked once.
 """
 
 from __future__ import annotations
@@ -29,9 +31,12 @@ class LinearMap(Memo):
 
     Like its Matrix, a map is never mutated: + and - build new maps.  That
     is what lets it memoise (Memo.cached) its commuting and anti-commuting
-    verdicts (_failing_pair), so a map checked by decompose is not checked
-    again by the lemma gate, and its columns reduced modulo the center
-    (_noncentral_columns), which both verdicts read.
+    verdicts under ("verdict", anti) (_failing_pair), so a map checked by
+    decompose is not checked again by the lemma gate; its columns reduced
+    modulo the center under "noncentral_columns" (_noncentral_columns),
+    which both verdicts read; and, under ("standard", z.coords), the pair
+    (xi, failure) for xi = phi - L_z (_standard_part), which decompose,
+    the oracle and check_decomposition read.
     """
 
     __slots__ = ("algebra", "matrix", "_memo")
@@ -161,11 +166,12 @@ def _noncentral_columns(algebra: Algebra, phi: LinearMap) -> list:
 
     Each column becomes its nonzero remainder {row: entry} against
     center(algebra)'s echelon.  The center is read only once it has been
-    made (decompose's lifts, the oracle and random_commuting_map make it):
-    solving for it here could cost more than the reduction saves, as on
-    the Cayley-Dickson algebras, whose center is spanned by b_0 = 1, which
-    brackets to zero.  Without it the stored columns are read as they are,
-    with the same sums.
+    made (decompose and the lemma gate make it before their check; the
+    oracle and random_commuting_map make it too): solving for it here
+    could cost more than the reduction saves, as on the Cayley-Dickson
+    algebras, whose center is spanned by b_0 = 1, which brackets to zero,
+    so is_commuting alone never makes it.  Without it the stored columns
+    are read as they are, with the same sums.
     """
     Z = algebra.held("center")
     if Z is None:
@@ -203,9 +209,34 @@ def _pair_sums(algebra: Algebra, phi: LinearMap, anti: bool):
 
 def check_decomposition(algebra: Algebra, phi: LinearMap, z: Element,
                         xi: LinearMap) -> bool:
-    """Independent verification that phi(x) = z x + xi(x) with the right ranges."""
-    return (_range_failure(algebra, z, xi) is None
-            and phi.matrix - xi.matrix == LinearMap.left_multiplication(algebra, z).matrix)
+    """Verification that phi(x) = z x + xi(x) with z central and xi center-valued.
+
+    The one verification path: xi must equal phi - L_z, and that
+    difference must pass the range check, both read from phi's memoised
+    standard-form check (_standard_part), which decompose and the oracle
+    read too.
+    """
+    standard, failure = _standard_part(algebra, phi, z)
+    return failure is None and xi.matrix == standard.matrix
+
+
+def _standard_part(algebra: Algebra, phi: LinearMap, z: Element):
+    """The pair (xi, failure) for xi = phi - L_z, memoised on phi per z.
+
+    failure is _range_failure(algebra, z, xi): None when z is central and
+    xi center-valued, so that phi = L_z + xi is the standard form.  The
+    check is a pure function of the immutable map and z, so decompose,
+    decompose_oracle and check_decomposition share one check of each
+    (phi, z), under the key ("standard", z.coords).  A map on another
+    algebra is refused with ValueError by the subtraction, and nothing is
+    memoised.
+    """
+    return phi.cached(("standard", z.coords), _standard_check, algebra, phi, z)
+
+
+def _standard_check(algebra: Algebra, phi: LinearMap, z: Element):
+    xi = phi - LinearMap.left_multiplication(algebra, z)
+    return xi, _range_failure(algebra, z, xi)
 
 
 def _range_failure(algebra: Algebra, z: Element, xi: LinearMap):
@@ -234,8 +265,16 @@ def decompose(pd: PeirceData, phi: LinearMap) -> Decomposition:
     not commuting, when the regularity condition fails, or when a lift
     that the theory promises does not exist (each error carries the
     offending element).
+
+    The center is built first, since the lifts need it anyway: the
+    commuting check then brackets only phi's columns reduced modulo it,
+    and a map that fails the check pays the center solve too.  The final
+    check of (phi, z) is phi's memoised standard-form check
+    (_standard_part), which the oracle reads as well when it finds the
+    same z.
     """
     algebra = pd.algebra
+    center(algebra)
     ok, witness = is_commuting(algebra, phi)
     if not ok:
         raise NotCommutingError(
@@ -250,8 +289,7 @@ def decompose(pd: PeirceData, phi: LinearMap) -> Decomposition:
     z1 = _lift_or_fail(pd, f1[(2, 2)], 2, "the (2,2) projection of phi(e1)")
     z2 = _lift_or_fail(pd, f2[(1, 1)], 1, "the (1,1) projection of phi(e2)")
     z = f1[(1, 1)] + f2[(2, 2)] - (z1 * pd.e1 + z2 * pd.e2)
-    xi = phi - LinearMap.left_multiplication(algebra, z)     # phi = L_z + xi by construction
-    failure = _range_failure(algebra, z, xi)
+    xi, failure = _standard_part(algebra, phi, z)     # phi = L_z + xi by construction
     if failure is not None:
         raise DecompositionError(failure[0], witness=failure[1])
     return Decomposition(z=z, xi=xi, verified=True, z1=z1, z2=z2)
@@ -275,9 +313,12 @@ def decompose_oracle(algebra: Algebra, phi: LinearMap) -> Decomposition | None:
     coordinate k n + r, is expressed over S (express_central, cached under
     ("standard",)), and the last dim Z coefficients give z.  The
     center-valued words come first, so a z_c whose L_{z_c} is center-valued
-    modulo the others gets coefficient zero.  Returns a verified
-    Decomposition or None when phi is not in S (z1, z2 are left unset: this
-    route never builds lifts).
+    modulo the others gets coefficient zero.  z is then checked by phi's
+    memoised standard-form check (_standard_part): when decompose has
+    already found the same z, its check and its xi are reused, and the z
+    itself is still solved for here.  Returns a verified Decomposition or
+    None when phi is not in S (z1, z2 are left unset: this route never
+    builds lifts).
     """
     if phi.algebra is not algebra:
         raise ValueError("map on a different algebra")
@@ -295,8 +336,8 @@ def decompose_oracle(algebra: Algebra, phi: LinearMap) -> Decomposition | None:
     if alpha is None:
         return None
     z = Z.combine(alpha[-Z.dim:])
-    xi = phi - LinearMap.left_multiplication(algebra, z)
-    if not check_decomposition(algebra, phi, z, xi):
+    xi, failure = _standard_part(algebra, phi, z)
+    if failure is not None:
         return None
     return Decomposition(z=z, xi=xi, verified=True)
 

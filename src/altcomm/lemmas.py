@@ -53,7 +53,13 @@ class LemmaReport:
 
 
 def _gate(pd: PeirceData, phi: LinearMap):
-    """Reason the suite does not apply, or None when it does."""
+    """Reason the suite does not apply, or None when it does.
+
+    The center is built before the commuting check, as in decompose: the
+    checks past the gate read it anyway, and the check then brackets only
+    phi's columns reduced modulo it.
+    """
+    center(pd.algebra)
     ok, pair = is_commuting(pd.algebra, phi)
     if not ok:
         return ("the map is not commuting",

@@ -13,12 +13,14 @@ from altcomm import (Algebra, Decomposition, DecompositionError, HypothesisError
                      decompose, decompose_oracle, direct_sum, exhaustive_commuting_check,
                      find_unit, is_anti_commuting, is_central, is_commuting, load_map,
                      map_from_dict, map_to_dict, peirce_decompose, random_commuting_map,
-                     matrix_algebra, random_map_parts, save_map, scalar_algebra, zorn)
+                     matrix_algebra, random_map_parts, run_all, save_map, scalar_algebra,
+                     zorn)
 from altcomm import commuting, peirce
 from altcomm.commuting import _range_failure
 
 from test_associator import BUILTINS, columns_matrix, dense_solve, scalar_map, sparse_matrix
 from test_commutator import maps_for
+from test_lemmas import _perturbed, _split_cases, tri_control
 from test_peirce import comm3, upper_triangular_algebra
 from test_peirce_table import rebased
 
@@ -639,3 +641,201 @@ def test_verdicts_modulo_the_center_are_the_pairwise_verdicts(name, monkeypatch)
         assert failing == 0, "every map on a commutative algebra commutes"
     else:
         assert failing > 0
+
+
+# ----------------------------------------------------------------------
+# decompose and the oracle share one standard-form check per (phi, z)
+
+
+def _count_checks(monkeypatch):
+    """Record, by z's coordinates, each L_z formed through LinearMap.left_multiplication
+    and each range check run."""
+    formed, checked = [], []
+    left = LinearMap.left_multiplication.__func__
+    range_failure = commuting._range_failure
+
+    def counted_left(cls, algebra, z):
+        formed.append(z.coords)
+        return left(cls, algebra, z)
+
+    def counted_range(algebra, z, xi):
+        checked.append(z.coords)
+        return range_failure(algebra, z, xi)
+
+    monkeypatch.setattr(LinearMap, "left_multiplication", classmethod(counted_left))
+    monkeypatch.setattr(commuting, "_range_failure", counted_range)
+    return formed, checked
+
+
+def _left(algebra, z):
+    """L_z formed without LinearMap.left_multiplication, so no count records it."""
+    return LinearMap(algebra, algebra.mult_columns(z.coords, "left"))
+
+
+def _q_plus_q():
+    return direct_sum(scalar_algebra(Q), scalar_algebra(Q))
+
+
+def _shared_check_cases():
+    """(label, PeirceData): the lemma suite's split cases, then Q+Q at (1, 0) and the
+    Tri control, where regularity fails at e1 and decompose raises HypothesisError."""
+    qq = _q_plus_q()
+    return dict(_split_cases() + [("Q+Q", peirce_decompose(qq, qq.element([1, 0]))),
+                                  ("Tri control", tri_control()[0])])
+
+
+SPLIT_LABELS = ["M3(Q)", "Zorn(F5)", "M2(Q)+M2(Q)", "CD3(Q)"]
+
+
+@pytest.mark.parametrize("label", SPLIT_LABELS)
+def test_decompose_and_the_oracle_check_each_pair_once(label, monkeypatch):
+    """decompose then decompose_oracle on one map: both find the same z, L_z is formed
+    and the range check run once, and both return the same xi.  check_decomposition of
+    that pair reads the same check; a second z on the map gets its own, once."""
+    pd = _shared_check_cases()[label]
+    algebra = pd.algebra
+    other_z = find_unit(algebra)
+    formed, checked = _count_checks(monkeypatch)
+    for seed in range(3):
+        phi = random_commuting_map(algebra, seed)
+        formed.clear()
+        checked.clear()
+        built = decompose(pd, phi)
+        solved = decompose_oracle(algebra, phi)
+        assert solved.z == built.z and solved.xi is built.xi
+        assert formed == checked == [built.z.coords]
+        assert check_decomposition(algebra, phi, built.z, built.xi)
+        assert formed == checked == [built.z.coords]
+        other = built.z + other_z            # central, but phi - L_other is not center-valued
+        other_xi = phi - _left(algebra, other)
+        for _ in range(2):
+            assert not check_decomposition(algebra, phi, other, other_xi)
+            assert formed == checked == [built.z.coords, other.coords]
+
+
+def test_each_z_of_a_map_on_a_commutative_algebra_gets_its_own_check(monkeypatch):
+    """On Q+Q every L_z is center-valued, so every central z gives a standard form: the
+    drawn z and the oracle's z = 0 are two pairs, each checked once, each certified."""
+    algebra = _q_plus_q()
+    formed, checked = _count_checks(monkeypatch)
+    seen = 0
+    for seed in range(6):
+        phi, z, xi = random_map_parts(algebra, seed)
+        if z.is_zero():
+            continue
+        seen += 1
+        formed.clear()
+        checked.clear()
+        assert check_decomposition(algebra, phi, z, xi)
+        solved = decompose_oracle(algebra, phi)
+        assert solved.z.is_zero()
+        assert formed == checked == [z.coords, solved.z.coords]
+        assert solved.xi == phi and check_decomposition(algebra, phi, solved.z, phi)
+        assert check_decomposition(algebra, phi, z, xi) and len(checked) == 2
+    assert seen > 1
+
+
+@pytest.mark.parametrize("label", SPLIT_LABELS + ["Q+Q", "Tri control"])
+def test_the_oracle_checks_its_own_z(label, monkeypatch):
+    """On a map decompose has not run on, or where decompose raised HypothesisError,
+    the oracle forms and checks its own pair, even after another z was checked first."""
+    pd = _shared_check_cases()[label]
+    algebra = pd.algebra
+    unit = find_unit(algebra)
+    formed, checked = _count_checks(monkeypatch)
+    for seed in range(3):
+        phi, z, xi = random_map_parts(algebra, seed)
+        if label in ("Q+Q", "Tri control"):
+            with pytest.raises(HypothesisError, match="fails at e1"):
+                decompose(pd, phi)
+        probe = z + unit
+        formed.clear()
+        checked.clear()
+        probe_xi = phi - _left(algebra, probe)
+        # Only on the commutative Q+Q is the probe's pair a standard form too.
+        assert check_decomposition(algebra, phi, probe, probe_xi) is (label == "Q+Q")
+        solved = decompose_oracle(algebra, phi)
+        assert solved is not None and solved.z != probe
+        assert formed == checked == [probe.coords, solved.z.coords]
+        assert is_central(algebra, solved.z)
+        for k in range(algebra.dim):
+            b = algebra.basis_element(k)
+            assert solved.z * b + solved.xi(b) == phi(b)
+            assert is_central(algebra, solved.xi(b))
+
+
+def previous_check_decomposition(algebra, phi, z, xi):
+    """check_decomposition as one formula: the range check of (z, xi), then phi - xi = L_z."""
+    return (_range_failure(algebra, z, xi) is None
+            and phi.matrix - xi.matrix == LinearMap.left_multiplication(algebra, z).matrix)
+
+
+@pytest.mark.parametrize("label", SPLIT_LABELS)
+def test_check_decomposition_agrees_with_the_one_formula(label):
+    """On standard and perturbed maps, candidates with a wrong z, a non-central z or a
+    wrong xi are checked first and the drawn pair last, each on the map's memo: every
+    verdict is the formula's."""
+    algebra = _shared_check_cases()[label].algebra
+    f, n = algebra.field, algebra.dim
+    unit, b1 = find_unit(algebra), algebra.basis_element(1)
+    assert not is_central(algebra, b1)
+    verdicts = []
+    for seed in range(3):
+        _, z, xi = random_map_parts(algebra, seed)
+        bump = LinearMap(algebra, sparse_matrix(f, n, [{1: f.one}] + [{}] * (n - 1)))
+        for phi in (_left(algebra, z) + xi, _perturbed(algebra, seed)):
+            candidates = [(z + unit, xi), (z + unit, phi - _left(algebra, z + unit)),
+                          (b1, phi - _left(algebra, b1)), (z, xi + bump), (z, xi + xi),
+                          (z, xi), (z, phi - _left(algebra, z))]
+            for cz, cxi in candidates:
+                got = check_decomposition(algebra, phi, cz, cxi)
+                assert got is previous_check_decomposition(algebra, phi, cz, cxi), (seed, cz)
+                verdicts.append(got)
+    assert True in verdicts and False in verdicts
+
+
+# ----------------------------------------------------------------------
+# decompose and the lemma gate build the center before the commuting check
+
+
+@pytest.mark.parametrize("label", SPLIT_LABELS)
+def test_decompose_and_the_lemma_gate_check_phi_modulo_a_center_they_build(label):
+    """On a freshly loaded algebra with a map read from its dict, decompose and run_all
+    build the center first, so the commuting pass reads phi's columns reduced modulo it,
+    with the pairwise reference's verdict and witness.  is_commuting alone builds none."""
+    pd = _shared_check_cases()[label]
+    algebra, data = pd.algebra, pd.algebra.to_dict()
+    failing = 0
+    for seed in range(2):
+        for phi in (random_commuting_map(algebra, seed), _perturbed(algebra, seed)):
+            for route in ("decompose", "run_all"):
+                fresh = Algebra.from_dict(data)
+                split = peirce_decompose(fresh, fresh.element(pd.e1.coords))
+                alone = map_from_dict(fresh, map_to_dict(phi))
+                cold = map_from_dict(fresh, map_to_dict(phi))
+                want = pairwise_verdict(fresh, cold, False)
+                assert _by_coords(is_commuting(fresh, alone)) == _by_coords(want)
+                assert fresh.held("center") is None, "is_commuting alone builds no center"
+                if route == "decompose" and want[0]:
+                    assert decompose(split, cold).verified
+                elif route == "decompose":
+                    with pytest.raises(NotCommutingError) as exc:
+                        decompose(split, cold)
+                    assert _by_coords((False, exc.value.witness)) == _by_coords(want)
+                else:
+                    reports = run_all(split, cold)
+                    if want[0]:
+                        assert all(r.passed for r in reports)
+                    else:
+                        x, y = want[1]
+                        assert {r.status for r in reports} == {"not-applicable"}
+                        assert reports[0].witness["x"] == x.to_strings()
+                        assert reports[0].witness["y"] == y.to_strings()
+                failing += not want[0]
+                Z = fresh.held("center")
+                assert Z is not None
+                assert is_commuting(fresh, cold) == want
+                rest = cold._memo["noncentral_columns"]
+                assert rest == [Z.reduce(col) for col in cold.matrix.columns]
+                assert rest != cold.matrix.columns, "phi's central part is reduced away"
+    assert failing > 0
