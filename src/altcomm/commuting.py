@@ -8,7 +8,8 @@ constructively from the Peirce projections of phi at the idempotents;
 decompose_oracle() finds z by solving a linear system instead, so the two
 routes check each other's z.  Both end in the same check of the pair
 (phi, z), memoised on phi, so a map taken by both routes to one z is
-checked once.
+checked once.  The commuting checks bracket phi modulo the center: a
+central summand brackets to zero, so only phi's part outside it is read.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ from dataclasses import dataclass
 from .algebra import Algebra, Element, Memo, commutator, read_json, write_json
 from .errors import DecompositionError, HypothesisError, NotCommutingError
 from .linalg import Matrix
-from .peirce import DEFAULT_BUDGET, PeirceData, center, express_central, is_central, scan_guard
+from .peirce import (DEFAULT_BUDGET, PeirceData, center, express_central, is_central,
+                     lift_central, scan_guard)
 
 
 class LinearMap(Memo):
@@ -32,11 +34,10 @@ class LinearMap(Memo):
     Like its Matrix, a map is never mutated: + and - build new maps.  That
     is what lets it memoise (Memo.cached) its commuting and anti-commuting
     verdicts under ("verdict", anti) (_failing_pair), so a map checked by
-    decompose is not checked again by the lemma gate; its columns reduced
-    modulo the center under "noncentral_columns" (_noncentral_columns),
-    which both verdicts read; and, under ("standard", z.coords), the pair
-    (xi, failure) for xi = phi - L_z (_standard_part), which decompose,
-    the oracle and check_decomposition read.
+    decompose is not checked again by the lemma gate, and, under
+    ("standard", z.coords), the pair (xi, failure) for xi = phi - L_z
+    (_standard_part), which decompose, the oracle and check_decomposition
+    read.
     """
 
     __slots__ = ("algebra", "matrix", "_memo")
@@ -53,6 +54,8 @@ class LinearMap(Memo):
     @classmethod
     def left_multiplication(cls, algebra: Algebra, z: Element) -> "LinearMap":
         """L_z, its columns read off the table (Algebra.mult_columns)."""
+        if z.algebra is not algebra:
+            raise ValueError("element from a different algebra")
         return cls(algebra, algebra.mult_columns(z.coords, "left"))
 
     def __call__(self, x: Element) -> Element:
@@ -111,10 +114,11 @@ def is_commuting(algebra: Algebra, phi: LinearMap):
     sums are exactly the coefficients of x -> [phi(x), x] at x_i x_j and
     x_i^2, so the test is exact in every characteristic.  All pairs are
     summed in one pass (see _failing_pair), so there is no early exit; the
-    witness is still the first failing pair in row-major order.  Once the
-    algebra holds its center, the pass brackets only phi's part outside
-    it: a central summand of phi(b_i) brackets to zero, so on a map
-    L_z + xi with z central the center-valued xi costs nothing.  The
+    witness is still the first failing pair in row-major order.  The pass
+    brackets only phi's part outside the center, which it builds if the
+    algebra does not hold it yet (solving for the unit too when the file
+    gave none): a central summand of phi(b_i) brackets to zero, so on a
+    map L_z + xi with z central the center-valued xi costs nothing.  The
     verdict is memoised on phi, so decompose and the lemma gate share one
     pass.
     """
@@ -128,8 +132,7 @@ def is_anti_commuting(algebra: Algebra, phi: LinearMap):
     with [phi(b_i), b_j] + [b_i, phi(b_j)] != 0.  That sum changes sign when
     i and j swap and vanishes at i = j, so the first failing pair has
     i < j; like is_commuting, every pair is summed in one pass, over phi's
-    columns reduced modulo a center already made, which the two checks
-    share.
+    columns reduced modulo the center.
     """
     return _failing_pair(algebra, phi, anti=True)
 
@@ -138,11 +141,10 @@ def _failing_pair(algebra: Algebra, phi: LinearMap, anti: bool):
     """The first basis pair i <= j whose polarized bracket sum is nonzero, in one pass.
 
     Column i of phi's matrix is first reduced against center(algebra)'s
-    echelon (_noncentral_columns, which keeps the stored column when the
-    center has not been made).  The center is the commutant, so
-    [z, b_t] = 0 for every central z: the remainder has the same bracket
-    with every b_t as phi(b_i), and every pair sum, the verdict and the
-    witness are those of phi itself.  Each nonzero entry v at row s of
+    echelon.  The center is the commutant, so [z, b_t] = 0 for every
+    central z: the remainder has the same bracket with every b_t as
+    phi(b_i), and every pair sum, the verdict and the witness are those of
+    phi itself, in every characteristic.  Each nonzero entry v at row s of
     the reduced column i meets each nonzero commutator
     [b_s, b_t] once, and v [b_s, b_t] is added to the sum of the unordered
     pair (min(i, t), max(i, t)).  For the commuting check that sum is
@@ -161,32 +163,14 @@ def _failing_pair(algebra: Algebra, phi: LinearMap, anti: bool):
     return phi.cached(("verdict", anti), _pair_sums, algebra, phi, anti)
 
 
-def _noncentral_columns(algebra: Algebra, phi: LinearMap) -> list:
-    """phi's stored columns, each reduced modulo the center if the algebra holds it.
-
-    Each column becomes its nonzero remainder {row: entry} against
-    center(algebra)'s echelon.  The center is read only once it has been
-    made (decompose and the lemma gate make it before their check; the
-    oracle and random_commuting_map make it too): solving for it here
-    could cost more than the reduction saves, as on the Cayley-Dickson
-    algebras, whose center is spanned by b_0 = 1, which brackets to zero,
-    so is_commuting alone never makes it.  Without it the stored columns
-    are read as they are, with the same sums.
-    """
-    Z = algebra.held("center")
-    if Z is None:
-        return phi.matrix.columns
-    return [Z.reduce(column) for column in phi.matrix.columns]
-
-
 def _pair_sums(algebra: Algebra, phi: LinearMap, anti: bool):
     f, n = algebra.field, algebra.dim
     add, mul, neg, zero = f.add, f.mul, f.neg, f.zero
     brackets = algebra.commutator_rows()
+    Z = center(algebra)
     acc = {}
-    columns = phi.cached("noncentral_columns", _noncentral_columns, algebra, phi)
-    for i, column in enumerate(columns):
-        for s, v in column.items():
+    for i, column in enumerate(phi.matrix.columns):
+        for s, v in Z.reduce(column).items():
             w = neg(v) if anti else v
             for t, vec in brackets[s]:
                 if t > i:
@@ -214,8 +198,11 @@ def check_decomposition(algebra: Algebra, phi: LinearMap, z: Element,
     The one verification path: xi must equal phi - L_z, and that
     difference must pass the range check, both read from phi's memoised
     standard-form check (_standard_part), which decompose and the oracle
-    read too.
+    read too.  A map, z or xi on another algebra is refused with
+    ValueError before the memo is read.
     """
+    if any(x.algebra is not algebra for x in (phi, z, xi)):
+        raise ValueError("map or element from a different algebra")
     standard, failure = _standard_part(algebra, phi, z)
     return failure is None and xi.matrix == standard.matrix
 
@@ -266,15 +253,12 @@ def decompose(pd: PeirceData, phi: LinearMap) -> Decomposition:
     that the theory promises does not exist (each error carries the
     offending element).
 
-    The center is built first, since the lifts need it anyway: the
-    commuting check then brackets only phi's columns reduced modulo it,
-    and a map that fails the check pays the center solve too.  The final
-    check of (phi, z) is phi's memoised standard-form check
-    (_standard_part), which the oracle reads as well when it finds the
-    same z.
+    The commuting check brackets phi's columns reduced modulo the center,
+    which the lifts read too.  The final check of (phi, z) is phi's
+    memoised standard-form check (_standard_part), which the oracle reads
+    as well when it finds the same z.
     """
     algebra = pd.algebra
-    center(algebra)
     ok, witness = is_commuting(algebra, phi)
     if not ok:
         raise NotCommutingError(
@@ -296,7 +280,6 @@ def decompose(pd: PeirceData, phi: LinearMap) -> Decomposition:
 
 
 def _lift_or_fail(pd: PeirceData, x: Element, i: int, what: str) -> Element:
-    from .peirce import lift_central
     z = lift_central(pd, x, i)
     if z is None:
         raise DecompositionError(f"no central lift exists for {what}", witness=x)

@@ -11,10 +11,10 @@ run_lemma and run_all verify both and report not-applicable when either
 fails, so a lemma is never asserted outside its hypotheses.
 
 A run evaluates each thing once: the gate reuses the map's memoised
-commuting verdict, and the checks read phi's images and their Peirce
-projections from one table (Images), which splits phi's columns into
-their four parts once, with the PeirceData's stacked projectors, and
-reads each image's parts off them.  What does not involve the map is
+commuting verdict, and the checks read the Peirce projections of phi's
+images from one table (Images), which splits phi's columns into their
+four parts once, with the PeirceData's stacked projectors, and reads
+each image's parts off them.  What does not involve the map is
 memoised on the PeirceData and shared by every run on it: L1 and L2, once
 the gate has passed, and each central lift's verdict.  A bracket
 [P11(phi(x)) + P22(phi(x)), y] whose first argument is central is the
@@ -55,11 +55,9 @@ class LemmaReport:
 def _gate(pd: PeirceData, phi: LinearMap):
     """Reason the suite does not apply, or None when it does.
 
-    The center is built before the commuting check, as in decompose: the
-    checks past the gate read it anyway, and the check then brackets only
-    phi's columns reduced modulo it.
+    The commuting check brackets phi's columns reduced modulo the center,
+    which the checks past the gate read too.
     """
-    center(pd.algebra)
     ok, pair = is_commuting(pd.algebra, phi)
     if not ok:
         return ("the map is not commuting",
@@ -110,12 +108,12 @@ def _run(pd: PeirceData, phi: LinearMap, lemma_ids) -> list[LemmaReport]:
 
 
 class Images(Memo):
-    """phi's images and their Peirce projections for one suite run, each formed once.
+    """The Peirce projections of phi's images for one suite run, each formed once.
 
-    images(x) is phi(x), images.part(i, j, x) is P_ij(phi(x)) and
-    images.diag(x) is P11(phi(x)) + P22(phi(x)), each keyed by x's
-    coordinates.  phi's columns are split into their four Peirce parts
-    once per run, as the product pd.stacked() @ phi, so the four parts of
+    images.part(i, j, x) is P_ij(phi(x)) and images.diag(x) is
+    P11(phi(x)) + P22(phi(x)), each keyed by x's coordinates; images.phi
+    is the map itself.  phi's columns are split into their four Peirce
+    parts once per run, as the product pd.stacked @ phi, so the four parts of
     phi(x) are that product's matvec on x's coordinates, cut by pd.parts,
     formed together and kept under one key: no input is applied and split
     on its own.  images.central(x) says whether diag(x) is central, and
@@ -125,9 +123,6 @@ class Images(Memo):
 
     def __init__(self, pd: PeirceData, phi: LinearMap):
         self.pd, self.phi, self._memo = pd, phi, {}
-
-    def __call__(self, x: Element) -> Element:
-        return self.cached(("phi", x.coords), self.phi, x)
 
     def part(self, i: int, j: int, x: Element) -> Element:
         return self.cached(("split", x.coords), self._split, x)[(i, j)]
@@ -145,7 +140,7 @@ class Images(Memo):
 
     def _split(self, x: Element) -> dict:
         """{(i, j): P_ij(phi(x))}: phi's split columns applied to x's coordinates."""
-        columns = self.cached("columns", matmul, self.pd.stacked(), self.phi.matrix)
+        columns = self.cached("columns", matmul, self.pd.stacked, self.phi.matrix)
         return self.pd.parts(columns.matvec(x.coords))
 
     def _diagonal(self, x: Element) -> Element:
@@ -311,7 +306,7 @@ def _eval_l5(pd: PeirceData, phi: Images):
 def _eval_l6(pd: PeirceData, phi: Images):
     """The unit's image is central."""
     unit = find_unit(pd.algebra)
-    f1 = phi(unit)
+    f1 = phi.phi(unit)
     if is_central(pd.algebra, f1):
         return True, None, "phi(1) lies in the center"
     return False, {"equation": "phi(1) in Z", "phi(1)": f1.to_strings()}, \

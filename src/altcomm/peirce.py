@@ -15,11 +15,11 @@ L_e1, R_e1 and L_e2 off the table as sparse-column Matrix objects
 (Algebra.mult_columns), at an integral multiple of the idempotents so that
 integral input stays in ints, checks and composes them there with the
 Matrix operations and builds each component's echelon from its
-projector's columns.  Stacked, the four projectors are one Matrix, the
-linear map x -> (P11 x, P12 x, P21 x, P22 x): it splits a vector with
-matvec and a map's columns with @.  The relation check indexes each
-right-hand component by coordinate and forms only the basis products
-whose factors' supports meet a nonzero table entry.
+projector's columns.  The four projectors are kept stacked, in KEYS
+order, as one Matrix, the linear map x -> (P11 x, P12 x, P21 x, P22 x):
+it splits a vector with matvec and a map's columns with @.  The relation
+check indexes each right-hand component by coordinate and forms only the
+basis products whose factors' supports meet a nonzero table entry.
 """
 
 from __future__ import annotations
@@ -32,6 +32,9 @@ from .errors import BudgetExceededError, PreconditionError
 from .linalg import Matrix, common_kernel, express, tagged_echelon
 
 DEFAULT_BUDGET = 10 ** 6
+
+# The Peirce components (i, j), in the order their projectors are stacked.
+KEYS = ((1, 1), (1, 2), (2, 1), (2, 2))
 
 
 def verify_idempotent(algebra: Algebra, e: Element) -> bool:
@@ -57,13 +60,13 @@ class PeirceData(Memo):
     (hypothesis) is memoised on the algebra, keyed by e1, so
     hypothesis_check and every split at e1 share one solve.
 
-    The projectors are the sparse-column Matrix objects the split
-    computes.  Stacked block by block they are one 4n x n Matrix, the map
-    x -> (P11 x, P12 x, P21 x, P22 x), built on first use (stacked).
-    split(x) is its matvec on x's coordinates, cut into the four parts by
-    parts, and project reads one part of it.  The lemma suite splits a
-    map's columns with the same matrix (stacked @ phi) and cuts its
-    matvecs with parts, so the 4n layout is known here only.
+    The projectors are one 4n x n sparse-column Matrix, stacked: block p
+    of n rows is the projector onto the component KEYS[p], so stacked is
+    the map x -> (P11 x, P12 x, P21 x, P22 x).  split(x) is its matvec
+    on x's coordinates, cut into the four parts by parts, and project
+    reads one part of it.  The lemma suite splits a map's columns with
+    the same matrix (stacked @ phi) and cuts its matvecs with parts, so
+    the 4n layout is known here only.
 
     The memo is sound because nothing here is mutated after construction:
     not the idempotents, the projectors, the components nor the algebra.
@@ -71,12 +74,12 @@ class PeirceData(Memo):
     (express_central), keyed by the idempotent they read.
     """
 
-    def __init__(self, algebra, e1, e2, projectors, components):
+    def __init__(self, algebra, e1, e2, stacked, components):
         self.algebra = algebra
         self.e1 = e1
         self.e2 = e2
-        self.projectors = projectors    # {(i, j): Matrix}
-        self.components = components    # {(i, j): Subspace}
+        self.stacked = stacked          # 4n x n Matrix, blocks in KEYS order
+        self.components = components    # {(i, j): Subspace}, in KEYS order
         self._memo = {}
 
     def idempotent(self, i: int) -> Element:
@@ -88,24 +91,12 @@ class PeirceData(Memo):
 
     def split(self, x: Element) -> dict:
         """{(i, j): P_ij x}: the stacked projectors applied to x's coordinates (Matrix.matvec)."""
-        return self.parts(self.stacked().matvec(x.coords))
+        return self.parts(self.stacked.matvec(x.coords))
 
     def parts(self, coords) -> dict:
-        """{(i, j): block p of a length-4n vector}, p the projector's place in projectors."""
+        """{KEYS[p]: block p of a length-4n vector}."""
         n = self.algebra.dim
-        return {key: Element(self.algebra, coords[p * n:p * n + n])
-                for p, key in enumerate(self.projectors)}
-
-    def stacked(self) -> Matrix:
-        """The 4n x n Matrix whose p-th block of n rows is the p-th projector; cached."""
-        return self.cached("stacked", self._stacked)
-
-    def _stacked(self) -> Matrix:
-        n = self.algebra.dim
-        blocks = [P.columns for P in self.projectors.values()]
-        return Matrix._of(self.algebra.field, 4 * n, [
-            {p * n + r: a for p, cols in enumerate(blocks) for r, a in cols[u].items()}
-            for u in range(n)])
+        return {key: Element(self.algebra, coords[p * n:p * n + n]) for p, key in enumerate(KEYS)}
 
     def dims(self) -> tuple[int, int, int, int]:
         c = self.components
@@ -150,7 +141,8 @@ def peirce_decompose(algebra: Algebra, e1: Element) -> PeirceData:
     (the unit is verified, so L_e2 = I - L_e1).  Each component's echelon
     is built from its scaled projector's columns, which span the same
     space: no Element is made per column, and no dense column reaches the
-    elimination.  The projectors are then divided by d^2 once (scale).
+    elimination.  The scaled projectors are then stacked in KEYS order
+    into one 4n x n Matrix, divided by d^2 once (scale).
 
     Raises PreconditionError if the algebra is not unital, e1 is not a
     nontrivial idempotent, the two bracketings e_i (x e_j) and
@@ -176,13 +168,13 @@ def peirce_decompose(algebra: Algebra, e1: Element) -> PeirceData:
         if M @ M != dM:
             raise PreconditionError(f"Peirce projectors are not orthogonal: {rule} fails")
     P21 = dR1 - P11
-    scaled_projectors = {(1, 1): P11, (1, 2): dL1 - P11, (2, 1): P21,
-                         (2, 2): algebra.mult_columns(scaled[n:], "left").scale(d) - P21}
-    components = {key: Subspace.from_spanning(algebra, M.columns)
-                  for key, M in scaled_projectors.items()}
-    inv = f.inv(f.mul(d, d))
-    projectors = {key: M.scale(inv) for key, M in scaled_projectors.items()}
-    return PeirceData(algebra, e1, e2, projectors, components)
+    blocks = [P11.columns, (dL1 - P11).columns, P21.columns,
+              (algebra.mult_columns(scaled[n:], "left").scale(d) - P21).columns]
+    components = {key: Subspace.from_spanning(algebra, cols) for key, cols in zip(KEYS, blocks)}
+    stacked = Matrix._of(f, 4 * n, [
+        {p * n + r: a for p, cols in enumerate(blocks) for r, a in cols[u].items()}
+        for u in range(n)])
+    return PeirceData(algebra, e1, e2, stacked.scale(f.inv(f.mul(d, d))), components)
 
 
 def _by_coordinate(vectors) -> dict:

@@ -21,6 +21,7 @@ from altcomm import (Algebra, LinearMap, PrimeField, RationalField, Subspace, as
                      matrix_algebra, nucleus, scalar_algebra, zorn)
 from altcomm.algebra import Element
 from altcomm.linalg import Matrix, common_kernel, echelon_of_blocks
+from altcomm.peirce import KEYS
 
 Q = RationalField()
 F5 = PrimeField(5)
@@ -128,6 +129,14 @@ def dense_rref(f, data, n_cols):
 def sparse_matrix(field, rows, columns):
     """The Matrix whose column j holds the nonzero entries of the {row: entry} map columns[j]."""
     return Matrix._of(field, rows, [{r: a for r, a in col.items() if a} for col in columns])
+
+
+def projector_blocks(pd):
+    """{KEYS[p]: P}: pd.stacked cut into its four n x n blocks, the projectors."""
+    f, n = pd.algebra.field, pd.algebra.dim
+    return {key: Matrix._of(f, n, [{r - p * n: a for r, a in col.items() if p * n <= r < p * n + n}
+                                   for col in pd.stacked.columns])
+            for p, key in enumerate(KEYS)}
 
 
 def columns_matrix(field, columns, rows=None):

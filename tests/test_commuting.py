@@ -225,12 +225,10 @@ def test_decompose_refuses_regularity_failing_only_at_e2():
 
 def test_decompose_reports_the_first_residual_that_is_not_central(m3q_pd, monkeypatch):
     """A wrong lift surfaces as the first basis vector whose residual xi(b_k) is not central."""
-    import altcomm.peirce
-
     pd = m3q_pd
     algebra = pd.algebra
     phi = random_commuting_map(algebra, 1)
-    monkeypatch.setattr(altcomm.peirce, "lift_central", lambda pd, x, i: x)
+    monkeypatch.setattr(commuting, "lift_central", lambda pd, x, i: x)
     with pytest.raises(DecompositionError, match="the residual map is not center-valued") as exc:
         decompose(pd, phi)
 
@@ -248,6 +246,30 @@ def test_decompose_reports_the_first_residual_that_is_not_central(m3q_pd, monkey
 def test_oracle_rejects_non_commuting(m2q):
     algebra, _ = m2q
     assert decompose_oracle(algebra, transpose_map(algebra)) is None
+
+
+def test_objects_from_another_algebra_are_refused_before_the_memo_is_read():
+    """A z, xi or algebra from an identical second M2(Q) is refused with ValueError by
+    check_decomposition and LinearMap.left_multiplication, on a map not yet checked and
+    after decompose has memoised the pair."""
+    A, B = matrix_algebra(Q, 2)[0], matrix_algebra(Q, 2)[0]
+    pd = peirce_decompose(A, A.element([1, 0, 0, 0]))
+    phi = random_commuting_map(A, 2)
+    dec = decompose_oracle(A, phi)
+    z, xi = dec.z, dec.xi
+    cases = [lambda m: check_decomposition(A, m, B.element(z.coords), xi),
+             lambda m: check_decomposition(A, m, z, LinearMap(B, xi.matrix)),
+             lambda m: check_decomposition(B, m, z, xi),
+             lambda m: LinearMap.left_multiplication(A, B.element(z.coords))]
+    unchecked = LinearMap(A, phi.matrix)
+    decomposed = LinearMap(A, phi.matrix)
+    assert decompose(pd, decomposed).z == z
+    for m in (unchecked, decomposed):
+        for case in cases:
+            with pytest.raises(ValueError, match="different algebra"):
+                case(m)
+    assert unchecked._memo == {}
+    assert check_decomposition(A, decomposed, z, xi)
 
 
 def test_check_decomposition(m2q):
@@ -585,10 +607,22 @@ def sparse_map(algebra, rng, entries=3):
     return LinearMap(algebra, sparse_matrix(f, n, columns))
 
 
+def unitless(algebra):
+    """A fresh copy of algebra loaded from its dict without the unit, which it then solves for."""
+    data = algebra.to_dict()
+    del data["unit"]
+    return Algebra.from_dict(data)
+
+
+def _cd3():
+    return cayley_dickson_algebra(Q, [Q.one, Q.from_int(-1), Q.one])[0]
+
+
 VERDICT_ALGEBRAS = {
     "M3(Q)": lambda: matrix_algebra(Q, 3)[0],
     "Zorn(F5)": lambda: zorn(F5)[0],
-    "CD3(Q)": lambda: cayley_dickson_algebra(Q, [Q.one, Q.from_int(-1), Q.one])[0],
+    "CD3(Q)": _cd3,
+    "CD3(Q) without its unit": lambda: unitless(_cd3()),
     "M2(Q)+M2(Q)": _m2q_twice,
     "comm3": comm3,
     "N4(Q)": lambda: strictly_upper_triangular(4),
@@ -601,21 +635,17 @@ def _by_coords(verdict):
 
 
 @pytest.mark.parametrize("name", list(VERDICT_ALGEBRAS))
-def test_verdicts_modulo_the_center_are_the_pairwise_verdicts(name, monkeypatch):
+def test_verdicts_modulo_the_center_are_the_pairwise_verdicts(name):
     """Seeded commuting maps, sparse maps and their sums: both checks give the pairwise
-    reference's verdict and witness.  Once the algebra holds its center they read phi's
-    columns reduced modulo it, reduced once per map; before, the stored columns."""
+    reference's verdict and witness, on an algebra whose center is built and on a fresh
+    copy, where the first bare check builds the center (and the unit, when the file
+    gave none) to reduce phi's columns modulo it."""
     algebra, fresh = VERDICT_ALGEBRAS[name](), VERDICT_ALGEBRAS[name]()
     Z = center(algebra)
     assert Z.dim == {"M2(Q)+M2(Q)": 2, "comm3": 3}.get(name, 1)
-    reduced = []
-    original = commuting._noncentral_columns
-
-    def recorded(algebra, phi):
-        reduced.append(phi)
-        return original(algebra, phi)
-
-    monkeypatch.setattr(commuting, "_noncentral_columns", recorded)
+    assert "center" not in fresh._memo
+    if name.endswith("without its unit"):
+        assert "unit" not in fresh._memo
     failing = 0
     for seed in range(3):
         rng = random.Random(seed)
@@ -626,17 +656,8 @@ def test_verdicts_modulo_the_center_are_the_pairwise_verdicts(name, monkeypatch)
                 got = check(algebra, phi)
                 assert got == pairwise_verdict(algebra, phi, anti), (name, seed, anti)
                 assert _by_coords(check(fresh, cold)) == _by_coords(got), (name, seed, anti)
+                assert "center" in fresh._memo and "unit" in fresh._memo, "the check builds it"
                 failing += not got[0]
-            assert len(reduced) == 2 and reduced[0] is phi and reduced[1] is cold
-            reduced.clear()
-            # Each column read is phi's column minus a central part, and reduced: it
-            # holds no entry at a pivot of the center's echelon.
-            rest = phi._memo["noncentral_columns"]
-            central = phi.matrix - sparse_matrix(algebra.field, algebra.dim, rest)
-            assert not any(Z.reduce(col) for col in central.columns)
-            assert all(all(col.values()) and Z.reduce(col) == col for col in rest)
-            assert cold._memo["noncentral_columns"] is cold.matrix.columns
-    assert fresh.held("center") is None, "the checks never make the center"
     if name == "comm3":
         assert failing == 0, "every map on a commutative algebra commutes"
     else:
@@ -795,47 +816,44 @@ def test_check_decomposition_agrees_with_the_one_formula(label):
 
 
 # ----------------------------------------------------------------------
-# decompose and the lemma gate build the center before the commuting check
+# decompose and the lemma gate check a map read from a file modulo the center
 
 
 @pytest.mark.parametrize("label", SPLIT_LABELS)
 def test_decompose_and_the_lemma_gate_check_phi_modulo_a_center_they_build(label):
-    """On a freshly loaded algebra with a map read from its dict, decompose and run_all
-    build the center first, so the commuting pass reads phi's columns reduced modulo it,
-    with the pairwise reference's verdict and witness.  is_commuting alone builds none."""
+    """On a freshly loaded algebra, with or without its unit, and a map read from its
+    dict, decompose and run_all give the pairwise reference's verdict and witness; a
+    bare is_commuting builds the center it reduces phi's columns against."""
     pd = _shared_check_cases()[label]
-    algebra, data = pd.algebra, pd.algebra.to_dict()
     failing = 0
-    for seed in range(2):
-        for phi in (random_commuting_map(algebra, seed), _perturbed(algebra, seed)):
-            for route in ("decompose", "run_all"):
-                fresh = Algebra.from_dict(data)
-                split = peirce_decompose(fresh, fresh.element(pd.e1.coords))
-                alone = map_from_dict(fresh, map_to_dict(phi))
-                cold = map_from_dict(fresh, map_to_dict(phi))
-                want = pairwise_verdict(fresh, cold, False)
-                assert _by_coords(is_commuting(fresh, alone)) == _by_coords(want)
-                assert fresh.held("center") is None, "is_commuting alone builds no center"
-                if route == "decompose" and want[0]:
-                    assert decompose(split, cold).verified
-                elif route == "decompose":
-                    with pytest.raises(NotCommutingError) as exc:
-                        decompose(split, cold)
-                    assert _by_coords((False, exc.value.witness)) == _by_coords(want)
-                else:
-                    reports = run_all(split, cold)
-                    if want[0]:
-                        assert all(r.passed for r in reports)
+    for data in (pd.algebra.to_dict(), unitless(pd.algebra).to_dict()):
+        for seed in range(2):
+            for phi in (random_commuting_map(pd.algebra, seed), _perturbed(pd.algebra, seed)):
+                for route in ("decompose", "run_all"):
+                    fresh = Algebra.from_dict(data)
+                    alone = map_from_dict(fresh, map_to_dict(phi))
+                    cold = map_from_dict(fresh, map_to_dict(phi))
+                    assert "center" not in fresh._memo
+                    assert _by_coords(is_commuting(fresh, alone)) == _by_coords(
+                        pairwise_verdict(fresh, alone, False))
+                    assert "center" in fresh._memo, "is_commuting alone builds the center"
+                    split = peirce_decompose(fresh, fresh.element(pd.e1.coords))
+                    want = pairwise_verdict(fresh, cold, False)
+                    if route == "decompose" and want[0]:
+                        assert decompose(split, cold).verified
+                    elif route == "decompose":
+                        with pytest.raises(NotCommutingError) as exc:
+                            decompose(split, cold)
+                        assert _by_coords((False, exc.value.witness)) == _by_coords(want)
                     else:
-                        x, y = want[1]
-                        assert {r.status for r in reports} == {"not-applicable"}
-                        assert reports[0].witness["x"] == x.to_strings()
-                        assert reports[0].witness["y"] == y.to_strings()
-                failing += not want[0]
-                Z = fresh.held("center")
-                assert Z is not None
-                assert is_commuting(fresh, cold) == want
-                rest = cold._memo["noncentral_columns"]
-                assert rest == [Z.reduce(col) for col in cold.matrix.columns]
-                assert rest != cold.matrix.columns, "phi's central part is reduced away"
+                        reports = run_all(split, cold)
+                        if want[0]:
+                            assert all(r.passed for r in reports)
+                        else:
+                            x, y = want[1]
+                            assert {r.status for r in reports} == {"not-applicable"}
+                            assert reports[0].witness["x"] == x.to_strings()
+                            assert reports[0].witness["y"] == y.to_strings()
+                    failing += not want[0]
+                    assert is_commuting(fresh, cold) == want
     assert failing > 0

@@ -17,7 +17,7 @@ from altcomm.algebra import Element
 from altcomm.lemmas import _EVALS, Images
 from altcomm.peirce import PeirceData
 
-from test_associator import columns_matrix, mult_matrix, scalar_map
+from test_associator import columns_matrix, mult_matrix, projector_blocks, scalar_map
 from test_peirce import lift_gap_algebra, upper_triangular_algebra
 from test_peirce_reference import reference_lift
 
@@ -398,7 +398,7 @@ def test_one_run_applies_phi_once_per_input(monkeypatch):
             assert seen and len(seen) == len(set(seen)) and set(seen) <= inputs
             assert split == []
             assert len(products) == 1
-            assert products[0][0] is pd.stacked() and products[0][1] is phi.matrix
+            assert products[0][0] is pd.stacked and products[0][1] is phi.matrix
             parts = [x.coords for _, x in parted]
             assert parts and len(parts) == len(set(parts)) and set(parts) <= inputs
         lifts = [(x.coords, i) for _, x, i in lifted]
@@ -437,7 +437,7 @@ def test_image_parts_are_the_split_of_each_image(label):
     inputs = [x for comp in pd.components.values() for x in comp.basis]
     inputs += [pd.e1, pd.e2, find_unit(algebra)]
     if label == "CD3(Q)":
-        assert any(isinstance(a, Fraction) for P in pd.projectors.values()
+        assert any(isinstance(a, Fraction) for P in projector_blocks(pd).values()
                    for col in P.columns for a in col.values())
     basis = [algebra.basis_element(k) for k in range(algebra.dim)]
     central_seen = set()

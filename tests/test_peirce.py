@@ -14,9 +14,9 @@ from altcomm import (Algebra, BudgetExceededError, PreconditionError, PrimeField
                      Subspace, scalar_algebra, verify_idempotent, zorn)
 from altcomm.constructions import cayley_dickson_algebra
 from altcomm.linalg import common_kernel
-from altcomm.peirce import _commutant, _nucleus_blocks, _over, express_central
+from altcomm.peirce import KEYS, _commutant, _nucleus_blocks, _over, express_central
 
-from test_associator import FAMILIES, builtin_over
+from test_associator import FAMILIES, builtin_over, projector_blocks
 from test_linalg import dense_matvec
 
 Q = RationalField()
@@ -140,7 +140,8 @@ def test_sparse_projection_is_the_projector_matvec(name, field):
         elements.append(algebra.element([Fraction(rng.randint(-5, 5), rng.randint(1, 4))
                                          for _ in range(n)]))
     for x in elements:
-        for key, P in pd.projectors.items():
+        assert list(pd.split(x)) == list(pd.components) == list(KEYS)
+        for key, P in projector_blocks(pd).items():
             assert list(pd.project(*key, x).coords) == dense_matvec(field, P.data, x.coords), \
                 (key, x)
     if name.startswith("CD"):
